@@ -2,8 +2,7 @@
 
 Subcommands: apc, zset, bent, graph-code, matrix-check, coset-code,
 projector, mds, solve-basis, verify. Every subcommand takes --format
-text|json and --jobs N; output is computed sequentially and is therefore
-byte-identical for every jobs value.
+text|json.
 
 Exit codes: 0 success / verified; 1 verification or premise failure
 (a failed distance claim, rejected matrix, failed projector premises,
@@ -17,6 +16,7 @@ import re
 import sys
 from pathlib import Path
 
+from ._textfile import content_lines, integer, read_header, residues
 from .codespec import CodeSpec, check_claim
 from .code_builder import (
     build_coset_code,
@@ -59,35 +59,13 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _parse_residue_row(token_line: str, p: int) -> list:
-    """A row of residues: compact digit string, or separated values."""
-    line = token_line.strip()
-    if re.fullmatch(r"[0-9]+", line) and p <= 7:
-        vals = [int(ch) for ch in line]
-    else:
-        vals = [int(tok) for tok in re.split(r"[\s,]+", line) if tok]
-    if any(v < 0 or v >= p for v in vals):
-        raise InputError(f"residues must lie in [0, p) in row {token_line!r}")
-    return vals
-
-
 def parse_matrix_file(text: str) -> FpMatrix:
     """'p r' then r rows of residues (compact digits for p <= 7 or
     separated values); column count is set by the first row."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
-        raise InputError("matrix file needs a 'p r' line")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise InputError(f"first line must be 'p r', got {lines[0]!r}")
-    try:
-        p, r = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise InputError(f"bad matrix header {lines[0]!r}") from exc
-    if len(lines) - 1 != r:
-        raise InputError(f"expected {r} matrix rows, got {len(lines) - 1}")
-    rows = [_parse_residue_row(ln, p) for ln in lines[1:]]
+    p, r, body = read_header(text, "p r")
+    if len(body) != r:
+        raise InputError(f"expected {r} matrix rows, got {len(body)}")
+    rows = [residues(ln, p) for ln in body]
     if len({len(row) for row in rows}) != 1:
         raise InputError("matrix rows have inconsistent lengths")
     return FpMatrix.from_rows(p, rows)
@@ -96,10 +74,7 @@ def parse_matrix_file(text: str) -> FpMatrix:
 def parse_classes_file(text: str, n: int) -> list:
     """One class per line as a length-n binary string, vertex 1 leftmost."""
     classes = []
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
+    for ln in content_lines(text):
         if not re.fullmatch(r"[01]+", ln) or len(ln) != n:
             raise InputError(f"class line must be {n} binary digits, got {ln!r}")
         classes.append(frozenset(i + 1 for i, ch in enumerate(ln) if ch == "1"))
@@ -110,22 +85,17 @@ def parse_classes_file(text: str, n: int) -> list:
 
 def parse_system_file(text: str):
     """'p n' then rows 'alpha beta t' (two residue vectors and a residue)."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if len(lines) < 2:
-        raise InputError("system file needs 'p n' and at least one row")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise InputError(f"first line must be 'p n', got {lines[0]!r}")
-    p, n = int(head[0]), int(head[1])
+    p, n, body = read_header(text, "p n")
+    if not body:
+        raise InputError("system file needs at least one 'alpha beta t' row")
     pairs = []
-    for ln in lines[1:]:
+    for ln in body:
         parts = ln.split()
         if len(parts) != 3:
             raise InputError(f"system row must be 'alpha beta t', got {ln!r}")
         alpha = _parse_vector(parts[0], p, n)
         beta = _parse_vector(parts[1], p, n)
-        t = int(parts[2])
+        t = integer(parts[2], "t")
         if not 0 <= t < p:
             raise InputError(f"t must lie in [0, p), got {t}")
         pairs.append((alpha, beta, t))
@@ -133,13 +103,7 @@ def parse_system_file(text: str):
 
 
 def _parse_vector(token: str, p: int, n: int) -> tuple:
-    if re.fullmatch(r"[0-9]+", token) and p <= 7:
-        vals = [int(ch) for ch in token]
-    else:
-        vals = [int(v) for v in re.split(r"[.,:]", token) if v]
-    if len(vals) != n or any(v < 0 or v >= p for v in vals):
-        raise InputError(f"vector {token!r} must be {n} residues in [0, p)")
-    return tuple(vals)
+    return tuple(residues(token, p, n, sep=r"[.,:]"))
 
 
 def _parse_betas(arg: str, p: int, n: int) -> list:
@@ -366,12 +330,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
     )
-    common.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker budget; execution is sequential and output is identical for every value",
-    )
 
     top = argparse.ArgumentParser(
         prog="lfqec",
@@ -440,9 +398,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 2
     try:
         return args.fn(args)
     except InputError as exc:

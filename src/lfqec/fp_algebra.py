@@ -41,6 +41,8 @@ def table_size(p: int, n: int, cap: int = MAX_TABLE) -> int:
     p = validate_prime(p)
     if not isinstance(n, int) or n < 1:
         raise InputError(f"n must be a positive integer, got {n!r}")
+    if n >= cap.bit_length():  # p^n >= 2^n > cap; also spares computing a huge p^n
+        raise CapacityError(f"p^n with n = {n} exceeds cap {cap}")
     N = p**n
     if N > cap:
         raise CapacityError(f"p^n = {N} exceeds cap {cap}")

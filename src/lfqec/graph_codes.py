@@ -22,9 +22,10 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+from ._textfile import integer, read_header
 from .codespec import CodeSpec
 from .errors import CapacityError, InputError
-from .fp_algebra import FpMatrix, PauliLabel, rank, solve_linear
+from .fp_algebra import FpMatrix, PauliLabel, rank, solve_linear, table_size
 from .logic_fn import LogicFunction, add_affine, quadratic_form
 from .state_oracle import apply_error, state_from_function
 
@@ -62,24 +63,15 @@ def parse_graph_file(text: str) -> WeightedGraph:
     """'p n' then one 'u v [w]' line per edge (1-based vertices, weight
     default 1). Blank lines and '#' comments are skipped; repeating an edge
     is an error."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
-        raise InputError("graph file needs a 'p n' line")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise InputError(f"first line must be 'p n', got {lines[0]!r}")
-    p, n = int(head[0]), int(head[1])
-    if n < 1:
-        raise InputError("graph needs at least one vertex")
+    p, n, body = read_header(text, "p n")
+    table_size(p, n)  # bounds the n x n adjacency before it is allocated
     entries = [[0] * n for _ in range(n)]
     seen = set()
-    for ln in lines[1:]:
+    for ln in body:
         parts = ln.split()
         if len(parts) not in (2, 3):
             raise InputError(f"edge line must be 'u v [w]', got {ln!r}")
-        u, v = int(parts[0]), int(parts[1])
-        w = int(parts[2]) if len(parts) == 3 else 1
+        u, v, w = (integer(tok, "edge entry") for tok in (parts + ["1"])[:3])
         if not (1 <= u <= n and 1 <= v <= n):
             raise InputError(f"edge {u}-{v} out of range 1..{n}")
         if u == v:

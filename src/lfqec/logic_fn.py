@@ -16,10 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._tables import digit_table, place_values, shifted_indices, vector_at
+from ._textfile import integer, read_header, residues
 from .errors import InputError
 from .fp_algebra import (
     CycloInt,
     FpMatrix,
+    MAX_TABLE,
     PauliLabel,
     cyclo_from_histogram,
     iter_labels_of_weight,
@@ -125,9 +127,9 @@ class _Parser:
             raise InputError(f"syntax error at position {self.pos}: {self.text[self.pos:]!r}")
         self.pos = m.end()
         if m.group(1) is not None:
-            self.tok = ("int", int(m.group(1)))
+            self.tok = ("int", integer(m.group(1), "constant"))
         elif m.group(2) is not None:
-            idx = int(m.group(3))
+            idx = integer(m.group(3), "variable index")
             if not 1 <= idx <= self.n:
                 raise InputError(f"variable index {idx} out of range 1..{self.n}")
             self.tok = ("var", idx - 1)
@@ -348,40 +350,41 @@ def autocorrelation(f: LogicFunction, a) -> CycloInt:
 
 
 def _fwht(v: np.ndarray) -> np.ndarray:
-    """In-place style Walsh-Hadamard transform on int64, exact."""
-    v = v.copy()
+    """Unnormalised Walsh-Hadamard transform of an int64 vector of length 2^n.
+
+    The callers transform vectors with entries in {-1, 0, 1} and then their
+    squared spectra, whose sum is at most 2^n * 2^n by Parseval. Every
+    butterfly partial sum is bounded by that sum, so it stays below
+    MAX_TABLE^2 = 2^48 and int64 is exact across the whole table cap."""
+    assert len(v) <= MAX_TABLE and MAX_TABLE**2 < 2**63, "int64 exactness bound"
+    v = np.asarray(v, dtype=np.int64)
     h = 1
     while h < len(v):
-        v = v.reshape(-1, 2 * h)
-        left = v[:, :h].copy()
-        right = v[:, h:].copy()
-        v[:, :h] = left + right
-        v[:, h:] = left - right
-        v = v.reshape(-1)
+        pairs = v.reshape(-1, 2, h)
+        v = np.stack((pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]), axis=1).reshape(-1)
         h *= 2
     return v
 
 
-def autocorrelation_spectrum(f: LogicFunction, method: str = "auto") -> np.ndarray:
+def _autocorrelate(v: np.ndarray) -> np.ndarray:
+    """sum_x v(x) v(x + a) for every shift a, as FWHT(FWHT(v)^2) / 2^n."""
+    w = _fwht(v)
+    return _fwht(w * w) // len(v)
+
+
+def _shifts_where(n: int, mask: np.ndarray) -> set:
+    """The binary shifts a, as tuples, whose index is set in mask."""
+    idx = np.nonzero(mask)[0]
+    return set(map(tuple, ((idx[:, None] >> np.arange(n - 1, -1, -1)) & 1).tolist()))
+
+
+def autocorrelation_spectrum(f: LogicFunction) -> np.ndarray:
     """All integer correlations sum_x (-1)^(f(x)+f(x+a)) for p = 2, indexed
-    by the shift a. 'transform' uses the Walsh-Hadamard identity
-    r = FWHT(FWHT(s)^2) / 2^n with s = (-1)^f; 'direct' sums shift by shift.
-    Both are exact and must agree (cross-checked in the tests)."""
+    by the shift a, from the Walsh-Hadamard identity
+    r = FWHT(FWHT(s)^2) / 2^n with s = (-1)^f."""
     if f.p != 2:
         raise InputError("spectrum is defined for p = 2")
-    if method not in ("auto", "direct", "transform"):
-        raise InputError(f"unknown method {method!r}")
-    if method == "direct" or (method == "auto" and f.n > 16):
-        N = 2**f.n
-        out = np.empty(N, dtype=np.int64)
-        for idx in range(N):
-            a = vector_at(2, f.n, idx)
-            sh = shifted_indices(2, f.n, a)
-            out[idx] = np.sum(1 - 2 * ((f.table + f.table[sh]) % 2))
-        return out
-    s = 1 - 2 * f.table
-    w = _fwht(s)
-    return _fwht(w * w) // (2**f.n)
+    return _autocorrelate(1 - 2 * f.table)
 
 
 # ---------------------------------------------------------------------------
@@ -390,17 +393,11 @@ def autocorrelation_spectrum(f: LogicFunction, method: str = "auto") -> np.ndarr
 
 def zset(f: LogicFunction) -> set:
     """Shifts a with sum_x f(x) * f(x+a) = 0, the sum taken over the
-    integers. Defined for p = 2."""
+    integers. Defined for p = 2; the sums are the autocorrelation of the
+    0/1 indicator of the support."""
     if f.p != 2:
         raise InputError("zset is defined for p = 2")
-    out = set()
-    N = 2**f.n
-    for idx in range(N):
-        a = vector_at(2, f.n, idx)
-        sh = shifted_indices(2, f.n, a)
-        if int(np.sum(f.table * f.table[sh])) == 0:
-            out.add(a)
-    return out
+    return _shifts_where(f.n, _autocorrelate(f.table) == 0)
 
 
 def zset_via_autocorrelation(f: LogicFunction) -> set:
@@ -411,21 +408,19 @@ def zset_via_autocorrelation(f: LogicFunction) -> set:
     M = int(np.sum(f.table))
     if M > 2 ** (f.n - 1):
         raise InputError(f"weight {M} exceeds 2^(n-1) = {2 ** (f.n - 1)}")
-    target = 2**f.n - 4 * M
-    spec = autocorrelation_spectrum(f)
-    return {vector_at(2, f.n, int(i)) for i in np.nonzero(spec == target)[0]}
+    return _shifts_where(f.n, autocorrelation_spectrum(f) == 2**f.n - 4 * M)
 
 
 def is_bent(f: LogicFunction) -> bool:
-    """True iff every nonzero shift has zero correlation (p = 2, n even).
+    """True iff every nonzero shift has zero correlation (p = 2, n even),
+    that is, iff every Walsh coefficient of (-1)^f has magnitude 2^(n/2).
     On a positive answer the support size is checked against the only two
     values a flat spectrum allows."""
     if f.p != 2:
         raise InputError("bent detection is defined for p = 2")
     if f.n % 2:
         raise InputError("bent functions require even n")
-    spec = autocorrelation_spectrum(f)
-    bent = bool(np.all(spec[1:] == 0))
+    bent = bool(np.all(np.abs(_fwht(1 - 2 * f.table)) == 2 ** (f.n // 2)))
     if bent:
         M = int(np.sum(f.table))
         half = 2 ** (f.n - 1)
@@ -499,27 +494,12 @@ def parse_function_file(text: str) -> LogicFunction:
     'tt: <p^n residues in index order>'. Truth-table residues may be a
     compact digit string or whitespace/comma separated values. Blank lines
     and lines starting with '#' are skipped."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if len(lines) < 2:
-        raise InputError("function file needs a 'p n' line and a body line")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise InputError(f"first line must be 'p n', got {lines[0]!r}")
-    p, n = int(head[0]), int(head[1])
+    p, n, body = read_header(text, "p n")
+    if not body:
+        raise InputError("function file needs a body line after 'p n'")
     N = table_size(p, n)
-    body = lines[1]
-    if body.startswith("anf:"):
-        return parse_anf(body[4:].strip(), p, n)
-    if body.startswith("tt:"):
-        payload = body[3:].strip()
-        if re.fullmatch(r"[0-9]+", payload) and len(payload) == N:
-            vals = [int(ch) for ch in payload]
-        else:
-            vals = [int(tok) for tok in re.split(r"[\s,]+", payload) if tok]
-        if len(vals) != N:
-            raise InputError(f"truth table needs {N} residues, got {len(vals)}")
-        if any(v < 0 or v >= p for v in vals):
-            raise InputError("truth table residues must lie in [0, p)")
-        return LogicFunction.from_table(p, n, vals)
+    if body[0].startswith("anf:"):
+        return parse_anf(body[0][4:].strip(), p, n)
+    if body[0].startswith("tt:"):
+        return LogicFunction.from_table(p, n, residues(body[0][3:].strip(), p, N))
     raise InputError("body line must start with 'anf:' or 'tt:'")

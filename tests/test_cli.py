@@ -200,8 +200,27 @@ def test_exit_2_input_errors(files, capsys):
         "3",
     )
     assert code == 2  # coverable symmetric difference is an input defect
-    code, out = run(capsys, "apc", files("k4.fn", K4_FN), "--jobs", "0")
+
+
+@pytest.mark.parametrize(
+    "argv, texts",
+    [
+        (["zset", "{0}"], ["a b\nanf: x1\n"]),
+        (["bent", "{0}"], ["2 2\ntt: 0 1 q 1\n"]),
+        (
+            ["graph-code", "{0}", "--classes", "{1}", "--d", "2"],
+            ["2 3\n1 2 q\n2 3\n", "000\n111\n"],
+        ),
+        (["solve-basis", "{0}"], ["2 2\n01 10 x\n"]),
+        (["matrix-check", "{0}", "--k", "1", "--d", "2"], ["2 1\n1x\n"]),
+    ],
+)
+def test_exit_2_malformed_integers(files, capsys, argv, texts):
+    paths = [files(f"in{i}.txt", text) for i, text in enumerate(texts)]
+    code = main([arg.format(*paths) for arg in argv])
+    err = capsys.readouterr().err
     assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_exit_3_capacity(files, capsys):
@@ -210,14 +229,7 @@ def test_exit_3_capacity(files, capsys):
 
 
 # ---------------------------------------------------------------------------
-# determinism and installed script
-
-
-def test_jobs_do_not_change_output(files, capsys):
-    fn = files("k4.fn", K4_FN)
-    _, first = run(capsys, "apc", fn, "--format", "json", "--jobs", "1")
-    _, second = run(capsys, "apc", fn, "--format", "json", "--jobs", "4")
-    assert first == second
+# installed script
 
 
 def test_console_script(tmp_path):

@@ -254,5 +254,7 @@ def test_table_size_caps():
         table_size(2, 30)
     with pytest.raises(CapacityError):
         table_size(13, 10)
+    with pytest.raises(CapacityError):
+        table_size(2, 10**18)  # refused before p^n is formed
     with pytest.raises(InputError):
         table_size(2, -1)

@@ -100,6 +100,8 @@ def test_parse_graph_errors():
         "2 3\n1 2 0\n",  # zero weight
         "3 3\n1 2 3\n",  # weight outside 1..p-1
         "2 3\n1 2 3 4\n",
+        "2 3\n1 2 q\n",  # non-integer weight
+        "2 x\n",  # non-integer header
     ):
         with pytest.raises(InputError):
             parse_graph_file(bad)

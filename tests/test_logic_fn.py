@@ -3,11 +3,12 @@ and the coboundary solver. Float references are independent of the exact
 integer paths they check."""
 import cmath
 import itertools
+import sys
 
 import numpy as np
 import pytest
 
-from conftest import close, random_function, rng
+from conftest import close, direct_spectrum, direct_zset, random_function, rng
 from lfqec import (
     FpMatrix,
     InputError,
@@ -226,14 +227,11 @@ def test_spectrum_transform_matches_direct(gen):
     for _ in range(100):
         n = int(gen.integers(1, 7))
         f = random_function(gen, 2, n)
-        direct = autocorrelation_spectrum(f, method="direct")
-        fast = autocorrelation_spectrum(f, method="transform")
-        assert np.array_equal(direct, fast)
-        assert direct[0] == 2**n
+        spec = autocorrelation_spectrum(f)
+        assert np.array_equal(spec, direct_spectrum(f))
+        assert spec[0] == 2**n
     with pytest.raises(InputError):
         autocorrelation_spectrum(random_function(gen, 3, 2))
-    with pytest.raises(InputError):
-        autocorrelation_spectrum(random_function(gen, 2, 2), method="nope")
 
 
 # ---------------------------------------------------------------------------
@@ -245,22 +243,37 @@ def test_zset_pinned():
     expected_missing = {(0, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 1), (0, 1, 1, 1)}
     zs = zset(g)
     assert zs == set(itertools.product((0, 1), repeat=4)) - expected_missing
+    assert zs == direct_zset(g)
+    assert zset(parse_anf("0", 2, 3)) == set(itertools.product((0, 1), repeat=3))
+    assert zset(parse_anf("1", 2, 3)) == set()
 
 
 def test_zset_equivalence_and_precondition(gen):
-    checked = 0
-    while checked < 50:
+    checked = heavy = 0
+    while checked < 50 or heavy < 10:
         n = int(gen.integers(1, 6))
         f = random_function(gen, 2, n)
+        assert zset(f) == direct_zset(f)
         M, _ = weight_support(f)
         if M > 2 ** (n - 1):
             with pytest.raises(InputError):
                 zset_via_autocorrelation(f)
+            heavy += 1
             continue
         assert zset(f) == zset_via_autocorrelation(f)
         checked += 1
     with pytest.raises(InputError):
         zset(random_function(gen, 3, 2))
+
+
+def test_zset_routes_agree_at_n16(gen):
+    n = 16
+    table = np.zeros(2**n, dtype=np.int64)
+    table[gen.choice(2**n, 120, replace=False)] = 1
+    f = LogicFunction(2, n, table)
+    zs = zset(f)
+    assert zs == zset_via_autocorrelation(f)
+    assert 0 < len(zs) < 2**n and (0,) * n not in zs
 
 
 def test_is_bent():
@@ -274,6 +287,13 @@ def test_is_bent():
         is_bent(parse_anf("x1*x2", 2, 3))  # odd n
     with pytest.raises(InputError):
         is_bent(parse_anf("x1*x2", 3, 2))  # p != 2
+
+
+def test_is_bent_at_n18():
+    inner_product = " + ".join(f"x{2 * i + 1}*x{2 * i + 2}" for i in range(9))
+    f = parse_anf(inner_product, 2, 18)
+    assert is_bent(f)
+    assert not is_bent(add_affine(parse_anf("x1*x2", 2, 18), (1,) * 18))
 
 
 def test_bent_support_sizes(gen):
@@ -369,6 +389,8 @@ def test_parse_function_file_variants():
     assert list(h.table) == [0, 1, 2]
     sp = parse_function_file("2 2\ntt: 0 0 0 1\n")
     assert sp == f
+    # p > 7 reads a digit string compactly only when it has exactly p^n digits
+    assert list(parse_function_file("11 1\ntt: 01234567890\n").table) == [*range(10), 0]
 
 
 def test_parse_function_file_errors():
@@ -378,6 +400,12 @@ def test_parse_function_file_errors():
         "2 2\ntt: 00011",  # wrong count
         "2 2\ntt: 0002",  # residue out of range
         "2 2\nbody: x1",  # unknown body
+        "a b\nanf: x1",  # non-integer header
+        "2 2\ntt: 0 1 q 1",  # non-integer residue
     ):
         with pytest.raises(InputError):
             parse_function_file(bad)
+    max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if max_digits:  # int() refuses longer digit strings
+        with pytest.raises(InputError):
+            parse_function_file("2 2\nanf: " + "9" * (max_digits + 1))
