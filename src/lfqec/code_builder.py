@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
+from ._tables import digit_table
 from .codespec import CodeSpec
 from .errors import InputError, PremiseError
-from .fp_algebra import FpMatrix, PauliLabel, iter_labels_of_weight
+from .fp_algebra import FpMatrix, iter_labels_of_weight
 from .graph_codes import matrix_code_check
-from .logic_fn import LogicFunction, add_affine, apc_sum, parse_anf, quadratic_form
+from .logic_fn import LogicFunction, add_affine, apc_exponents, parse_anf, quadratic_form
 from .projector_codes import extract_boolean_basis
 
 
@@ -23,17 +26,23 @@ def claimed_coset_distance(f: LogicFunction, betas) -> int:
     """Smallest weight of a label (a, b) for which some ordered shift pair
     (beta_i, beta_j), including i = j, makes the character sum at
     (a, b + beta_i - beta_j) nonzero. The i = j pairs reduce to the plain
-    nonvanishing test, so the search always terminates by weight n."""
+    nonvanishing test, so the search always terminates by weight n.
+
+    A pair enters only through delta = beta_i - beta_j, and the sum at
+    b + delta has the exponents of the sum at b plus delta.x, so each label
+    costs one exponent table and one histogram per distinct delta."""
     betas = _check_betas(f, betas)
+    p = f.p
+    D = digit_table(p, f.n)
+    deltas = sorted({tuple((x - y) % p for x, y in zip(bi, bj)) for bi in betas for bj in betas})
+    deltas = [np.array(delta, dtype=np.int64) for delta in deltas]
     for w in range(1, f.n + 1):
-        for e in iter_labels_of_weight(f.p, f.n, w):
-            for bi in betas:
-                for bj in betas:
-                    shifted = tuple(
-                        (x + y - z) % f.p for x, y, z in zip(e.b, bi, bj)
-                    )
-                    if not apc_sum(f, PauliLabel(f.p, e.a, shifted)).is_zero():
-                        return w
+        for e in iter_labels_of_weight(p, f.n, w):
+            base = apc_exponents(f, e)
+            for delta in deltas:
+                hist = np.bincount((base + D @ delta) % p, minlength=p)
+                if np.any(hist != hist[0]):
+                    return w
     raise RuntimeError("unreachable: the diagonal pairs fail by weight n")
 
 

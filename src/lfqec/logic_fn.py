@@ -308,15 +308,19 @@ def weight_support(f: LogicFunction):
 # character sums
 
 
-def apc_sum(f: LogicFunction, e: PauliLabel) -> CycloInt:
-    """sum_x zeta^( f(x) - f(x-a) + b.x ) as an exact exponent histogram."""
+def apc_exponents(f: LogicFunction, e: PauliLabel) -> np.ndarray:
+    """f(x) - f(x-a) + b.x mod p for every x, the exponents of apc_sum."""
     if e.p != f.p or e.n != f.n:
         raise InputError("label mismatch")
     neg_a = tuple(-v % f.p for v in e.a)
     sh = shifted_indices(f.p, f.n, neg_a)  # index of x - a
     D = digit_table(f.p, f.n)
-    exps = (f.table - f.table[sh] + D @ np.array(e.b, dtype=np.int64)) % f.p
-    return cyclo_from_histogram(f.p, np.bincount(exps, minlength=f.p))
+    return (f.table - f.table[sh] + D @ np.array(e.b, dtype=np.int64)) % f.p
+
+
+def apc_sum(f: LogicFunction, e: PauliLabel) -> CycloInt:
+    """sum_x zeta^( f(x) - f(x-a) + b.x ) as an exact exponent histogram."""
+    return cyclo_from_histogram(f.p, np.bincount(apc_exponents(f, e), minlength=f.p))
 
 
 @dataclass(frozen=True)

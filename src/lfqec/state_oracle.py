@@ -2,7 +2,10 @@
 
 Amplitudes live in Z[zeta_p]: a state over n qudits is an (p^n, p) int64
 array whose row x holds the exponent histogram of the amplitude at |x>.
-Nothing here is floating point, so a verdict is a proof, not an estimate.
+Gram matrices come from float64 matrix products, used only under a bound,
+checked once per sweep, that keeps every partial sum an integer of magnitude
+below 2^53; over it the oracle raises CapacityError. Below it every product
+is exact, so a verdict is a proof, not an estimate.
 
 The displacement operator for a label e = (a, b) acts as
 
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._tables import digit_table, shifted_indices
-from .errors import InputError
+from .errors import CapacityError, InputError
 from .fp_algebra import (
     MAX_STATE,
     CycloInt,
@@ -30,6 +33,10 @@ from .fp_algebra import (
     iter_labels_of_weight,
     table_size,
 )
+
+# Integers up to 2^53 in size are exact in float64, and so is every sum of
+# them that stays in that range, in any order.
+_EXACT = 2**53
 
 
 @dataclass(frozen=True)
@@ -75,42 +82,70 @@ def state_from_function(f) -> StateVector:
     return StateVector(f.p, f.n, amps)
 
 
+def _error_index(e: PauliLabel, p: int, n: int) -> np.ndarray:
+    """Gather index g with E'_e psi = psi[g], both spelled exponent-major
+    (entry t*N + y is coefficient t at |y>): |y> reads x = y - a with its
+    exponents moved up by b.x = b.y - a.b."""
+    if (e.p, e.n) != (p, n):
+        raise InputError("label does not match the state")
+    b = np.array(e.b, dtype=np.int64)
+    supp = np.flatnonzero(b)
+    rot = digit_table(p, n)[:, supp] @ b[supp] - sum(x * y for x, y in zip(e.a, e.b))
+    x = shifted_indices(p, n, tuple(-v for v in e.a))
+    return (((np.arange(p)[:, None] - rot) % p) * p**n + x).ravel()
+
+
 def apply_error(e: PauliLabel, state: StateVector) -> StateVector:
     """E'_e acts by new[x + a] = zeta^(b.x) * old[x]."""
-    if (e.p, e.n) != (state.p, state.n):
-        raise InputError("label does not match the state")
-    p, n = state.p, state.n
-    N = p**n
-    rot = digit_table(p, n) @ np.array(e.b, dtype=np.int64) % p
-    cols = (np.arange(p)[None, :] - rot[:, None]) % p
-    rotated = state.amps[np.arange(N)[:, None], cols]
-    out = np.empty_like(state.amps)
-    out[shifted_indices(p, n, e.a)] = rotated
-    return StateVector(p, n, out)
+    g = _error_index(e, state.p, state.n)
+    return StateVector(state.p, state.n, state.amps.T.ravel()[g].reshape(state.p, -1).T)
 
 
-def _conj(amps: np.ndarray, p: int) -> np.ndarray:
-    """Complex conjugation reverses exponents: coeff j -> coeff (-j) mod p."""
-    return amps[:, (-np.arange(p)) % p]
+def _stack(states) -> np.ndarray:
+    """(K, p*N) float64 array, exponent-major: entry [i, s*N + y] is
+    coefficient s of state i at |y>. Checks that the kernel is exact on it:
+    a Gram coefficient sums N*p products of two histogram entries, each at
+    most M = max |entry| in size, so N*p*M^2 < 2^53 keeps every partial sum
+    exact."""
+    p, N = states[0].p, len(states[0].amps)
+    m = max(max(int(s.amps.max()), -int(s.amps.min())) for s in states)
+    if N * p * m * m >= _EXACT:
+        raise CapacityError(
+            f"amplitudes up to {m} over {N * p} exponent slots leave the exact "
+            f"float64 range 2^53"
+        )
+    X = np.empty((len(states), p, N))
+    for row, s in zip(X, states):
+        row[...] = s.amps.T
+    return X.reshape(len(states), p * N)
+
+
+def _gram(bras: np.ndarray, kets: np.ndarray, p: int) -> np.ndarray:
+    """(p, K, K') int64 array G with G[c, i, j] the coefficient of zeta^c in
+    <bra_i|ket_j>, both given as _stack rows. One float64 product gives the
+    dot products P[i, s, j, t] of exponent slices; conj(zeta^s) * zeta^t =
+    zeta^(t - s), so G[c] sums the slices with t = s + c."""
+    K, L = len(bras), len(kets)
+    P = (bras.reshape(K * p, -1) @ kets.reshape(L * p, -1).T).reshape(K, p, L, p)
+    s = np.arange(p)
+    return P[:, s, :, (s[:, None] + s) % p].sum(axis=1).astype(np.int64)
 
 
 def inner_product(u: StateVector, v: StateVector) -> CycloInt:
     """<u|v> = sum_x conj(u_x) v_x, exact in Z[zeta_p]."""
     if (u.p, u.n) != (v.p, v.n):
         raise InputError("states live on different spaces")
-    p = u.p
-    uc = _conj(u.amps, p)
-    hist = np.zeros(p, dtype=np.int64)
-    for j in range(p):
-        for k in range(p):
-            hist[(j + k) % p] += int(uc[:, j] @ v.amps[:, k])
-    return CycloInt(p, tuple(int(h) for h in hist))
+    X = _stack([u, v])
+    return CycloInt(u.p, tuple(int(c) for c in _gram(X[:1], X[1:], u.p)[:, 0, 0]))
 
 
 def gram_matrix(basis, e: PauliLabel):
     """G_e[i][j] = <psi_i| E'_e |psi_j> for every basis pair."""
-    shifted = [apply_error(e, psi) for psi in basis]
-    return [[inner_product(u, w) for w in shifted] for u in basis]
+    p, n = _check_basis(basis)
+    X = _stack(basis)
+    G = _gram(X, X[:, _error_index(e, p, n)], p)
+    K = len(basis)
+    return [[CycloInt(p, tuple(int(c) for c in G[:, i, j])) for j in range(K)] for i in range(K)]
 
 
 @dataclass(frozen=True)
@@ -152,23 +187,37 @@ class VerifyReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _label_failure(basis, e: PauliLabel) -> KLFailure | None:
-    """First scalar-Gram violation for one label, or None. One-dimensional
-    spaces must have G_e[0][0] = 0 outright."""
-    G = gram_matrix(basis, e)
-    K = len(basis)
+def _violation(G: np.ndarray):
+    """First scalar-Gram violation (kind, i, j) in one label's coefficient
+    array, or None. An entry is 0 iff its p coefficients agree. One-
+    dimensional spaces must have G_e[0][0] = 0 outright; otherwise
+    off-diagonal entries are scanned in row-major order first, then each
+    diagonal entry is compared with G_e[0][0]."""
+    K = G.shape[1]
+    nonzero = (G != G[:1]).any(axis=0)
     if K == 1:
-        if not G[0][0].is_zero():
-            return KLFailure(e.a, e.b, "diag_unequal", 0, 0)
-        return None
-    for i in range(K):
-        for j in range(K):
-            if i != j and not G[i][j].is_zero():
-                return KLFailure(e.a, e.b, "offdiag_nonzero", i, j)
-    for j in range(1, K):
-        if G[j][j] != G[0][0]:
-            return KLFailure(e.a, e.b, "diag_unequal", 0, j)
+        return ("diag_unequal", 0, 0) if nonzero[0, 0] else None
+    np.fill_diagonal(nonzero, False)
+    if nonzero.any():
+        i, j = np.argwhere(nonzero)[0]
+        return "offdiag_nonzero", int(i), int(j)
+    diag = G[:, np.arange(K), np.arange(K)]
+    diff = diag - diag[:, :1]  # G_jj - G_00, coefficient by coefficient
+    unequal = (diff != diff[:1]).any(axis=0)
+    if unequal.any():
+        return "diag_unequal", 0, int(np.argmax(unequal))
     return None
+
+
+def _failures(basis, p: int, n: int, max_weight: int):
+    """Yield (weight, KLFailure) for every failing label of weight
+    1..max_weight, in increasing weight and the fixed order within each."""
+    X = _stack(basis)
+    for w in range(1, max_weight + 1):
+        for e in iter_labels_of_weight(p, n, w):
+            bad = _violation(_gram(X, X[:, _error_index(e, p, n)], p))
+            if bad is not None:
+                yield w, KLFailure(e.a, e.b, *bad)
 
 
 def _check_basis(basis):
@@ -188,12 +237,7 @@ def kl_verify(basis, max_weight: int) -> VerifyReport:
     p, n = _check_basis(basis)
     if not 0 <= max_weight <= n:
         raise InputError(f"max_weight must lie in [0, {n}]")
-    failures = []
-    for w in range(1, max_weight + 1):
-        for e in iter_labels_of_weight(p, n, w):
-            bad = _label_failure(basis, e)
-            if bad is not None:
-                failures.append(bad)
+    failures = [bad for _, bad in _failures(basis, p, n, max_weight)]
     verdict = "pass" if not failures else "fail"
     return VerifyReport(p, n, len(basis), max_weight, verdict, tuple(failures))
 
@@ -206,8 +250,6 @@ def min_distance(basis, cap: int | None = None):
         cap = n
     if not 1 <= cap <= n:
         raise InputError(f"cap must lie in [1, {n}]")
-    for w in range(1, cap + 1):
-        for e in iter_labels_of_weight(p, n, w):
-            if _label_failure(basis, e) is not None:
-                return w
+    for w, _ in _failures(basis, p, n, cap):
+        return w
     return f"> {cap}"

@@ -1,13 +1,15 @@
-"""Shared helpers: seeded random objects and independent float-arithmetic
-reference implementations used to cross-check the exact integer routines."""
+"""Shared helpers: seeded random objects, independent float-arithmetic
+cross-checks, and the direct (slow, exact) reference implementations that
+the transform and matrix-product routines are compared against."""
 from __future__ import annotations
 
 import cmath
+import itertools
 
 import numpy as np
 import pytest
 
-from lfqec import CycloInt, LogicFunction
+from lfqec import CycloInt, LogicFunction, PauliLabel, StateVector, apc_sum, iter_labels_of_weight
 
 
 def rng(seed: int) -> np.random.Generator:
@@ -35,6 +37,101 @@ def direct_zset(f: LogicFunction) -> set:
     return {
         tuple(int(bit) for bit in format(a, f"0{f.n}b")) for a in x if np.sum(t * t[x ^ a]) == 0
     }
+
+
+def reference_apply_error(e: PauliLabel, state: StateVector) -> StateVector:
+    """new[x + a] = zeta^(b.x) * old[x], basis state by basis state."""
+    p, n = state.p, state.n
+    old = np.asarray(state.amps).tolist()
+    new = [None] * len(old)
+    for idx, x in enumerate(itertools.product(range(p), repeat=n)):
+        jdx = 0
+        for xi, ai in zip(x, e.a):
+            jdx = jdx * p + (xi + ai) % p
+        r = sum(bi * xi for bi, xi in zip(e.b, x)) % p  # coefficient c moves to c + r
+        new[jdx] = old[idx][p - r :] + old[idx][: p - r]
+    return StateVector(p, n, new)
+
+
+def reference_inner_product(u: StateVector, v: StateVector) -> CycloInt:
+    """<u|v> as p^2 dot products of exponent columns, in Python integers:
+    conj(u) has coefficient j where u has -j, and zeta^j * zeta^k lands on
+    coefficient j + k."""
+    p = u.p
+    uc = np.asarray(u.amps).astype(object)[:, (-np.arange(p)) % p]
+    vv = np.asarray(v.amps).astype(object)
+    dots = uc.T @ vv  # dots[j, k] = column j of conj(u) . column k of v
+    hist = [0] * p
+    for j in range(p):
+        for k in range(p):
+            hist[(j + k) % p] += int(dots[j, k])
+    return CycloInt(p, tuple(hist))
+
+
+def reference_gram_matrix(basis, e: PauliLabel) -> list:
+    shifted = [reference_apply_error(e, psi) for psi in basis]
+    return [[reference_inner_product(u, w) for w in shifted] for u in basis]
+
+
+def reference_label_failure(basis, e: PauliLabel):
+    """The first scalar-Gram violation of one label as a report entry, or
+    None: G[0][0] = 0 for K = 1; else the first nonzero off-diagonal entry in
+    row-major order, then the first diagonal entry unequal to G[0][0]."""
+    G = reference_gram_matrix(basis, e)
+    K = len(basis)
+    entry = {"a": list(e.a), "b": list(e.b)}
+    if K == 1:
+        return None if G[0][0].is_zero() else {**entry, "kind": "diag_unequal", "i": 0, "j": 0}
+    for i in range(K):
+        for j in range(K):
+            if i != j and not G[i][j].is_zero():
+                return {**entry, "kind": "offdiag_nonzero", "i": i, "j": j}
+    for j in range(1, K):
+        if G[j][j] != G[0][0]:
+            return {**entry, "kind": "diag_unequal", "i": 0, "j": j}
+    return None
+
+
+def reference_kl_report(basis, max_weight: int) -> dict:
+    """kl_verify(basis, max_weight).to_dict(), entry by entry."""
+    p, n = basis[0].p, basis[0].n
+    failures = [
+        bad
+        for w in range(1, max_weight + 1)
+        for e in iter_labels_of_weight(p, n, w)
+        if (bad := reference_label_failure(basis, e)) is not None
+    ]
+    return {
+        "p": p,
+        "n": n,
+        "K": len(basis),
+        "max_weight": max_weight,
+        "verdict": "fail" if failures else "pass",
+        "failures": failures,
+    }
+
+
+def reference_min_distance(basis, cap: int | None = None):
+    p, n = basis[0].p, basis[0].n
+    cap = n if cap is None else cap
+    for w in range(1, cap + 1):
+        for e in iter_labels_of_weight(p, n, w):
+            if reference_label_failure(basis, e) is not None:
+                return w
+    return f"> {cap}"
+
+
+def reference_coset_distance(f: LogicFunction, betas) -> int:
+    """claimed_coset_distance with one character sum per label and ordered
+    shift pair."""
+    for w in range(1, f.n + 1):
+        for e in iter_labels_of_weight(f.p, f.n, w):
+            for bi in betas:
+                for bj in betas:
+                    b = tuple((x + y - z) % f.p for x, y, z in zip(e.b, bi, bj))
+                    if not apc_sum(f, PauliLabel(f.p, e.a, b)).is_zero():
+                        return w
+    raise AssertionError("the diagonal pairs fail by weight n")
 
 
 def random_cyclo(gen: np.random.Generator, p: int, lo=-9, hi=10) -> CycloInt:

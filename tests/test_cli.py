@@ -1,11 +1,14 @@
 """Command-line interface: every subcommand in both output formats, the
 documented exit codes, and one installed-script smoke test."""
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import lfqec
 from lfqec import build_coset_code, parse_anf
 from lfqec.cli import main
 
@@ -235,10 +238,14 @@ def test_exit_3_capacity(files, capsys):
 def test_console_script(tmp_path):
     fn = tmp_path / "k4.fn"
     fn.write_text(K4_FN)
+    # the child imports the same lfqec as the tests, installed or not
+    src = str(pathlib.Path(lfqec.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "lfqec.cli", "apc", str(fn), "--format", "json"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["distance"] == 2

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import random_function, rng
+from conftest import random_function, reference_coset_distance, rng
 from lfqec import (
     FpMatrix,
     InputError,
@@ -61,6 +61,27 @@ def test_claimed_coset_distance_pins():
     assert claimed_coset_distance(f, BETAS_K4) == 2
     g = parse_anf("2*x1*x2", 3, 2)
     assert claimed_coset_distance(g, [(0, 0), (1, 0), (2, 0)]) == 1
+
+
+def test_claimed_coset_distance_matches_pairwise_reference(gen):
+    # random quadratic forms (many vanishing sums) alternate with random tables
+    distances = []
+    for p, n in [(2, 4), (2, 5), (3, 3), (3, 4), (5, 2), (5, 3)]:
+        for trial in range(6):
+            if trial % 2:
+                f = random_function(gen, p, n)
+            else:
+                A = np.triu(gen.integers(0, p, (n, n)), 1)
+                q = quadratic_form(FpMatrix.from_rows(p, ((A + A.T) % p).tolist()))
+                f = add_affine(q, gen.integers(0, p, n).tolist(), 0)
+            K = int(gen.integers(1, 5))
+            betas = set()
+            while len(betas) < K:
+                betas.add(tuple(int(v) for v in gen.integers(0, p, n)))
+            betas = sorted(betas)
+            distances.append(claimed_coset_distance(f, betas))
+            assert distances[-1] == reference_coset_distance(f, betas)
+    assert max(distances) >= 2
 
 
 def test_build_coset_code_pinned():

@@ -3,12 +3,23 @@ matrices, and the orthogonality-based verification of claimed distances.
 Float references use complex arithmetic independent of the integer paths."""
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 
-from conftest import close, random_function, rng
+from conftest import (
+    close,
+    random_function,
+    reference_apply_error,
+    reference_gram_matrix,
+    reference_inner_product,
+    reference_kl_report,
+    reference_min_distance,
+    rng,
+)
 from lfqec import (
+    CapacityError,
     CycloInt,
     InputError,
     PauliLabel,
@@ -34,6 +45,16 @@ C5_TEXT = "2 5\n1 2\n2 3\n3 4\n4 5\n5 1\n"
 
 def random_state(gen, p, n):
     amps = gen.integers(0, 4, size=(p**n, p)).astype(np.int64)
+    return StateVector(p, n, amps)
+
+
+def sparse_state(gen, p, n):
+    """Generic histograms (signed, not one-hot) on one or two basis states,
+    so that many Gram entries vanish and failures land anywhere."""
+    N = p**n
+    amps = np.zeros((N, p), dtype=np.int64)
+    pos = gen.choice(N, int(gen.integers(1, 3)), replace=False)
+    amps[pos] = gen.integers(-3, 4, size=(len(pos), p))
     return StateVector(p, n, amps)
 
 
@@ -98,6 +119,7 @@ def test_apply_error_float_reference(gen):
             phase = sum(bi * xi for bi, xi in zip(e.b, x)) % p
             ref[jdx] += zeta**phase * vec[idx]
         assert all(close(g, r) for g, r in zip(got, ref))
+        assert apply_error(e, psi) == reference_apply_error(e, psi)
 
 
 def test_error_composition_invariant(gen):
@@ -136,6 +158,7 @@ def test_inner_product_norm_and_symmetry(gen):
         v = random_state(gen, p, n)
         uv = inner_product(u, v)
         vu = inner_product(v, u)
+        assert uv == reference_inner_product(u, v)
         assert uv == vu.conj()
         assert close(uv.to_complex(), np.vdot(u.to_complex(), v.to_complex()))
     with pytest.raises(InputError):
@@ -159,10 +182,105 @@ def test_gram_hermiticity_relation(gen):
         )
         G = gram_matrix(basis, e)
         H = gram_matrix(basis, minus)
+        assert G == reference_gram_matrix(basis, e)
         ab = sum(ai * bi for ai, bi in zip(e.a, e.b)) % p
         for i in range(3):
             for j in range(3):
                 assert G[j][i] == H[i][j].conj().rotate(-ab)
+
+
+def test_gram_matrix_generic_states_match_reference(gen):
+    for _ in range(60):
+        p = int(gen.choice([2, 3, 5]))
+        n = int(gen.integers(1, 3))
+        K = int(gen.integers(1, 5))
+        basis = [random_state(gen, p, n) for _ in range(K)]
+        basis = [StateVector(p, n, np.asarray(s.amps) - 2) for s in basis]  # signed
+        e = random_label(gen, p, n)
+        assert gram_matrix(basis, e) == reference_gram_matrix(basis, e)
+
+
+def test_inner_product_beyond_float_range_raises():
+    # 2^31 on both basis states: <u|u> = 2^63, which int64 dot products wrap
+    # to -2^63; the float64 kernel refuses it instead of returning a wrong norm
+    u = StateVector(2, 1, [[2**31, 0], [2**31, 0]])
+    assert reference_inner_product(u, u).as_integer() == 2**63
+    with pytest.raises(CapacityError):
+        inner_product(u, u)
+    with pytest.raises(CapacityError):
+        gram_matrix([u], PauliLabel(2, (1,), (0,)))
+
+
+def test_kl_verify_exactness_bound():
+    # N = 2, p = 2: a Gram coefficient sums N * p = 4 products of amplitudes
+    # up to M in size, so M^2 must stay below 2^53 / 4 = 2^51
+    m = math.isqrt(2**51)
+
+    def basis(amp):
+        return [StateVector(2, 1, [[amp, 0], [0, 0]]), StateVector(2, 1, [[0, 0], [amp, 1]])]
+
+    with pytest.raises(CapacityError):
+        kl_verify(basis(m + 1), 1)
+    with pytest.raises(CapacityError):
+        min_distance(basis(-(m + 1)))
+    edge = basis(m)
+    assert kl_verify(edge, 1).to_dict() == reference_kl_report(edge, 1)
+    assert inner_product(edge[0], edge[0]).as_integer() == m * m
+    xz = PauliLabel(2, (1,), (1,))
+    assert gram_matrix(edge, xz) == reference_gram_matrix(edge, xz)
+
+
+def dressed(gen, states):
+    """c * psi with a random integer added to each row: the same vectors up
+    to one scale, spelled with generic, non-one-hot histograms."""
+    c = int(gen.integers(2, 50))
+    return [
+        StateVector(s.p, s.n, c * np.asarray(s.amps) + gen.integers(-99, 99, (len(s.amps), 1)))
+        for s in states
+    ]
+
+
+def test_kl_verify_generic_states_match_reference(gen):
+    # |00>, |01>, |10>: Z on qubit 1 gives G = diag(1, 1, -1), a diagonal
+    # failure at j = 2; X on qubit 1 swaps |00> and |10>, an off-diagonal
+    # failure at (0, 2)
+    kets = [np.zeros((4, 2), dtype=np.int64) for _ in range(3)]
+    for k, amps in enumerate(kets):
+        amps[k, 0] = 1
+    pinned = dressed(gen, [StateVector(2, 2, amps) for amps in kets])
+    rep = kl_verify(pinned, 1).to_dict()
+    assert rep == reference_kl_report(pinned, 1)
+    kinds = [(f["kind"], f["i"], f["j"]) for f in rep["failures"]]
+    assert ("diag_unequal", 0, 2) in kinds and ("offdiag_nonzero", 0, 2) in kinds
+    assert min_distance(pinned) == reference_min_distance(pinned) == 1
+
+    seen = set()
+    for trial in range(45):
+        p = int(gen.choice([2, 3, 5]))
+        n = int(gen.integers(1, 4 if p < 5 else 3))
+        K = int(gen.integers(1, 5))
+        make = sparse_state if trial % 3 else random_state
+        basis = [make(gen, p, n) for _ in range(K)]
+        cap = min(n, 2)
+        w = int(gen.integers(0, cap + 1))
+        got = kl_verify(basis, w).to_dict()
+        assert got == reference_kl_report(basis, w)
+        assert min_distance(basis, cap) == reference_min_distance(basis, cap)
+        seen.update((f["kind"], f["i"], f["j"]) for f in got["failures"])
+    assert any(kind == "offdiag_nonzero" and j > 1 for kind, _, j in seen)
+    assert any(kind == "diag_unequal" and j > 1 for kind, _, j in seen)
+
+
+def test_generic_histograms_of_code_states_keep_distance(gen):
+    f = parse_anf(K4_ANF, 2, 4)
+    betas = [(0, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1)]
+    for states in [
+        [state_from_function(add_affine(f, b, 0)) for b in betas],
+        [state_from_function(parse_anf("x1*x2 + x2*x3 + x1*x3", 3, 3))],
+    ]:
+        generic = dressed(gen, states)
+        assert min_distance(generic) == min_distance(states) == reference_min_distance(generic)
+        assert kl_verify(generic, 2).to_dict() == reference_kl_report(generic, 2)
 
 
 def test_gram_diagonal_is_shift_sum():
@@ -216,6 +334,21 @@ def test_five_cycle_pair_distance_three():
     spec = build_graph_code(G, [frozenset(), frozenset({1, 2, 3, 4, 5})], 3)
     states = spec.states()
     assert len(states) == 2
+    assert kl_verify(states, 2).passed
+    assert min_distance(states) == 3
+
+
+# Class masks of the cycle C10 whose pairwise symmetric differences are all
+# uncoverable below weight 3 (bit v of a mask is vertex v + 1).
+C10_CLIQUE = (0, 73, 616, 545, 197, 740, 140, 685, 31, 574, 86, 631, 786, 435, 378, 859)
+
+
+def test_cycle10_graph_code_k16():
+    text = "2 10\n" + "".join(f"{v} {v % 10 + 1}\n" for v in range(1, 11))
+    classes = [frozenset(v + 1 for v in range(10) if m >> v & 1) for m in C10_CLIQUE]
+    spec = build_graph_code(parse_graph_file(text), classes, 3)
+    states = spec.states()
+    assert len(states) == 16
     assert kl_verify(states, 2).passed
     assert min_distance(states) == 3
 
