@@ -38,10 +38,19 @@ def vector_at(p: int, n: int, idx: int) -> tuple:
     return tuple(int(v) for v in digit_table(p, n)[idx])
 
 
-@lru_cache(maxsize=None)
+# Each entry is a p^n index array. Label walks keep the a-part outside the
+# b-part, so consecutive calls share one shift: a few entries keep those hits
+# while bounding the memory, and a miss is one roll.
+SHIFT_CACHE_SIZE = 8
+
+
+@lru_cache(maxsize=SHIFT_CACHE_SIZE)
 def _shift_cache(p: int, n: int, a: tuple) -> np.ndarray:
-    sh = (digit_table(p, n) + np.array(a, dtype=np.int64)) % p
-    out = sh @ place_values(p, n)
+    """On the index grid with one axis per digit, x + a is a cyclic roll by
+    -a_i along each axis i where a_i is nonzero."""
+    supp = tuple(i for i, v in enumerate(a) if v)
+    grid = np.arange(p**n).reshape((p,) * n)
+    out = np.roll(grid, tuple(-a[i] for i in supp), axis=supp).ravel()
     out.setflags(write=False)
     return out
 

@@ -41,9 +41,9 @@ from .logic_fn import (
     zset,
 )
 from .projector_codes import (
-    build_projector,
     check_projector_premises,
     extract_boolean_basis,
+    projector_rank,
 )
 from .state_oracle import kl_verify, min_distance, state_from_function
 
@@ -276,8 +276,7 @@ def cmd_projector(args) -> int:
             [f"premises: FAIL ({report.summary()})"],
         )
         return 1
-    P = build_projector(f, A)
-    prank = P.rank()
+    prank = projector_rank(f, A)
     M, support = weight_support(f)
     payload = {"premises": report.to_dict(), "rank": prank, "support_size": M}
     lines = ["premises: ok", f"projector rank: {prank} (support size {M})"]

@@ -131,7 +131,7 @@ def mds_matrix(m: int) -> FpMatrix:
 def build_mds_family(m: int) -> CodeSpec:
     """Code claimed ((2m, 2^(2m-2), 2)): one basis function per support
     point of the product function, each recovered from its projector
-    syndrome term (and verified against it exactly along the way)."""
+    syndrome and checked exactly as a joint eigenvector of the rows."""
     f = mds_function(m)
     A = mds_matrix(m)
     basis = []

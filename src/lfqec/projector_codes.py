@@ -1,11 +1,13 @@
 """Projector-style binary codes: exact operator matrices over Z[zeta_p]
 with dyadic scaling, displacement-label algebra, the four-premise shift-set
-test for stabilizer matrices A = (L|B), projector assembly from a function's
-support, and recovery of the basis functions from single projector terms.
+test for stabilizer matrices A = (L|B), the projector's rank, and recovery
+of the basis functions from single syndrome terms.
 
-An OperatorMatrix stores 2^scale_log2 * sum_j entries[.,.,j] zeta^j with
-integer entries, so products of projector factors 1/2 (I +/- E) stay exact.
-All verdicts (idempotency, rank, term identities) are integer comparisons.
+No verdict forms a dense operator. The rank follows from the premises, and
+each recovered state is checked as a joint eigenvector of the n rows, one
+exact gather per row (the stabilizer formalism, Gottesman quant-ph/9705052).
+OperatorMatrix stores 2^scale_log2 * sum_j entries[.,.,j] zeta^j with
+integer entries, for callers that want the dense operator algebra itself.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._tables import digit_table, shifted_indices, vector_at
+from ._tables import digit_table, shifted_indices
 from .errors import CapacityError, InputError, PremiseError
 from .fp_algebra import (
     MAX_OPERATOR_DIM,
@@ -26,6 +28,7 @@ from .fp_algebra import (
     validate_prime,
 )
 from .logic_fn import LogicFunction, is_bent, solve_coboundary, weight_support, zset
+from .state_oracle import StateVector, apply_error, state_from_function
 
 _FLOAT_EXACT_BOUND = 2**52
 
@@ -299,75 +302,28 @@ def check_projector_premises(f: LogicFunction, A: FpMatrix) -> PremiseReport:
 
 
 # ---------------------------------------------------------------------------
-# projector assembly
+# projector rank and basis extraction
 
 
-def _row_operators(A: FpMatrix) -> list:
-    return [operator_matrix(e) for e in _stabilizer_rows(A)]
+def projector_rank(f: LogicFunction, A: FpMatrix) -> int:
+    """Rank of the projector sum_t prod_i 1/2 (I + (-1)^(t_i) E_i), t over
+    the support of f, without forming it. All four premises must hold, the
+    operator dimension cap applies, and every row must square to +I, which
+    for E_i = E'_(a_i, b_i) means a_i . b_i = 0 (mod 2).
 
-
-def _syndrome_term(ops: list, t, p: int, n: int) -> OperatorMatrix:
-    """Product over rows of 1/2 (I + (-1)^(t_i) E_i), row order fixed."""
-    ident = OperatorMatrix.identity(p, n)
-    term = ident
-    for ti, E in zip(t, ops):
-        factor = (ident.add(E) if ti == 0 else ident.sub(E)).half()
-        term = term.mul(factor)
-    return term
-
-
-def _assemble_projector(f: LogicFunction, A: FpMatrix) -> OperatorMatrix:
-    """Sum of syndrome terms over the support of f. Requires commuting,
-    independent rows (checked); the shift-set premises are the caller's
-    responsibility."""
-    if f.p != 2 or A.p != 2:
-        raise InputError("projector assembly is defined for p = 2")
-    rows = _stabilizer_rows(A)
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            if symplectic_product(rows[i], rows[j]) != 0:
-                raise InputError(f"rows {i} and {j} do not commute")
-    if fp_rank(A) != A.rows:
-        raise InputError("rows are linearly dependent")
-    ops = _row_operators(A)
-    M, support = weight_support(f)
-    if M == 0:
-        raise InputError("the function has empty support")
-    acc = None
-    for t in support:
-        term = _syndrome_term(ops, t, f.p, f.n)
-        acc = term if acc is None else acc.add(term)
-    return acc
-
-
-def build_projector(f: LogicFunction, A: FpMatrix) -> OperatorMatrix:
-    """Projector of rank M onto the span of the syndrome eigenspaces picked
-    by the support of f. All four premises must hold; the result is verified
-    idempotent with trace M before it is returned."""
+    The rows are then n commuting, independent, Hermitian involutions. No
+    product of a nonempty subset of them is a multiple of I, so each such
+    product has trace 0, and each syndrome term expands to trace
+    2^n / 2^n = 1: a rank-one projector. Terms of distinct syndromes are
+    orthogonal, so the sum over the support has rank M."""
     report = check_projector_premises(f, A)
     if not report.all_ok:
         raise PremiseError(f"premise failure: {report.summary()}", report)
-    P = _assemble_projector(f, A)
-    got = P.rank()  # includes the idempotency check
-    M, _ = weight_support(f)
-    if got != M:
-        raise RuntimeError(f"projector rank {got} != support size {M}")
-    return P
-
-
-# ---------------------------------------------------------------------------
-# basis extraction from a single syndrome term
-
-
-def _function_outer(g: LogicFunction) -> OperatorMatrix:
-    """(1/2^n) |psi_g><psi_g| : entry (r, c) = zeta^(g(r) - g(c)), scaled."""
-    p, n = g.p, g.n
-    N = _operator_dim(p, n)
-    diff = (g.table[:, None] - g.table[None, :]) % p
-    ent = np.zeros((N, N, p), dtype=np.int64)
-    rr, cc = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
-    ent[rr, cc, diff] = 1
-    return OperatorMatrix(p, n, ent, -n)
+    _operator_dim(2, f.n)
+    for i, e in enumerate(_stabilizer_rows(A)):
+        if sum(x * y for x, y in zip(e.a, e.b)) % 2:
+            raise InputError(f"row {i} squares to -I: a . b is odd, so it is not an involution")
+    return report.M
 
 
 def extract_boolean_basis(f: LogicFunction, A: FpMatrix, t) -> LogicFunction:
@@ -376,9 +332,15 @@ def extract_boolean_basis(f: LogicFunction, A: FpMatrix, t) -> LogicFunction:
 
         g(x + alpha_i) - g(x) = beta_i . x + t_i + beta_i . alpha_i
 
-    over the rows (alpha_i | beta_i) of A, then verify exactly that the
-    term equals (1/2^n)|psi_g><psi_g|. Requires t in the support of f and
-    an invertible left block."""
+    over the rows (alpha_i | beta_i) of A, then verify exactly that
+    E_i psi_g = (-1)^(t_i) psi_g for every row. Requires t in the support of
+    f and an invertible left block.
+
+    The check is the term identity term == (1/2^n)|psi_g><psi_g|. A common
+    +-1 eigenvector forces the rows to be commuting involutions (E_i E_j =
+    +-E_j E_i and E_i^2 = +-I for displacements), and the invertible left
+    block makes them independent, so the joint eigenspace is the line of
+    psi_g, the term is the projector onto it, and <psi_g|psi_g> = 2^n."""
     if f.p != 2:
         raise InputError("basis extraction is defined for p = 2")
     n = f.n
@@ -391,6 +353,7 @@ def extract_boolean_basis(f: LogicFunction, A: FpMatrix, t) -> LogicFunction:
     left = A.submatrix(range(n), range(n))
     if fp_rank(left) != n:
         raise InputError("left block of the matrix must be invertible")
+    _operator_dim(2, n)
     pairs = []
     for i, row in enumerate(rows):
         const = (t[i] + sum(x * y for x, y in zip(row.a, row.b))) % 2
@@ -400,18 +363,13 @@ def extract_boolean_basis(f: LogicFunction, A: FpMatrix, t) -> LogicFunction:
         raise PremiseError(
             "no quadratic function satisfies the syndrome difference system"
         )
-    term = _syndrome_term(_row_operators(A), t, 2, n)
-    outer = _function_outer(g)
-    if term != outer:
-        a1, b1, _ = term._aligned(outer)
-        bad = np.argwhere(
-            (a1 - a1.min(axis=2, keepdims=True)) != (b1 - b1.min(axis=2, keepdims=True))
-        )
-        r, c = int(bad[0][0]), int(bad[0][1])
-        raise RuntimeError(
-            f"syndrome term and recovered state disagree first at entry "
-            f"({vector_at(2, n, r)}, {vector_at(2, n, c)})"
-        )
+    psi = state_from_function(g)
+    for i, (row, ti) in enumerate(zip(rows, t)):
+        want = StateVector(2, n, -psi.amps) if ti else psi
+        if apply_error(row, psi) != want:
+            raise RuntimeError(
+                f"recovered state is not an eigenvector of row {i} with sign (-1)^{ti}"
+            )
     return g
 
 

@@ -92,7 +92,11 @@ def _error_index(e: PauliLabel, p: int, n: int) -> np.ndarray:
     supp = np.flatnonzero(b)
     rot = digit_table(p, n)[:, supp] @ b[supp] - sum(x * y for x, y in zip(e.a, e.b))
     x = shifted_indices(p, n, tuple(-v for v in e.a))
-    return (((np.arange(p)[:, None] - rot) % p) * p**n + x).ravel()
+    g = np.subtract.outer(np.arange(p), rot)  # built in place: one p*N array
+    g %= p
+    g *= p**n
+    g += x
+    return g.ravel()
 
 
 def apply_error(e: PauliLabel, state: StateVector) -> StateVector:
@@ -213,9 +217,14 @@ def _failures(basis, p: int, n: int, max_weight: int):
     """Yield (weight, KLFailure) for every failing label of weight
     1..max_weight, in increasing weight and the fixed order within each."""
     X = _stack(basis)
+    # One ket buffer per sweep, so labels allocate no fresh p*N arrays (the
+    # OS would fault their pages in anew each time). take() buffers `out`
+    # under its default mode="raise"; the index is in range by construction.
+    kets = np.empty_like(X)
     for w in range(1, max_weight + 1):
         for e in iter_labels_of_weight(p, n, w):
-            bad = _violation(_gram(X, X[:, _error_index(e, p, n)], p))
+            np.take(X, _error_index(e, p, n), axis=1, out=kets, mode="clip")
+            bad = _violation(_gram(X, kets, p))
             if bad is not None:
                 yield w, KLFailure(e.a, e.b, *bad)
 

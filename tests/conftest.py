@@ -1,6 +1,7 @@
 """Shared helpers: seeded random objects, independent float-arithmetic
 cross-checks, and the direct (slow, exact) reference implementations that
-the transform and matrix-product routines are compared against."""
+the transform, matrix-product and eigenvector routines are compared
+against, among them the dense projector operators."""
 from __future__ import annotations
 
 import cmath
@@ -9,7 +10,21 @@ import itertools
 import numpy as np
 import pytest
 
-from lfqec import CycloInt, LogicFunction, PauliLabel, StateVector, apc_sum, iter_labels_of_weight
+from lfqec import (
+    CycloInt,
+    FpMatrix,
+    InputError,
+    LogicFunction,
+    OperatorMatrix,
+    PauliLabel,
+    StateVector,
+    apc_sum,
+    iter_labels_of_weight,
+    operator_matrix,
+    rank,
+    symplectic_product,
+    weight_support,
+)
 
 
 def rng(seed: int) -> np.random.Generator:
@@ -132,6 +147,69 @@ def reference_coset_distance(f: LogicFunction, betas) -> int:
                     if not apc_sum(f, PauliLabel(f.p, e.a, b)).is_zero():
                         return w
     raise AssertionError("the diagonal pairs fail by weight n")
+
+
+def stabilizer_labels(A: FpMatrix) -> list:
+    """Row i of the n x 2n matrix (L|B) as the label (L_i, B_i)."""
+    n = A.rows
+    return [PauliLabel(A.p, A.row(i)[:n], A.row(i)[n:]) for i in range(n)]
+
+
+def syndrome_term(ops: list, t, p: int, n: int) -> OperatorMatrix:
+    """Product over rows of 1/2 (I + (-1)^(t_i) E_i), row order fixed, as a
+    dense exact operator."""
+    ident = OperatorMatrix.identity(p, n)
+    term = ident
+    for ti, E in zip(t, ops):
+        factor = (ident.add(E) if ti == 0 else ident.sub(E)).half()
+        term = term.mul(factor)
+    return term
+
+
+def assemble_projector(f: LogicFunction, A: FpMatrix) -> OperatorMatrix:
+    """Sum of the dense syndrome terms over the support of f. Requires
+    commuting, independent rows (checked); the shift-set premises are not
+    checked."""
+    if f.p != 2 or A.p != 2:
+        raise InputError("projector assembly is defined for p = 2")
+    rows = stabilizer_labels(A)
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            if symplectic_product(rows[i], rows[j]) != 0:
+                raise InputError(f"rows {i} and {j} do not commute")
+    if rank(A) != A.rows:
+        raise InputError("rows are linearly dependent")
+    ops = [operator_matrix(e) for e in rows]
+    M, support = weight_support(f)
+    if M == 0:
+        raise InputError("the function has empty support")
+    acc = None
+    for t in support:
+        term = syndrome_term(ops, t, f.p, f.n)
+        acc = term if acc is None else acc.add(term)
+    return acc
+
+
+def function_outer(g: LogicFunction) -> OperatorMatrix:
+    """(1/2^n) |psi_g><psi_g| : entry (r, c) = zeta^(g(r) - g(c)), scaled."""
+    p, n = g.p, g.n
+    N = p**n
+    diff = (g.table[:, None] - g.table[None, :]) % p
+    ent = np.zeros((N, N, p), dtype=np.int64)
+    rr, cc = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
+    ent[rr, cc, diff] = 1
+    return OperatorMatrix(p, n, ent, -n)
+
+
+def float_displacement(e: PauliLabel) -> np.ndarray:
+    """E'_e as a dense complex matrix: entry (x + a, x) = zeta^(b.x), with
+    vectors listed in index order (x1 most significant)."""
+    p, n = e.p, e.n
+    x = np.array(list(itertools.product(range(p), repeat=n)), dtype=np.int64)
+    target = (x + e.a) % p @ p ** np.arange(n - 1, -1, -1)
+    out = np.zeros((p**n, p**n), dtype=complex)
+    out[target, np.arange(p**n)] = np.exp(2j * np.pi * (x @ e.b) / p)
+    return out
 
 
 def random_cyclo(gen: np.random.Generator, p: int, lo=-9, hi=10) -> CycloInt:

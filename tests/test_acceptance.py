@@ -26,7 +26,6 @@ from lfqec import (
     build_graph_code,
     build_matrix_code,
     build_mds_family,
-    build_projector,
     check_projector_premises,
     extract_boolean_basis,
     rank,
@@ -40,6 +39,7 @@ from lfqec import (
     min_distance,
     parse_anf,
     parse_graph_file,
+    projector_rank,
     quadratic_form,
     state_from_function,
     symplectic_product,
@@ -296,7 +296,7 @@ def test_criterion_10_flat_spectrum_rejection():
     report = check_projector_premises(b, A)
     claims["premises_reject"] = not report.all_ok and bool(report.missing_columns)
     try:
-        build_projector(b, A)
+        projector_rank(b, A)
         claims["builder_refuses"] = False
     except PremiseError:
         claims["builder_refuses"] = True

@@ -226,8 +226,24 @@ def test_exit_2_malformed_integers(files, capsys, argv, texts):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_exit_2_projector_row_squares_to_minus_identity(files, capsys):
+    # the premises hold, but row 0 = (01|11) squares to -I
+    code = main(
+        [
+            "projector",
+            files("g.fn", "2 2\ntt: 0 0 0 1\n"),
+            files("neg.mat", "2 2\n0 1 1 1\n1 1 0 0\n"),
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "row 0" in err and "Traceback" not in err
+
+
 def test_exit_3_capacity(files, capsys):
     code, out = run(capsys, "apc", files("huge.fn", "2 30\nanf: x1\n"))
+    assert code == 3
+    code, out = run(capsys, "mds", "--m", "6")  # 2^12 > the operator dimension cap
     assert code == 3
 
 

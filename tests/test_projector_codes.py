@@ -1,21 +1,33 @@
 """Exact dyadic-cyclotomic operator algebra, the four-premise projector
-construction, syndrome-term extraction, and the bent-function exclusion."""
+construction, syndrome-term extraction against the dense operator
+reference, and the bent-function exclusion."""
 import itertools
 
 import numpy as np
 import pytest
 
-from conftest import close, random_function, rng
+from conftest import (
+    assemble_projector,
+    close,
+    float_displacement,
+    function_outer,
+    random_function,
+    rng,
+    stabilizer_labels,
+    syndrome_term,
+)
+from lfqec import projector_codes
 from lfqec import (
     CapacityError,
     FpMatrix,
     InputError,
+    LogicFunction,
     OperatorMatrix,
     PauliLabel,
     PremiseError,
     add_affine,
     bent_exclusion,
-    build_projector,
+    build_mds_family,
     check_projector_premises,
     extract_boolean_basis,
     mds_function,
@@ -25,10 +37,12 @@ from lfqec import (
     projector_and,
     projector_not,
     projector_or,
+    projector_rank,
+    rank,
     row_span_labels,
     state_from_function,
+    weight_support,
 )
-from lfqec.projector_codes import _assemble_projector, _function_outer
 
 G2_ANF = "x1*x3 + x1*x4 + x2*x3 + x2*x4 + x3*x4 + x1 + x2"
 GAMMA_G2 = [[0, 0, 1, 1], [0, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]]
@@ -218,26 +232,49 @@ def test_premises_repaired_matrix_pass():
     assert report.summary() == "all premises hold"
 
 
-def test_build_projector_repaired():
+def test_projector_rank_repaired():
     g = parse_anf(G2_ANF, 2, 4)
-    P = build_projector(g, repaired_matrix())
+    assert projector_rank(g, repaired_matrix()) == 4
+    P = assemble_projector(g, repaired_matrix())
     assert P.is_idempotent()
     assert P.dagger() == P
     assert P.rank() == 4
 
 
-def test_build_projector_refuses_printed_matrix():
+def test_projector_rank_refuses_printed_matrix():
     g = parse_anf(G2_ANF, 2, 4)
     with pytest.raises(PremiseError) as exc:
-        build_projector(g, printed_matrix())
+        projector_rank(g, printed_matrix())
     assert exc.value.report.missing_sums == (0, 1)
+
+
+def test_projector_rank_refuses_rows_squaring_to_minus_identity():
+    # the premises hold, but row 0 = (01|11) has a . b = 1: E_0^2 = -I
+    f = parse_anf("x1*x2", 2, 2)
+    A = FpMatrix.from_rows(2, [[0, 1, 1, 1], [1, 1, 0, 0]])
+    assert check_projector_premises(f, A).all_ok
+    with pytest.raises(InputError, match="row 0"):
+        projector_rank(f, A)
+    assert not assemble_projector(f, A).is_idempotent()
+
+
+def test_projector_rank_capacity_after_premises():
+    f = parse_anf("x1*x2*x3*x4*x5*x6*x7*x8*x9*x10*x11", 2, 11)
+    A = FpMatrix.identity(2, 11).hstack(FpMatrix.from_rows(2, [[0] * 11] * 11))
+    with pytest.raises(PremiseError):
+        projector_rank(f, A)  # the zero columns of B are no shifts
+    B = [[int(j == (i + 1) % 11 or i == (j + 1) % 11) for j in range(11)] for i in range(11)]
+    A = FpMatrix.identity(2, 11).hstack(FpMatrix.from_rows(2, B))
+    assert check_projector_premises(f, A).all_ok
+    with pytest.raises(CapacityError):
+        projector_rank(f, A)
 
 
 def test_assembly_of_printed_matrix_is_still_a_projector():
     # the defect is in the premises, not in the operator algebra: the printed
     # rows commute and are independent, so the assembled sum is a projector
     g = parse_anf(G2_ANF, 2, 4)
-    P = _assemble_projector(g, printed_matrix())
+    P = assemble_projector(g, printed_matrix())
     assert P.is_idempotent()
     assert P.dagger() == P
     assert P.rank() == 4
@@ -247,14 +284,14 @@ def test_assemble_rejects_noncommuting_rows():
     g = parse_anf("x1", 2, 2)
     A = FpMatrix.from_rows(2, [[1, 0, 0, 1], [0, 1, 0, 0]])
     with pytest.raises(InputError, match="commute"):
-        _assemble_projector(g, A)
+        assemble_projector(g, A)
 
 
 def test_function_outer_float_reference(gen):
     for _ in range(20):
         n = int(gen.integers(1, 4))
         g = random_function(gen, 2, n)
-        outer = _function_outer(g)
+        outer = function_outer(g)
         vec = state_from_function(g).to_complex()
         ref = np.outer(vec, vec.conj()) / 2**n
         assert np.allclose(op_complex(outer), ref)
@@ -301,11 +338,93 @@ def test_extraction_errors():
         extract_boolean_basis(parse_anf("x1*x2", 3, 2), A, (1, 1))
 
 
+def test_extraction_rejects_a_wrong_solution(monkeypatch):
+    # adding x4 flips the eigenvalue of row 3 = (e_4 | .) only
+    g = mds_function(2)
+    A = mds_matrix(2)
+    t = (1, 0, 0, 0)
+    wrong = add_affine(extract_boolean_basis(g, A, t), (0, 0, 0, 1), 0)
+    monkeypatch.setattr(projector_codes, "solve_coboundary", lambda *args: wrong)
+    with pytest.raises(RuntimeError, match="row 3"):
+        extract_boolean_basis(g, A, t)
+
+
 def test_extraction_premise_error_on_inconsistent_rows():
     f = parse_anf("x1", 2, 2)
     A = FpMatrix.from_rows(2, [[1, 0, 0, 1], [0, 1, 0, 0]])
     with pytest.raises(PremiseError):
         extract_boolean_basis(f, A, (1, 0))
+
+
+def random_stabilizer_matrix(gen, n):
+    """G (I | S) with G invertible and S symmetric with a zero diagonal over
+    F_2: n commuting, independent involutions with an invertible left block."""
+    while True:
+        G = gen.integers(0, 2, (n, n))
+        if rank(FpMatrix.from_rows(2, G.tolist())) == n:
+            break
+    U = np.triu(gen.integers(0, 2, (n, n)), 1)
+    return FpMatrix.from_rows(2, np.hstack([G, G @ (U + U.T) % 2]).tolist())
+
+
+def swap_column_pairs(A, js):
+    """Exchange columns j and n + j for each j in js (x and z on qubit j)."""
+    n = A.rows
+    rows = [list(A.row(i)) for i in range(n)]
+    for r in rows:
+        for j in js:
+            r[j], r[n + j] = r[n + j], r[j]
+    return FpMatrix.from_rows(2, rows)
+
+
+def function_meeting_premises(gen, A):
+    """A function of small support whose shift set holds the premises for A,
+    or None after a bounded number of draws."""
+    n = A.rows
+    for _ in range(200):
+        M = int(gen.integers(1, min(4, 2 ** (n - 1)) + 1))
+        table = np.zeros(2**n, dtype=np.int64)
+        table[gen.choice(2**n, M, replace=False)] = 1
+        f = LogicFunction(2, n, table)
+        if check_projector_premises(f, A).all_ok:
+            return f
+    return None
+
+
+def test_projector_rank_and_extraction_match_dense_reference(gen):
+    cases = singular = 0
+    while cases < 24:
+        n = int(gen.integers(2, 6))
+        A0 = random_stabilizer_matrix(gen, n)
+        f = function_meeting_premises(gen, A0)
+        if f is None:
+            continue
+        js = [int(j) for j in gen.choice(n, int(gen.integers(1, n + 1)), replace=False)]
+        for A in (A0, swap_column_pairs(A0, js)):
+            cases += 1
+            assert projector_rank(f, A) == assemble_projector(f, A).rank()
+            ops = [operator_matrix(e) for e in stabilizer_labels(A)]
+            left_invertible = rank(A.submatrix(range(n), range(n))) == n
+            singular += not left_invertible
+            for t in weight_support(f)[1]:
+                if not left_invertible:
+                    with pytest.raises(InputError, match="invertible"):
+                        extract_boolean_basis(f, A, t)
+                    continue
+                g = extract_boolean_basis(f, A, t)
+                assert function_outer(g) == syndrome_term(ops, t, 2, n)
+    assert singular >= 3
+
+
+def test_mds_family_m4_float_eigenvectors():
+    spec = build_mds_family(4)
+    _, support = weight_support(mds_function(4))
+    assert len(spec.basis) == len(support) == 64
+    ops = [float_displacement(e) for e in stabilizer_labels(mds_matrix(4))]
+    for g, t in zip(spec.basis, support):
+        psi = state_from_function(g).to_complex()
+        for E, ti in zip(ops, t):
+            assert np.allclose(E @ psi, (-1) ** ti * psi)
 
 
 # ---------------------------------------------------------------------------

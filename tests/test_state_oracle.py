@@ -412,3 +412,22 @@ def test_kl_verify_input_errors():
     with pytest.raises(InputError):
         kl_verify([psi], -1)
     assert kl_verify([psi], 0).passed  # vacuous weight range
+
+
+def test_shift_cache_stays_bounded_over_a_sweep(gen):
+    # a weight-2 sweep at p = 3, n = 7 meets 99 distinct shifts a
+    from lfqec import _tables
+
+    _tables._shift_cache.cache_clear()
+    psi = state_from_function(random_function(gen, 3, 7))
+    assert not kl_verify([psi], 2).passed
+    info = _tables._shift_cache.cache_info()
+    assert info.misses > info.maxsize == _tables.SHIFT_CACHE_SIZE
+    assert info.currsize <= _tables.SHIFT_CACHE_SIZE
+    for _ in range(20):
+        a = tuple(int(v) for v in gen.integers(0, 3, 7))
+        want = [
+            int("".join(str((xi + ai) % 3) for xi, ai in zip(x, a)), 3)
+            for x in itertools.product(range(3), repeat=7)
+        ]
+        assert _tables.shifted_indices(3, 7, a).tolist() == want
