@@ -1,41 +1,46 @@
-"""Shared index arithmetic for dense truth tables over F_p^n.
+"""The index layout shared by every table over F_p^n.
 
-Vectors x = (x_1, ..., x_n) map to table index sum_i x_i * p^(n-i), so x_1 is
-the most significant digit. All caches return read-only arrays; callers must
-copy before mutating.
+A table is a flat array of length p^n whose entry for x = (x_1, ..., x_n)
+sits at index sum_i x_i * p^(n-i), so x_1 is the most significant digit.
+That is the C-order ravel of an array on the grid (p,)*n whose axis i
+carries the digit x_(i+1). Every helper here works on that grid: a digit is
+one broadcast axis, a linear form is a sum of them and a shift is a roll, so
+no helper forms a table of all p^n * n digits. This module is the only one
+that converts between indices and vectors. Cached arrays are read-only;
+callers must copy before mutating.
 """
 from functools import lru_cache
 
 import numpy as np
 
 
-@lru_cache(maxsize=None)
-def digit_table(p: int, n: int) -> np.ndarray:
-    """(p^n, n) array whose row idx is the vector with that index."""
-    N = p**n
-    idx = np.arange(N)
-    out = np.empty((N, n), dtype=np.int64)
-    for i in range(n - 1, -1, -1):
-        out[:, i] = idx % p
-        idx = idx // p
-    out.setflags(write=False)
-    return out
+def digit_axis(p: int, n: int, i: int) -> np.ndarray:
+    """The digit x_(i+1) on the grid: arange(p) shaped onto axis i, so it
+    broadcasts against any array of shape (p,)*n."""
+    return np.arange(p, dtype=np.int64).reshape((1,) * i + (p,) + (1,) * (n - 1 - i))
 
 
-@lru_cache(maxsize=None)
-def place_values(p: int, n: int) -> np.ndarray:
-    """Digit weights (p^(n-1), ..., p, 1), matching digit_table rows."""
-    out = np.array([p ** (n - 1 - i) for i in range(n)], dtype=np.int64)
-    out.setflags(write=False)
-    return out
+def linear_values(p: int, n: int, b) -> np.ndarray:
+    """b.x mod p for every table index. The form is summed on the axes of
+    the support of b, p^|supp b| entries, and then spread over the grid."""
+    form = np.int64(0)
+    for i, v in enumerate(b):
+        if v % p:
+            form = (form + digit_axis(p, n, i) * v) % p
+    out = np.empty((p,) * n, dtype=np.int64)
+    out[...] = form
+    return out.reshape(-1)
 
 
-def index_of(p: int, n: int, x) -> int:
-    return int(np.asarray(x, dtype=np.int64) @ place_values(p, n))
+def index_vectors(p: int, n: int, idx) -> list:
+    """The vectors at the given table indices, as tuples of Python ints."""
+    digits = np.unravel_index(np.asarray(idx, dtype=np.int64), (p,) * n)
+    return list(zip(*(d.tolist() for d in digits)))
 
 
-def vector_at(p: int, n: int, idx: int) -> tuple:
-    return tuple(int(v) for v in digit_table(p, n)[idx])
+def vector_index(p: int, n: int, x) -> int:
+    """The table index of the vector x, whose entries must lie in 0..p-1."""
+    return int(np.ravel_multi_index(tuple(int(v) for v in x), (p,) * n))
 
 
 # Each entry is a p^n index array. Label walks keep the a-part outside the
@@ -46,8 +51,8 @@ SHIFT_CACHE_SIZE = 8
 
 @lru_cache(maxsize=SHIFT_CACHE_SIZE)
 def _shift_cache(p: int, n: int, a: tuple) -> np.ndarray:
-    """On the index grid with one axis per digit, x + a is a cyclic roll by
-    -a_i along each axis i where a_i is nonzero."""
+    """On the grid, x + a is a cyclic roll by -a_i along each axis i where
+    a_i is nonzero."""
     supp = tuple(i for i, v in enumerate(a) if v)
     grid = np.arange(p**n).reshape((p,) * n)
     out = np.roll(grid, tuple(-a[i] for i in supp), axis=supp).ravel()

@@ -16,6 +16,8 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from ._textfile import content_lines, integer, read_header, residues
 from .codespec import CodeSpec, check_claim
 from .code_builder import (
@@ -40,11 +42,7 @@ from .logic_fn import (
     is_bent,
     zset,
 )
-from .projector_codes import (
-    check_projector_premises,
-    extract_boolean_basis,
-    projector_rank,
-)
+from .projector_codes import PremiseReport, extract_boolean_basis, projector_rank
 from .state_oracle import kl_verify, min_distance, state_from_function
 
 
@@ -197,7 +195,7 @@ def cmd_zset(args) -> int:
 def cmd_bent(args) -> int:
     f = parse_function_file(_read(args.function))
     bent = is_bent(f)
-    M, _ = weight_support(f)
+    M = int(np.count_nonzero(f.table))
     payload = {"bent": bent, "support_size": M}
     lines = [f"bent: {str(bent).lower()}", f"support size: {M}"]
     _emit(args, payload, lines)
@@ -268,15 +266,14 @@ def cmd_coset_code(args) -> int:
 def cmd_projector(args) -> int:
     f = parse_function_file(_read(args.function))
     A = parse_matrix_file(_read(args.matrix))
-    report = check_projector_premises(f, A)
-    if not report.all_ok:
-        _emit(
-            args,
-            {"premises": report.to_dict()},
-            [f"premises: FAIL ({report.summary()})"],
-        )
+    try:
+        prank = projector_rank(f, A)
+    except PremiseError as exc:
+        report = exc.report
+        _emit(args, {"premises": report.to_dict()}, [f"premises: FAIL ({report.summary()})"])
         return 1
-    prank = projector_rank(f, A)
+    # projector_rank returns only when every premise holds, and the rank is M
+    report = PremiseReport(f.n, prank, True, (), (), (), True)
     M, support = weight_support(f)
     payload = {"premises": report.to_dict(), "rank": prank, "support_size": M}
     lines = ["premises: ok", f"projector rank: {prank} (support size {M})"]

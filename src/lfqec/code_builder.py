@@ -13,12 +13,19 @@ import itertools
 
 import numpy as np
 
-from ._tables import digit_table
+from ._tables import linear_values
 from .codespec import CodeSpec
 from .errors import InputError, PremiseError
 from .fp_algebra import FpMatrix, iter_labels_of_weight
 from .graph_codes import matrix_code_check
-from .logic_fn import LogicFunction, add_affine, apc_exponents, parse_anf, quadratic_form
+from .logic_fn import (
+    LogicFunction,
+    add_affine,
+    apc_exponents,
+    parse_anf,
+    quadratic_form,
+    weight_support,
+)
 from .projector_codes import extract_boolean_basis
 
 
@@ -29,18 +36,27 @@ def claimed_coset_distance(f: LogicFunction, betas) -> int:
     nonvanishing test, so the search always terminates by weight n.
 
     A pair enters only through delta = beta_i - beta_j, and the sum at
-    b + delta has the exponents of the sum at b plus delta.x, so each label
-    costs one exponent table and one histogram per distinct delta."""
+    b + delta has the exponents of the sum at b plus beta_i.x - beta_j.x.
+    The tables beta_i.x and -beta_i.x mod p are formed once per shift; each
+    label then costs one exponent table and one histogram per distinct
+    delta, taken from the first pair that gives it. The summed exponents
+    lie in [0, 3p - 3], so the histogram folds three blocks of p instead of
+    reducing every exponent mod p."""
     betas = _check_betas(f, betas)
     p = f.p
-    D = digit_table(p, f.n)
-    deltas = sorted({tuple((x - y) % p for x, y in zip(bi, bj)) for bi in betas for bj in betas})
-    deltas = [np.array(delta, dtype=np.int64) for delta in deltas]
+    plus = [linear_values(p, f.n, beta) for beta in betas]
+    minus = [linear_values(p, f.n, [-v for v in beta]) for beta in betas]
+    pairs = {}
+    for (i, bi), (j, bj) in itertools.product(enumerate(betas), repeat=2):
+        pairs.setdefault(tuple((x - y) % p for x, y in zip(bi, bj)), (i, j))
+    exps = np.empty(p**f.n, dtype=np.int64)
     for w in range(1, f.n + 1):
         for e in iter_labels_of_weight(p, f.n, w):
             base = apc_exponents(f, e)
-            for delta in deltas:
-                hist = np.bincount((base + D @ delta) % p, minlength=p)
+            for i, j in pairs.values():
+                np.add(base, plus[i], out=exps)
+                exps += minus[j]
+                hist = np.bincount(exps, minlength=3 * p).reshape(3, p).sum(axis=0)
                 if np.any(hist != hist[0]):
                     return w
     raise RuntimeError("unreachable: the diagonal pairs fail by weight n")
@@ -134,17 +150,6 @@ def build_mds_family(m: int) -> CodeSpec:
     syndrome and checked exactly as a joint eigenvector of the rows."""
     f = mds_function(m)
     A = mds_matrix(m)
-    basis = []
-    for idx in range(2**f.n):
-        if f.table[idx]:
-            t = tuple(int(v) for v in _digits(idx, f.n))
-            basis.append(extract_boolean_basis(f, A, t))
-    return CodeSpec(f.p, f.n, tuple(basis), claimed_d=2, provenance="mds-family")
-
-
-def _digits(idx: int, n: int) -> list:
-    out = [0] * n
-    for i in range(n - 1, -1, -1):
-        out[i] = idx & 1
-        idx >>= 1
-    return out
+    _, support = weight_support(f)
+    basis = tuple(extract_boolean_basis(f, A, t) for t in support)
+    return CodeSpec(f.p, f.n, basis, claimed_d=2, provenance="mds-family")

@@ -116,14 +116,6 @@ def _unmask(mask: int, n: int) -> frozenset:
     return frozenset(v + 1 for v in range(n) if mask >> v & 1)
 
 
-def _parity_neighborhood_masks(G: WeightedGraph) -> tuple:
-    """mask of {u : Gamma_uv != 0 mod p} for each vertex v; a set omega's
-    parity neighborhood is computed by accumulating weighted rows mod p."""
-    return tuple(
-        sum(1 << u for u in range(G.n) if G.adj.entries[v][u]) for v in range(G.n)
-    )
-
-
 def _parity_mask_of(G: WeightedGraph, omega_mask: int) -> int:
     """Vertices with nonzero total weight into omega, as a bitmask."""
     totals = [0] * G.n
@@ -299,28 +291,18 @@ def matrix_code_check(A: FpMatrix, k: int, d: int) -> MatrixCheckResult:
     return MatrixCheckResult(True, None, None, None, warning)
 
 
-def _iter_nullspace(M: FpMatrix):
-    """Every nonzero vector of the kernel of M, via the solved basis."""
-    sol = solve_linear(M, [0] * M.rows)
-    basis = sol.nullspace
-    p = M.p
-    for coeffs in itertools.product(range(p), repeat=len(basis)):
-        if not any(coeffs):
-            continue
-        vec = [0] * M.cols
-        for c, bvec in zip(coeffs, basis):
-            for idx in range(M.cols):
-                vec[idx] = (vec[idx] + c * bvec[idx]) % p
-        yield tuple(vec)
-
-
 def matrix_kernel_check(A: FpMatrix, k: int, d: int) -> MatrixCheckResult:
-    """Kernel conditions, checked by enumerating nullspaces outright: for
-    every erasure set E of d-1 qudit indices with complement I, each nonzero
-    kernel vector of [A_I,class | A_I,E] must
+    """Kernel conditions: for every erasure set E of d-1 qudit indices with
+    complement I, each nonzero kernel vector of [A_I,class | A_I,E] must
 
       (a) vanish on the class coordinates, and
       (b) be annihilated by the class rows over the E columns.
+
+    Both conditions are linear, so they hold on the kernel iff they hold on
+    the solved nullspace basis. The witness is the vector that enumerating
+    the kernel by basis coefficients, in lexicographic order, would meet
+    first: the failing basis vector of largest index, so the basis is
+    checked in reverse and the failed condition is read from that vector.
 
     This is a separate route from matrix_code_check and is strictly
     stronger; the two are never merged.
@@ -329,7 +311,8 @@ def matrix_kernel_check(A: FpMatrix, k: int, d: int) -> MatrixCheckResult:
     for E in itertools.combinations(qudits, d - 1):
         I = [q for q in qudits if q not in E]
         M = A.submatrix(I, cls).hstack(A.submatrix(I, list(E)))
-        for vec in _iter_nullspace(M):
+        for bvec in reversed(solve_linear(M, [0] * M.rows).nullspace):
+            vec = tuple(int(v) % A.p for v in bvec)
             if any(vec[:k]):
                 return MatrixCheckResult(False, "kernel_class_component", E, vec, warning)
             dE = vec[k:]

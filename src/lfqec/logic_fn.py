@@ -3,9 +3,12 @@ character autocorrelation, APC distance, the zero-product shift set, bent
 detection, and the coboundary solver that recovers quadratic functions from
 difference constraints.
 
-Truth tables are dense int64 arrays indexed by index(x) = sum_i x_i p^(n-i)
-(x_1 most significant). ANF monomials are sorted tuples of 0-based variable
-indices with repetition as exponent; () is the constant monomial.
+Truth tables are int64 arrays of length p^n in the layout of `_tables`:
+index(x) = sum_i x_i p^(n-i), x_1 most significant, which is the C-order
+ravel of the grid (p,)*n with one axis per variable. Monomials, linear forms
+and shifts are evaluated on that grid by broadcasting. ANF monomials are
+sorted tuples of 0-based variable indices with repetition as exponent; () is
+the constant monomial.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._tables import digit_table, place_values, shifted_indices, vector_at
+from ._tables import digit_axis, index_vectors, linear_values, shifted_indices, vector_index
 from ._textfile import integer, read_header, residues
 from .errors import InputError
 from .fp_algebra import (
@@ -53,21 +56,20 @@ class LogicFunction:
     @classmethod
     def from_anf(cls, p: int, n: int, terms) -> "LogicFunction":
         """terms: iterable of (coeff, monomial). Exponents must already be
-        reduced below p; coefficients are reduced mod p and zero terms drop."""
+        reduced below p; coefficients are reduced mod p and zero terms drop.
+        A term is a product of digit axes, so it spans only the axes of its
+        variables until it is added onto the grid."""
         canon = _canonical_terms(p, n, terms)
-        D = digit_table(p, n)
-        N = p**n
-        acc = np.zeros(N, dtype=np.int64)
+        acc = np.zeros((p,) * n, dtype=np.int64)
         for coeff, mono in canon:
-            term = np.full(N, coeff, dtype=np.int64)
+            term = np.int64(coeff)
             for v in mono:
-                term = term * D[:, v] % p
+                term = term * digit_axis(p, n, v) % p
             acc += term
-        return cls(p, n, acc % p, anf=canon)
+        return cls(p, n, acc.reshape(-1), anf=canon)
 
     def value(self, x) -> int:
-        idx = int(np.asarray(x, dtype=np.int64) @ place_values(self.p, self.n))
-        return int(self.table[idx])
+        return int(self.table[vector_index(self.p, self.n, x)])
 
     def __eq__(self, other) -> bool:
         return (
@@ -289,8 +291,7 @@ def add_affine(f: LogicFunction, beta, c: int = 0) -> LogicFunction:
     beta = tuple(int(v) % f.p for v in beta)
     if len(beta) != f.n:
         raise InputError("beta length mismatch")
-    D = digit_table(f.p, f.n)
-    table = (f.table + D @ np.array(beta, dtype=np.int64) + int(c)) % f.p
+    table = (f.table + linear_values(f.p, f.n, beta) + int(c)) % f.p
     anf = None
     if f.anf is not None:
         extra = [(b, (j,)) for j, b in enumerate(beta)] + [(c, ())]
@@ -300,8 +301,8 @@ def add_affine(f: LogicFunction, beta, c: int = 0) -> LogicFunction:
 
 def weight_support(f: LogicFunction):
     """(M, support): count and index-ordered list of x with f(x) != 0."""
-    idx = np.nonzero(f.table)[0]
-    return len(idx), [vector_at(f.p, f.n, int(i)) for i in idx]
+    idx = np.flatnonzero(f.table)
+    return len(idx), index_vectors(f.p, f.n, idx)
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +315,7 @@ def apc_exponents(f: LogicFunction, e: PauliLabel) -> np.ndarray:
         raise InputError("label mismatch")
     neg_a = tuple(-v % f.p for v in e.a)
     sh = shifted_indices(f.p, f.n, neg_a)  # index of x - a
-    D = digit_table(f.p, f.n)
-    return (f.table - f.table[sh] + D @ np.array(e.b, dtype=np.int64)) % f.p
+    return (f.table - f.table[sh] + linear_values(f.p, f.n, e.b)) % f.p
 
 
 def apc_sum(f: LogicFunction, e: PauliLabel) -> CycloInt:
@@ -378,8 +378,7 @@ def _autocorrelate(v: np.ndarray) -> np.ndarray:
 
 def _shifts_where(n: int, mask: np.ndarray) -> set:
     """The binary shifts a, as tuples, whose index is set in mask."""
-    idx = np.nonzero(mask)[0]
-    return set(map(tuple, ((idx[:, None] >> np.arange(n - 1, -1, -1)) & 1).tolist()))
+    return set(index_vectors(2, n, np.flatnonzero(mask)))
 
 
 def autocorrelation_spectrum(f: LogicFunction) -> np.ndarray:

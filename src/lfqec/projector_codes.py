@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._tables import digit_table, shifted_indices
+from ._tables import linear_values, shifted_indices
 from .errors import CapacityError, InputError, PremiseError
 from .fp_algebra import (
     MAX_OPERATOR_DIM,
@@ -27,7 +27,7 @@ from .fp_algebra import (
     symplectic_product,
     validate_prime,
 )
-from .logic_fn import LogicFunction, is_bent, solve_coboundary, weight_support, zset
+from .logic_fn import LogicFunction, is_bent, solve_coboundary, zset
 from .state_oracle import StateVector, apply_error, state_from_function
 
 _FLOAT_EXACT_BOUND = 2**52
@@ -173,7 +173,7 @@ def operator_matrix(e: PauliLabel) -> OperatorMatrix:
     p, n = e.p, e.n
     N = _operator_dim(p, n)
     sh = shifted_indices(p, n, e.a)
-    rot = digit_table(p, n) @ np.array(e.b, dtype=np.int64) % p
+    rot = linear_values(p, n, e.b)
     ent = np.zeros((N, N, p), dtype=np.int64)
     ent[sh, np.arange(N), rot] = 1
     return OperatorMatrix(p, n, ent)
@@ -281,7 +281,7 @@ def check_projector_premises(f: LogicFunction, A: FpMatrix) -> PremiseReport:
     if A.p != 2 or A.rows != f.n or A.cols != 2 * f.n:
         raise InputError(f"matrix must be {f.n} x {2 * f.n} over F_2")
     n = f.n
-    M, _ = weight_support(f)
+    M = int(np.count_nonzero(f.table))
     zs = zset(f)
     weight_ok = 0 < M <= 2 ** (n - 1)
     missing_cols = tuple(j for j in range(2 * n) if A.col(j) not in zs)

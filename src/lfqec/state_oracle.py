@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._tables import digit_table, shifted_indices
+from ._tables import linear_values, shifted_indices
 from .errors import CapacityError, InputError
 from .fp_algebra import (
     MAX_STATE,
@@ -88,9 +88,7 @@ def _error_index(e: PauliLabel, p: int, n: int) -> np.ndarray:
     exponents moved up by b.x = b.y - a.b."""
     if (e.p, e.n) != (p, n):
         raise InputError("label does not match the state")
-    b = np.array(e.b, dtype=np.int64)
-    supp = np.flatnonzero(b)
-    rot = digit_table(p, n)[:, supp] @ b[supp] - sum(x * y for x, y in zip(e.a, e.b))
+    rot = linear_values(p, n, e.b) - sum(x * y for x, y in zip(e.a, e.b))
     x = shifted_indices(p, n, tuple(-v for v in e.a))
     g = np.subtract.outer(np.arange(p), rot)  # built in place: one p*N array
     g %= p

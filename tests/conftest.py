@@ -22,6 +22,7 @@ from lfqec import (
     iter_labels_of_weight,
     operator_matrix,
     rank,
+    solve_linear,
     symplectic_product,
     weight_support,
 )
@@ -33,6 +34,14 @@ def rng(seed: int) -> np.random.Generator:
 
 def random_function(gen: np.random.Generator, p: int, n: int) -> LogicFunction:
     return LogicFunction(p, n, gen.integers(0, p, p**n).astype(np.int64))
+
+
+def digit_index(p: int, x) -> int:
+    """Table index of x by Horner's rule, x_1 the most significant digit."""
+    idx = 0
+    for v in x:
+        idx = idx * p + v
+    return idx
 
 
 def direct_spectrum(f: LogicFunction) -> np.ndarray:
@@ -147,6 +156,29 @@ def reference_coset_distance(f: LogicFunction, betas) -> int:
                     if not apc_sum(f, PauliLabel(f.p, e.a, b)).is_zero():
                         return w
     raise AssertionError("the diagonal pairs fail by weight n")
+
+
+def reference_kernel_check(A: FpMatrix, k: int, d: int):
+    """matrix_kernel_check by enumerating every nonzero kernel vector, as a
+    combination of the solved nullspace basis with coefficients in
+    lexicographic order, and testing both conditions on each. Returns
+    (accepted, condition, erased, vector)."""
+    p = A.p
+    cls, qudits = list(range(k)), list(range(k, A.rows))
+    for E in itertools.combinations(qudits, d - 1):
+        I = [q for q in qudits if q not in E]
+        M = A.submatrix(I, cls).hstack(A.submatrix(I, list(E)))
+        basis = solve_linear(M, [0] * M.rows).nullspace
+        for coeffs in itertools.product(range(p), repeat=len(basis)):
+            if not any(coeffs):
+                continue
+            vec = tuple(sum(c * bv[i] for c, bv in zip(coeffs, basis)) % p for i in range(M.cols))
+            if any(vec[:k]):
+                return False, "kernel_class_component", E, vec
+            for x in cls:
+                if sum(A.entries[x][e] * v for e, v in zip(E, vec[k:])) % p:
+                    return False, "kernel_class_action", E, vec
+    return True, None, None, None
 
 
 def stabilizer_labels(A: FpMatrix) -> list:

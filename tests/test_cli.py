@@ -176,6 +176,18 @@ def test_exit_1_projector_premises(files, capsys):
     assert data["premises"]["missing_sums"] == [0, 1]
 
 
+@pytest.mark.parametrize("mat, want", [(REPAIRED_MAT, 0), (PRINTED_MAT, 1)], ids=["ok", "fail"])
+def test_projector_checks_premises_once(files, capsys, monkeypatch, mat, want):
+    import lfqec.projector_codes
+
+    calls = []
+    zset = lfqec.projector_codes.zset
+    monkeypatch.setattr(lfqec.projector_codes, "zset", lambda f: calls.append(f) or zset(f))
+    code, out = run(capsys, "projector", files("g2.fn", G2_FN), files("m.mat", mat))
+    assert (code, len(calls)) == (want, 1)
+    assert out.startswith("premises: ok\n" if want == 0 else "premises: FAIL (")
+
+
 def test_exit_1_mds_verify(files, capsys):
     code, data = run_json(capsys, "mds", "--m", "2", "--verify")
     assert code == 1

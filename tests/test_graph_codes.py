@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import rng
+from conftest import reference_kernel_check, rng
 from lfqec import (
     CapacityError,
     FpMatrix,
@@ -327,3 +327,21 @@ def test_kernel_accept_implies_joint_rank(gen):
             r = matrix_code_check(A, 1, 2)
             assert r.accepted or r.condition == "selector_rank"
     assert accepted > 0
+
+
+def test_kernel_route_matches_enumeration(gen):
+    # the basis check must return the witness that enumerating the whole
+    # kernel meets first, including which of the two conditions it breaks
+    seen = {}
+    for _ in range(600):
+        p = int(gen.choice([2, 3, 5]))
+        m = int(gen.integers(3, 8))
+        k = int(gen.integers(1, min(3, m)))
+        d = int(gen.integers(2, min(4, m - k + 2)))
+        mask = gen.random((m, m)) < 0.35
+        A = FpMatrix.from_rows(p, (gen.integers(1, p, (m, m)) * mask).tolist())
+        got = matrix_kernel_check(A, k, d)
+        want = reference_kernel_check(A, k, d)
+        assert (got.accepted, got.condition, got.erased, got.vector) == want
+        seen[got.condition] = seen.get(got.condition, 0) + 1
+    assert min(seen.get(c, 0) for c in (None, "kernel_class_component", "kernel_class_action")) >= 20

@@ -1,0 +1,55 @@
+"""Memory ceilings near the 2^24 table cap. Each case runs in a child
+process with one OpenBLAS thread whose address space alone is capped at
+768 MiB: parsing an n = 22 or n = 24 function and `lfqec bent` on an
+n = 22 bent function must finish inside it, with the exact answer."""
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+resource = pytest.importorskip("resource")
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+CEILING = 768 << 20
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (CEILING, CEILING))
+
+
+def run_capped(code: str) -> str:
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        preexec_fn=_cap_address_space,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout.strip()
+
+
+def pairs_anf(n: int) -> str:
+    """x1*x2 + x3*x4 + ... + x(n-1)*xn, bent for even n."""
+    return " + ".join(f"x{i}*x{i + 1}" for i in range(1, n, 2))
+
+
+@pytest.mark.parametrize("n", [22, 24])
+def test_parse_anf_fits_the_ceiling(n):
+    out = run_capped(
+        f"from lfqec import parse_anf\n"
+        f"print(int(parse_anf({pairs_anf(n)!r}, 2, {n}).table.sum()))"
+    )
+    assert int(out) == 2 ** (n - 1) - 2 ** (n // 2 - 1)
+
+
+def test_bent_command_fits_the_ceiling(tmp_path):
+    # is_bent plus the support size, through the command line
+    fn = tmp_path / "bent22.fn"
+    fn.write_text(f"2 22\nanf: {pairs_anf(22)}\n")
+    out = run_capped(f"from lfqec.cli import main\nraise SystemExit(main(['bent', {str(fn)!r}]))")
+    assert out == f"bent: true\nsupport size: {2**21 - 2**10}"
