@@ -139,12 +139,15 @@ def _codespec_lines(spec: CodeSpec, report=None) -> list:
     lines += [f"basis[{i}]: {anf_text(f)}" for i, f in enumerate(spec.basis)]
     if report is not None:
         lines.append(f"verification: {report.verdict} (max weight {report.max_weight})")
-        for fail in report.failures:
-            lines.append(
-                f"  failure: a={_vector_str(fail.a)} b={_vector_str(fail.b)} "
-                f"{fail.kind} at ({fail.i}, {fail.j})"
-            )
+        lines += ["  " + line for line in _failure_lines(report)]
     return lines
+
+
+def _failure_lines(report) -> list:
+    return [
+        f"failure: a={_vector_str(e.a)} b={_vector_str(e.b)} {e.kind} at ({e.i}, {e.j})"
+        for e in report.failures
+    ]
 
 
 def _verify_spec(args, spec: CodeSpec):
@@ -307,12 +310,7 @@ def cmd_verify(args) -> int:
     max_weight = args.max_weight if args.max_weight is not None else spec.claimed_d - 1
     report = kl_verify(spec.states(), max_weight)
     payload = report.to_dict()
-    lines = [f"verdict: {report.verdict} (max weight {max_weight})"]
-    for fail in report.failures:
-        lines.append(
-            f"failure: a={_vector_str(fail.a)} b={_vector_str(fail.b)} "
-            f"{fail.kind} at ({fail.i}, {fail.j})"
-        )
+    lines = [f"verdict: {report.verdict} (max weight {max_weight})"] + _failure_lines(report)
     _emit(args, payload, lines)
     return 0 if report.passed else 1
 

@@ -11,17 +11,14 @@ from __future__ import annotations
 
 import itertools
 
-import numpy as np
-
-from ._tables import linear_values
 from .codespec import CodeSpec
 from .errors import InputError, PremiseError
-from .fp_algebra import FpMatrix, iter_labels_of_weight
+from .fp_algebra import FpMatrix
 from .graph_codes import matrix_code_check
 from .logic_fn import (
     LogicFunction,
+    _first_nonvanishing,
     add_affine,
-    apc_exponents,
     parse_anf,
     quadratic_form,
     weight_support,
@@ -32,34 +29,8 @@ from .projector_codes import extract_boolean_basis
 def claimed_coset_distance(f: LogicFunction, betas) -> int:
     """Smallest weight of a label (a, b) for which some ordered shift pair
     (beta_i, beta_j), including i = j, makes the character sum at
-    (a, b + beta_i - beta_j) nonzero. The i = j pairs reduce to the plain
-    nonvanishing test, so the search always terminates by weight n.
-
-    A pair enters only through delta = beta_i - beta_j, and the sum at
-    b + delta has the exponents of the sum at b plus beta_i.x - beta_j.x.
-    The tables beta_i.x and -beta_i.x mod p are formed once per shift; each
-    label then costs one exponent table and one histogram per distinct
-    delta, taken from the first pair that gives it. The summed exponents
-    lie in [0, 3p - 3], so the histogram folds three blocks of p instead of
-    reducing every exponent mod p."""
-    betas = _check_betas(f, betas)
-    p = f.p
-    plus = [linear_values(p, f.n, beta) for beta in betas]
-    minus = [linear_values(p, f.n, [-v for v in beta]) for beta in betas]
-    pairs = {}
-    for (i, bi), (j, bj) in itertools.product(enumerate(betas), repeat=2):
-        pairs.setdefault(tuple((x - y) % p for x, y in zip(bi, bj)), (i, j))
-    exps = np.empty(p**f.n, dtype=np.int64)
-    for w in range(1, f.n + 1):
-        for e in iter_labels_of_weight(p, f.n, w):
-            base = apc_exponents(f, e)
-            for i, j in pairs.values():
-                np.add(base, plus[i], out=exps)
-                exps += minus[j]
-                hist = np.bincount(exps, minlength=3 * p).reshape(3, p).sum(axis=0)
-                if np.any(hist != hist[0]):
-                    return w
-    raise RuntimeError("unreachable: the diagonal pairs fail by weight n")
+    (a, b + beta_i - beta_j) nonzero; i = j is the test of apc_distance."""
+    return _first_nonvanishing(f, _check_betas(f, betas))[0]
 
 
 def _check_betas(f: LogicFunction, betas) -> list:

@@ -61,15 +61,19 @@ class CodeSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "CodeSpec":
         try:
-            p, n = int(data["p"]), int(data["n"])
-            claimed_d = int(data["claimed_d"])
+            p, n, claimed_d, basis_text = (data[key] for key in ("p", "n", "claimed_d", "basis"))
             provenance = str(data.get("provenance", ""))
-            basis_text = data["basis"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise InputError(f"malformed code description: {exc}") from exc
+        for key in ("p", "n", "claimed_d", "K"):  # JSON integers; bool is an int subclass
+            value = data.get(key, 0)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise InputError(f"malformed code description: {key} = {value!r} is not an integer")
+        if not isinstance(basis_text, list) or not all(isinstance(s, str) for s in basis_text):
+            raise InputError("malformed code description: basis must be a list of strings")
         basis = tuple(parse_anf(s, p, n) for s in basis_text)
         spec = cls(p, n, basis, claimed_d, provenance)
-        if "K" in data and int(data["K"]) != spec.claimed_K:
+        if "K" in data and data["K"] != spec.claimed_K:
             raise InputError(
                 f"stated K = {data['K']} but {spec.claimed_K} basis functions were given"
             )
@@ -79,7 +83,7 @@ class CodeSpec:
     def from_json(cls, text: str) -> "CodeSpec":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
             raise InputError(f"invalid JSON: {exc}") from exc
         return cls.from_dict(data)
 

@@ -9,11 +9,12 @@ Three pillars used everywhere else:
   coefficient is 0. A value is zero exactly when its coefficients are all
   equal, which makes character-sum zero tests pure integer comparisons.
 - PauliLabel: (a|b) in F_p^n x F_p^n naming the phase-free error X_a Z_b,
-  with symplectic weight and product.
+  with symplectic weight and product. Label searches walk `label_blocks`.
 - F_p linear algebra: rank, solve with nullspace basis, over small matrices.
 
 Capacities keep everything desk-scale: p <= 13, truth tables to 2^24
-entries, state vectors to 2^20, dense operators to dimension 1024.
+entries, state vectors to 2^20, dense operators to dimension 1024, and
+listings of vectors to 2^22 entries.
 """
 from __future__ import annotations
 
@@ -26,6 +27,8 @@ PRIMES = (2, 3, 5, 7, 11, 13)
 
 MAX_TABLE = 2**24
 MAX_STATE = 2**20
+# Most entries (vectors x length) in one listing such as zset's; fits 768 MiB
+MAX_LISTING = 2**22
 MAX_OPERATOR_DIM = 1024
 
 
@@ -137,11 +140,6 @@ class CycloInt:
         return sum(c * z**j for j, c in enumerate(self.coeffs))
 
 
-def cyclo_is_zero(z: CycloInt) -> bool:
-    """True iff the raw coefficient vector is constant, i.e. the value is 0."""
-    return z.is_zero()
-
-
 def cyclo_from_histogram(p: int, hist) -> CycloInt:
     """CycloInt from exponent counts: hist[j] occurrences of zeta^j."""
     return CycloInt(p, tuple(int(h) for h in hist))
@@ -199,26 +197,23 @@ def symplectic_product(u: PauliLabel, v: PauliLabel) -> int:
     return s % u.p
 
 
-def iter_labels_of_weight(p: int, n: int, w: int):
-    """All labels of symplectic weight w, in the fixed total order:
-    support lexicographic, then a-part lexicographic, then b-part
-    lexicographic (each support position allows b = 0 only when a != 0)."""
+def label_blocks(p: int, n: int, w: int):
+    """All labels of symplectic weight w as blocks (a, bs): bs lists the
+    b-parts that go with a, all tuples of Python ints. The blocks
+    concatenated give the fixed order: support, then a, then b, each
+    lexicographic (b_i = 0 only where a_i != 0)."""
     for supp in itertools.combinations(range(n), w):
         for avals in itertools.product(range(p), repeat=w):
             branges = [range(p) if av else range(1, p) for av in avals]
-            for bvals in itertools.product(*branges):
-                a = [0] * n
-                b = [0] * n
-                for pos, av, bv in zip(supp, avals, bvals):
-                    a[pos] = av
-                    b[pos] = bv
-                yield PauliLabel(p, tuple(a), tuple(b))
+            bs = [_on_support(n, supp, bvals) for bvals in itertools.product(*branges)]
+            yield _on_support(n, supp, avals), bs
 
 
-def iter_labels(p: int, n: int, max_weight: int):
-    """Nonzero labels in increasing weight, deterministic within weight."""
-    for w in range(1, max_weight + 1):
-        yield from iter_labels_of_weight(p, n, w)
+def _on_support(n: int, supp: tuple, vals: tuple) -> tuple:
+    out = [0] * n
+    for pos, v in zip(supp, vals):
+        out[pos] = v
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ character autocorrelation, APC distance, the zero-product shift set, bent
 detection, and the coboundary solver that recovers quadratic functions from
 difference constraints.
 
+One label search gives `apc_distance` (one zero shift) and coset distances.
+
 Truth tables are int64 arrays of length p^n in the layout of `_tables`:
 index(x) = sum_i x_i p^(n-i), x_1 most significant, which is the C-order
 ravel of the grid (p,)*n with one axis per variable. Monomials, linear forms
@@ -20,14 +22,15 @@ import numpy as np
 
 from ._tables import digit_axis, index_vectors, linear_values, shifted_indices, vector_index
 from ._textfile import integer, read_header, residues
-from .errors import InputError
+from .errors import CapacityError, InputError
 from .fp_algebra import (
     CycloInt,
     FpMatrix,
+    MAX_LISTING,
     MAX_TABLE,
     PauliLabel,
     cyclo_from_histogram,
-    iter_labels_of_weight,
+    label_blocks,
     rank,
     solve_linear,
     table_size,
@@ -309,18 +312,55 @@ def weight_support(f: LogicFunction):
 # character sums
 
 
-def apc_exponents(f: LogicFunction, e: PauliLabel) -> np.ndarray:
-    """f(x) - f(x-a) + b.x mod p for every x, the exponents of apc_sum."""
-    if e.p != f.p or e.n != f.n:
-        raise InputError("label mismatch")
-    neg_a = tuple(-v % f.p for v in e.a)
-    sh = shifted_indices(f.p, f.n, neg_a)  # index of x - a
-    return (f.table - f.table[sh] + linear_values(f.p, f.n, e.b)) % f.p
+def _shift_difference(f: LogicFunction, a) -> np.ndarray:
+    """f(x) - f(x-a) mod p for every x."""
+    sh = shifted_indices(f.p, f.n, [-v for v in a])  # index of x - a
+    return (f.table - f.table[sh]) % f.p
 
 
 def apc_sum(f: LogicFunction, e: PauliLabel) -> CycloInt:
     """sum_x zeta^( f(x) - f(x-a) + b.x ) as an exact exponent histogram."""
-    return cyclo_from_histogram(f.p, np.bincount(apc_exponents(f, e), minlength=f.p))
+    if e.p != f.p or e.n != f.n:
+        raise InputError("label mismatch")
+    exps = (_shift_difference(f, e.a) + linear_values(f.p, f.n, e.b)) % f.p
+    return cyclo_from_histogram(f.p, np.bincount(exps, minlength=f.p))
+
+
+def _nonzero_sum(exps: np.ndarray, p: int, blocks: int) -> bool:
+    """Whether sum_x zeta^exps[x] != 0, for exponents in [0, blocks * p)."""
+    hist = np.bincount(exps, minlength=blocks * p).reshape(blocks, p).sum(axis=0)
+    return bool(np.any(hist != hist[0]))
+
+
+def _first_nonvanishing(f: LogicFunction, betas) -> tuple:
+    """(w, a, b): the first label, in increasing weight and label_blocks
+    order, at which some shift pair (beta_i, beta_j), i = j included, makes
+    the sum at (a, b + beta_i - beta_j) nonzero; i = j is apc_sum(f, (a, b)),
+    and a full-support row never vanishes. Memory is O(K N): f(x) - f(x-a)
+    per block, the tables +-beta_i.x once, one histogram per distinct
+    delta = beta_i - beta_j and label."""
+    p, n = f.p, f.n
+    plus = [linear_values(p, n, beta) for beta in betas]
+    minus = [linear_values(p, n, [-v for v in beta]) for beta in betas]
+    pairs = {}
+    for (i, bi), (j, bj) in itertools.product(enumerate(betas), repeat=2):
+        pairs.setdefault(tuple((x - y) % p for x, y in zip(bi, bj)), (i, j))
+    del pairs[(0,) * n]  # the i = j test, run on the label's own exponents
+    lin = np.empty(p**n, dtype=np.int64)
+    exps = np.empty_like(lin)
+    for w in range(1, n + 1):
+        for a, bs in label_blocks(p, n, w):
+            diff = _shift_difference(f, a)
+            for b in bs:
+                np.add(diff, linear_values(p, n, b), out=lin)
+                if _nonzero_sum(lin, p, 2):
+                    return w, a, b
+                for i, j in pairs.values():
+                    np.add(lin, plus[i], out=exps)
+                    exps += minus[j]
+                    if _nonzero_sum(exps, p, 4):
+                        return w, a, b
+    raise RuntimeError("unreachable: weight-n labels always include a nonvanishing sum")
 
 
 @dataclass(frozen=True)
@@ -331,25 +371,16 @@ class ApcResult:
 
 def apc_distance(f: LogicFunction) -> ApcResult:
     """Smallest symplectic weight of a nonzero label whose character sum does
-    not vanish, searched in increasing weight with a deterministic witness.
-
-    A full-support row always produces a nonvanishing sum, so the search
-    terminates at weight <= n.
-    """
-    for w in range(1, f.n + 1):
-        for e in iter_labels_of_weight(f.p, f.n, w):
-            if not apc_sum(f, e).is_zero():
-                return ApcResult(w, e)
-    raise RuntimeError("unreachable: weight-n labels always include a nonvanishing sum")
+    not vanish; the witness is the first such label in the fixed order."""
+    w, a, b = _first_nonvanishing(f, [(0,) * f.n])
+    return ApcResult(w, PauliLabel(f.p, a, b))
 
 
 def autocorrelation(f: LogicFunction, a) -> CycloInt:
     """sum_x zeta^( f(x) - f(x+a) ); the plain integer correlation at p = 2."""
-    a = tuple(int(v) % f.p for v in a)
     if len(a) != f.n:
         raise InputError("shift length mismatch")
-    sh = shifted_indices(f.p, f.n, a)
-    exps = (f.table - f.table[sh]) % f.p
+    exps = _shift_difference(f, [-int(v) for v in a])
     return cyclo_from_histogram(f.p, np.bincount(exps, minlength=f.p))
 
 
@@ -377,7 +408,11 @@ def _autocorrelate(v: np.ndarray) -> np.ndarray:
 
 
 def _shifts_where(n: int, mask: np.ndarray) -> set:
-    """The binary shifts a, as tuples, whose index is set in mask."""
+    """The binary shifts a, as tuples, whose index is set in mask; over
+    MAX_LISTING entries in all, refused before any tuple is built."""
+    count = int(np.count_nonzero(mask))
+    if count * n > MAX_LISTING:
+        raise CapacityError(f"{count} shifts of length {n} exceed the listing budget {MAX_LISTING}")
     return set(index_vectors(2, n, np.flatnonzero(mask)))
 
 

@@ -30,7 +30,7 @@ from .fp_algebra import (
     MAX_STATE,
     CycloInt,
     PauliLabel,
-    iter_labels_of_weight,
+    label_blocks,
     table_size,
 )
 
@@ -82,14 +82,12 @@ def state_from_function(f) -> StateVector:
     return StateVector(f.p, f.n, amps)
 
 
-def _error_index(e: PauliLabel, p: int, n: int) -> np.ndarray:
-    """Gather index g with E'_e psi = psi[g], both spelled exponent-major
+def _error_index(a, b, p: int, n: int) -> np.ndarray:
+    """Gather index g with E'_(a,b) psi = psi[g], both spelled exponent-major
     (entry t*N + y is coefficient t at |y>): |y> reads x = y - a with its
     exponents moved up by b.x = b.y - a.b."""
-    if (e.p, e.n) != (p, n):
-        raise InputError("label does not match the state")
-    rot = linear_values(p, n, e.b) - sum(x * y for x, y in zip(e.a, e.b))
-    x = shifted_indices(p, n, tuple(-v for v in e.a))
+    rot = linear_values(p, n, b) - sum(x * y for x, y in zip(a, b))
+    x = shifted_indices(p, n, [-v for v in a])
     g = np.subtract.outer(np.arange(p), rot)  # built in place: one p*N array
     g %= p
     g *= p**n
@@ -99,7 +97,9 @@ def _error_index(e: PauliLabel, p: int, n: int) -> np.ndarray:
 
 def apply_error(e: PauliLabel, state: StateVector) -> StateVector:
     """E'_e acts by new[x + a] = zeta^(b.x) * old[x]."""
-    g = _error_index(e, state.p, state.n)
+    if (e.p, e.n) != (state.p, state.n):
+        raise InputError("label does not match the state")
+    g = _error_index(e.a, e.b, state.p, state.n)
     return StateVector(state.p, state.n, state.amps.T.ravel()[g].reshape(state.p, -1).T)
 
 
@@ -144,8 +144,7 @@ def inner_product(u: StateVector, v: StateVector) -> CycloInt:
 def gram_matrix(basis, e: PauliLabel):
     """G_e[i][j] = <psi_i| E'_e |psi_j> for every basis pair."""
     p, n = _check_basis(basis)
-    X = _stack(basis)
-    G = _gram(X, X[:, _error_index(e, p, n)], p)
+    G = _gram(_stack(basis), _stack([apply_error(e, psi) for psi in basis]), p)
     K = len(basis)
     return [[CycloInt(p, tuple(int(c) for c in G[:, i, j])) for j in range(K)] for i in range(K)]
 
@@ -220,11 +219,12 @@ def _failures(basis, p: int, n: int, max_weight: int):
     # under its default mode="raise"; the index is in range by construction.
     kets = np.empty_like(X)
     for w in range(1, max_weight + 1):
-        for e in iter_labels_of_weight(p, n, w):
-            np.take(X, _error_index(e, p, n), axis=1, out=kets, mode="clip")
-            bad = _violation(_gram(X, kets, p))
-            if bad is not None:
-                yield w, KLFailure(e.a, e.b, *bad)
+        for a, bs in label_blocks(p, n, w):
+            for b in bs:
+                np.take(X, _error_index(a, b, p, n), axis=1, out=kets, mode="clip")
+                bad = _violation(_gram(X, kets, p))
+                if bad is not None:
+                    yield w, KLFailure(a, b, *bad)
 
 
 def _check_basis(basis):

@@ -5,6 +5,7 @@ against, among them the dense projector operators."""
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 
 import numpy as np
@@ -19,7 +20,6 @@ from lfqec import (
     PauliLabel,
     StateVector,
     apc_sum,
-    iter_labels_of_weight,
     operator_matrix,
     rank,
     solve_linear,
@@ -61,6 +61,30 @@ def direct_zset(f: LogicFunction) -> set:
     return {
         tuple(int(bit) for bit in format(a, f"0{f.n}b")) for a in x if np.sum(t * t[x ^ a]) == 0
     }
+
+
+def reference_labels(p: int, n: int, w: int) -> list:
+    """Every label (a, b) of symplectic weight w, picked from all of
+    F_p^n x F_p^n and sorted by support, then a on the support, then b on
+    the support: the fixed order every label search must follow."""
+    return _labels_by_weight(p, n)[w]
+
+
+@functools.lru_cache(maxsize=4)
+def _labels_by_weight(p: int, n: int) -> dict:
+    def key(label):
+        # supports of one weight have one length, so one flat list sorts
+        # by support, then a, then b
+        a, b = label
+        supp = [i for i in range(n) if a[i] or b[i]]
+        return supp + [a[i] for i in supp] + [b[i] for i in supp]
+
+    vectors = list(itertools.product(range(p), repeat=n))
+    by_weight = {w: [] for w in range(n + 1)}
+    for a in vectors:
+        for b in vectors:
+            by_weight[sum(1 for x, y in zip(a, b) if x or y)].append((a, b))
+    return {w: sorted(labels, key=key) for w, labels in by_weight.items()}
 
 
 def reference_apply_error(e: PauliLabel, state: StateVector) -> StateVector:
@@ -122,8 +146,8 @@ def reference_kl_report(basis, max_weight: int) -> dict:
     failures = [
         bad
         for w in range(1, max_weight + 1)
-        for e in iter_labels_of_weight(p, n, w)
-        if (bad := reference_label_failure(basis, e)) is not None
+        for a, b in reference_labels(p, n, w)
+        if (bad := reference_label_failure(basis, PauliLabel(p, a, b))) is not None
     ]
     return {
         "p": p,
@@ -139,8 +163,8 @@ def reference_min_distance(basis, cap: int | None = None):
     p, n = basis[0].p, basis[0].n
     cap = n if cap is None else cap
     for w in range(1, cap + 1):
-        for e in iter_labels_of_weight(p, n, w):
-            if reference_label_failure(basis, e) is not None:
+        for a, b in reference_labels(p, n, w):
+            if reference_label_failure(basis, PauliLabel(p, a, b)) is not None:
                 return w
     return f"> {cap}"
 
@@ -149,13 +173,23 @@ def reference_coset_distance(f: LogicFunction, betas) -> int:
     """claimed_coset_distance with one character sum per label and ordered
     shift pair."""
     for w in range(1, f.n + 1):
-        for e in iter_labels_of_weight(f.p, f.n, w):
+        for a, b in reference_labels(f.p, f.n, w):
             for bi in betas:
                 for bj in betas:
-                    b = tuple((x + y - z) % f.p for x, y, z in zip(e.b, bi, bj))
-                    if not apc_sum(f, PauliLabel(f.p, e.a, b)).is_zero():
+                    moved = tuple((x + y - z) % f.p for x, y, z in zip(b, bi, bj))
+                    if not apc_sum(f, PauliLabel(f.p, a, moved)).is_zero():
                         return w
     raise AssertionError("the diagonal pairs fail by weight n")
+
+
+def reference_apc_distance(f: LogicFunction) -> tuple:
+    """(distance, (a, b) of the witness) of apc_distance, with one
+    character sum per label."""
+    for w in range(1, f.n + 1):
+        for a, b in reference_labels(f.p, f.n, w):
+            if not apc_sum(f, PauliLabel(f.p, a, b)).is_zero():
+                return w, (a, b)
+    raise AssertionError("a full-support row never vanishes")
 
 
 def reference_kernel_check(A: FpMatrix, k: int, d: int):

@@ -238,6 +238,27 @@ def test_exit_2_malformed_integers(files, capsys, argv, texts):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"p":2,"n":2,"claimed_d":2,"basis":5}',
+        '{"p":2,"n":2,"claimed_d":2,"basis":[5]}',
+        '{"p":2,"n":2,"claimed_d":2,"basis":["x1"],"K":"x"}',
+        '{"p":2,"n":2,"claimed_d":2,"basis":["x1"],"K":null}',
+        '{"p":2,"n":1,"claimed_d":1,"basis":"01"}',
+        '{"p":2,"n":2,"claimed_d":1.9,"basis":["x1"]}',
+        '{"p":2,"n":true,"claimed_d":2,"basis":["x1"]}',
+        "[" * 100000,
+    ],
+    ids=["basis-int", "basis-ints", "K-text", "K-null", "basis-text", "d-float", "n-bool", "deep"],
+)
+def test_exit_2_malformed_code_description(files, capsys, text):
+    code = main(["verify", files("code.json", text)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_exit_2_projector_row_squares_to_minus_identity(files, capsys):
     # the premises hold, but row 0 = (01|11) squares to -I
     code = main(

@@ -1,11 +1,12 @@
 """Exact cyclotomic arithmetic, label enumeration, and F_p linear algebra."""
 import cmath
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from conftest import as_complex, close, random_cyclo, rng
+from conftest import as_complex, close, random_cyclo, reference_labels, rng
 from lfqec import (
     CapacityError,
     CycloInt,
@@ -13,9 +14,7 @@ from lfqec import (
     InputError,
     PauliLabel,
     cyclo_from_histogram,
-    cyclo_is_zero,
-    iter_labels,
-    iter_labels_of_weight,
+    label_blocks,
     rank,
     solve_linear,
     symplectic_product,
@@ -32,7 +31,6 @@ def test_root_sum_is_zero():
     for p in (2, 3, 5, 7):
         total = CycloInt(p, (1,) * p)
         assert total.is_zero()
-        assert cyclo_is_zero(total)
 
 
 def test_zero_iff_constant_coefficients():
@@ -135,23 +133,24 @@ def test_symplectic_product_antisymmetric_bilinear():
         assert lhs == rhs
 
 
+def flat_labels(p, n, w):
+    return [(a, b) for a, bs in label_blocks(p, n, w) for b in bs]
+
+
 def test_label_enumeration_counts_and_order():
     # weight-w count: C(n, w) * (p^2 - 1)^w
     for p, n in ((2, 3), (3, 2)):
         total = 0
         for w in range(1, n + 1):
-            labels = list(iter_labels_of_weight(p, n, w))
-            import math
-
+            labels = flat_labels(p, n, w)
             assert len(labels) == math.comb(n, w) * (p * p - 1) ** w
-            assert all(e.weight() == w for e in labels)
+            assert all(PauliLabel(p, a, b).weight() == w for a, b in labels)
             total += len(labels)
         assert total == p ** (2 * n) - 1
-        assert len(set((e.a, e.b) for e in iter_labels(p, n, n))) == total
+        every = [label for w in range(1, n + 1) for label in flat_labels(p, n, w)]
+        assert len(set(every)) == total
 
-    first = list(itertools.islice(iter_labels_of_weight(2, 2, 1), 6))
-    got = [(e.a, e.b) for e in first]
-    assert got == [
+    assert flat_labels(2, 2, 1)[:6] == [
         ((0, 0), (1, 0)),
         ((1, 0), (0, 0)),
         ((1, 0), (1, 0)),
@@ -159,6 +158,17 @@ def test_label_enumeration_counts_and_order():
         ((0, 1), (0, 0)),
         ((0, 1), (0, 1)),
     ]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_label_blocks_follow_the_reference_order(p):
+    for n in range(1, 5):
+        for w in range(n + 1):
+            blocks = list(label_blocks(p, n, w))
+            assert [(a, b) for a, bs in blocks for b in bs] == reference_labels(p, n, w)
+            # one block per (support, a) pair, every value a Python int
+            assert len(blocks) == math.comb(n, w) * p**w
+            assert all(type(v) is int for a, bs in blocks for v in itertools.chain(a, *bs))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
-"""Fuzz the input contract: function, graph, matrix and system files run
-through the command line never escape as an exception and always exit with
-a documented code (0 ok, 1 refuted, 2 bad input, 3 over capacity).
+"""Fuzz the input contract: function, graph, matrix, system and code
+files run through the command line never escape as an exception and always
+exit with a documented code (0 ok, 1 refuted, 2 bad input, 3 over capacity).
 
 Each file starts well formed with small sizes, so that inputs which parse
 stay cheap to run; three in four then get one token replaced by junk or
-one line dropped.
+one line dropped. A code description (JSON) instead gets one field set to a
+value of the wrong type, which must be refused with exit 2, one field set
+to a bad value of the right type, one field dropped, or its text cut short.
 """
 import contextlib
 import io
+import json
 
 import pytest
 
@@ -90,6 +93,36 @@ def system_lines(draw):
     return [[str(p), str(n)]] + draw(st.lists(pair, min_size=1, max_size=3))
 
 
+INTEGER_FIELDS = ("p", "n", "claimed_d", "K")
+NOT_AN_INTEGER = ("2", 1.9, 2.0, None, True, [2], {})
+NOT_A_BASIS = (5, [5], "01", "x1", None, {"x1": 1}, ["x1", 3])
+
+
+@st.composite
+def code_descriptions(draw):
+    """(JSON text, whether a field was given a value of the wrong type)."""
+    p, n = draw(small_p), draw(st.integers(1, 3))
+    variables = [f"x{i}" for i in range(1, n + 1)]
+    anf = st.lists(st.sampled_from(variables + ["1", f"x1*x{n}"]), min_size=1, max_size=3)
+    basis = draw(st.lists(anf.map(" + ".join), min_size=1, max_size=3, unique=True))
+    data = {"p": p, "n": n, "claimed_d": draw(st.integers(1, 3)), "basis": basis}
+    if draw(st.booleans()):
+        data["K"] = len(basis)
+    damage = draw(st.sampled_from(("none", "type", "type", "value", "drop", "text")))
+    key = draw(st.sampled_from(INTEGER_FIELDS + ("basis",)))
+    if damage == "type":
+        data[key] = draw(st.sampled_from(NOT_A_BASIS if key == "basis" else NOT_AN_INTEGER))
+    elif damage == "value":
+        junk_basis = st.lists(st.sampled_from(("q", "x9", "", "x1*")), min_size=1, max_size=2)
+        data[key] = draw(junk_basis if key == "basis" else st.integers(-2, 40))
+    elif damage == "drop":
+        data.pop(key, None)
+    text = json.dumps(data)
+    if damage == "text":
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    return text, damage == "type"
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
@@ -107,6 +140,7 @@ def assert_contract(workdir, argv, texts):
     assert code in (0, 1, 2, 3), (code, texts)
     if code == 2:
         assert err.getvalue().startswith("error: "), (err.getvalue(), texts)
+    return code
 
 
 @FUZZ
@@ -132,3 +166,12 @@ def test_matrix_file_contract(workdir, text, k, d):
 @hypothesis.given(text=damaged(system_lines()))
 def test_system_file_contract(workdir, text):
     assert_contract(workdir, ["solve-basis", "{0}"], [text])
+
+
+@FUZZ
+@hypothesis.given(case=code_descriptions())
+def test_code_file_contract(workdir, case):
+    text, wrong_type = case
+    code = assert_contract(workdir, ["verify", "{0}"], [text])
+    if wrong_type:
+        assert code == 2, text

@@ -8,8 +8,17 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import close, direct_spectrum, direct_zset, random_function, rng
+from conftest import (
+    close,
+    direct_spectrum,
+    direct_zset,
+    random_function,
+    reference_apc_distance,
+    rng,
+)
+import lfqec.logic_fn
 from lfqec import (
+    CapacityError,
     FpMatrix,
     InputError,
     LogicFunction,
@@ -21,7 +30,7 @@ from lfqec import (
     autocorrelation,
     autocorrelation_spectrum,
     is_bent,
-    iter_labels_of_weight,
+    label_blocks,
     parse_anf,
     parse_function_file,
     quadratic_form,
@@ -192,14 +201,37 @@ def test_apc_distance_pins():
     res = apc_distance(f)
     assert res.distance == 2
     # every label below the distance has a vanishing sum; the witness does not
-    for e in iter_labels_of_weight(2, 4, 1):
-        assert apc_sum(f, e).is_zero()
+    for a, bs in label_blocks(2, 4, 1):
+        for b in bs:
+            assert apc_sum(f, PauliLabel(2, a, b)).is_zero()
     assert not apc_sum(f, res.witness).is_zero()
     assert res.witness.weight() == 2
 
     zero = LogicFunction(2, 2, np.zeros(4, dtype=np.int64))
     assert apc_distance(zero).distance == 1
     assert apc_distance(parse_anf("x1 + x2", 3, 2)).distance == 1
+
+
+def random_quadratic(gen, p, n) -> LogicFunction:
+    """Random quadratic plus affine part, squares included at p > 2; such
+    functions often reach weight 2 or 3 before a sum survives."""
+    pairs = [(i, j) for i in range(n) for j in range(i if p > 2 else i + 1, n)]
+    terms = [(int(gen.integers(0, p)), mono) for mono in pairs + [(i,) for i in range(n)]]
+    return LogicFunction.from_anf(p, n, terms)
+
+
+@pytest.mark.parametrize("p, max_n", [(2, 5), (3, 3), (5, 2)])
+def test_apc_distance_matches_per_label_reference(gen, p, max_n):
+    distances = []
+    for _ in range(30):
+        n = int(gen.integers(1, max_n + 1))
+        make = random_quadratic if gen.integers(0, 4) else random_function
+        f = make(gen, p, n)
+        res = apc_distance(f)
+        got = (res.distance, (res.witness.a, res.witness.b))
+        assert got == reference_apc_distance(f)
+        distances.append(res.distance)
+    assert max(distances) >= 2
 
 
 def test_apc_distance_affine_invariance(gen):
@@ -274,6 +306,18 @@ def test_zset_routes_agree_at_n16(gen):
     zs = zset(f)
     assert zs == zset_via_autocorrelation(f)
     assert 0 < len(zs) < 2**n and (0,) * n not in zs
+
+
+def test_zset_listing_budget_counts_entries(monkeypatch):
+    # x1 on n = 4 has the 8 shifts with a_1 = 1: 32 entries in all
+    f = parse_anf("x1", 2, 4)
+    monkeypatch.setattr(lfqec.logic_fn, "MAX_LISTING", 32)
+    assert len(zset(f)) == 8
+    monkeypatch.setattr(lfqec.logic_fn, "MAX_LISTING", 31)
+    with pytest.raises(CapacityError, match="8 shifts of length 4"):
+        zset(f)
+    with pytest.raises(CapacityError):
+        zset_via_autocorrelation(f)
 
 
 def test_is_bent():

@@ -1,7 +1,8 @@
 """Memory ceilings near the 2^24 table cap. Each case runs in a child
 process with one OpenBLAS thread whose address space alone is capped at
 768 MiB: parsing an n = 22 or n = 24 function and `lfqec bent` on an
-n = 22 bent function must finish inside it, with the exact answer."""
+n = 22 bent function must finish inside it, with the exact answer, and
+`lfqec zset` with 2^21 shifts to list must be refused with exit 3."""
 import os
 import pathlib
 import subprocess
@@ -19,9 +20,9 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (CEILING, CEILING))
 
 
-def run_capped(code: str) -> str:
+def run_child(code: str) -> subprocess.CompletedProcess:
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(SRC)}
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code],
         env=env,
         preexec_fn=_cap_address_space,
@@ -29,8 +30,16 @@ def run_capped(code: str) -> str:
         text=True,
         timeout=120,
     )
+
+
+def run_capped(code: str) -> str:
+    proc = run_child(code)
     assert proc.returncode == 0, proc.stderr[-2000:]
     return proc.stdout.strip()
+
+
+def cli_code(*argv) -> str:
+    return f"from lfqec.cli import main\nraise SystemExit(main({list(argv)!r}))"
 
 
 def pairs_anf(n: int) -> str:
@@ -51,5 +60,15 @@ def test_bent_command_fits_the_ceiling(tmp_path):
     # is_bent plus the support size, through the command line
     fn = tmp_path / "bent22.fn"
     fn.write_text(f"2 22\nanf: {pairs_anf(22)}\n")
-    out = run_capped(f"from lfqec.cli import main\nraise SystemExit(main(['bent', {str(fn)!r}]))")
+    out = run_capped(cli_code("bent", str(fn)))
     assert out == f"bent: true\nsupport size: {2**21 - 2**10}"
+
+
+def test_zset_listing_over_budget_is_refused(tmp_path):
+    # x1 has the 2^21 shifts with a_1 = 1; listing them needs about 1 GB
+    fn = tmp_path / "half22.fn"
+    fn.write_text("2 22\nanf: x1\n")
+    proc = run_child(cli_code("zset", str(fn)))
+    assert proc.returncode == 3, proc.stderr[-2000:]
+    assert proc.stderr.startswith("capacity: ") and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
