@@ -11,6 +11,7 @@ or an inconsistent difference system); 2 malformed input; 3 capacity.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import re
 import sys
@@ -38,7 +39,6 @@ from .logic_fn import (
     apc_distance,
     parse_function_file,
     solve_coboundary,
-    weight_support,
     is_bent,
     zset,
 )
@@ -114,7 +114,11 @@ def _parse_betas(arg: str, p: int, n: int) -> list:
 
 def _emit(args, payload: dict, text_lines: list) -> None:
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        # streamed in batches: no copy of the whole text, and no write per chunk
+        chunks = json.JSONEncoder(indent=2).iterencode(payload)
+        while batch := list(itertools.islice(chunks, 4096)):
+            sys.stdout.write("".join(batch))
+        sys.stdout.write("\n")
     else:
         for line in text_lines:
             print(line)
@@ -189,9 +193,11 @@ def cmd_apc(args) -> int:
 def cmd_zset(args) -> int:
     f = parse_function_file(_read(args.function))
     zs = sorted(zset(f))
-    payload = {"size": len(zs), "shifts": [list(v) for v in zs]}
-    lines = [f"size: {len(zs)}"] + [_vector_str(v) for v in zs]
-    _emit(args, payload, lines)
+    # only the requested form: near the listing budget each takes hundreds of MB
+    if args.format == "json":
+        _emit(args, {"size": len(zs), "shifts": zs}, [])  # tuples encode as JSON lists
+    else:
+        _emit(args, {}, [f"size: {len(zs)}", *map(_vector_str, zs)])
     return 0
 
 
@@ -275,13 +281,12 @@ def cmd_projector(args) -> int:
         report = exc.report
         _emit(args, {"premises": report.to_dict()}, [f"premises: FAIL ({report.summary()})"])
         return 1
-    # projector_rank returns only when every premise holds, and the rank is M
+    # projector_rank returns only when every premise holds, and the rank is the support size
     report = PremiseReport(f.n, prank, True, (), (), (), True)
-    M, support = weight_support(f)
-    payload = {"premises": report.to_dict(), "rank": prank, "support_size": M}
-    lines = ["premises: ok", f"projector rank: {prank} (support size {M})"]
+    payload = {"premises": report.to_dict(), "rank": prank, "support_size": prank}
+    lines = ["premises: ok", f"projector rank: {prank} (support size {prank})"]
     if args.extract_basis:
-        basis = [extract_boolean_basis(f, A, t) for t in support]
+        basis = extract_boolean_basis(f, A)
         payload["basis"] = [anf_text(g) for g in basis]
         lines += [f"basis[{i}]: {anf_text(g)}" for i, g in enumerate(basis)]
     _emit(args, payload, lines)

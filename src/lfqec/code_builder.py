@@ -15,14 +15,7 @@ from .codespec import CodeSpec
 from .errors import InputError, PremiseError
 from .fp_algebra import FpMatrix
 from .graph_codes import matrix_code_check
-from .logic_fn import (
-    LogicFunction,
-    _first_nonvanishing,
-    add_affine,
-    parse_anf,
-    quadratic_form,
-    weight_support,
-)
+from .logic_fn import LogicFunction, _first_nonvanishing, add_affine, parse_anf, quadratic_form
 from .projector_codes import extract_boolean_basis
 
 
@@ -117,10 +110,8 @@ def mds_matrix(m: int) -> FpMatrix:
 
 def build_mds_family(m: int) -> CodeSpec:
     """Code claimed ((2m, 2^(2m-2), 2)): one basis function per support
-    point of the product function, each recovered from its projector
-    syndrome and checked exactly as a joint eigenvector of the rows."""
+    point of the product function, all recovered from one coboundary solve
+    and each checked exactly as a joint eigenvector of the rows."""
     f = mds_function(m)
-    A = mds_matrix(m)
-    _, support = weight_support(f)
-    basis = tuple(extract_boolean_basis(f, A, t) for t in support)
-    return CodeSpec(f.p, f.n, basis, claimed_d=2, provenance="mds-family")
+    basis = extract_boolean_basis(f, mds_matrix(m))
+    return CodeSpec(f.p, f.n, tuple(basis), claimed_d=2, provenance="mds-family")

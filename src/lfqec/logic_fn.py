@@ -245,7 +245,10 @@ def parse_anf(text: str, p: int, n: int) -> LogicFunction:
     """Parse a polynomial in x1..xn (aliases y1..yn) into a LogicFunction
     with both the reduced ANF and the expanded table."""
     table_size(p, n)
-    poly = _Parser(text, p, n).parse()
+    try:
+        poly = _Parser(text, p, n).parse()
+    except RecursionError as exc:  # too deeply nested
+        raise InputError("polynomial nests too deeply") from exc
     terms = []
     for expvec, coeff in poly.items():
         mono = tuple(v for v, e in enumerate(expvec) for _ in range(e))
@@ -253,14 +256,36 @@ def parse_anf(text: str, p: int, n: int) -> LogicFunction:
     return LogicFunction.from_anf(p, n, terms)
 
 
+def _anf_terms(f: LogicFunction) -> tuple:
+    """The reduced ANF of f: f.anf, or else interpolated from the table.
+    On one axis v(x) = sum_a v(a) (1 - (x - a)^(p-1)) and
+    (x - a)^(p-1) = sum_k a^(p-1-k) x^k mod p, so the coefficient of x^k is
+    sum_a ([k = 0] - a^(p-1-k)) v(a) with 0^0 = 1; applied along every axis
+    of the grid, and at p = 2 it is the Moebius transform."""
+    if f.anf is not None:
+        return f.anf
+    p, n = f.p, f.n
+    T = np.array([[(int(k == 0) - pow(a, p - 1 - k, p)) % p for a in range(p)] for k in range(p)])
+    grid = f.table.reshape((p,) * n)
+    for axis in range(n):
+        grid = np.moveaxis(np.tensordot(T, grid, axes=(1, axis)), 0, axis) % p
+    flat = grid.reshape(-1)
+    idx = np.flatnonzero(flat)
+    terms = [
+        (c, tuple(v for v, e in enumerate(k) for _ in range(e)))
+        for c, k in zip(flat[idx].tolist(), index_vectors(p, n, idx))
+    ]
+    return _canonical_terms(p, n, terms)
+
+
 def anf_text(f: LogicFunction) -> str:
-    """Canonical ANF string, e.g. 'x1*x2 + 2*x3 + 1'. Requires f.anf."""
-    if f.anf is None:
-        raise InputError("function carries no ANF")
-    if not f.anf:
+    """Canonical ANF string, e.g. 'x1*x2 + 2*x3 + 1'; interpolated from the
+    table when f carries no ANF."""
+    terms = _anf_terms(f)
+    if not terms:
         return "0"
     parts = []
-    for coeff, mono in f.anf:
+    for coeff, mono in terms:
         factors = []
         for v in sorted(set(mono)):
             e = mono.count(v)

@@ -1,7 +1,7 @@
 """Projector-style binary codes: exact operator matrices over Z[zeta_p]
-with dyadic scaling, displacement-label algebra, the four-premise shift-set
-test for stabilizer matrices A = (L|B), the projector's rank, and recovery
-of the basis functions from single syndrome terms.
+with dyadic scaling, the four-premise shift-set test for stabilizer
+matrices A = (L|B), the projector's rank, and recovery of the basis
+functions of every syndrome term from one coboundary solve.
 
 No verdict forms a dense operator. The rank follows from the premises, and
 each recovered state is checked as a joint eigenvector of the n rows, one
@@ -11,7 +11,6 @@ integer entries, for callers that want the dense operator algebra itself.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,10 +23,11 @@ from .fp_algebra import (
     FpMatrix,
     PauliLabel,
     rank as fp_rank,
+    solve_linear,
     symplectic_product,
     validate_prime,
 )
-from .logic_fn import LogicFunction, is_bent, solve_coboundary, zset
+from .logic_fn import LogicFunction, add_affine, is_bent, solve_coboundary, weight_support, zset
 from .state_oracle import StateVector, apply_error, state_from_function
 
 _FLOAT_EXACT_BOUND = 2**52
@@ -180,33 +180,6 @@ def operator_matrix(e: PauliLabel) -> OperatorMatrix:
 
 
 # ---------------------------------------------------------------------------
-# signed-label algebra (binary)
-
-
-def projector_and(left: tuple, right: tuple) -> tuple:
-    """Product of signed displacement labels over F_2:
-    (s, u) * (s', v) = (s * s' * (-1)^(b_u . a_v), u + v)."""
-    s1, u = left
-    s2, v = right
-    if u.p != 2 or v.p != 2:
-        raise InputError("signed-label products are defined for p = 2")
-    if s1 not in (1, -1) or s2 not in (1, -1):
-        raise InputError("signs must be +1 or -1")
-    cross = sum(x * y for x, y in zip(u.b, v.a)) % 2
-    sign = s1 * s2 * (-1 if cross else 1)
-    return (sign, u + v)
-
-
-def projector_or(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    """Disjunction of orthogonal projectors: the plain sum."""
-    return a.add(b)
-
-
-def projector_not(a: OperatorMatrix) -> OperatorMatrix:
-    return OperatorMatrix.identity(a.p, a.n).sub(a)
-
-
-# ---------------------------------------------------------------------------
 # four-premise test for A = (L|B) against a function's shift set
 
 
@@ -326,15 +299,22 @@ def projector_rank(f: LogicFunction, A: FpMatrix) -> int:
     return report.M
 
 
-def extract_boolean_basis(f: LogicFunction, A: FpMatrix, t) -> LogicFunction:
-    """Recover the quadratic function g whose state spans the syndrome-t
-    term of the projector for (f, A): solve the difference system
+def extract_boolean_basis(f: LogicFunction, A: FpMatrix) -> list:
+    """Recover, for every support point t of f in table-index order, the
+    quadratic function g_t whose state spans the syndrome-t term of the
+    projector for (f, A). Each g_t solves the difference system
 
         g(x + alpha_i) - g(x) = beta_i . x + t_i + beta_i . alpha_i
 
-    over the rows (alpha_i | beta_i) of A, then verify exactly that
-    E_i psi_g = (-1)^(t_i) psi_g for every row. Requires t in the support of
-    f and an invertible left block.
+    over the rows (alpha_i | beta_i) of A, and is verified exactly:
+    E_i psi_g = (-1)^(t_i) psi_g for every row. Requires an invertible left
+    block L; an empty support gives [].
+
+    The system changes with t only in its constants, so one solve serves
+    every syndrome: g_t = g_0 + lambda_t . x with L lambda_t = t, where g_0
+    solves the system at t = 0. L is invertible, so lambda_t and the solution
+    are unique, and the system is consistent for one t exactly when it is
+    for all.
 
     The check is the term identity term == (1/2^n)|psi_g><psi_g|. A common
     +-1 eigenvector forces the rows to be commuting involutions (E_i E_j =
@@ -344,33 +324,32 @@ def extract_boolean_basis(f: LogicFunction, A: FpMatrix, t) -> LogicFunction:
     if f.p != 2:
         raise InputError("basis extraction is defined for p = 2")
     n = f.n
-    t = tuple(int(v) % 2 for v in t)
-    if len(t) != n:
-        raise InputError("syndrome length mismatch")
-    if f.value(t) == 0:
-        raise InputError(f"syndrome {t} is not in the support of the function")
     rows = _stabilizer_rows(A)
     left = A.submatrix(range(n), range(n))
     if fp_rank(left) != n:
         raise InputError("left block of the matrix must be invertible")
     _operator_dim(2, n)
-    pairs = []
-    for i, row in enumerate(rows):
-        const = (t[i] + sum(x * y for x, y in zip(row.a, row.b))) % 2
-        pairs.append((row.a, row.b, const))
-    g = solve_coboundary(pairs, 2, n)
-    if g is None:
+    _, support = weight_support(f)
+    if not support:
+        return []
+    pairs = [(e.a, e.b, sum(x * y for x, y in zip(e.a, e.b)) % 2) for e in rows]
+    g0 = solve_coboundary(pairs, 2, n)
+    if g0 is None:
         raise PremiseError(
             "no quadratic function satisfies the syndrome difference system"
         )
-    psi = state_from_function(g)
-    for i, (row, ti) in enumerate(zip(rows, t)):
-        want = StateVector(2, n, -psi.amps) if ti else psi
-        if apply_error(row, psi) != want:
-            raise RuntimeError(
-                f"recovered state is not an eigenvector of row {i} with sign (-1)^{ti}"
-            )
-    return g
+    basis = []
+    for t in support:
+        g = add_affine(g0, solve_linear(left, t).particular)
+        psi = state_from_function(g)
+        for i, (row, ti) in enumerate(zip(rows, t)):
+            want = StateVector(2, n, -psi.amps) if ti else psi
+            if apply_error(row, psi) != want:
+                raise RuntimeError(
+                    f"recovered state is not an eigenvector of row {i} with sign (-1)^{ti}"
+                )
+        basis.append(g)
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -393,22 +372,3 @@ def bent_exclusion(f: LogicFunction) -> bool:
     if zset(f):
         raise RuntimeError("bent function with nonempty zero-product shift set")
     return True
-
-
-# ---------------------------------------------------------------------------
-# convenience: enumerate all signed-label products of a row set
-
-
-def row_span_labels(A: FpMatrix) -> list:
-    """Signed labels of all products of subsets of the rows of A (binary),
-    in subset-lex order; useful for stabilizer-group inspection."""
-    rows = _stabilizer_rows(A)
-    n = len(rows)
-    out = []
-    for size in range(n + 1):
-        for combo in itertools.combinations(range(n), size):
-            acc = (1, PauliLabel(2, (0,) * A.rows, (0,) * A.rows))
-            for i in combo:
-                acc = projector_and(acc, (1, rows[i]))
-            out.append(acc)
-    return out

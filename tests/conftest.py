@@ -1,7 +1,8 @@
 """Shared helpers: seeded random objects, independent float-arithmetic
 cross-checks, and the direct (slow, exact) reference implementations that
 the transform, matrix-product and eigenvector routines are compared
-against, among them the dense projector operators."""
+against, among them the dense projector operators and the syndrome-by-
+syndrome basis extraction."""
 from __future__ import annotations
 
 import cmath
@@ -18,11 +19,14 @@ from lfqec import (
     LogicFunction,
     OperatorMatrix,
     PauliLabel,
+    PremiseError,
     StateVector,
     apc_sum,
     operator_matrix,
     rank,
+    solve_coboundary,
     solve_linear,
+    state_from_function,
     symplectic_product,
     weight_support,
 )
@@ -254,6 +258,30 @@ def assemble_projector(f: LogicFunction, A: FpMatrix) -> OperatorMatrix:
         term = syndrome_term(ops, t, f.p, f.n)
         acc = term if acc is None else acc.add(term)
     return acc
+
+
+def reference_boolean_basis(f: LogicFunction, A: FpMatrix, t) -> LogicFunction:
+    """The syndrome-t basis function solved on its own: the full difference
+    system g(x + alpha_i) - g(x) = beta_i . x + t_i + beta_i . alpha_i over
+    the rows of A, then the check E_i psi_g = (-1)^(t_i) psi_g per row with
+    the basis-state-by-basis-state displacement. Raises as the library does
+    for p != 2, a singular left block and an inconsistent system."""
+    if f.p != 2:
+        raise InputError("basis extraction is defined for p = 2")
+    n = f.n
+    rows = stabilizer_labels(A)
+    if rank(A.submatrix(range(n), range(n))) != n:
+        raise InputError("left block of the matrix must be invertible")
+    pairs = [(e.a, e.b, (ti + sum(x * y for x, y in zip(e.a, e.b))) % 2) for e, ti in zip(rows, t)]
+    g = solve_coboundary(pairs, 2, n)
+    if g is None:
+        raise PremiseError("no quadratic function satisfies the syndrome difference system")
+    psi = state_from_function(g)
+    for i, (e, ti) in enumerate(zip(rows, t)):
+        want = StateVector(2, n, -psi.amps) if ti else psi
+        if reference_apply_error(e, psi) != want:
+            raise RuntimeError(f"recovered state is not an eigenvector of row {i} with sign (-1)^{ti}")
+    return g
 
 
 def function_outer(g: LogicFunction) -> OperatorMatrix:

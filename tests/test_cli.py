@@ -113,6 +113,17 @@ def test_coset_code(files, capsys):
     assert data["verification"]["verdict"] == "pass"
 
 
+def test_coset_code_from_truth_table(files, capsys):
+    # the basis ANF is interpolated from the table: same bytes as the ANF file
+    tt = files("maj.tt", "2 3\ntt: 00010111\n")
+    anf = files("maj.fn", "2 3\nanf: x1*x2 + x1*x3 + x2*x3\n")
+    for fmt in ("text", "json"):
+        code, out = run(capsys, "coset-code", tt, "--betas", "000,100", "--format", fmt)
+        assert code == 0
+        assert out == run(capsys, "coset-code", anf, "--betas", "000,100", "--format", fmt)[1]
+    assert '"x1 + x1*x2 + x1*x3 + x2*x3"' in out
+
+
 def test_projector_repaired(files, capsys):
     code, data = run_json(
         capsys,
@@ -254,6 +265,24 @@ def test_exit_2_malformed_integers(files, capsys, argv, texts):
 )
 def test_exit_2_malformed_code_description(files, capsys, text):
     code = main(["verify", files("code.json", text)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+DEEP_ANF = "(" * 400 + "x1" + ")" * 400
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["zset", "{0}"], f"2 2\nanf: {DEEP_ANF}\n"),
+        (["verify", "{0}"], json.dumps({"p": 2, "n": 2, "claimed_d": 1, "basis": [DEEP_ANF]})),
+    ],
+    ids=["zset", "verify"],
+)
+def test_exit_2_deeply_nested_anf(files, capsys, argv, text):
+    code = main([arg.format(files("deep.txt", text)) for arg in argv])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err

@@ -3,8 +3,9 @@ files run through the command line never escape as an exception and always
 exit with a documented code (0 ok, 1 refuted, 2 bad input, 3 over capacity).
 
 Each file starts well formed with small sizes, so that inputs which parse
-stay cheap to run; three in four then get one token replaced by junk or
-one line dropped. A code description (JSON) instead gets one field set to a
+stay cheap to run, though an ANF body may nest deeper than the interpreter
+recurses; three in four then get one token replaced by junk or one line
+dropped. A code description (JSON) instead gets one field set to a
 value of the wrong type, which must be refused with exit 2, one field set
 to a bad value of the right type, one field dropped, or its text cut short.
 """
@@ -60,6 +61,9 @@ def function_lines(draw):
     factor = st.sampled_from([f"x{i}" for i in range(1, n + 1)] + ["2", "y1^2"])
     monomial = st.lists(factor, min_size=1, max_size=3).map("*".join)
     anf = st.lists(monomial, min_size=1, max_size=3).map(" + ".join)
+    # 600 levels nest past the interpreter's recursion limit
+    depth = st.sampled_from((0, 0, 2, 600))
+    anf = st.tuples(anf, depth).map(lambda ad: "(" * ad[1] + ad[0] + ")" * ad[1])
     body = draw(st.one_of(
         anf.map(lambda text: ["anf:", text]),
         vector(p, p**n).map(lambda tt: ["tt:", tt]),

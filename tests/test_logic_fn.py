@@ -101,13 +101,29 @@ def test_anf_text_round_trip(gen):
         assert parse_anf(anf_text(f), p, n) == f
 
 
+def test_anf_interpolated_from_table(gen):
+    # a function built from its table carries no ANF; anf_text interpolates it
+    for _ in range(300):
+        p = int(gen.choice([2, 3, 5, 7]))
+        n = int(gen.integers(1, {2: 6, 3: 4, 5: 3, 7: 2}[p] + 1))
+        terms = []
+        for _ in range(int(gen.integers(0, 6))):
+            exps = gen.integers(0, p, n) * (gen.random(n) < 0.5)
+            mono = tuple(v for v, e in enumerate(exps.tolist()) for _ in range(e))
+            terms.append((int(gen.integers(1, p)), mono))
+        f = LogicFunction.from_anf(p, n, terms)
+        derived = lfqec.logic_fn._anf_terms(LogicFunction(p, n, f.table))
+        assert derived == f.anf
+        assert LogicFunction.from_anf(p, n, derived) == f
+        g = random_function(gen, p, n)
+        assert g.anf is None
+        assert parse_anf(anf_text(g), p, n) == g
+
+
 def test_anf_matches_table_evaluation(gen):
     for _ in range(50):
         p = int(gen.choice([2, 3, 5]))
         n = int(gen.integers(1, 4))
-        f = random_function(gen, p, n)
-        # interpolate is not provided; instead verify from_anf agrees with
-        # direct evaluation for randomly assembled polynomials
         text_terms = []
         for _ in range(int(gen.integers(1, 5))):
             vs = gen.choice(n, size=int(gen.integers(1, min(n, 2) + 1)), replace=False)

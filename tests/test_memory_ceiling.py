@@ -2,7 +2,9 @@
 process with one OpenBLAS thread whose address space alone is capped at
 768 MiB: parsing an n = 22 or n = 24 function and `lfqec bent` on an
 n = 22 bent function must finish inside it, with the exact answer, and
-`lfqec zset` with 2^21 shifts to list must be refused with exit 3."""
+`lfqec zset` with 2^21 shifts to list must be refused with exit 3. Under
+256 MiB, `lfqec zset --format json` must list 2^17 shifts of length 18."""
+import json
 import os
 import pathlib
 import subprocess
@@ -16,16 +18,12 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 CEILING = 768 << 20
 
 
-def _cap_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (CEILING, CEILING))
-
-
-def run_child(code: str) -> subprocess.CompletedProcess:
+def run_child(code: str, ceiling: int = CEILING) -> subprocess.CompletedProcess:
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(SRC)}
     return subprocess.run(
         [sys.executable, "-c", code],
         env=env,
-        preexec_fn=_cap_address_space,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (ceiling, ceiling)),
         capture_output=True,
         text=True,
         timeout=120,
@@ -72,3 +70,14 @@ def test_zset_listing_over_budget_is_refused(tmp_path):
     assert proc.returncode == 3, proc.stderr[-2000:]
     assert proc.stderr.startswith("capacity: ") and "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_zset_json_listing_fits_256_mib(tmp_path):
+    # x1 has the 2^17 shifts with a_1 = 1; the JSON text is never held whole
+    fn = tmp_path / "half18.fn"
+    fn.write_text("2 18\nanf: x1\n")
+    proc = run_child(cli_code("zset", str(fn), "--format", "json"), ceiling=256 << 20)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    data = json.loads(proc.stdout)
+    assert data["size"] == 2**17
+    assert data["shifts"] == [[1] + [i >> (16 - j) & 1 for j in range(17)] for i in range(2**17)]

@@ -1,6 +1,7 @@
 """Exact dyadic-cyclotomic operator algebra, the four-premise projector
 construction, syndrome-term extraction against the dense operator
-reference, and the bent-function exclusion."""
+reference and the syndrome-by-syndrome solve, and the bent-function
+exclusion."""
 import itertools
 
 import numpy as np
@@ -12,6 +13,7 @@ from conftest import (
     float_displacement,
     function_outer,
     random_function,
+    reference_boolean_basis,
     rng,
     stabilizer_labels,
     syndrome_term,
@@ -26,6 +28,7 @@ from lfqec import (
     PauliLabel,
     PremiseError,
     add_affine,
+    anf_text,
     bent_exclusion,
     build_mds_family,
     check_projector_premises,
@@ -34,12 +37,8 @@ from lfqec import (
     mds_matrix,
     operator_matrix,
     parse_anf,
-    projector_and,
-    projector_not,
-    projector_or,
     projector_rank,
     rank,
-    row_span_labels,
     state_from_function,
     weight_support,
 )
@@ -160,29 +159,7 @@ def test_operator_capacity():
 
 
 # ---------------------------------------------------------------------------
-# signed-label algebra and projector forms
-
-
-def test_projector_and_matches_matrices(gen):
-    for _ in range(100):
-        n = int(gen.integers(1, 3))
-        u = random_label(gen, 2, n)
-        v = random_label(gen, 2, n)
-        s1 = int(gen.choice([1, -1]))
-        s2 = int(gen.choice([1, -1]))
-        sign, w = projector_and((s1, u), (s2, v))
-        lhs = operator_matrix(u).mul(operator_matrix(v)).phase(0 if s1 * s2 == 1 else 1)
-        rhs = operator_matrix(w).phase(0 if sign == 1 else 1)
-        assert lhs == rhs
-
-
-def test_projector_and_validation():
-    u = PauliLabel(3, (1,), (0,))
-    with pytest.raises(InputError):
-        projector_and((1, u), (1, u))
-    v = PauliLabel(2, (1,), (0,))
-    with pytest.raises(InputError):
-        projector_and((2, v), (1, v))
+# projector forms
 
 
 def test_projector_logic_identities():
@@ -192,19 +169,9 @@ def test_projector_logic_identities():
     minus = I.sub(X).half()
     assert plus.is_idempotent() and minus.is_idempotent()
     assert plus.rank() == 1 and minus.rank() == 1
-    assert projector_or(plus, minus) == I
-    assert projector_not(plus) == minus
-    assert projector_not(projector_not(plus)) == plus
+    assert plus.add(minus) == I
     with pytest.raises(InputError):
         X.rank()  # not idempotent
-
-
-def test_row_span_labels_group():
-    labels = row_span_labels(repaired_matrix())
-    assert len(labels) == 16
-    assert labels[0] == (1, PauliLabel(2, (0, 0, 0, 0), (0, 0, 0, 0)))
-    seen = {lab for _, lab in labels}
-    assert len(seen) == 16  # independent rows generate 2^n distinct labels
 
 
 # ---------------------------------------------------------------------------
@@ -311,49 +278,47 @@ def test_extraction_reproduces_expected_functions():
         (0, 0, 1, 1): add_affine(g, (1, 1, 1, 1), 0),
         (1, 1, 1, 1): add_affine(g, (0, 0, 1, 1), 0),
     }
-    for t, want in expected.items():
-        got = extract_boolean_basis(g, A, t)
-        diff = (np.asarray(got.table) - np.asarray(want.table)) % 2
+    support = weight_support(g)[1]
+    basis = extract_boolean_basis(g, A)
+    assert len(basis) == len(support) == 4
+    for t, got in zip(support, basis):
+        diff = (np.asarray(got.table) - np.asarray(expected[t].table)) % 2
         assert len(set(diff.tolist())) == 1
 
 
 def test_extraction_single_row():
     f = parse_anf("x1", 2, 1)
     A = FpMatrix.from_rows(2, [[1, 0]])
-    g = extract_boolean_basis(f, A, (1,))
-    assert g == parse_anf("x1", 2, 1)
+    assert extract_boolean_basis(f, A) == [parse_anf("x1", 2, 1)]
 
 
 def test_extraction_errors():
     g = mds_function(2)
     A = mds_matrix(2)
-    with pytest.raises(InputError, match="support"):
-        extract_boolean_basis(g, A, (0, 0, 1, 0))
-    with pytest.raises(InputError, match="length"):
-        extract_boolean_basis(g, A, (1, 0))
     zeros = FpMatrix.from_rows(2, [[0] * 8 for _ in range(4)])
     with pytest.raises(InputError, match="invertible"):
-        extract_boolean_basis(g, zeros, (1, 0, 0, 0))
+        extract_boolean_basis(g, zeros)
     with pytest.raises(InputError):
-        extract_boolean_basis(parse_anf("x1*x2", 3, 2), A, (1, 1))
+        extract_boolean_basis(parse_anf("x1*x2", 3, 2), A)
 
 
 def test_extraction_rejects_a_wrong_solution(monkeypatch):
     # adding x4 flips the eigenvalue of row 3 = (e_4 | .) only
     g = mds_function(2)
     A = mds_matrix(2)
-    t = (1, 0, 0, 0)
-    wrong = add_affine(extract_boolean_basis(g, A, t), (0, 0, 0, 1), 0)
-    monkeypatch.setattr(projector_codes, "solve_coboundary", lambda *args: wrong)
+    solve = projector_codes.solve_coboundary
+    monkeypatch.setattr(
+        projector_codes, "solve_coboundary", lambda *args: add_affine(solve(*args), (0, 0, 0, 1))
+    )
     with pytest.raises(RuntimeError, match="row 3"):
-        extract_boolean_basis(g, A, t)
+        extract_boolean_basis(g, A)
 
 
 def test_extraction_premise_error_on_inconsistent_rows():
     f = parse_anf("x1", 2, 2)
     A = FpMatrix.from_rows(2, [[1, 0, 0, 1], [0, 1, 0, 0]])
     with pytest.raises(PremiseError):
-        extract_boolean_basis(f, A, (1, 0))
+        extract_boolean_basis(f, A)
 
 
 def random_stabilizer_matrix(gen, n):
@@ -391,6 +356,38 @@ def function_meeting_premises(gen, A):
     return None
 
 
+def test_extraction_matches_per_syndrome_reference(gen):
+    # one solve for all syndromes against one full solve per syndrome, on
+    # mds_matrix(m), random G(I|S) matrices with a quarter of them given one
+    # flipped right-block bit (commutation or a . b = 0 breaks, so the system
+    # is inconsistent), and functions that are often identically zero
+    cases = [(mds_function(m), mds_matrix(m)) for m in (2, 3, 4)]
+    for _ in range(60):
+        n = int(gen.integers(1, 7))
+        A = random_stabilizer_matrix(gen, n)
+        if gen.random() < 0.25:
+            rows = [list(A.row(i)) for i in range(n)]
+            rows[int(gen.integers(n))][n + int(gen.integers(n))] ^= 1
+            A = FpMatrix.from_rows(2, rows)
+        density = float(gen.choice([0.0, 0.2, 0.5]))
+        cases.append((LogicFunction(2, n, (gen.random(2**n) < density).astype(np.int64)), A))
+    inconsistent = empty = 0
+    for f, A in cases:
+        support = weight_support(f)[1]
+        try:
+            want = [reference_boolean_basis(f, A, t) for t in support]
+        except PremiseError:
+            inconsistent += 1
+            with pytest.raises(PremiseError):
+                extract_boolean_basis(f, A)
+            continue
+        got = extract_boolean_basis(f, A)
+        assert got == want
+        assert [anf_text(g) for g in got] == [anf_text(g) for g in want]
+        empty += not support
+    assert inconsistent >= 5 and empty >= 5
+
+
 def test_projector_rank_and_extraction_match_dense_reference(gen):
     cases = singular = 0
     while cases < 24:
@@ -404,14 +401,12 @@ def test_projector_rank_and_extraction_match_dense_reference(gen):
             cases += 1
             assert projector_rank(f, A) == assemble_projector(f, A).rank()
             ops = [operator_matrix(e) for e in stabilizer_labels(A)]
-            left_invertible = rank(A.submatrix(range(n), range(n))) == n
-            singular += not left_invertible
-            for t in weight_support(f)[1]:
-                if not left_invertible:
-                    with pytest.raises(InputError, match="invertible"):
-                        extract_boolean_basis(f, A, t)
-                    continue
-                g = extract_boolean_basis(f, A, t)
+            if rank(A.submatrix(range(n), range(n))) != n:
+                singular += 1
+                with pytest.raises(InputError, match="invertible"):
+                    extract_boolean_basis(f, A)
+                continue
+            for t, g in zip(weight_support(f)[1], extract_boolean_basis(f, A)):
                 assert function_outer(g) == syndrome_term(ops, t, 2, n)
     assert singular >= 3
 
