@@ -43,7 +43,7 @@ from .logic_fn import (
     zset,
 )
 from .projector_codes import PremiseReport, extract_boolean_basis, projector_rank
-from .state_oracle import kl_verify, min_distance, state_from_function
+from .state_oracle import kl_verify_functions, min_distance_functions
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +179,7 @@ def cmd_apc(args) -> int:
     ]
     code = 0
     if args.verify:
-        oracle = min_distance([state_from_function(f)], cap=f.n)
+        oracle = min_distance_functions([f], cap=f.n)
         agree = oracle == res.distance
         payload["oracle_distance"] = oracle
         payload["oracle_agrees"] = agree
@@ -313,10 +313,9 @@ def cmd_solve_basis(args) -> int:
 def cmd_verify(args) -> int:
     spec = CodeSpec.from_json(_read(args.codespec))
     max_weight = args.max_weight if args.max_weight is not None else spec.claimed_d - 1
-    report = kl_verify(spec.states(), max_weight)
-    payload = report.to_dict()
+    report = kl_verify_functions(spec.basis, max_weight)
     lines = [f"verdict: {report.verdict} (max weight {max_weight})"] + _failure_lines(report)
-    _emit(args, payload, lines)
+    _emit(args, report.to_dict(), lines)
     return 0 if report.passed else 1
 
 

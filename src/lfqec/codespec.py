@@ -2,9 +2,9 @@
 claimed parameters ((n, K, d)), and where the construction came from.
 
 A CodeSpec is a *claim*. `check_claim` turns it into a verdict by running
-the exact state-vector check at every error weight below the claimed
-distance; builders surface the report instead of silently trusting their
-own bookkeeping.
+the exact oracle check on the basis functions at every error weight below
+the claimed distance; builders surface the report instead of silently
+trusting their own bookkeeping.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .logic_fn import LogicFunction, anf_text, parse_anf
-from .state_oracle import VerifyReport, kl_verify, state_from_function
+from .state_oracle import VerifyReport, kl_verify_functions, state_from_function
 
 
 @dataclass(frozen=True)
@@ -91,4 +91,4 @@ class CodeSpec:
 def check_claim(spec: CodeSpec) -> VerifyReport:
     """Exact check of the distance claim: every error of weight below
     claimed_d must leave the scalar-Gram condition intact."""
-    return kl_verify(spec.states(), spec.claimed_d - 1)
+    return kl_verify_functions(spec.basis, spec.claimed_d - 1)

@@ -256,19 +256,21 @@ def parse_anf(text: str, p: int, n: int) -> LogicFunction:
     return LogicFunction.from_anf(p, n, terms)
 
 
-def _anf_terms(f: LogicFunction) -> tuple:
-    """The reduced ANF of f: f.anf, or else interpolated from the table.
-    On one axis v(x) = sum_a v(a) (1 - (x - a)^(p-1)) and
-    (x - a)^(p-1) = sum_k a^(p-1-k) x^k mod p, so the coefficient of x^k is
-    sum_a ([k = 0] - a^(p-1-k)) v(a) with 0^0 = 1; applied along every axis
-    of the grid, and at p = 2 it is the Moebius transform."""
+def _anf_terms(f: LogicFunction, max_deg: int | None = None) -> tuple | None:
+    """The reduced ANF of f, f.anf or else interpolated from the table; None
+    if a monomial has degree above max_deg. On one axis v(x) = sum_a v(a)
+    (1 - (x - a)^(p-1)) and (x - a)^(p-1) = sum_k a^(p-1-k) x^k mod p, so x^k
+    has coefficient sum_a ([k = 0] - a^(p-1-k)) v(a) with 0^0 = 1; applied
+    along every axis of the grid, and at p = 2 it is the Moebius transform."""
     if f.anf is not None:
-        return f.anf
+        return f.anf if max_deg is None or all(len(m) <= max_deg for _, m in f.anf) else None
     p, n = f.p, f.n
     T = np.array([[(int(k == 0) - pow(a, p - 1 - k, p)) % p for a in range(p)] for k in range(p)])
     grid = f.table.reshape((p,) * n)
     for axis in range(n):
         grid = np.moveaxis(np.tensordot(T, grid, axes=(1, axis)), 0, axis) % p
+    if max_deg is not None and grid[sum(digit_axis(p, n, i) for i in range(n)) > max_deg].any():
+        return None  # before one tuple per term is built
     flat = grid.reshape(-1)
     idx = np.flatnonzero(flat)
     terms = [

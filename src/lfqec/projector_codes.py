@@ -28,7 +28,6 @@ from .fp_algebra import (
     validate_prime,
 )
 from .logic_fn import LogicFunction, add_affine, is_bent, solve_coboundary, weight_support, zset
-from .state_oracle import StateVector, apply_error, state_from_function
 
 _FLOAT_EXACT_BOUND = 2**52
 
@@ -338,17 +337,15 @@ def extract_boolean_basis(f: LogicFunction, A: FpMatrix) -> list:
         raise PremiseError(
             "no quadratic function satisfies the syndrome difference system"
         )
-    basis = []
-    for t in support:
-        g = add_affine(g0, solve_linear(left, t).particular)
-        psi = state_from_function(g)
-        for i, (row, ti) in enumerate(zip(rows, t)):
-            want = StateVector(2, n, -psi.amps) if ti else psi
-            if apply_error(row, psi) != want:
-                raise RuntimeError(
-                    f"recovered state is not an eigenvector of row {i} with sign (-1)^{ti}"
-                )
-        basis.append(g)
+    basis = [add_affine(g0, solve_linear(left, t).particular) for t in support]
+    tables, signs = np.stack([g.table for g in basis]), np.array(support)
+    # E_i psi_g = (-1)^(t_i) psi_g iff g(x + a_i) = g(x) + b_i . x + t_i for every x
+    for i, e in enumerate(rows):
+        want = (tables + linear_values(2, n, e.b) + signs[:, i, None]) % 2
+        bad = np.flatnonzero((tables[:, shifted_indices(2, n, e.a)] != want).any(axis=1))
+        if bad.size:
+            raise RuntimeError(f"recovered state is not an eigenvector of row {i} with sign "
+                               f"(-1)^{signs[bad[0], i]}")
     return basis
 
 

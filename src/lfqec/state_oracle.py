@@ -16,6 +16,12 @@ qudit positions. A basis {|psi_i>} detects all errors up to weight d-1 iff
 for every label e of weight < d the Gram matrix G_e[i][j] = <psi_i|E'_e|psi_j>
 is scalar: off-diagonal entries vanish and diagonal entries agree. For a
 one-dimensional space the convention is stricter: G_e[0][0] must itself be 0.
+
+Logic-function bases whose reduced ANFs f_j = Q + L_j.x + c_j share one
+quadratic Q, of symmetric form S = U + U^T, need no states: G_e[i][j] =
+p^n zeta^(const) if u = b - S a equals L_i - L_j, else 0 (the codeword-
+stabilized criterion, arXiv:0708.1021; over F_p, quant-ph/0508070). Other
+function bases, and states, take the Gram sweep: the closed form's reference.
 """
 from __future__ import annotations
 
@@ -33,6 +39,7 @@ from .fp_algebra import (
     label_blocks,
     table_size,
 )
+from .logic_fn import _anf_terms
 
 # Integers up to 2^53 in size are exact in float64, and so is every sum of
 # them that stays in that range, in any order.
@@ -227,6 +234,40 @@ def _failures(basis, p: int, n: int, max_weight: int):
                     yield w, KLFailure(a, b, *bad)
 
 
+def _closed_form_failures(S, L, p: int, n: int, max_weight: int):
+    """_failures on the states of f_j = Q + L_j.x + c_j via u = b - S a, keyed
+    u . (1, p, p^2, ...): the first pair i != j with L_i - L_j = u, else, if
+    u = 0, the first j with L_j.a != L_0.a, as G_jj ~ zeta^(-L_j.a); K = 1 fails iff u = 0."""
+    K, key = len(L), p ** np.arange(n)
+    D = (L[:, None] - L) % p @ key
+    D.flat[:: K + 1] = -1  # i = j is the diagonal test, not a pair
+    codes, first = np.unique(D, return_index=True)
+    pairs = {c: divmod(k, K) for c, k in zip(codes.tolist(), first.tolist()) if c >= 0}
+    for w in range(1, max_weight + 1):
+        for a, bs in label_blocks(p, n, w):
+            for b, u in zip(bs, ((np.array(bs) - S @ a) % p @ key).tolist()):
+                if u in pairs:
+                    yield w, KLFailure(a, b, "offdiag_nonzero", *pairs[u])
+                elif u == 0:
+                    j = int(np.argmax((L - L[0]) @ a % p != 0))
+                    if K == 1 or j:
+                        yield w, KLFailure(a, b, "diag_unequal", 0, j)
+
+
+def _function_failures(basis, p: int, n: int, max_weight: int):
+    """The one route choice for a basis of logic functions; see the module docstring."""
+    anfs = [_anf_terms(f, max_deg=2) for f in basis]
+    quads = {tuple(t for t in terms if len(t[1]) == 2) for terms in anfs if terms is not None}
+    if None in anfs or len(quads) > 1:
+        return _failures([state_from_function(f) for f in basis], p, n, max_weight)
+    S = np.zeros((n, n), dtype=np.int64)
+    for c, m in quads.pop():
+        np.add.at(S, (m, m[::-1]), c)  # S_ij and S_ji; a square x_i^2 adds twice to S_ii
+    lins = [{m: c for c, m in terms if len(m) == 1} for terms in anfs]
+    L = np.array([[lin.get((v,), 0) for v in range(n)] for lin in lins])
+    return _closed_form_failures(S % p, L, p, n, max_weight)
+
+
 def _check_basis(basis):
     if not basis:
         raise InputError("basis must be nonempty")
@@ -234,29 +275,44 @@ def _check_basis(basis):
     for s in basis:
         if (s.p, s.n) != (p, n):
             raise InputError("basis states live on different spaces")
+    table_size(p, n, cap=MAX_STATE)  # the state capacity, for function bases too
     return p, n
+
+
+def _report(basis, max_weight: int, sweep) -> VerifyReport:
+    p, n = _check_basis(basis)
+    if not 0 <= max_weight <= n:
+        raise InputError(f"max_weight must lie in [0, {n}]")
+    failures = tuple(bad for _, bad in sweep(basis, p, n, max_weight))
+    return VerifyReport(p, n, len(basis), max_weight, "fail" if failures else "pass", failures)
 
 
 def kl_verify(basis, max_weight: int) -> VerifyReport:
     """Check every error label of weight 1..max_weight, in increasing weight
     and a fixed deterministic order within each weight. Records one failure
     entry per failing label; verdict is "pass" iff there are none."""
+    return _report(basis, max_weight, _failures)
+
+
+def kl_verify_functions(basis, max_weight: int) -> VerifyReport:
+    """kl_verify on the states of the LogicFunctions in basis."""
+    return _report(basis, max_weight, _function_failures)
+
+
+def _first_weight(basis, cap, sweep):
     p, n = _check_basis(basis)
-    if not 0 <= max_weight <= n:
-        raise InputError(f"max_weight must lie in [0, {n}]")
-    failures = [bad for _, bad in _failures(basis, p, n, max_weight)]
-    verdict = "pass" if not failures else "fail"
-    return VerifyReport(p, n, len(basis), max_weight, verdict, tuple(failures))
+    cap = n if cap is None else cap
+    if not 1 <= cap <= n:
+        raise InputError(f"cap must lie in [1, {n}]")
+    return next((w for w, _ in sweep(basis, p, n, cap)), f"> {cap}")
 
 
 def min_distance(basis, cap: int | None = None):
     """Smallest weight at which some label breaks the scalar-Gram condition,
     or the string "> cap" when every weight up to the cap is clean."""
-    p, n = _check_basis(basis)
-    if cap is None:
-        cap = n
-    if not 1 <= cap <= n:
-        raise InputError(f"cap must lie in [1, {n}]")
-    for w, _ in _failures(basis, p, n, cap):
-        return w
-    return f"> {cap}"
+    return _first_weight(basis, cap, _failures)
+
+
+def min_distance_functions(basis, cap: int | None = None):
+    """min_distance on the states of the LogicFunctions in basis."""
+    return _first_weight(basis, cap, _function_failures)

@@ -309,6 +309,41 @@ def test_exit_3_capacity(files, capsys):
     assert code == 3
 
 
+def test_exit_3_state_capacity_for_a_quadratic_code(files, capsys):
+    # the closed form needs no states, but the state cap still bounds the oracle
+    text = json.dumps({"p": 2, "n": 21, "claimed_d": 2, "basis": ["x1*x2", "x1*x2 + x3"]})
+    code = main(["verify", files("big.json", text)])
+    assert code == 3
+    assert capsys.readouterr().err == "capacity: p^n with n = 21 exceeds cap 1048576\n"
+
+
+def test_quadratic_inputs_are_verified_without_states(files, capsys, monkeypatch, tmp_path):
+    import lfqec.codespec
+    import lfqec.state_oracle
+
+    k4 = files("k4.fn", K4_FN)
+    spec = build_coset_code(parse_anf(K4_FN.split("anf: ")[1], 2, 4), [(0, 0, 0, 0), (1, 1, 0, 0)])
+    argvs = [
+        ["graph-code", files("c5.graph", C5_GRAPH), "--classes", files("c5.cl", C5_CLASSES),
+         "--d", "3", "--verify"],
+        ["coset-code", k4, "--betas", "0000,1100,1010,1001", "--verify"],
+        ["matrix-check", files("m.mat", RANK_MAT), "--k", "1", "--d", "2", "--build", "--verify"],
+        ["mds", "--m", "2", "--verify"],
+        ["verify", files("code.json", spec.to_json()), "--max-weight", "2"],
+        ["apc", k4, "--verify"],
+    ]
+    argvs += [argv + ["--format", "json"] for argv in argvs]
+    want = [run(capsys, *argv) for argv in argvs]
+    assert [code for code, _ in want] == [0, 0, 0, 1, 1, 0] * 2
+
+    def refuse(f):
+        raise AssertionError("state built")
+
+    monkeypatch.setattr(lfqec.state_oracle, "state_from_function", refuse)
+    monkeypatch.setattr(lfqec.codespec, "state_from_function", refuse)
+    assert [run(capsys, *argv) for argv in argvs] == want
+
+
 # ---------------------------------------------------------------------------
 # installed script
 

@@ -10,3 +10,8 @@ def test_every_export_resolves():
 
 def test_exports_are_sorted_and_unique():
     assert lfqec.__all__ == sorted(set(lfqec.__all__))
+
+
+def test_oracle_entries_for_states_and_for_functions_are_exported():
+    entries = {"kl_verify", "kl_verify_functions", "min_distance", "min_distance_functions"}
+    assert entries <= set(lfqec.__all__)

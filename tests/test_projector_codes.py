@@ -314,6 +314,17 @@ def test_extraction_rejects_a_wrong_solution(monkeypatch):
         extract_boolean_basis(g, A)
 
 
+def test_extraction_forms_each_row_shift_once():
+    # the n = 10 rows outnumber the shift cache's entries, so a lookup per
+    # (row, state) pair would miss K = 256 times per row
+    from lfqec import _tables
+
+    _tables._shift_cache.cache_clear()
+    assert len(extract_boolean_basis(mds_function(5), mds_matrix(5))) == 256
+    info = _tables._shift_cache.cache_info()
+    assert info.misses == 10 > _tables.SHIFT_CACHE_SIZE
+
+
 def test_extraction_premise_error_on_inconsistent_rows():
     f = parse_anf("x1", 2, 2)
     A = FpMatrix.from_rows(2, [[1, 0, 0, 1], [0, 1, 0, 0]])

@@ -18,10 +18,12 @@ from conftest import (
     reference_min_distance,
     rng,
 )
+from lfqec import state_oracle
 from lfqec import (
     CapacityError,
     CycloInt,
     InputError,
+    LogicFunction,
     PauliLabel,
     StateVector,
     add_affine,
@@ -32,7 +34,9 @@ from lfqec import (
     gram_matrix,
     inner_product,
     kl_verify,
+    kl_verify_functions,
     min_distance,
+    min_distance_functions,
     parse_anf,
     parse_graph_file,
     state_from_function,
@@ -424,3 +428,78 @@ def test_shift_cache_stays_bounded_over_a_sweep(gen):
     info = _tables._shift_cache.cache_info()
     assert info.misses > info.maxsize == _tables.SHIFT_CACHE_SIZE
     assert info.currsize <= _tables.SHIFT_CACHE_SIZE
+
+
+# ---------------------------------------------------------------------------
+# function bases: the closed form against the Gram kernel
+
+
+def random_quadratic_basis(gen, p, n, K):
+    """f_j = Q + L_j.x + c_j with one random Q (squares x_i^2 at p > 2), some
+    L_j repeated with a constant moved by 1, and some functions given only by
+    their table, so that their ANF is interpolated."""
+    quad = [(int(gen.integers(1, p)), (i, j)) for i in range(n) for j in range(i, n)
+            if (i < j or p > 2) and gen.random() < 0.5]
+    affine = []
+    for k in range(K):
+        if k and gen.random() < 0.3:
+            lin, c = affine[int(gen.integers(k))]
+            affine.append((lin, (c + 1) % p))
+        else:
+            affine.append(([(int(v), (i,)) for i, v in enumerate(gen.integers(0, p, n))],
+                           int(gen.integers(p))))
+    basis = [LogicFunction.from_anf(p, n, quad + lin + [(c, ())]) for lin, c in affine]
+    return [LogicFunction(p, n, f.table) if gen.random() < 0.3 else f for f in basis]
+
+
+def refuse(*args):
+    raise AssertionError("this route must not run")
+
+
+def test_closed_form_matches_gram_kernel(gen, monkeypatch):
+    cases, seen = [], set()
+    for _ in range(50):
+        p = int(gen.choice([2, 3, 5]))
+        n = int(gen.integers(1, {2: 5, 3: 4, 5: 3}[p]))
+        K = min(int(gen.integers(1, 5)), p**n)
+        basis = random_quadratic_basis(gen, p, n, K)
+        states = [state_from_function(f) for f in basis]
+        want = [kl_verify(states, w).to_dict() for w in range(n + 1)]
+        cases.append((basis, want, min_distance(states)))
+    monkeypatch.setattr(state_oracle, "state_from_function", refuse)
+    for basis, want, distance in cases:
+        got = [kl_verify_functions(basis, w).to_dict() for w in range(len(want))]
+        assert got == want
+        assert min_distance_functions(basis) == distance
+        seen.update((len(basis) == 1, f["kind"], f["j"] > 1) for f in got[-1]["failures"])
+    assert {(True, "diag_unequal", False), (False, "offdiag_nonzero", True),
+            (False, "diag_unequal", True)} <= seen
+
+
+def test_function_bases_outside_the_closed_form_take_the_gram_kernel(monkeypatch):
+    cubic = parse_anf("x1*x2*x3 + x1", 2, 3)
+    two_quads = [parse_anf("x1*x2", 3, 3), parse_anf("x1*x2 + x2*x3", 3, 3)]
+    squares = [parse_anf("x1^2", 3, 2), parse_anf("2*x1^2", 3, 2)]
+    bases = [[cubic], [cubic, parse_anf("x1*x2*x3", 2, 3)], [LogicFunction(2, 3, cubic.table)],
+             two_quads, squares]
+    states = [[state_from_function(f) for f in basis] for basis in bases]
+    want = [[kl_verify(s, w).to_dict() for w in range(s[0].n + 1)] for s in states]
+    monkeypatch.setattr(state_oracle, "_closed_form_failures", refuse)
+    for basis, s, reports in zip(bases, states, want):
+        assert [kl_verify_functions(basis, w).to_dict() for w in range(len(reports))] == reports
+        assert min_distance_functions(basis) == min_distance(s)
+
+
+def test_function_entries_keep_the_input_errors():
+    f = parse_anf("x1*x2", 2, 2)
+    with pytest.raises(InputError, match="nonempty"):
+        kl_verify_functions([], 1)
+    with pytest.raises(InputError, match="different spaces"):
+        kl_verify_functions([f, parse_anf("x1", 2, 1)], 1)
+    with pytest.raises(InputError, match=r"max_weight must lie in \[0, 2\]"):
+        kl_verify_functions([f], 3)
+    with pytest.raises(InputError, match=r"cap must lie in \[1, 2\]"):
+        min_distance_functions([f], cap=0)
+    with pytest.raises(CapacityError, match="p\\^n with n = 21 exceeds cap 1048576"):
+        kl_verify_functions([parse_anf("x1*x2", 2, 21)], 1)
+    assert kl_verify_functions([f], 0).passed
