@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._tables import digit_axis, index_vectors, linear_values, shifted_indices, vector_index
+from ._tables import digit_axis, index_vectors, linear_values, vector_index
 from ._textfile import integer, read_header, residues
 from .errors import CapacityError, InputError
 from .fp_algebra import (
@@ -317,15 +317,20 @@ def quadratic_form(A: FpMatrix) -> LogicFunction:
 
 
 def add_affine(f: LogicFunction, beta, c: int = 0) -> LogicFunction:
-    """g(x) = f(x) + beta . x + c, with the ANF updated when present."""
+    """g(x) = f(x) + beta . x + c, with the ANF updated when present. Only
+    the constant and the linear terms change, and the canonical order puts
+    them, by monomial, ahead of every term of degree >= 2."""
     beta = tuple(int(v) % f.p for v in beta)
     if len(beta) != f.n:
         raise InputError("beta length mismatch")
     table = (f.table + linear_values(f.p, f.n, beta) + int(c)) % f.p
     anf = None
     if f.anf is not None:
-        extra = [(b, (j,)) for j, b in enumerate(beta)] + [(c, ())]
-        anf = _canonical_terms(f.p, f.n, list(f.anf) + extra)
+        low = [()] + [(j,) for j in range(f.n)]
+        old = {m: coeff for coeff, m in f.anf if len(m) < 2}
+        coeffs = [(old.get(m, 0) + v) % f.p for m, v in zip(low, (int(c),) + beta)]
+        anf = tuple((v, m) for v, m in zip(coeffs, low) if v)
+        anf += tuple(term for term in f.anf if len(term[1]) > 1)
     return LogicFunction(f.p, f.n, table, anf=anf)
 
 
@@ -339,10 +344,16 @@ def weight_support(f: LogicFunction):
 # character sums
 
 
+def _shifted(f: LogicFunction, a) -> np.ndarray:
+    """f(x - a) for every x: the grid rolled by a_i along each axis i."""
+    axes = tuple(i for i, v in enumerate(a) if v % f.p)
+    grid = f.table.reshape((f.p,) * f.n)
+    return np.roll(grid, tuple(int(a[i]) for i in axes), axis=axes).reshape(-1)
+
+
 def _shift_difference(f: LogicFunction, a) -> np.ndarray:
     """f(x) - f(x-a) mod p for every x."""
-    sh = shifted_indices(f.p, f.n, [-v for v in a])  # index of x - a
-    return (f.table - f.table[sh]) % f.p
+    return (f.table - _shifted(f, a)) % f.p
 
 
 def apc_sum(f: LogicFunction, e: PauliLabel) -> CycloInt:
@@ -353,41 +364,73 @@ def apc_sum(f: LogicFunction, e: PauliLabel) -> CycloInt:
     return cyclo_from_histogram(f.p, np.bincount(exps, minlength=f.p))
 
 
-def _nonzero_sum(exps: np.ndarray, p: int, blocks: int) -> bool:
-    """Whether sum_x zeta^exps[x] != 0, for exponents in [0, blocks * p)."""
-    hist = np.bincount(exps, minlength=blocks * p).reshape(blocks, p).sum(axis=0)
-    return bool(np.any(hist != hist[0]))
+# Entries gathered at once when a block's labels read their histograms: at
+# most one table's worth, so a gather never outgrows the tables themselves.
+_GATHER_ENTRIES = 1 << 20
 
 
 def _first_nonvanishing(f: LogicFunction, betas) -> tuple:
     """(w, a, b): the first label, in increasing weight and label_blocks
     order, at which some shift pair (beta_i, beta_j), i = j included, makes
     the sum at (a, b + beta_i - beta_j) nonzero; i = j is apc_sum(f, (a, b)),
-    and a full-support row never vanishes. Memory is O(K N): f(x) - f(x-a)
-    per block, the tables +-beta_i.x once, one histogram per distinct
-    delta = beta_i - beta_j and label."""
+    and a full-support row never vanishes.
+
+    The labels of one block share their support S and shift a, and b is 0
+    off S. With y = x_S, delta = beta_i - beta_j and d(x) = f(x) - f(x-a),
+
+        sum_x zeta^(d(x) + delta.x + b.x) = sum_y zeta^(b_S.y) H[y],
+
+    where H[y][e] counts the x over y with d(x) + delta.x = e mod p. One
+    bincount over N keys gives H for a block and delta, and a label sums
+    p^(w+1) gathered entries, hist[e] = sum_y H[y][e - b_S.y]; it is nonzero
+    iff hist is not flat. Memory is O(K N): the tables +-beta_i.x, made once,
+    the block's keys, and gathers of at most one table's entries."""
     p, n = f.p, f.n
     plus = [linear_values(p, n, beta) for beta in betas]
     minus = [linear_values(p, n, [-v for v in beta]) for beta in betas]
     pairs = {}
     for (i, bi), (j, bj) in itertools.product(enumerate(betas), repeat=2):
         pairs.setdefault(tuple((x - y) % p for x, y in zip(bi, bj)), (i, j))
-    del pairs[(0,) * n]  # the i = j test, run on the label's own exponents
-    lin = np.empty(p**n, dtype=np.int64)
-    exps = np.empty_like(lin)
+    del pairs[(0,) * n]  # delta = 0 reads the block's own keys
+    # a key is stride * index(y) + d(x) + p + beta_i.x + (-beta_j).x, whose
+    # last four terms lie in [1, 4p - 3]: no reduction mod p on the N keys
+    stride = 4 * p
+    buf = np.empty(p**n, dtype=np.int64)
     for w in range(1, n + 1):
+        ys = np.indices((p,) * w).reshape(w, -1)  # y in index order, x_S[0] most significant
+        y_rows = p * np.arange(p**w)[:, None]  # H[y] starts at p y in the flat H
+        rows = max(1, min(p**n, _GATHER_ENTRIES) // p ** (w + 1))
+        last = None
         for a, bs in label_blocks(p, n, w):
-            diff = _shift_difference(f, a)
-            for b in bs:
-                np.add(diff, linear_values(p, n, b), out=lin)
-                if _nonzero_sum(lin, p, 2):
-                    return w, a, b
-                for i, j in pairs.values():
-                    np.add(lin, plus[i], out=exps)
-                    exps += minus[j]
-                    if _nonzero_sum(exps, p, 4):
-                        return w, a, b
+            supp = [i for i, (u, v) in enumerate(zip(a, bs[0])) if u or v]  # b is 1 where a is 0
+            if supp != last:  # blocks come grouped by support
+                y_key = sum(digit_axis(p, n, s) * p ** (w - 1 - k) for k, s in enumerate(supp))
+                base = (f.table.reshape((p,) * n) + (stride * y_key + p)).reshape(-1)
+                last = supp
+            keys = base - _shifted(f, a)
+            b_supp = np.array(bs)[:, supp]
+            for c in range(0, len(bs), rows):
+                by = (b_supp[c : c + rows] @ ys)[:, :, None]
+                idx = y_rows + (np.arange(p) - by) % p  # (b, y, e) -> H[y][e - b_S.y]
+                hit = np.zeros(len(idx), dtype=bool)
+                for exps in _delta_keys(keys, plus, minus, pairs.values(), buf):
+                    counts = np.bincount(exps, minlength=stride * p**w)
+                    sums = counts.reshape(p**w, 4, p).sum(axis=1).reshape(-1)[idx].sum(axis=1)
+                    hit |= (sums != sums[:, :1]).any(axis=1)
+                    if hit[0]:  # no label of the chunk comes before it
+                        break
+                if hit.any():
+                    return w, a, bs[c + int(np.argmax(hit))]
     raise RuntimeError("unreachable: weight-n labels always include a nonvanishing sum")
+
+
+def _delta_keys(keys, plus, minus, pairs, buf):
+    """keys, then keys + beta_i.x + (-beta_j).x in buf for each pair (i, j)."""
+    yield keys
+    for i, j in pairs:
+        np.add(keys, plus[i], out=buf)
+        buf += minus[j]
+        yield buf
 
 
 @dataclass(frozen=True)

@@ -337,11 +337,14 @@ def extract_boolean_basis(f: LogicFunction, A: FpMatrix) -> list:
         raise PremiseError(
             "no quadratic function satisfies the syndrome difference system"
         )
-    basis = [add_affine(g0, solve_linear(left, t).particular) for t in support]
-    tables, signs = np.stack([g.table for g in basis]), np.array(support)
+    # lambda_t = L^(-1) t for every t at once; row i of inv_rows solves L v = e_i
+    inv_rows = np.array([solve_linear(left, e).particular for e in np.eye(n, dtype=int).tolist()])
+    signs = np.array(support)
+    basis = [add_affine(g0, lam) for lam in (signs @ inv_rows % 2).tolist()]
+    tables = np.stack([g.table for g in basis])
     # E_i psi_g = (-1)^(t_i) psi_g iff g(x + a_i) = g(x) + b_i . x + t_i for every x
     for i, e in enumerate(rows):
-        want = (tables + linear_values(2, n, e.b) + signs[:, i, None]) % 2
+        want = tables ^ linear_values(2, n, e.b) ^ signs[:, i, None]  # sums mod 2
         bad = np.flatnonzero((tables[:, shifted_indices(2, n, e.a)] != want).any(axis=1))
         if bad.size:
             raise RuntimeError(f"recovered state is not an eigenvector of row {i} with sign "

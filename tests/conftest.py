@@ -173,16 +173,16 @@ def reference_min_distance(basis, cap: int | None = None):
     return f"> {cap}"
 
 
-def reference_coset_distance(f: LogicFunction, betas) -> int:
-    """claimed_coset_distance with one character sum per label and ordered
-    shift pair."""
+def reference_coset_distance(f: LogicFunction, betas) -> tuple:
+    """(distance, (a, b) of the first failing label) of claimed_coset_distance,
+    with one character sum per label and ordered shift pair."""
     for w in range(1, f.n + 1):
         for a, b in reference_labels(f.p, f.n, w):
             for bi in betas:
                 for bj in betas:
                     moved = tuple((x + y - z) % f.p for x, y, z in zip(b, bi, bj))
                     if not apc_sum(f, PauliLabel(f.p, a, moved)).is_zero():
-                        return w
+                        return w, (a, b)
     raise AssertionError("the diagonal pairs fail by weight n")
 
 

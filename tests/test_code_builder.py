@@ -26,6 +26,7 @@ from lfqec import (
     quadratic_form,
     weight_support,
 )
+from lfqec.logic_fn import _first_nonvanishing
 
 K4_ANF = "x1*x2 + x1*x3 + x1*x4 + x2*x3 + x2*x4 + x3*x4"
 BETAS_K4 = [(0, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1)]
@@ -59,14 +60,20 @@ RANK_PIN_F3 = FpMatrix.from_rows(
 def test_claimed_coset_distance_pins():
     f = parse_anf(K4_ANF, 2, 4)
     assert claimed_coset_distance(f, BETAS_K4) == 2
+    # every weight-1 label vanishes; the first failing one sits in a block with
+    # a = 0, at b = beta_1 - beta_0
+    pair = [(0, 0, 0, 0), (1, 1, 0, 0)]
+    assert _first_nonvanishing(f, pair) == (2, (0, 0, 0, 0), (1, 1, 0, 0))
+    assert reference_coset_distance(f, pair) == (2, ((0, 0, 0, 0), (1, 1, 0, 0)))
     g = parse_anf("2*x1*x2", 3, 2)
     assert claimed_coset_distance(g, [(0, 0), (1, 0), (2, 0)]) == 1
 
 
 def test_claimed_coset_distance_matches_pairwise_reference(gen):
-    # random quadratic forms (many vanishing sums) alternate with random tables
+    # random quadratic forms (many vanishing sums) alternate with random tables;
+    # every other shift set is an arithmetic progression, whose differences repeat
     distances = []
-    for p, n in [(2, 4), (2, 5), (3, 3), (3, 4), (5, 2), (5, 3)]:
+    for p, n in [(2, 4), (2, 5), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)]:
         for trial in range(6):
             if trial % 2:
                 f = random_function(gen, p, n)
@@ -76,11 +83,16 @@ def test_claimed_coset_distance_matches_pairwise_reference(gen):
                 f = add_affine(q, gen.integers(0, p, n).tolist(), 0)
             K = int(gen.integers(1, 5))
             betas = set()
+            if trial % 4 < 2:
+                step = gen.integers(0, p, n)
+                betas = {tuple(int(v) for v in k * step % p) for k in range(max(K, 2))}
             while len(betas) < K:
                 betas.add(tuple(int(v) for v in gen.integers(0, p, n)))
             betas = sorted(betas)
-            distances.append(claimed_coset_distance(f, betas))
-            assert distances[-1] == reference_coset_distance(f, betas)
+            w, (a, b) = reference_coset_distance(f, betas)
+            assert claimed_coset_distance(f, betas) == w
+            assert _first_nonvanishing(f, betas) == (w, a, b)
+            distances.append(w)
     assert max(distances) >= 2
 
 

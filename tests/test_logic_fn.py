@@ -14,6 +14,7 @@ from conftest import (
     direct_zset,
     random_function,
     reference_apc_distance,
+    reference_coset_distance,
     rng,
 )
 import lfqec.logic_fn
@@ -167,6 +168,12 @@ def test_add_affine(gen):
         for idx, x in enumerate(itertools.product(range(p), repeat=n)):
             ref[idx] = (f.table[idx] + sum(b * xi for b, xi in zip(beta, x)) + c) % p
         assert list(g.table) == ref
+        # the updated ANF is the canonical ANF of the sum
+        q = random_quadratic(gen, p, n)
+        q = add_affine(q, (0,) * n, int(gen.integers(-p, 2 * p)))
+        c = int(gen.integers(-p, 2 * p))
+        extra = [(b, (j,)) for j, b in enumerate(beta)] + [(c, ())]
+        assert add_affine(q, beta, c).anf == LogicFunction.from_anf(p, n, [*q.anf, *extra]).anf
     h = parse_anf("x1*x2", 2, 2)
     k = add_affine(h, (1, 0), 1)
     assert anf_text(k) == "1 + x1 + x1*x2"
@@ -236,7 +243,7 @@ def random_quadratic(gen, p, n) -> LogicFunction:
     return LogicFunction.from_anf(p, n, terms)
 
 
-@pytest.mark.parametrize("p, max_n", [(2, 5), (3, 3), (5, 2)])
+@pytest.mark.parametrize("p, max_n", [(2, 5), (3, 3), (5, 2), (7, 2)])
 def test_apc_distance_matches_per_label_reference(gen, p, max_n):
     distances = []
     for _ in range(30):
@@ -248,6 +255,22 @@ def test_apc_distance_matches_per_label_reference(gen, p, max_n):
         assert got == reference_apc_distance(f)
         distances.append(res.distance)
     assert max(distances) >= 2
+
+
+def test_search_reads_every_gather_chunk(gen, monkeypatch):
+    # one label per gather chunk, so a first failing label that is not the
+    # first of its block lies past the block's first chunk
+    monkeypatch.setattr(lfqec.logic_fn, "_GATHER_ENTRIES", 1)
+    later = 0
+    for p, n in [(2, 4), (3, 3), (5, 2)]:
+        for _ in range(10):
+            f = random_quadratic(gen, p, n)
+            betas = sorted({tuple(int(v) for v in gen.integers(0, p, n)) for _ in range(3)})
+            w, (a, b) = reference_coset_distance(f, betas)
+            assert lfqec.logic_fn._first_nonvanishing(f, betas) == (w, a, b)
+            bs = next(bs for a2, bs in label_blocks(p, n, w) if a2 == a and b in bs)
+            later += bs.index(b) > 0
+    assert later
 
 
 def test_apc_distance_affine_invariance(gen):

@@ -3,13 +3,15 @@ process with one OpenBLAS thread whose address space alone is capped at
 768 MiB: parsing an n = 22 or n = 24 function and `lfqec bent` on an
 n = 22 bent function must finish inside it, with the exact answer, and
 `lfqec zset` with 2^21 shifts to list must be refused with exit 3. Under
-256 MiB, `lfqec zset --format json` must list 2^17 shifts of length 18."""
+256 MiB, `lfqec zset --format json` must list 2^17 shifts of length 18, and
+`lfqec coset-code` must search with 32 shifts of length 16."""
 import json
 import os
 import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 resource = pytest.importorskip("resource")
@@ -18,7 +20,9 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 CEILING = 768 << 20
 
 
-def run_child(code: str, ceiling: int = CEILING) -> subprocess.CompletedProcess:
+def run_child(
+    code: str, ceiling: int = CEILING, timeout: float = 120
+) -> subprocess.CompletedProcess:
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(SRC)}
     return subprocess.run(
         [sys.executable, "-c", code],
@@ -26,7 +30,7 @@ def run_child(code: str, ceiling: int = CEILING) -> subprocess.CompletedProcess:
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (ceiling, ceiling)),
         capture_output=True,
         text=True,
-        timeout=120,
+        timeout=timeout,
     )
 
 
@@ -81,3 +85,21 @@ def test_zset_json_listing_fits_256_mib(tmp_path):
     data = json.loads(proc.stdout)
     assert data["size"] == 2**17
     assert data["shifts"] == [[1] + [i >> (16 - j) & 1 for j in range(17)] for i in range(2**17)]
+
+
+def test_coset_search_fits_256_mib(tmp_path):
+    # 32 shifts have about 500 distinct differences; one table of 2^16 entries
+    # per difference would not fit, the K tables +-beta.x do. Two shifts differ
+    # by e_1, so the label (0, e_1) has a nonvanishing sum and d = 1.
+    n = 16
+    fn = tmp_path / "cycle16.fn"
+    cycle = " + ".join(f"x{i + 1}*x{(i + 1) % n + 1}" for i in range(n))
+    fn.write_text(f"2 {n}\nanf: {cycle}\n")
+    gen = np.random.default_rng(16)
+    betas = {(0,) * n, (1,) + (0,) * (n - 1)}
+    while len(betas) < 32:
+        betas.add(tuple(int(v) for v in gen.integers(0, 2, n)))
+    arg = ",".join("".join(map(str, b)) for b in sorted(betas))
+    proc = run_child(cli_code("coset-code", str(fn), "--betas", arg), ceiling=256 << 20, timeout=30)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.startswith(f"code: (({n}, 32, 1))_p=2\n")
