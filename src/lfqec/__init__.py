@@ -1,152 +1,92 @@
 """Quantum error-correcting codes from logic functions over prime fields
 and weighted graphs, verified exactly by a state-vector oracle over
-cyclotomic integers."""
+cyclotomic integers.
 
-from .errors import CapacityError, InputError, PremiseError
-from .fp_algebra import (
-    CycloInt,
-    FpMatrix,
-    LinearSolution,
-    PauliLabel,
-    cyclo_from_histogram,
-    label_blocks,
-    rank,
-    solve_linear,
-    symplectic_product,
-    symplectic_weight,
-)
-from .logic_fn import (
-    ApcResult,
-    LogicFunction,
-    add_affine,
-    anf_text,
-    apc_distance,
-    apc_sum,
-    autocorrelation,
-    autocorrelation_spectrum,
-    is_bent,
-    parse_anf,
-    parse_function_file,
-    quadratic_form,
-    solve_coboundary,
-    weight_support,
-    zset,
-    zset_via_autocorrelation,
-)
-from .state_oracle import (
-    KLFailure,
-    StateVector,
-    VerifyReport,
-    apply_error,
-    gram_matrix,
-    inner_product,
-    kl_verify,
-    kl_verify_functions,
-    min_distance,
-    min_distance_functions,
-    state_from_function,
-)
-from .codespec import CodeSpec, check_claim
-from .graph_codes import (
-    MatrixCheckResult,
-    WeightedGraph,
-    build_graph_code,
-    coverage_witness,
-    graph_to_stabilizer_rows,
-    is_uncoverable,
-    matrix_code_check,
-    matrix_kernel_check,
-    neighborhood,
-    parse_graph_file,
-    uncoverable_family,
-    verify_stabilizer,
-)
-from .code_builder import (
-    build_coset_code,
-    build_matrix_code,
-    build_mds_family,
-    claimed_coset_distance,
-    mds_function,
-    mds_matrix,
-)
-from .projector_codes import (
-    OperatorMatrix,
-    PremiseReport,
-    bent_exclusion,
-    check_projector_premises,
-    extract_boolean_basis,
-    operator_matrix,
-    projector_rank,
-)
+Each exported name is loaded from its module when it is first used
+(PEP 562), so importing the package loads none of them.
+"""
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ApcResult",
-    "CapacityError",
-    "CodeSpec",
-    "CycloInt",
-    "FpMatrix",
-    "InputError",
-    "KLFailure",
-    "LinearSolution",
-    "LogicFunction",
-    "MatrixCheckResult",
-    "OperatorMatrix",
-    "PauliLabel",
-    "PremiseError",
-    "PremiseReport",
-    "StateVector",
-    "VerifyReport",
-    "WeightedGraph",
-    "add_affine",
-    "anf_text",
-    "apc_distance",
-    "apc_sum",
-    "apply_error",
-    "autocorrelation",
-    "autocorrelation_spectrum",
-    "bent_exclusion",
-    "build_coset_code",
-    "build_graph_code",
-    "build_matrix_code",
-    "build_mds_family",
-    "check_claim",
-    "check_projector_premises",
-    "claimed_coset_distance",
-    "coverage_witness",
-    "cyclo_from_histogram",
-    "extract_boolean_basis",
-    "gram_matrix",
-    "graph_to_stabilizer_rows",
-    "inner_product",
-    "is_bent",
-    "is_uncoverable",
-    "kl_verify",
-    "kl_verify_functions",
-    "label_blocks",
-    "matrix_code_check",
-    "matrix_kernel_check",
-    "mds_function",
-    "mds_matrix",
-    "min_distance",
-    "min_distance_functions",
-    "neighborhood",
-    "operator_matrix",
-    "parse_anf",
-    "parse_function_file",
-    "parse_graph_file",
-    "projector_rank",
-    "quadratic_form",
-    "rank",
-    "solve_coboundary",
-    "solve_linear",
-    "state_from_function",
-    "symplectic_product",
-    "symplectic_weight",
-    "uncoverable_family",
-    "verify_stabilizer",
-    "weight_support",
-    "zset",
-    "zset_via_autocorrelation",
-]
+# exported name -> the module that defines it
+_EXPORTS = {
+    "CapacityError": "errors",
+    "InputError": "errors",
+    "PremiseError": "errors",
+    "CycloInt": "fp_algebra",
+    "FpMatrix": "fp_algebra",
+    "LinearSolution": "fp_algebra",
+    "PauliLabel": "fp_algebra",
+    "cyclo_from_histogram": "fp_algebra",
+    "label_blocks": "fp_algebra",
+    "rank": "fp_algebra",
+    "solve_linear": "fp_algebra",
+    "symplectic_product": "fp_algebra",
+    "symplectic_weight": "fp_algebra",
+    "ApcResult": "logic_fn",
+    "LogicFunction": "logic_fn",
+    "add_affine": "logic_fn",
+    "anf_text": "logic_fn",
+    "apc_distance": "logic_fn",
+    "apc_sum": "logic_fn",
+    "autocorrelation": "logic_fn",
+    "autocorrelation_spectrum": "logic_fn",
+    "is_bent": "logic_fn",
+    "parse_anf": "logic_fn",
+    "parse_function_file": "logic_fn",
+    "quadratic_form": "logic_fn",
+    "solve_coboundary": "logic_fn",
+    "weight_support": "logic_fn",
+    "zset": "logic_fn",
+    "zset_via_autocorrelation": "logic_fn",
+    "KLFailure": "state_oracle",
+    "StateVector": "state_oracle",
+    "VerifyReport": "state_oracle",
+    "apply_error": "state_oracle",
+    "gram_matrix": "state_oracle",
+    "inner_product": "state_oracle",
+    "kl_verify": "state_oracle",
+    "kl_verify_functions": "state_oracle",
+    "min_distance": "state_oracle",
+    "min_distance_functions": "state_oracle",
+    "state_from_function": "state_oracle",
+    "CodeSpec": "codespec",
+    "check_claim": "codespec",
+    "MatrixCheckResult": "graph_codes",
+    "WeightedGraph": "graph_codes",
+    "build_graph_code": "graph_codes",
+    "coverage_witness": "graph_codes",
+    "graph_to_stabilizer_rows": "graph_codes",
+    "is_uncoverable": "graph_codes",
+    "matrix_code_check": "graph_codes",
+    "matrix_kernel_check": "graph_codes",
+    "neighborhood": "graph_codes",
+    "parse_graph_file": "graph_codes",
+    "uncoverable_family": "graph_codes",
+    "build_coset_code": "code_builder",
+    "build_matrix_code": "code_builder",
+    "build_mds_family": "code_builder",
+    "claimed_coset_distance": "code_builder",
+    "mds_function": "code_builder",
+    "mds_matrix": "code_builder",
+    "OperatorMatrix": "projector_codes",
+    "PremiseReport": "projector_codes",
+    "bent_exclusion": "projector_codes",
+    "check_projector_premises": "projector_codes",
+    "extract_boolean_basis": "projector_codes",
+    "operator_matrix": "projector_codes",
+    "projector_rank": "projector_codes",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+
+
+def __dir__() -> list:
+    return list(__all__)

@@ -1,13 +1,16 @@
 """Reader shared by the plain-text input files (function, graph, matrix,
 classes and system files): comment and blank-line filtering, the
-two-integer header, integer tokens and residue rows. Every malformed token
-raises InputError.
+two-integer header, integer tokens and residue rows, and the ANF syntax.
+Every malformed token raises InputError. Readers return plain values
+(header integers, ANF term lists, residue lists, an adjacency FpMatrix) and
+import no numeric library, so bad input is refused before one is loaded.
 """
 from __future__ import annotations
 
 import re
 
 from .errors import InputError
+from .fp_algebra import FpMatrix, table_size
 
 _DIGITS = re.compile(r"[0-9]+")
 
@@ -51,3 +54,202 @@ def residues(token: str, p: int, count: int | None = None, sep: str = r"[\s,]+")
     if any(not 0 <= v < p for v in vals):
         raise InputError(f"residues must lie in [0, {p})")
     return vals
+
+
+# ---------------------------------------------------------------------------
+# function files and ANF text
+
+
+def read_function_file(text: str) -> tuple:
+    """(p, n, terms, values) of a function file: two content lines, 'p n'
+    then either 'anf: <polynomial>' (terms from `anf_terms`, values None) or
+    'tt: <p^n residues in index order>' (the residues, terms None).
+    Truth-table residues may be a compact digit string or whitespace/comma
+    separated values."""
+    p, n, body = read_header(text, "p n")
+    if not body:
+        raise InputError("function file needs a body line after 'p n'")
+    N = table_size(p, n)
+    if body[0].startswith("anf:"):
+        return p, n, anf_terms(body[0][4:].strip(), p, n), None
+    if body[0].startswith("tt:"):
+        return p, n, None, residues(body[0][3:].strip(), p, N)
+    raise InputError("body line must start with 'anf:' or 'tt:'")
+
+
+def anf_terms(text: str, p: int, n: int) -> list:
+    """(coeff, monomial) terms of a polynomial in x1..xn (aliases y1..yn),
+    exponents reduced below p; a monomial lists its 0-based variables with
+    repetition as exponent."""
+    table_size(p, n)
+    try:
+        poly = _Parser(text, p, n).parse()
+    except RecursionError as exc:  # too deeply nested
+        raise InputError("polynomial nests too deeply") from exc
+    return [(c, tuple(v for v, e in enumerate(ev) for _ in range(e))) for ev, c in poly.items()]
+
+
+_TOKEN = re.compile(r"\s*(?:(\d+)|([xy])(\d+)|(\*\*|[-+*^()]))")
+
+
+class _Parser:
+    """Polynomials in x1..xn (y aliases), with +, -, *, ^, parentheses and
+    implicit multiplication by juxtaposition. Exponents reduce by x^p = x."""
+
+    def __init__(self, text: str, p: int, n: int):
+        self.text = text
+        self.p = p
+        self.n = n
+        self.pos = 0
+        self.tok = None
+        self._advance()
+
+    def _advance(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+        if self.pos >= len(self.text):
+            self.tok = ("end", None)
+            return
+        m = _TOKEN.match(self.text, self.pos)
+        if not m:
+            raise InputError(f"syntax error at position {self.pos}: {self.text[self.pos:]!r}")
+        self.pos = m.end()
+        if m.group(1) is not None:
+            self.tok = ("int", integer(m.group(1), "constant"))
+        elif m.group(2) is not None:
+            idx = integer(m.group(3), "variable index")
+            if not 1 <= idx <= self.n:
+                raise InputError(f"variable index {idx} out of range 1..{self.n}")
+            self.tok = ("var", idx - 1)
+        else:
+            op = m.group(4)
+            self.tok = ("op", "^" if op == "**" else op)
+
+    def parse(self) -> dict:
+        poly = self._expr()
+        if self.tok[0] != "end":
+            raise InputError(f"unexpected token {self.tok[1]!r} at position {self.pos}")
+        return poly
+
+    def _expr(self) -> dict:
+        kind, val = self.tok
+        neg = False
+        if kind == "op" and val in "+-":
+            neg = val == "-"
+            self._advance()
+        poly = self._term()
+        if neg:
+            poly = _poly_scale(poly, -1, self.p)
+        while self.tok[0] == "op" and self.tok[1] in "+-":
+            op = self.tok[1]
+            self._advance()
+            rhs = self._term()
+            if op == "-":
+                rhs = _poly_scale(rhs, -1, self.p)
+            poly = _poly_add(poly, rhs, self.p)
+        return poly
+
+    def _term(self) -> dict:
+        poly = self._power()
+        while True:
+            kind, val = self.tok
+            if kind == "op" and val == "*":
+                self._advance()
+                poly = _poly_mul(poly, self._power(), self.p)
+            elif kind in ("int", "var") or (kind == "op" and val == "("):
+                poly = _poly_mul(poly, self._power(), self.p)
+            else:
+                return poly
+
+    def _power(self) -> dict:
+        base = self._atom()
+        if self.tok == ("op", "^"):
+            self._advance()
+            kind, val = self.tok
+            if kind != "int":
+                raise InputError(f"exponent must be an integer at position {self.pos}")
+            self._advance()
+            out = {(0,) * self.n: 1}
+            for _ in range(_reduce_exponent(val, self.p)):
+                out = _poly_mul(out, base, self.p)
+            return out
+        return base
+
+    def _atom(self) -> dict:
+        kind, val = self.tok
+        if kind == "int":
+            self._advance()
+            return {(0,) * self.n: val % self.p}
+        if kind == "var":
+            self._advance()
+            e = [0] * self.n
+            e[val] = 1
+            return {tuple(e): 1}
+        if kind == "op" and val == "(":
+            self._advance()
+            poly = self._expr()
+            if self.tok != ("op", ")"):
+                raise InputError(f"missing ')' at position {self.pos}")
+            self._advance()
+            return poly
+        raise InputError(f"unexpected token at position {self.pos}")
+
+
+def _reduce_exponent(e: int, p: int) -> int:
+    """x^p = x pointwise, so exponents e >= 1 reduce to ((e-1) mod (p-1)) + 1."""
+    if e < 0:
+        raise InputError("negative exponents are not allowed")
+    if e == 0:
+        return 0
+    return (e - 1) % (p - 1) + 1 if p > 2 else 1
+
+
+def _poly_add(a: dict, b: dict, p: int) -> dict:
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = (out.get(k, 0) + v) % p
+    return {k: v for k, v in out.items() if v}
+
+
+def _poly_scale(a: dict, s: int, p: int) -> dict:
+    return {k: (v * s) % p for k, v in a.items() if (v * s) % p}
+
+
+def _poly_mul(a: dict, b: dict, p: int) -> dict:
+    out: dict = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            k = tuple(_reduce_exponent(ea + eb, p) if ea + eb else 0 for ea, eb in zip(ka, kb))
+            out[k] = (out.get(k, 0) + va * vb) % p
+    return {k: v for k, v in out.items() if v}
+
+
+# ---------------------------------------------------------------------------
+# graph files
+
+
+def read_graph_file(text: str) -> tuple:
+    """(p, n, adjacency) of a graph file: 'p n' then one 'u v [w]' line per
+    edge (1-based vertices, weight default 1). Repeating an edge is an
+    error."""
+    p, n, body = read_header(text, "p n")
+    table_size(p, n)  # bounds the n x n adjacency before it is allocated
+    entries = [[0] * n for _ in range(n)]
+    seen = set()
+    for ln in body:
+        parts = ln.split()
+        if len(parts) not in (2, 3):
+            raise InputError(f"edge line must be 'u v [w]', got {ln!r}")
+        u, v, w = (integer(tok, "edge entry") for tok in (parts + ["1"])[:3])
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise InputError(f"edge {u}-{v} out of range 1..{n}")
+        if u == v:
+            raise InputError(f"self-loop at vertex {u}")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise InputError(f"edge {u}-{v} given twice")
+        if not (1 <= w <= p - 1):
+            raise InputError(f"edge {u}-{v} weight must lie in 1..{p - 1}, got {w}")
+        seen.add(key)
+        entries[u - 1][v - 1] = entries[v - 1][u - 1] = w
+    return p, n, FpMatrix(p, tuple(tuple(r) for r in entries))

@@ -7,6 +7,10 @@ text|json.
 Exit codes: 0 success / verified; 1 verification or premise failure
 (a failed distance claim, rejected matrix, failed projector premises,
 or an inconsistent difference system); 2 malformed input; 3 capacity.
+
+Each subcommand reads and checks its input files first and only then
+imports the modules it runs, so malformed input is refused before numpy
+loads, and no subcommand loads the modules of another.
 """
 from __future__ import annotations
 
@@ -17,33 +21,10 @@ import re
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from ._textfile import content_lines, integer, read_header, residues
-from .codespec import CodeSpec, check_claim
-from .code_builder import (
-    build_coset_code,
-    build_matrix_code,
-    build_mds_family,
-)
+from ._textfile import read_function_file, read_graph_file
 from .errors import CapacityError, InputError, PremiseError
 from .fp_algebra import FpMatrix
-from .graph_codes import (
-    build_graph_code,
-    matrix_code_check,
-    matrix_kernel_check,
-    parse_graph_file,
-)
-from .logic_fn import (
-    anf_text,
-    apc_distance,
-    parse_function_file,
-    solve_coboundary,
-    is_bent,
-    zset,
-)
-from .projector_codes import PremiseReport, extract_boolean_basis, projector_rank
-from .state_oracle import kl_verify_functions, min_distance_functions
 
 
 # ---------------------------------------------------------------------------
@@ -128,23 +109,26 @@ def _vector_str(v) -> str:
     return "".join(str(x) for x in v) if all(0 <= x <= 9 for x in v) else ",".join(map(str, v))
 
 
-def _codespec_payload(spec: CodeSpec, report=None) -> dict:
+def _code_output(args, spec) -> tuple:
+    """(payload, text lines, exit code) for a built code, with the oracle
+    verdict on its claim when --verify is given."""
+    report, code = None, 0
+    if args.verify:
+        from .codespec import check_claim
+
+        report = check_claim(spec)
+        code = 0 if report.passed else 1
     payload = spec.to_dict()
-    if report is not None:
-        payload["verification"] = report.to_dict()
-    return payload
-
-
-def _codespec_lines(spec: CodeSpec, report=None) -> list:
     lines = [
         f"code: (({spec.n}, {spec.claimed_K}, {spec.claimed_d}))_p={spec.p}",
         f"provenance: {spec.provenance}",
     ]
-    lines += [f"basis[{i}]: {anf_text(f)}" for i, f in enumerate(spec.basis)]
+    lines += [f"basis[{i}]: {text}" for i, text in enumerate(payload["basis"])]
     if report is not None:
+        payload["verification"] = report.to_dict()
         lines.append(f"verification: {report.verdict} (max weight {report.max_weight})")
         lines += ["  " + line for line in _failure_lines(report)]
-    return lines
+    return payload, lines, code
 
 
 def _failure_lines(report) -> list:
@@ -154,20 +138,15 @@ def _failure_lines(report) -> list:
     ]
 
 
-def _verify_spec(args, spec: CodeSpec):
-    """(report, exit_code) for a --verify run; (None, 0) without it."""
-    if not getattr(args, "verify", False):
-        return None, 0
-    report = check_claim(spec)
-    return report, 0 if report.passed else 1
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_apc(args) -> int:
-    f = parse_function_file(_read(args.function))
+    parsed = read_function_file(_read(args.function))
+    from .logic_fn import apc_distance, build_function
+
+    f = build_function(*parsed)
     res = apc_distance(f)
     payload = {
         "distance": res.distance,
@@ -179,6 +158,8 @@ def cmd_apc(args) -> int:
     ]
     code = 0
     if args.verify:
+        from .state_oracle import min_distance_functions
+
         oracle = min_distance_functions([f], cap=f.n)
         agree = oracle == res.distance
         payload["oracle_distance"] = oracle
@@ -191,8 +172,10 @@ def cmd_apc(args) -> int:
 
 
 def cmd_zset(args) -> int:
-    f = parse_function_file(_read(args.function))
-    zs = sorted(zset(f))
+    parsed = read_function_file(_read(args.function))
+    from .logic_fn import build_function, zset
+
+    zs = sorted(zset(build_function(*parsed)))
     # only the requested form: near the listing budget each takes hundreds of MB
     if args.format == "json":
         _emit(args, {"size": len(zs), "shifts": zs}, [])  # tuples encode as JSON lists
@@ -202,9 +185,12 @@ def cmd_zset(args) -> int:
 
 
 def cmd_bent(args) -> int:
-    f = parse_function_file(_read(args.function))
+    parsed = read_function_file(_read(args.function))
+    from .logic_fn import build_function, is_bent
+
+    f = build_function(*parsed)
     bent = is_bent(f)
-    M = int(np.count_nonzero(f.table))
+    M = int((f.table != 0).sum())
     payload = {"bent": bent, "support_size": M}
     lines = [f"bent: {str(bent).lower()}", f"support size: {M}"]
     _emit(args, payload, lines)
@@ -212,11 +198,13 @@ def cmd_bent(args) -> int:
 
 
 def cmd_graph_code(args) -> int:
-    G = parse_graph_file(_read(args.graph))
-    classes = parse_classes_file(_read(args.classes), G.n)
-    spec = build_graph_code(G, classes, args.d)
-    report, code = _verify_spec(args, spec)
-    _emit(args, _codespec_payload(spec, report), _codespec_lines(spec, report))
+    p, n, adj = read_graph_file(_read(args.graph))
+    classes = parse_classes_file(_read(args.classes), n)
+    from .graph_codes import WeightedGraph, build_graph_code
+
+    spec = build_graph_code(WeightedGraph(p, n, adj), classes, args.d)
+    payload, lines, code = _code_output(args, spec)
+    _emit(args, payload, lines)
     return code
 
 
@@ -241,6 +229,8 @@ def _matrix_result_line(name: str, res) -> str:
 
 def cmd_matrix_check(args) -> int:
     A = parse_matrix_file(_read(args.matrix))
+    from .graph_codes import matrix_code_check, matrix_kernel_check
+
     rank_res = matrix_code_check(A, args.k, args.d)
     kernel_res = matrix_kernel_check(A, args.k, args.d)
     payload = {
@@ -255,26 +245,33 @@ def cmd_matrix_check(args) -> int:
         lines.append(f"warning: {rank_res.warning}")
     code = 0 if rank_res.accepted else 1
     if args.build and rank_res.accepted:
-        spec = build_matrix_code(A, args.k, args.d)
-        report, code = _verify_spec(args, spec)
-        payload["code"] = _codespec_payload(spec, report)
-        lines += _codespec_lines(spec, report)
+        from .code_builder import build_matrix_code
+
+        payload["code"], more, code = _code_output(args, build_matrix_code(A, args.k, args.d))
+        lines += more
     _emit(args, payload, lines)
     return code
 
 
 def cmd_coset_code(args) -> int:
-    f = parse_function_file(_read(args.function))
-    betas = _parse_betas(args.betas, f.p, f.n)
-    spec = build_coset_code(f, betas)
-    report, code = _verify_spec(args, spec)
-    _emit(args, _codespec_payload(spec, report), _codespec_lines(spec, report))
+    p, n, terms, values = read_function_file(_read(args.function))
+    betas = _parse_betas(args.betas, p, n)
+    from .code_builder import build_coset_code
+    from .logic_fn import build_function
+
+    spec = build_coset_code(build_function(p, n, terms, values), betas)
+    payload, lines, code = _code_output(args, spec)
+    _emit(args, payload, lines)
     return code
 
 
 def cmd_projector(args) -> int:
-    f = parse_function_file(_read(args.function))
+    parsed = read_function_file(_read(args.function))
     A = parse_matrix_file(_read(args.matrix))
+    from .logic_fn import anf_text, build_function
+    from .projector_codes import PremiseReport, extract_boolean_basis, projector_rank
+
+    f = build_function(*parsed)
     try:
         prank = projector_rank(f, A)
     except PremiseError as exc:
@@ -286,32 +283,40 @@ def cmd_projector(args) -> int:
     payload = {"premises": report.to_dict(), "rank": prank, "support_size": prank}
     lines = ["premises: ok", f"projector rank: {prank} (support size {prank})"]
     if args.extract_basis:
-        basis = extract_boolean_basis(f, A)
-        payload["basis"] = [anf_text(g) for g in basis]
-        lines += [f"basis[{i}]: {anf_text(g)}" for i, g in enumerate(basis)]
+        basis = [anf_text(g) for g in extract_boolean_basis(f, A)]
+        payload["basis"] = basis
+        lines += [f"basis[{i}]: {text}" for i, text in enumerate(basis)]
     _emit(args, payload, lines)
     return 0
 
 
 def cmd_mds(args) -> int:
-    spec = build_mds_family(args.m)
-    report, code = _verify_spec(args, spec)
-    _emit(args, _codespec_payload(spec, report), _codespec_lines(spec, report))
+    from .code_builder import build_mds_family
+
+    payload, lines, code = _code_output(args, build_mds_family(args.m))
+    _emit(args, payload, lines)
     return code
 
 
 def cmd_solve_basis(args) -> int:
     p, n, pairs = parse_system_file(_read(args.system))
+    from .logic_fn import anf_text, solve_coboundary
+
     g = solve_coboundary(pairs, p, n)
     if g is None:
         _emit(args, {"consistent": False}, ["inconsistent"])
         return 1
-    _emit(args, {"consistent": True, "solution": anf_text(g)}, [f"solution: {anf_text(g)}"])
+    text = anf_text(g)
+    _emit(args, {"consistent": True, "solution": text}, [f"solution: {text}"])
     return 0
 
 
 def cmd_verify(args) -> int:
-    spec = CodeSpec.from_json(_read(args.codespec))
+    text = _read(args.codespec)
+    from .codespec import CodeSpec
+    from .state_oracle import kl_verify_functions
+
+    spec = CodeSpec.from_json(text)
     max_weight = args.max_weight if args.max_weight is not None else spec.claimed_d - 1
     report = kl_verify_functions(spec.basis, max_weight)
     lines = [f"verdict: {report.verdict} (max weight {max_weight})"] + _failure_lines(report)

@@ -22,12 +22,11 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ._textfile import integer, read_header
+from ._textfile import read_graph_file
 from .codespec import CodeSpec
 from .errors import CapacityError, InputError
-from .fp_algebra import FpMatrix, PauliLabel, rank, solve_linear, table_size
+from .fp_algebra import FpMatrix, PauliLabel, rank, solve_linear
 from .logic_fn import LogicFunction, add_affine, quadratic_form
-from .state_oracle import apply_error, state_from_function
 
 MAX_COVERAGE_VERTICES = 20
 
@@ -63,27 +62,7 @@ def parse_graph_file(text: str) -> WeightedGraph:
     """'p n' then one 'u v [w]' line per edge (1-based vertices, weight
     default 1). Blank lines and '#' comments are skipped; repeating an edge
     is an error."""
-    p, n, body = read_header(text, "p n")
-    table_size(p, n)  # bounds the n x n adjacency before it is allocated
-    entries = [[0] * n for _ in range(n)]
-    seen = set()
-    for ln in body:
-        parts = ln.split()
-        if len(parts) not in (2, 3):
-            raise InputError(f"edge line must be 'u v [w]', got {ln!r}")
-        u, v, w = (integer(tok, "edge entry") for tok in (parts + ["1"])[:3])
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise InputError(f"edge {u}-{v} out of range 1..{n}")
-        if u == v:
-            raise InputError(f"self-loop at vertex {u}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise InputError(f"edge {u}-{v} given twice")
-        if not (1 <= w <= p - 1):
-            raise InputError(f"edge {u}-{v} weight must lie in 1..{p - 1}, got {w}")
-        seen.add(key)
-        entries[u - 1][v - 1] = entries[v - 1][u - 1] = w
-    return WeightedGraph(p, n, FpMatrix(p, tuple(tuple(r) for r in entries)))
+    return WeightedGraph(*read_graph_file(text))
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +162,7 @@ def uncoverable_family(G: WeightedGraph, d: int) -> set:
 
 
 # ---------------------------------------------------------------------------
-# graph code construction and stabilizer check
+# graph code construction and stabilizer rows
 
 
 def build_graph_code(G: WeightedGraph, classes, d: int) -> CodeSpec:
@@ -227,12 +206,6 @@ def graph_to_stabilizer_rows(G: WeightedGraph) -> list:
         a = tuple(1 if u == v else 0 for u in range(G.n))
         rows.append(PauliLabel(G.p, a, tuple(G.adj.entries[v])))
     return rows
-
-
-def verify_stabilizer(G: WeightedGraph) -> bool:
-    """Exact check that every vertex operator fixes the graph state."""
-    psi = state_from_function(G.function())
-    return all(apply_error(row, psi) == psi for row in graph_to_stabilizer_rows(G))
 
 
 # ---------------------------------------------------------------------------

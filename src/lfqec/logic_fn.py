@@ -15,13 +15,12 @@ the constant monomial.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._tables import digit_axis, index_vectors, linear_values, vector_index
-from ._textfile import integer, read_header, residues
+from ._textfile import anf_terms, read_function_file
 from .errors import CapacityError, InputError
 from .fp_algebra import (
     CycloInt,
@@ -103,172 +102,70 @@ def _canonical_terms(p: int, n: int, terms) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# ANF text parsing and rendering
-
-
-_TOKEN = re.compile(r"\s*(?:(\d+)|([xy])(\d+)|(\*\*|[-+*^()]))")
-
-
-class _Parser:
-    """Polynomials in x1..xn (y aliases), with +, -, *, ^, parentheses and
-    implicit multiplication by juxtaposition. Exponents reduce by x^p = x."""
-
-    def __init__(self, text: str, p: int, n: int):
-        self.text = text
-        self.p = p
-        self.n = n
-        self.pos = 0
-        self.tok = None
-        self._advance()
-
-    def _advance(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        if self.pos >= len(self.text):
-            self.tok = ("end", None)
-            return
-        m = _TOKEN.match(self.text, self.pos)
-        if not m:
-            raise InputError(f"syntax error at position {self.pos}: {self.text[self.pos:]!r}")
-        self.pos = m.end()
-        if m.group(1) is not None:
-            self.tok = ("int", integer(m.group(1), "constant"))
-        elif m.group(2) is not None:
-            idx = integer(m.group(3), "variable index")
-            if not 1 <= idx <= self.n:
-                raise InputError(f"variable index {idx} out of range 1..{self.n}")
-            self.tok = ("var", idx - 1)
-        else:
-            op = m.group(4)
-            self.tok = ("op", "^" if op == "**" else op)
-
-    def parse(self) -> dict:
-        poly = self._expr()
-        if self.tok[0] != "end":
-            raise InputError(f"unexpected token {self.tok[1]!r} at position {self.pos}")
-        return poly
-
-    def _expr(self) -> dict:
-        kind, val = self.tok
-        neg = False
-        if kind == "op" and val in "+-":
-            neg = val == "-"
-            self._advance()
-        poly = self._term()
-        if neg:
-            poly = _poly_scale(poly, -1, self.p)
-        while self.tok[0] == "op" and self.tok[1] in "+-":
-            op = self.tok[1]
-            self._advance()
-            rhs = self._term()
-            if op == "-":
-                rhs = _poly_scale(rhs, -1, self.p)
-            poly = _poly_add(poly, rhs, self.p)
-        return poly
-
-    def _term(self) -> dict:
-        poly = self._power()
-        while True:
-            kind, val = self.tok
-            if kind == "op" and val == "*":
-                self._advance()
-                poly = _poly_mul(poly, self._power(), self.p)
-            elif kind in ("int", "var") or (kind == "op" and val == "("):
-                poly = _poly_mul(poly, self._power(), self.p)
-            else:
-                return poly
-
-    def _power(self) -> dict:
-        base = self._atom()
-        if self.tok == ("op", "^"):
-            self._advance()
-            kind, val = self.tok
-            if kind != "int":
-                raise InputError(f"exponent must be an integer at position {self.pos}")
-            self._advance()
-            out = {(0,) * self.n: 1}
-            for _ in range(_reduce_exponent(val, self.p)):
-                out = _poly_mul(out, base, self.p)
-            return out
-        return base
-
-    def _atom(self) -> dict:
-        kind, val = self.tok
-        if kind == "int":
-            self._advance()
-            return {(0,) * self.n: val % self.p}
-        if kind == "var":
-            self._advance()
-            e = [0] * self.n
-            e[val] = 1
-            return {tuple(e): 1}
-        if kind == "op" and val == "(":
-            self._advance()
-            poly = self._expr()
-            if self.tok != ("op", ")"):
-                raise InputError(f"missing ')' at position {self.pos}")
-            self._advance()
-            return poly
-        raise InputError(f"unexpected token at position {self.pos}")
-
-
-def _reduce_exponent(e: int, p: int) -> int:
-    """x^p = x pointwise, so exponents e >= 1 reduce to ((e-1) mod (p-1)) + 1."""
-    if e < 0:
-        raise InputError("negative exponents are not allowed")
-    if e == 0:
-        return 0
-    return (e - 1) % (p - 1) + 1 if p > 2 else 1
-
-
-def _poly_add(a: dict, b: dict, p: int) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = (out.get(k, 0) + v) % p
-    return {k: v for k, v in out.items() if v}
-
-
-def _poly_scale(a: dict, s: int, p: int) -> dict:
-    return {k: (v * s) % p for k, v in a.items() if (v * s) % p}
-
-
-def _poly_mul(a: dict, b: dict, p: int) -> dict:
-    out: dict = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            k = tuple(_reduce_exponent(ea + eb, p) if ea + eb else 0 for ea, eb in zip(ka, kb))
-            out[k] = (out.get(k, 0) + va * vb) % p
-    return {k: v for k, v in out.items() if v}
+# ANF text and function files (the syntax is read by `_textfile`)
 
 
 def parse_anf(text: str, p: int, n: int) -> LogicFunction:
     """Parse a polynomial in x1..xn (aliases y1..yn) into a LogicFunction
     with both the reduced ANF and the expanded table."""
-    table_size(p, n)
-    try:
-        poly = _Parser(text, p, n).parse()
-    except RecursionError as exc:  # too deeply nested
-        raise InputError("polynomial nests too deeply") from exc
-    terms = []
-    for expvec, coeff in poly.items():
-        mono = tuple(v for v, e in enumerate(expvec) for _ in range(e))
-        terms.append((coeff, mono))
+    return LogicFunction.from_anf(p, n, anf_terms(text, p, n))
+
+
+def parse_function_file(text: str) -> LogicFunction:
+    """Two content lines: 'p n' then either 'anf: <polynomial>' or
+    'tt: <p^n residues in index order>'. Truth-table residues may be a
+    compact digit string or whitespace/comma separated values. Blank lines
+    and lines starting with '#' are skipped."""
+    return build_function(*read_function_file(text))
+
+
+def build_function(p: int, n: int, terms, values) -> LogicFunction:
+    """The function of a read function file: from its ANF terms, or from
+    its table values when terms is None."""
+    if terms is None:
+        return LogicFunction.from_table(p, n, values)
     return LogicFunction.from_anf(p, n, terms)
 
 
 def _anf_terms(f: LogicFunction, max_deg: int | None = None) -> tuple | None:
     """The reduced ANF of f, f.anf or else interpolated from the table; None
-    if a monomial has degree above max_deg. On one axis v(x) = sum_a v(a)
-    (1 - (x - a)^(p-1)) and (x - a)^(p-1) = sum_k a^(p-1-k) x^k mod p, so x^k
-    has coefficient sum_a ([k = 0] - a^(p-1-k)) v(a) with 0^0 = 1; applied
-    along every axis of the grid, and at p = 2 it is the Moebius transform."""
+    if a monomial has degree above max_deg. Along one axis the values
+    v(0..p-1) are replaced in place by the forward differences
+    d_k = Delta^k v(0), so that v(x) = sum_k d_k C(x, k), and then by the
+    coefficients of x^m in that sum, C(x, k) being x(x-1)...(x-k+1)/k!.
+    Both steps are triangular, so row m is rewritten from rows not yet
+    rewritten. At p = 2 the first step is the Moebius butterfly and the
+    second is empty."""
     if f.anf is not None:
         return f.anf if max_deg is None or all(len(m) <= max_deg for _, m in f.anf) else None
     p, n = f.p, f.n
-    T = np.array([[(int(k == 0) - pow(a, p - 1 - k, p)) % p for a in range(p)] for k in range(p)])
-    grid = f.table.reshape((p,) * n)
+    expand = []  # expand[k][m]: coefficient of x^m in C(x, k), m <= k
+    falling, fact = [1], 1
+    for k in range(p):
+        expand.append([c * pow(fact, p - 2, p) % p for c in falling])
+        falling = [(a - k * b) % p for a, b in zip([0] + falling, falling + [0])]
+        fact *= k + 1
+    grid = f.table.astype(np.uint8)
     for axis in range(n):
-        grid = np.moveaxis(np.tensordot(T, grid, axes=(1, axis)), 0, axis) % p
+        rows = grid.reshape(p**axis, p, -1)
+        for k in range(1, p):
+            for a in range(p - 1, k - 1, -1):
+                rows[:, a] -= rows[:, a - 1]  # wraps below 0 to 256 - p or more
+                np.minimum(rows[:, a], rows[:, a] + p, out=rows[:, a])
+        for m in range(p):
+            parts = [(k, expand[k][m]) for k in range(m, p) if expand[k][m]]
+            if parts != [(m, 1)]:
+                acc = np.zeros(rows[:, m].shape, dtype=np.uint16)
+                for k, c in parts:
+                    acc += rows[:, k] * c  # a uint8 product: at most (p-1)^2
+                s = p
+                while 2 * s <= (p - 1) * sum(c for _, c in parts):  # acc's largest value
+                    s *= 2
+                while s >= p:  # subtract p 2^j where it does not wrap: acc mod p
+                    np.minimum(acc, acc - s, out=acc)
+                    s //= 2
+                rows[:, m] = acc
+    grid = grid.reshape((p,) * n)
     if max_deg is not None and grid[sum(digit_axis(p, n, i) for i in range(n)) > max_deg].any():
         return None  # before one tuple per term is built
     flat = grid.reshape(-1)
@@ -278,6 +175,7 @@ def _anf_terms(f: LogicFunction, max_deg: int | None = None) -> tuple | None:
         for c, k in zip(flat[idx].tolist(), index_vectors(p, n, idx))
     ]
     return _canonical_terms(p, n, terms)
+
 
 
 def anf_text(f: LogicFunction) -> str:
@@ -591,23 +489,3 @@ def solve_coboundary(pairs, p: int, n: int) -> LogicFunction | None:
     terms = [(x[m], (m,)) for m in range(n)]
     terms += [(x[col], (j, k)) for (j, k), col in quad_idx.items()]
     return LogicFunction.from_anf(p, n, terms)
-
-
-# ---------------------------------------------------------------------------
-# function file format (shared by the command-line tools)
-
-
-def parse_function_file(text: str) -> LogicFunction:
-    """Two content lines: 'p n' then either 'anf: <polynomial>' or
-    'tt: <p^n residues in index order>'. Truth-table residues may be a
-    compact digit string or whitespace/comma separated values. Blank lines
-    and lines starting with '#' are skipped."""
-    p, n, body = read_header(text, "p n")
-    if not body:
-        raise InputError("function file needs a body line after 'p n'")
-    N = table_size(p, n)
-    if body[0].startswith("anf:"):
-        return parse_anf(body[0][4:].strip(), p, n)
-    if body[0].startswith("tt:"):
-        return LogicFunction.from_table(p, n, residues(body[0][3:].strip(), p, N))
-    raise InputError("body line must start with 'anf:' or 'tt:'")

@@ -22,6 +22,8 @@ from lfqec import (
     PremiseError,
     StateVector,
     apc_sum,
+    apply_error,
+    graph_to_stabilizer_rows,
     operator_matrix,
     rank,
     solve_coboundary,
@@ -89,6 +91,13 @@ def _labels_by_weight(p: int, n: int) -> dict:
         for b in vectors:
             by_weight[sum(1 for x, y in zip(a, b) if x or y)].append((a, b))
     return {w: sorted(labels, key=key) for w, labels in by_weight.items()}
+
+
+def verify_stabilizer(G) -> bool:
+    """Exact check that every vertex operator of a weighted graph fixes the
+    graph state."""
+    psi = state_from_function(G.function())
+    return all(apply_error(row, psi) == psi for row in graph_to_stabilizer_rows(G))
 
 
 def reference_apply_error(e: PauliLabel, state: StateVector) -> StateVector:

@@ -16,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import verify_stabilizer
 from lfqec import (
     FpMatrix,
     PremiseError,
@@ -44,7 +45,6 @@ from lfqec import (
     state_from_function,
     symplectic_product,
     uncoverable_family,
-    verify_stabilizer,
     weight_support,
     zset,
     zset_via_autocorrelation,

@@ -1,5 +1,10 @@
-"""The package namespace: every exported name resolves, and the export list
-is kept sorted so a stale or missing entry shows in review."""
+"""The package namespace: every exported name resolves, on first use, from
+the module that defines it, and the export list is kept sorted so a stale
+or missing entry shows in review."""
+import importlib
+
+import pytest
+
 import lfqec
 
 
@@ -10,6 +15,28 @@ def test_every_export_resolves():
 
 def test_exports_are_sorted_and_unique():
     assert lfqec.__all__ == sorted(set(lfqec.__all__))
+
+
+def test_dir_lists_the_exports():
+    assert dir(lfqec) == lfqec.__all__
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from lfqec import *", namespace)
+    assert [name for name in lfqec.__all__ if name not in namespace] == []
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        lfqec.no_such_name  # noqa: B018
+    assert not hasattr(lfqec, "verify_stabilizer")
+
+
+@pytest.mark.parametrize("name", lfqec.__all__)
+def test_export_names_its_defining_module(name):
+    module = f"lfqec.{lfqec._EXPORTS[name]}"
+    assert getattr(importlib.import_module(module), name).__module__ == module
 
 
 def test_oracle_entries_for_states_and_for_functions_are_exported():

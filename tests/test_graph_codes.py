@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import reference_kernel_check, rng
+from conftest import reference_kernel_check, rng, verify_stabilizer
 from lfqec import (
     CapacityError,
     FpMatrix,
@@ -27,7 +27,6 @@ from lfqec import (
     state_from_function,
     symplectic_product,
     uncoverable_family,
-    verify_stabilizer,
 )
 
 C5_TEXT = "2 5\n1 2\n2 3\n3 4\n4 5\n5 1\n"

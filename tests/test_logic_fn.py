@@ -3,6 +3,7 @@ and the coboundary solver. Float references are independent of the exact
 integer paths they check."""
 import cmath
 import itertools
+import math
 import sys
 
 import numpy as np
@@ -119,6 +120,44 @@ def test_anf_interpolated_from_table(gen):
         g = random_function(gen, p, n)
         assert g.anf is None
         assert parse_anf(anf_text(g), p, n) == g
+
+
+def evaluate_terms(p, n, terms) -> list:
+    """The table of sum c * prod x_v over (c, monomial) terms, x by x."""
+    return brute_table(
+        p, n, lambda x: sum(c * math.prod(x[v] for v in mono) for c, mono in terms)
+    )
+
+
+@pytest.mark.parametrize("p, n", [(2, 7), (3, 4), (5, 3)])
+def test_interpolated_anf_evaluates_to_the_table(gen, p, n):
+    degrees = range(n * (p - 1) + 1)
+    for _ in range(10):
+        f = random_function(gen, p, n)
+        terms = lfqec.logic_fn._anf_terms(f)
+        assert evaluate_terms(p, n, terms) == f.table.tolist()
+        top = max((len(mono) for _, mono in terms), default=0)
+        for d in degrees:
+            assert lfqec.logic_fn._anf_terms(f, d) == (terms if top <= d else None)
+        # a table of degree at most 2, squares included, known only by its values
+        monos = [(), *((v,) for v in range(n)), *itertools.combinations_with_replacement(range(n), 2)]
+        low = [(int(gen.integers(p)), mono) for mono in monos]
+        q = LogicFunction(p, n, evaluate_terms(p, n, low))
+        terms = lfqec.logic_fn._anf_terms(q, max_deg=2)
+        assert terms is not None and evaluate_terms(p, n, terms) == q.table.tolist()
+        assert all(len(mono) <= 2 for _, mono in terms)
+        assert lfqec.logic_fn._anf_terms(q, max_deg=1) == (
+            terms if all(len(mono) <= 1 for _, mono in terms) else None
+        )
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_interpolation_sums_reach_their_bound(p):
+    # v(x) = sum_k (p-1) C(x, k): every forward difference is p - 1, so each
+    # coefficient sums its largest possible value before it is reduced
+    v = brute_table(p, 1, lambda x: (p - 1) * sum(math.comb(x[0], k) for k in range(p)))
+    terms = lfqec.logic_fn._anf_terms(LogicFunction(p, 1, v))
+    assert evaluate_terms(p, 1, terms) == v
 
 
 def test_anf_matches_table_evaluation(gen):
