@@ -1,15 +1,11 @@
 """Quantum error-correcting codes from logic functions over prime fields
 and weighted graphs, verified exactly by a state-vector oracle over
-cyclotomic integers.
-
-Each exported name is loaded from its module when it is first used
-(PEP 562), so importing the package loads none of them.
-"""
+cyclotomic integers."""
 import importlib
 
 __version__ = "0.1.0"
 
-# exported name -> the module that defines it
+# exported name -> the module that defines it, imported on first use (PEP 562)
 _EXPORTS = {
     "CapacityError": "errors",
     "InputError": "errors",

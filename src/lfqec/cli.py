@@ -112,23 +112,21 @@ def _vector_str(v) -> str:
 def _code_output(args, spec) -> tuple:
     """(payload, text lines, exit code) for a built code, with the oracle
     verdict on its claim when --verify is given."""
-    report, code = None, 0
-    if args.verify:
-        from .codespec import check_claim
-
-        report = check_claim(spec)
-        code = 0 if report.passed else 1
     payload = spec.to_dict()
     lines = [
         f"code: (({spec.n}, {spec.claimed_K}, {spec.claimed_d}))_p={spec.p}",
         f"provenance: {spec.provenance}",
     ]
     lines += [f"basis[{i}]: {text}" for i, text in enumerate(payload["basis"])]
-    if report is not None:
-        payload["verification"] = report.to_dict()
-        lines.append(f"verification: {report.verdict} (max weight {report.max_weight})")
-        lines += ["  " + line for line in _failure_lines(report)]
-    return payload, lines, code
+    if not args.verify:
+        return payload, lines, 0
+    from .codespec import check_claim
+
+    report = check_claim(spec)
+    payload["verification"] = report.to_dict()
+    lines.append(f"verification: {report.verdict} (max weight {report.max_weight})")
+    lines += ["  " + line for line in _failure_lines(report)]
+    return payload, lines, 0 if report.passed else 1
 
 
 def _failure_lines(report) -> list:

@@ -23,10 +23,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from ._textfile import read_graph_file
-from .codespec import CodeSpec
 from .errors import CapacityError, InputError
 from .fp_algebra import FpMatrix, PauliLabel, rank, solve_linear
-from .logic_fn import LogicFunction, add_affine, quadratic_form
+
+# Coverage and the matrix checks are F_p work on Python ints: only the
+# function-valued constructions import logic_fn and codespec, and so numpy.
 
 MAX_COVERAGE_VERTICES = 20
 
@@ -55,6 +56,8 @@ class WeightedGraph:
             raise InputError(f"vertex {v} out of range 1..{self.n}")
 
     def function(self) -> LogicFunction:
+        from .logic_fn import quadratic_form
+
         return quadratic_form(self.adj)
 
 
@@ -191,6 +194,9 @@ def build_graph_code(G: WeightedGraph, classes, d: int) -> CodeSpec:
                     f"symmetric difference {sorted(diff)} is coverable below "
                     f"weight {d}{detail}"
                 )
+    from .codespec import CodeSpec
+    from .logic_fn import add_affine
+
     f = G.function()
     basis = []
     for c in classes:

@@ -1,6 +1,7 @@
 """Start-up contract of the command line, checked in fresh interpreters:
 importing `lfqec.cli` loads no numpy, input errors (exit 2) are reported
-before numpy loads, and a subcommand loads only the modules it runs."""
+before numpy loads, and a subcommand loads only the modules it runs
+(`matrix-check` without --build runs on Python integers alone)."""
 import json
 import os
 import pathlib
@@ -26,6 +27,7 @@ FUNCTION = "2 2\nanf: x1*x2\n"
 # a (function, matrix) pair that meets the projector premises
 G2_FN = "2 4\nanf: x1*x3 + x1*x4 + x2*x3 + x2*x4 + x3*x4 + x1 + x2\n"
 REPAIRED_MAT = "2 4\n1 0 0 0 0 0 1 0\n0 1 0 0 0 0 0 1\n0 0 1 0 1 0 0 0\n0 0 0 1 0 1 0 0\n"
+RANK_MAT = "2 5\n0 0 1 1 0\n0 0 1 1 1\n1 1 0 0 0\n1 1 0 0 0\n0 1 0 0 0\n"
 
 
 def run_cli(tmp_path, files: dict, *argv) -> dict:
@@ -71,18 +73,26 @@ def test_input_errors_exit_2_before_numpy_loads(tmp_path, case):
 
 
 @pytest.mark.parametrize(
-    "argv, files, unloaded",
+    "argv, files, rc, unloaded",
     [
-        (["zset", "f.fn"], {"f.fn": FUNCTION}, ["state_oracle", "projector_codes", "code_builder"]),
+        (
+            ["zset", "f.fn"],
+            {"f.fn": FUNCTION},
+            0,
+            ["state_oracle", "projector_codes", "code_builder"],
+        ),
         (
             ["projector", "g2.fn", "m", "--extract-basis"],
             {"g2.fn": G2_FN, "m": REPAIRED_MAT},
+            0,
             ["state_oracle", "code_builder"],
         ),
+        (["matrix-check", "m", "--k", "1", "--d", "2"], {"m": RANK_MAT}, 0, ["logic_fn", "numpy"]),
     ],
-    ids=["zset", "projector"],
+    ids=["zset", "projector", "matrix-check"],
 )
-def test_subcommand_loads_only_its_modules(tmp_path, argv, files, unloaded):
+def test_subcommand_loads_only_its_modules(tmp_path, argv, files, rc, unloaded):
     out = run_cli(tmp_path, files, *argv)
-    assert out["rc"] == 0
-    assert [m for m in unloaded if f"lfqec.{m}" in out["loaded"]] == []
+    assert out["rc"] == rc
+    loaded = [m for m in unloaded if m in out["loaded"] or f"lfqec.{m}" in out["loaded"]]
+    assert loaded == []
