@@ -57,7 +57,6 @@ _EXPORTS = {
     "is_uncoverable": "graph_codes",
     "matrix_code_check": "graph_codes",
     "matrix_kernel_check": "graph_codes",
-    "neighborhood": "graph_codes",
     "parse_graph_file": "graph_codes",
     "uncoverable_family": "graph_codes",
     "build_coset_code": "code_builder",

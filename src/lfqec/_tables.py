@@ -6,11 +6,8 @@ That is the C-order ravel of an array on the grid (p,)*n whose axis i
 carries the digit x_(i+1). Every helper here works on that grid: a digit is
 one broadcast axis, a linear form is a sum of them and a shift is a roll, so
 no helper forms a table of all p^n * n digits. This module is the only one
-that converts between indices and vectors. Cached arrays are read-only;
-callers must copy before mutating.
+that converts between indices and vectors.
 """
-from functools import lru_cache
-
 import numpy as np
 
 
@@ -43,23 +40,11 @@ def vector_index(p: int, n: int, x) -> int:
     return int(np.ravel_multi_index(tuple(int(v) for v in x), (p,) * n))
 
 
-# Each entry is a p^n index array. Label walks keep the a-part outside the
-# b-part, so consecutive calls share one shift: a few entries keep those hits
-# while bounding the memory, and a miss is one roll.
-SHIFT_CACHE_SIZE = 8
-
-
-@lru_cache(maxsize=SHIFT_CACHE_SIZE)
-def _shift_cache(p: int, n: int, a: tuple) -> np.ndarray:
-    """On the grid, x + a is a cyclic roll by -a_i along each axis i where
-    a_i is nonzero."""
+def shifted_indices(p: int, n: int, a) -> np.ndarray:
+    """Index of x + a for every x, as an array over table indices. On the
+    grid, x + a is a cyclic roll by -a_i along each axis i where a_i is
+    nonzero."""
+    a = [int(v) % p for v in a]
     supp = tuple(i for i, v in enumerate(a) if v)
     grid = np.arange(p**n).reshape((p,) * n)
-    out = np.roll(grid, tuple(-a[i] for i in supp), axis=supp).ravel()
-    out.setflags(write=False)
-    return out
-
-
-def shifted_indices(p: int, n: int, a) -> np.ndarray:
-    """Index of x + a for every x, as an array over table indices."""
-    return _shift_cache(p, n, tuple(int(v) % p for v in a))
+    return np.roll(grid, tuple(-a[i] for i in supp), axis=supp).ravel()

@@ -1,12 +1,14 @@
-"""Reader shared by the plain-text input files (function, graph, matrix,
-classes and system files): comment and blank-line filtering, the
-two-integer header, integer tokens and residue rows, and the ANF syntax.
-Every malformed token raises InputError. Readers return plain values
-(header integers, ANF term lists, residue lists, an adjacency FpMatrix) and
-import no numeric library, so bad input is refused before one is loaded.
+"""Readers of the input files: comment and blank-line filtering, the
+two-integer header, integer tokens and residue rows (on which `cli` reads
+matrix, classes and system files), the function and graph files, the code
+description (JSON), and the ANF syntax. Every malformed token raises
+InputError. Readers return plain values (header integers, ANF term
+lists, residue lists, an adjacency FpMatrix) and import no numeric library,
+so bad input is refused before one is loaded.
 """
 from __future__ import annotations
 
+import json
 import re
 
 from .errors import InputError
@@ -222,6 +224,29 @@ def _poly_mul(a: dict, b: dict, p: int) -> dict:
             k = tuple(_reduce_exponent(ea + eb, p) if ea + eb else 0 for ea, eb in zip(ka, kb))
             out[k] = (out.get(k, 0) + va * vb) % p
     return {k: v for k, v in out.items() if v}
+
+
+def read_code_file(text: str) -> tuple:
+    """(p, n, claimed_d, provenance, basis terms, K) of a code description:
+    a JSON object with integers p, n and claimed_d, a list `basis` of ANF
+    strings (read by `anf_terms`), and optionally a `provenance` and an
+    integer K, which is None when absent."""
+    try:
+        data = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+        raise InputError(f"invalid JSON: {exc}") from exc
+    try:
+        p, n, claimed_d, basis = (data[key] for key in ("p", "n", "claimed_d", "basis"))
+        provenance = str(data.get("provenance", ""))
+    except (KeyError, TypeError) as exc:
+        raise InputError(f"malformed code description: {exc}") from exc
+    for key in ("p", "n", "claimed_d", "K"):  # JSON integers; bool is an int subclass
+        value = data.get(key, 0)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise InputError(f"malformed code description: {key} = {value!r} is not an integer")
+    if not isinstance(basis, list) or not all(isinstance(s, str) for s in basis):
+        raise InputError("malformed code description: basis must be a list of strings")
+    return p, n, claimed_d, provenance, [anf_terms(s, p, n) for s in basis], data.get("K")
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,10 @@ trusting their own bookkeeping.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import InputError
-from .logic_fn import LogicFunction, anf_text, parse_anf
+from .logic_fn import LogicFunction, anf_text
 from .state_oracle import VerifyReport, kl_verify_functions, state_from_function
 
 
@@ -54,38 +53,6 @@ class CodeSpec:
             "provenance": self.provenance,
             "basis": [anf_text(f) for f in self.basis],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CodeSpec":
-        try:
-            p, n, claimed_d, basis_text = (data[key] for key in ("p", "n", "claimed_d", "basis"))
-            provenance = str(data.get("provenance", ""))
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"malformed code description: {exc}") from exc
-        for key in ("p", "n", "claimed_d", "K"):  # JSON integers; bool is an int subclass
-            value = data.get(key, 0)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise InputError(f"malformed code description: {key} = {value!r} is not an integer")
-        if not isinstance(basis_text, list) or not all(isinstance(s, str) for s in basis_text):
-            raise InputError("malformed code description: basis must be a list of strings")
-        basis = tuple(parse_anf(s, p, n) for s in basis_text)
-        spec = cls(p, n, basis, claimed_d, provenance)
-        if "K" in data and data["K"] != spec.claimed_K:
-            raise InputError(
-                f"stated K = {data['K']} but {spec.claimed_K} basis functions were given"
-            )
-        return spec
-
-    @classmethod
-    def from_json(cls, text: str) -> "CodeSpec":
-        try:
-            data = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
-            raise InputError(f"invalid JSON: {exc}") from exc
-        return cls.from_dict(data)
 
 
 def check_claim(spec: CodeSpec) -> VerifyReport:

@@ -13,8 +13,9 @@ Three pillars used everywhere else:
 - F_p linear algebra: rank, solve with nullspace basis, over small matrices.
 
 Capacities keep everything desk-scale: p <= 13, truth tables to 2^24
-entries, state vectors to 2^20, dense operators to dimension 1024, and
-listings of vectors to 2^22 entries.
+entries, state vectors to 2^20, OperatorMatrix to dimension 1024 (no verdict
+forms one), and listings to 2^22 entries (vectors x length, basis pairs, or
+recovered tables x size).
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ PRIMES = (2, 3, 5, 7, 11, 13)
 
 MAX_TABLE = 2**24
 MAX_STATE = 2**20
-# Most entries (vectors x length) in one listing such as zset's; fits 768 MiB
+# Most entries in one listing, such as zset's vectors x length; fits 768 MiB
 MAX_LISTING = 2**22
 MAX_OPERATOR_DIM = 1024
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from ._textfile import read_graph_file
 from .errors import CapacityError, InputError
@@ -69,18 +68,7 @@ def parse_graph_file(text: str) -> WeightedGraph:
 
 
 # ---------------------------------------------------------------------------
-# neighborhoods and coverage
-
-
-def neighborhood(G: WeightedGraph, omega) -> frozenset:
-    """Union of neighbor sets: vertices joined by a nonzero edge to at
-    least one vertex of omega."""
-    omega = _as_vertex_set(G, omega)
-    out = set()
-    for v in omega:
-        row = G.adj.entries[v - 1]
-        out.update(u + 1 for u in range(G.n) if row[u] != 0)
-    return frozenset(out)
+# coverage
 
 
 def _as_vertex_set(G: WeightedGraph, vs) -> frozenset:
@@ -109,7 +97,6 @@ def _parity_mask_of(G: WeightedGraph, omega_mask: int) -> int:
     return sum(1 << u for u in range(G.n) if totals[u])
 
 
-@lru_cache(maxsize=128)
 def _coverage_map(G: WeightedGraph, budget: int) -> dict:
     """mask(T) -> (omega, delta) masks for every T coverable within the
     budget; first witness in deterministic order wins."""
@@ -180,20 +167,18 @@ def build_graph_code(G: WeightedGraph, classes, d: int) -> CodeSpec:
         raise InputError("the empty class must be included")
     if len(set(classes)) != len(classes):
         raise InputError("classes must be pairwise distinct")
-    for i in range(len(classes)):
-        for j in range(i + 1, len(classes)):
-            diff = classes[i] ^ classes[j]
-            if not is_uncoverable(G, diff, d):
-                wit = coverage_witness(G, diff, d)
-                detail = ""
-                if wit is not None:
-                    om, de = wit
-                    detail = f"; witness omega={sorted(om)} delta={sorted(de)}"
-                raise InputError(
-                    f"classes {sorted(classes[i])} and {sorted(classes[j])}: "
-                    f"symmetric difference {sorted(diff)} is coverable below "
-                    f"weight {d}{detail}"
-                )
+    # distinct classes differ, so each difference is nonempty and is coverable
+    # exactly when the map holds it
+    cov = _coverage_map(G, d - 1) if len(classes) > 1 else {}
+    for ci, cj in itertools.combinations(classes, 2):
+        hit = cov.get(_mask(ci ^ cj))
+        if hit is not None:
+            om, de = (sorted(_unmask(m, G.n)) for m in hit)
+            raise InputError(
+                f"classes {sorted(ci)} and {sorted(cj)}: symmetric difference "
+                f"{sorted(ci ^ cj)} is coverable below weight {d}; witness "
+                f"omega={om} delta={de}"
+            )
     from .codespec import CodeSpec
     from .logic_fn import add_affine
 

@@ -18,6 +18,7 @@ import numpy as np
 from ._tables import linear_values, shifted_indices
 from .errors import CapacityError, InputError, PremiseError
 from .fp_algebra import (
+    MAX_LISTING,
     MAX_OPERATOR_DIM,
     CycloInt,
     FpMatrix,
@@ -64,11 +65,6 @@ class OperatorMatrix:
         e = np.zeros((N, N, p), dtype=np.int64)
         e[np.arange(N), np.arange(N), 0] = 1
         return cls(p, n, e)
-
-    @classmethod
-    def zero(cls, p: int, n: int) -> "OperatorMatrix":
-        N = _operator_dim(p, n)
-        return cls(p, n, np.zeros((N, N, p), dtype=np.int64))
 
     def _check(self, other: "OperatorMatrix"):
         if (self.p, self.n) != (other.p, other.n):
@@ -279,9 +275,9 @@ def check_projector_premises(f: LogicFunction, A: FpMatrix) -> PremiseReport:
 
 def projector_rank(f: LogicFunction, A: FpMatrix) -> int:
     """Rank of the projector sum_t prod_i 1/2 (I + (-1)^(t_i) E_i), t over
-    the support of f, without forming it. All four premises must hold, the
-    operator dimension cap applies, and every row must square to +I, which
-    for E_i = E'_(a_i, b_i) means a_i . b_i = 0 (mod 2).
+    the support of f, without forming it. All four premises must hold, and
+    every row must square to +I, which for E_i = E'_(a_i, b_i) means
+    a_i . b_i = 0 (mod 2).
 
     The rows are then n commuting, independent, Hermitian involutions. No
     product of a nonempty subset of them is a multiple of I, so each such
@@ -291,7 +287,6 @@ def projector_rank(f: LogicFunction, A: FpMatrix) -> int:
     report = check_projector_premises(f, A)
     if not report.all_ok:
         raise PremiseError(f"premise failure: {report.summary()}", report)
-    _operator_dim(2, f.n)
     for i, e in enumerate(_stabilizer_rows(A)):
         if sum(x * y for x, y in zip(e.a, e.b)) % 2:
             raise InputError(f"row {i} squares to -I: a . b is odd, so it is not an involution")
@@ -327,7 +322,9 @@ def extract_boolean_basis(f: LogicFunction, A: FpMatrix) -> list:
     left = A.submatrix(range(n), range(n))
     if fp_rank(left) != n:
         raise InputError("left block of the matrix must be invertible")
-    _operator_dim(2, n)
+    M = int(np.count_nonzero(f.table))
+    if M << n > MAX_LISTING:  # the M recovered tables are held at once
+        raise CapacityError(f"{M} x 2^{n} table entries exceed the listing budget {MAX_LISTING}")
     _, support = weight_support(f)
     if not support:
         return []

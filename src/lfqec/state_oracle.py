@@ -25,7 +25,6 @@ function bases, and states, take the Gram sweep: the closed form's reference.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +32,7 @@ import numpy as np
 from ._tables import linear_values, shifted_indices
 from .errors import CapacityError, InputError
 from .fp_algebra import (
+    MAX_LISTING,
     MAX_STATE,
     CycloInt,
     PauliLabel,
@@ -89,16 +89,16 @@ def state_from_function(f) -> StateVector:
     return StateVector(f.p, f.n, amps)
 
 
-def _error_index(a, b, p: int, n: int) -> np.ndarray:
+def _error_index(shift: np.ndarray, a, b, p: int, n: int) -> np.ndarray:
     """Gather index g with E'_(a,b) psi = psi[g], both spelled exponent-major
-    (entry t*N + y is coefficient t at |y>): |y> reads x = y - a with its
-    exponents moved up by b.x = b.y - a.b."""
+    (entry t*N + y is coefficient t at |y>): |y> reads x = y - a, at index
+    shift[y] of shift = shifted_indices(p, n, -a), with its exponents moved
+    up by b.x = b.y - a.b."""
     rot = linear_values(p, n, b) - sum(x * y for x, y in zip(a, b))
-    x = shifted_indices(p, n, [-v for v in a])
     g = np.subtract.outer(np.arange(p), rot)  # built in place: one p*N array
     g %= p
     g *= p**n
-    g += x
+    g += shift
     return g.ravel()
 
 
@@ -106,7 +106,8 @@ def apply_error(e: PauliLabel, state: StateVector) -> StateVector:
     """E'_e acts by new[x + a] = zeta^(b.x) * old[x]."""
     if (e.p, e.n) != (state.p, state.n):
         raise InputError("label does not match the state")
-    g = _error_index(e.a, e.b, state.p, state.n)
+    shift = shifted_indices(state.p, state.n, [-v for v in e.a])
+    g = _error_index(shift, e.a, e.b, state.p, state.n)
     return StateVector(state.p, state.n, state.amps.T.ravel()[g].reshape(state.p, -1).T)
 
 
@@ -191,9 +192,6 @@ class VerifyReport:
             "failures": [f.to_dict() for f in self.failures],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
 
 def _violation(G: np.ndarray):
     """First scalar-Gram violation (kind, i, j) in one label's coefficient
@@ -219,7 +217,8 @@ def _violation(G: np.ndarray):
 
 def _failures(basis, p: int, n: int, max_weight: int):
     """Yield (weight, KLFailure) for every failing label of weight
-    1..max_weight, in increasing weight and the fixed order within each."""
+    1..max_weight, in increasing weight and the fixed order within each.
+    A block's labels share their a, and so the shift x - a."""
     X = _stack(basis)
     # One ket buffer per sweep, so labels allocate no fresh p*N arrays (the
     # OS would fault their pages in anew each time). take() buffers `out`
@@ -227,8 +226,9 @@ def _failures(basis, p: int, n: int, max_weight: int):
     kets = np.empty_like(X)
     for w in range(1, max_weight + 1):
         for a, bs in label_blocks(p, n, w):
+            shift = shifted_indices(p, n, [-v for v in a])
             for b in bs:
-                np.take(X, _error_index(a, b, p, n), axis=1, out=kets, mode="clip")
+                np.take(X, _error_index(shift, a, b, p, n), axis=1, out=kets, mode="clip")
                 bad = _violation(_gram(X, kets, p))
                 if bad is not None:
                     yield w, KLFailure(a, b, *bad)
@@ -237,9 +237,14 @@ def _failures(basis, p: int, n: int, max_weight: int):
 def _closed_form_failures(S, L, p: int, n: int, max_weight: int):
     """_failures on the states of f_j = Q + L_j.x + c_j via u = b - S a, keyed
     u . (1, p, p^2, ...): the first pair i != j with L_i - L_j = u, else, if
-    u = 0, the first j with L_j.a != L_0.a, as G_jj ~ zeta^(-L_j.a); K = 1 fails iff u = 0."""
+    u = 0, the first j with L_j.a != L_0.a, as G_jj ~ zeta^(-L_j.a); K = 1 fails iff u = 0.
+    The key table D holds K^2 entries, built one coordinate at a time."""
     K, key = len(L), p ** np.arange(n)
-    D = (L[:, None] - L) % p @ key
+    if K * K > MAX_LISTING:
+        raise CapacityError(f"K^2 = {K * K} basis pairs exceed the listing budget {MAX_LISTING}")
+    D = np.zeros((K, K), dtype=np.int64)
+    for col, k in zip(L.T, key.tolist()):
+        D += np.subtract.outer(col, col) % p * k
     D.flat[:: K + 1] = -1  # i = j is the diagonal test, not a pair
     codes, first = np.unique(D, return_index=True)
     pairs = {c: divmod(k, K) for c, k in zip(codes.tolist(), first.tolist()) if c >= 0}

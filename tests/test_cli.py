@@ -157,7 +157,7 @@ def test_verify_roundtrip(files, capsys, tmp_path):
         [(0, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1)],
     )
     path = tmp_path / "code.json"
-    path.write_text(spec.to_json())
+    path.write_text(json.dumps(spec.to_dict(), indent=2))
     code, data = run_json(capsys, "verify", str(path))
     assert code == 0 and data["verdict"] == "pass"
     # weight above the claim exposes the failing pair
@@ -305,7 +305,7 @@ def test_exit_2_projector_row_squares_to_minus_identity(files, capsys):
 def test_exit_3_capacity(files, capsys):
     code, out = run(capsys, "apc", files("huge.fn", "2 30\nanf: x1\n"))
     assert code == 3
-    code, out = run(capsys, "mds", "--m", "6")  # 2^12 > the operator dimension cap
+    code, out = run(capsys, "mds", "--m", "7")  # 2^12 tables of 2^14 entries > the listing budget
     assert code == 3
 
 
@@ -329,7 +329,7 @@ def test_quadratic_inputs_are_verified_without_states(files, capsys, monkeypatch
         ["coset-code", k4, "--betas", "0000,1100,1010,1001", "--verify"],
         ["matrix-check", files("m.mat", RANK_MAT), "--k", "1", "--d", "2", "--build", "--verify"],
         ["mds", "--m", "2", "--verify"],
-        ["verify", files("code.json", spec.to_json()), "--max-weight", "2"],
+        ["verify", files("code.json", json.dumps(spec.to_dict(), indent=2)), "--max-weight", "2"],
         ["apc", k4, "--verify"],
     ]
     argvs += [argv + ["--format", "json"] for argv in argvs]

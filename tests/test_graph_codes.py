@@ -21,7 +21,6 @@ from lfqec import (
     matrix_code_check,
     matrix_kernel_check,
     min_distance,
-    neighborhood,
     parse_graph_file,
     quadratic_form,
     state_from_function,
@@ -76,7 +75,7 @@ def symmetric_f2(bits, n):
 
 
 # ---------------------------------------------------------------------------
-# parsing and neighborhoods
+# parsing
 
 
 def test_parse_graph_file():
@@ -113,16 +112,6 @@ def test_graph_function_is_edge_form():
     for idx, x in enumerate(itertools.product((0, 1), repeat=4)):
         val = sum(x[i] * x[j] for i in range(4) for j in range(i + 1, 4)) % 2
         assert f.table[idx] == val
-
-
-def test_neighborhood_union_semantics():
-    G = parse_graph_file(C5_TEXT)
-    assert neighborhood(G, [1]) == frozenset({2, 5})
-    # union of the individual neighborhoods, not their parity
-    assert neighborhood(G, [1, 2]) == frozenset({1, 2, 3, 5})
-    assert neighborhood(G, []) == frozenset()
-    with pytest.raises(InputError):
-        neighborhood(G, [6])
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +194,26 @@ def test_build_graph_code_rejects_coverable_difference():
     # {1} xor {2} = {1,2} is coverable at d = 3, and the message names a witness
     with pytest.raises(InputError, match="omega=.*delta="):
         build_graph_code(G, [frozenset(), frozenset({1}), frozenset({2})], 3)
+    # the first pair in class order fails, with the first witness of its difference
+    with pytest.raises(InputError) as err:
+        build_graph_code(G, [frozenset(), frozenset({1, 2, 3, 4, 5}), frozenset({2, 4})], 3)
+    assert str(err.value) == (
+        "classes [] and [2, 4]: symmetric difference [2, 4] is coverable below "
+        "weight 3; witness omega=[3] delta=[]"
+    )
     with pytest.raises(InputError, match="distinct"):
         build_graph_code(G, [frozenset(), frozenset({1}), frozenset({1})], 2)
+
+
+def test_one_class_graph_code_needs_no_coverage_search():
+    # a single class has no pair to check, so the vertex cap of the search
+    # does not apply; a second class brings it back
+    path = [[int(abs(u - v) == 1) for v in range(21)] for u in range(21)]
+    G = WeightedGraph(2, 21, FpMatrix.from_rows(2, path))
+    spec = build_graph_code(G, [frozenset()], 2)
+    assert spec.claimed_K == 1 and spec.n == 21 and spec.basis[0] == G.function()
+    with pytest.raises(CapacityError, match="20 vertices"):
+        build_graph_code(G, [frozenset(), frozenset({1})], 2)
 
 
 def test_graph_code_basis_functions():

@@ -2,8 +2,11 @@
 process with one OpenBLAS thread whose address space alone is capped at
 768 MiB: parsing an n = 22 or n = 24 function and `lfqec bent` on an
 n = 22 bent function must finish inside it, with the exact answer, and
-`lfqec zset` with 2^21 shifts to list must be refused with exit 3. Under
-256 MiB, `lfqec zset --format json` must list 2^17 shifts of length 18, and
+`lfqec zset` with 2^21 shifts to list must be refused with exit 3. So must
+`lfqec verify` of a shared-quadratic code with 4096^2 basis pairs and
+`lfqec mds --m 7`, whose 4096 basis tables hold 2^26 entries, while 2048
+basis functions at n = 12 and `mds --m 6` must finish. Under 256 MiB,
+`lfqec zset --format json` must list 2^17 shifts of length 18, and
 `lfqec coset-code` must search with 32 shifts of length 16."""
 import json
 import os
@@ -103,3 +106,46 @@ def test_coset_search_fits_256_mib(tmp_path):
     proc = run_child(cli_code("coset-code", str(fn), "--betas", arg), ceiling=256 << 20, timeout=30)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.startswith(f"code: (({n}, 32, 1))_p=2\n")
+
+
+def code_file(K: int, n: int) -> str:
+    """A code description whose basis shares the quadratic part x1*x2 + x2*x3
+    and takes the binary expansions of 0..K-1 as linear parts."""
+    basis = [" + ".join(["x1*x2 + x2*x3"] + [f"x{k + 1}" for k in range(n) if j >> k & 1])
+             for j in range(K)]
+    return json.dumps({"p": 2, "n": n, "claimed_d": 2, "basis": basis})
+
+
+def test_closed_form_pair_table_fits_the_ceiling(tmp_path):
+    # one (K, K) key table; the (K, K, n) difference tensor needed 384 MiB here
+    path = tmp_path / "k2048.json"
+    path.write_text(code_file(2048, 12))
+    proc = run_child(cli_code("verify", str(path)))
+    assert proc.returncode == 1, proc.stderr[-2000:]
+    assert proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert lines[:2] == [
+        "verdict: fail (max weight 1)",
+        "failure: a=000000000000 b=100000000000 offdiag_nonzero at (0, 1)",
+    ]
+    # of the 36 weight-1 labels, only the three on x12, which no linear part uses, pass
+    assert len(lines) == 1 + 33
+
+
+def test_closed_form_pair_table_over_budget_is_refused(tmp_path):
+    path = tmp_path / "k4096.json"
+    path.write_text(code_file(4096, 13))
+    proc = run_child(cli_code("verify", str(path)))
+    assert proc.returncode == 3, proc.stderr[-2000:]
+    assert proc.stderr == "capacity: K^2 = 16777216 basis pairs exceed the listing budget 4194304\n"
+    assert proc.stdout == ""
+
+
+def test_mds_extraction_fits_the_ceiling_up_to_the_listing_budget():
+    # m = 6: 1024 tables of 2^12 entries, exactly the budget; m = 7: 4096 of 2^14
+    proc = run_child(cli_code("mds", "--m", "6"))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.startswith("code: ((12, 1024, 2))_p=2\nprovenance: mds-family\n")
+    proc = run_child(cli_code("mds", "--m", "7"))
+    assert proc.returncode == 3, proc.stderr[-2000:]
+    assert proc.stderr == "capacity: 4096 x 2^14 table entries exceed the listing budget 4194304\n"

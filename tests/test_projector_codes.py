@@ -225,7 +225,7 @@ def test_projector_rank_refuses_rows_squaring_to_minus_identity():
     assert not assemble_projector(f, A).is_idempotent()
 
 
-def test_projector_rank_capacity_after_premises():
+def test_projector_rank_capacity_after_premises(monkeypatch):
     f = parse_anf("x1*x2*x3*x4*x5*x6*x7*x8*x9*x10*x11", 2, 11)
     A = FpMatrix.identity(2, 11).hstack(FpMatrix.from_rows(2, [[0] * 11] * 11))
     with pytest.raises(PremiseError):
@@ -233,8 +233,13 @@ def test_projector_rank_capacity_after_premises():
     B = [[int(j == (i + 1) % 11 or i == (j + 1) % 11) for j in range(11)] for i in range(11)]
     A = FpMatrix.identity(2, 11).hstack(FpMatrix.from_rows(2, B))
     assert check_projector_premises(f, A).all_ok
-    with pytest.raises(CapacityError):
-        projector_rank(f, A)
+    assert projector_rank(f, A) == 1  # no operator is formed, so no dimension cap applies
+    # the extraction holds M tables of 2^n entries: over the budget it is
+    # refused before the difference system is solved
+    monkeypatch.setattr(projector_codes, "MAX_LISTING", 2**11 - 1)
+    monkeypatch.setattr(projector_codes, "solve_coboundary", lambda *args: pytest.fail("solved"))
+    with pytest.raises(CapacityError, match=r"1 x 2\^11 table entries exceed the listing budget"):
+        extract_boolean_basis(f, A)
 
 
 def test_assembly_of_printed_matrix_is_still_a_projector():
@@ -314,15 +319,15 @@ def test_extraction_rejects_a_wrong_solution(monkeypatch):
         extract_boolean_basis(g, A)
 
 
-def test_extraction_forms_each_row_shift_once():
-    # the n = 10 rows outnumber the shift cache's entries, so a lookup per
-    # (row, state) pair would miss K = 256 times per row
-    from lfqec import _tables
-
-    _tables._shift_cache.cache_clear()
-    assert len(extract_boolean_basis(mds_function(5), mds_matrix(5))) == 256
-    info = _tables._shift_cache.cache_info()
-    assert info.misses == 10 > _tables.SHIFT_CACHE_SIZE
+def test_extraction_forms_each_row_shift_once(monkeypatch):
+    # one shift per row of A serves all K = 256 recovered states
+    A = mds_matrix(5)
+    calls = []
+    shift = projector_codes.shifted_indices
+    monkeypatch.setattr(projector_codes, "shifted_indices",
+                        lambda p, n, a: calls.append(tuple(a)) or shift(p, n, a))
+    assert len(extract_boolean_basis(mds_function(5), A)) == 256
+    assert calls == [tuple(A.row(i)[:10]) for i in range(10)]
 
 
 def test_extraction_premise_error_on_inconsistent_rows():

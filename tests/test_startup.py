@@ -1,7 +1,8 @@
 """Start-up contract of the command line, checked in fresh interpreters:
-importing `lfqec.cli` loads no numpy, input errors (exit 2) are reported
-before numpy loads, and a subcommand loads only the modules it runs
-(`matrix-check` without --build runs on Python integers alone)."""
+importing `lfqec.cli` loads no numpy, input errors (exit 2) in any input
+file, code descriptions included, are reported before numpy loads, and a
+subcommand loads only the modules it runs (`matrix-check` without --build
+runs on Python integers alone)."""
 import json
 import os
 import pathlib
@@ -27,6 +28,7 @@ FUNCTION = "2 2\nanf: x1*x2\n"
 # a (function, matrix) pair that meets the projector premises
 G2_FN = "2 4\nanf: x1*x3 + x1*x4 + x2*x3 + x2*x4 + x3*x4 + x1 + x2\n"
 REPAIRED_MAT = "2 4\n1 0 0 0 0 0 1 0\n0 1 0 0 0 0 0 1\n0 0 1 0 1 0 0 0\n0 0 0 1 0 1 0 0\n"
+CODE = '{"p": 2, "n": 2, "claimed_d": 1, "basis": ["x1*x2"]}'
 RANK_MAT = "2 5\n0 0 1 1 0\n0 0 1 1 1\n1 1 0 0 0\n1 1 0 0 0\n0 1 0 0 0\n"
 
 
@@ -55,6 +57,9 @@ MALFORMED = {
     "projector matrix": ({"f.fn": FUNCTION, "m": "2 1\n0 1 q\n"}, ["projector", "f.fn", "m"]),
     "betas": ({"f.fn": FUNCTION}, ["coset-code", "f.fn", "--betas", "00,012"]),
     "system": ({"s": "2 2\n10 01\n"}, ["solve-basis", "s"]),
+    "code json": ({"c.json": '{"p": 2,'}, ["verify", "c.json"]),
+    "code field": ({"c.json": CODE.replace('"claimed_d": 1', '"claimed_d": "x"')}, ["verify", "c.json"]),
+    "code anf": ({"c.json": CODE.replace("x1*x2", "x1 @ x2")}, ["verify", "c.json"]),
 }
 
 

@@ -35,6 +35,7 @@ from lfqec import (
     inner_product,
     kl_verify,
     kl_verify_functions,
+    label_blocks,
     min_distance,
     min_distance_functions,
     parse_anf,
@@ -392,7 +393,7 @@ def test_kl_invariance_under_relabeling(gen):
 def test_verify_report_serialization():
     psi = state_from_function(parse_anf(K4_ANF, 2, 4))
     rep = kl_verify([psi], 2)
-    data = json.loads(rep.to_json())
+    data = json.loads(json.dumps(rep.to_dict(), indent=2))
     assert data["verdict"] == "fail"
     assert data["p"] == 2 and data["n"] == 4 and data["K"] == 1
     assert data["max_weight"] == 2
@@ -400,7 +401,7 @@ def test_verify_report_serialization():
     assert data["failures"][0]["a"] == [1, 1, 0, 0]
 
     ok = kl_verify([psi], 1)
-    ok_data = json.loads(ok.to_json())
+    ok_data = json.loads(json.dumps(ok.to_dict(), indent=2))
     assert ok_data["verdict"] == "pass" and ok_data["failures"] == []
 
 
@@ -418,16 +419,18 @@ def test_kl_verify_input_errors():
     assert kl_verify([psi], 0).passed  # vacuous weight range
 
 
-def test_shift_cache_stays_bounded_over_a_sweep(gen):
-    # a weight-2 sweep at p = 3, n = 7 meets 99 distinct shifts a
-    from lfqec import _tables
-
-    _tables._shift_cache.cache_clear()
+def test_gram_sweep_forms_one_shift_per_block(gen, monkeypatch):
+    # a weight-2 sweep at p = 3, n = 7 walks 7 * 3 + 21 * 9 blocks (a, bs),
+    # and the labels of one block share the shift x - a
+    calls = []
+    shift = state_oracle.shifted_indices
+    monkeypatch.setattr(state_oracle, "shifted_indices",
+                        lambda p, n, a: calls.append(tuple(a)) or shift(p, n, a))
     psi = state_from_function(random_function(gen, 3, 7))
     assert not kl_verify([psi], 2).passed
-    info = _tables._shift_cache.cache_info()
-    assert info.misses > info.maxsize == _tables.SHIFT_CACHE_SIZE
-    assert info.currsize <= _tables.SHIFT_CACHE_SIZE
+    blocks = [a for w in (1, 2) for a, _ in label_blocks(3, 7, w)]
+    assert len(blocks) == 7 * 3 + 21 * 9
+    assert calls == [tuple(-v for v in a) for a in blocks]
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +477,16 @@ def test_closed_form_matches_gram_kernel(gen, monkeypatch):
         seen.update((len(basis) == 1, f["kind"], f["j"] > 1) for f in got[-1]["failures"])
     assert {(True, "diag_unequal", False), (False, "offdiag_nonzero", True),
             (False, "diag_unequal", True)} <= seen
+
+
+def test_closed_form_refuses_a_pair_table_over_the_listing_budget(gen, monkeypatch):
+    # K = 8 distinct linear parts make a table of 64 pairs, over a budget of 63
+    basis = [add_affine(parse_anf("x1*x2 + x2*x3", 2, 3), lin, 0)
+             for lin in itertools.product((0, 1), repeat=3)]
+    assert kl_verify_functions(basis, 1).verdict == "fail"
+    monkeypatch.setattr(state_oracle, "MAX_LISTING", 63)
+    with pytest.raises(CapacityError, match="K\\^2 = 64 basis pairs exceed the listing budget 63"):
+        kl_verify_functions(basis, 1)
 
 
 def test_function_bases_outside_the_closed_form_take_the_gram_kernel(monkeypatch):
