@@ -479,7 +479,7 @@ def test_closed_form_matches_gram_kernel(gen, monkeypatch):
             (False, "diag_unequal", True)} <= seen
 
 
-def test_closed_form_refuses_a_pair_table_over_the_listing_budget(gen, monkeypatch):
+def test_closed_form_refuses_a_pair_table_over_the_listing_budget(monkeypatch):
     # K = 8 distinct linear parts make a table of 64 pairs, over a budget of 63
     basis = [add_affine(parse_anf("x1*x2 + x2*x3", 2, 3), lin, 0)
              for lin in itertools.product((0, 1), repeat=3)]
