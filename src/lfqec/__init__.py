@@ -19,18 +19,15 @@ _EXPORTS = {
     "rank": "fp_algebra",
     "solve_linear": "fp_algebra",
     "symplectic_product": "fp_algebra",
-    "symplectic_weight": "fp_algebra",
     "ApcResult": "logic_fn",
     "LogicFunction": "logic_fn",
     "add_affine": "logic_fn",
     "anf_text": "logic_fn",
     "apc_distance": "logic_fn",
-    "apc_sum": "logic_fn",
     "autocorrelation": "logic_fn",
     "autocorrelation_spectrum": "logic_fn",
     "is_bent": "logic_fn",
     "parse_anf": "logic_fn",
-    "parse_function_file": "logic_fn",
     "quadratic_form": "logic_fn",
     "solve_coboundary": "logic_fn",
     "weight_support": "logic_fn",
@@ -40,7 +37,6 @@ _EXPORTS = {
     "StateVector": "state_oracle",
     "VerifyReport": "state_oracle",
     "apply_error": "state_oracle",
-    "gram_matrix": "state_oracle",
     "inner_product": "state_oracle",
     "kl_verify": "state_oracle",
     "kl_verify_functions": "state_oracle",
@@ -52,9 +48,7 @@ _EXPORTS = {
     "MatrixCheckResult": "graph_codes",
     "WeightedGraph": "graph_codes",
     "build_graph_code": "graph_codes",
-    "coverage_witness": "graph_codes",
     "graph_to_stabilizer_rows": "graph_codes",
-    "is_uncoverable": "graph_codes",
     "matrix_code_check": "graph_codes",
     "matrix_kernel_check": "graph_codes",
     "parse_graph_file": "graph_codes",
@@ -70,7 +64,6 @@ _EXPORTS = {
     "bent_exclusion": "projector_codes",
     "check_projector_premises": "projector_codes",
     "extract_boolean_basis": "projector_codes",
-    "operator_matrix": "projector_codes",
     "projector_rank": "projector_codes",
 }
 

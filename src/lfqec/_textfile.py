@@ -227,10 +227,10 @@ def _poly_mul(a: dict, b: dict, p: int) -> dict:
 
 
 def read_code_file(text: str) -> tuple:
-    """(p, n, claimed_d, provenance, basis terms, K) of a code description:
-    a JSON object with integers p, n and claimed_d, a list `basis` of ANF
+    """(p, n, claimed_d, provenance, basis terms) of a code description: a
+    JSON object with integers p, n and claimed_d, a list `basis` of ANF
     strings (read by `anf_terms`), and optionally a `provenance` and an
-    integer K, which is None when absent."""
+    integer K, which must equal the number of basis strings."""
     try:
         data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
@@ -246,7 +246,10 @@ def read_code_file(text: str) -> tuple:
             raise InputError(f"malformed code description: {key} = {value!r} is not an integer")
     if not isinstance(basis, list) or not all(isinstance(s, str) for s in basis):
         raise InputError("malformed code description: basis must be a list of strings")
-    return p, n, claimed_d, provenance, [anf_terms(s, p, n) for s in basis], data.get("K")
+    terms = [anf_terms(s, p, n) for s in basis]
+    if data.get("K", len(terms)) != len(terms):
+        raise InputError(f"stated K = {data['K']} but {len(terms)} basis functions were given")
+    return p, n, claimed_d, provenance, terms
 
 
 # ---------------------------------------------------------------------------

@@ -310,15 +310,13 @@ def cmd_solve_basis(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    p, n, claimed_d, provenance, terms, K = read_code_file(_read(args.codespec))
+    p, n, claimed_d, provenance, terms = read_code_file(_read(args.codespec))
     from .codespec import CodeSpec
     from .logic_fn import LogicFunction
     from .state_oracle import kl_verify_functions
 
     basis = tuple(LogicFunction.from_anf(p, n, t) for t in terms)
     spec = CodeSpec(p, n, basis, claimed_d, provenance)
-    if K is not None and K != spec.claimed_K:
-        raise InputError(f"stated K = {K} but {spec.claimed_K} basis functions were given")
     max_weight = args.max_weight if args.max_weight is not None else spec.claimed_d - 1
     report = kl_verify_functions(spec.basis, max_weight)
     lines = [f"verdict: {report.verdict} (max weight {max_weight})"] + _failure_lines(report)

@@ -30,8 +30,7 @@ class CodeSpec:
         for f in basis:
             if not isinstance(f, LogicFunction) or (f.p, f.n) != (self.p, self.n):
                 raise InputError("basis functions must share the code's (p, n)")
-        tables = {f.table.tobytes() for f in basis}
-        if len(tables) != len(basis):
+        if len(set(basis)) != len(basis):
             raise InputError("basis functions must have pairwise distinct tables")
         if self.claimed_d < 1:
             raise InputError("claimed distance must be >= 1")

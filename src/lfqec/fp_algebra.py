@@ -9,13 +9,13 @@ Three pillars used everywhere else:
   coefficient is 0. A value is zero exactly when its coefficients are all
   equal, which makes character-sum zero tests pure integer comparisons.
 - PauliLabel: (a|b) in F_p^n x F_p^n naming the phase-free error X_a Z_b,
-  with symplectic weight and product. Label searches walk `label_blocks`.
+  with the symplectic product. Label searches walk `label_blocks`.
 - F_p linear algebra: rank, solve with nullspace basis, over small matrices.
 
 Capacities keep everything desk-scale: p <= 13, truth tables to 2^24
-entries, state vectors to 2^20, OperatorMatrix to dimension 1024 (no verdict
-forms one), and listings to 2^22 entries (vectors x length, basis pairs, or
-recovered tables x size).
+entries, state vectors to 2^20, OperatorMatrix to dimension 1024 (it keeps
+only its product and rank, and no verdict forms one), and listings to 2^22
+entries (vectors x length, basis pairs, or recovered tables x size).
 """
 from __future__ import annotations
 
@@ -133,13 +133,6 @@ class CycloInt:
             return None
         return self.coeffs[0] - (tail[0] if tail else 0)
 
-    def to_complex(self) -> complex:
-        """Float evaluation at zeta = exp(2*pi*i/p); cross-checks only."""
-        import cmath
-
-        z = cmath.exp(2j * cmath.pi / self.p)
-        return sum(c * z**j for j, c in enumerate(self.coeffs))
-
 
 def cyclo_from_histogram(p: int, hist) -> CycloInt:
     """CycloInt from exponent counts: hist[j] occurrences of zeta^j."""
@@ -168,26 +161,6 @@ class PauliLabel:
     @property
     def n(self) -> int:
         return len(self.a)
-
-    def weight(self) -> int:
-        return symplectic_weight(self)
-
-    def __neg__(self) -> "PauliLabel":
-        return PauliLabel(self.p, tuple(-v % self.p for v in self.a), tuple(-v % self.p for v in self.b))
-
-    def __add__(self, other: "PauliLabel") -> "PauliLabel":
-        if self.p != other.p or self.n != other.n:
-            raise InputError("label mismatch")
-        return PauliLabel(
-            self.p,
-            tuple((x + y) % self.p for x, y in zip(self.a, other.a)),
-            tuple((x + y) % self.p for x, y in zip(self.b, other.b)),
-        )
-
-
-def symplectic_weight(e: PauliLabel) -> int:
-    """Number of positions where (a_i, b_i) != (0, 0)."""
-    return sum(1 for ai, bi in zip(e.a, e.b) if ai or bi)
 
 
 def symplectic_product(u: PauliLabel, v: PauliLabel) -> int:

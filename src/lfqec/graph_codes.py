@@ -45,11 +45,6 @@ class WeightedGraph:
         if not self.adj.has_zero_diagonal():
             raise InputError("self-loops are not allowed")
 
-    def weight(self, u: int, v: int) -> int:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return self.adj.entries[u - 1][v - 1]
-
     def _check_vertex(self, v: int):
         if not 1 <= v <= self.n:
             raise InputError(f"vertex {v} out of range 1..{self.n}")
@@ -116,28 +111,6 @@ def _coverage_map(G: WeightedGraph, budget: int) -> dict:
                 t = de ^ _parity_mask_of(G, om)
                 cov.setdefault(t, (om, de))
     return cov
-
-
-def is_uncoverable(G: WeightedGraph, T, d: int) -> bool:
-    """T lies in D_d(Gamma): nonempty and not expressible as
-    delta XOR N(omega) with |omega union delta| < d."""
-    T = _as_vertex_set(G, T)
-    if d < 1:
-        raise InputError("d must be >= 1")
-    if not T:
-        return False
-    return _mask(T) not in _coverage_map(G, d - 1)
-
-
-def coverage_witness(G: WeightedGraph, T, d: int):
-    """(omega, delta) demonstrating coverage of T within budget d-1, or
-    None when T is uncoverable."""
-    T = _as_vertex_set(G, T)
-    hit = _coverage_map(G, d - 1).get(_mask(T))
-    if hit is None:
-        return None
-    om, de = hit
-    return _unmask(om, G.n), _unmask(de, G.n)
 
 
 def uncoverable_family(G: WeightedGraph, d: int) -> set:

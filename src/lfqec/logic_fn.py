@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._tables import digit_axis, index_vectors, linear_values, vector_index
-from ._textfile import anf_terms, read_function_file
+from ._textfile import anf_terms
 from .errors import CapacityError, InputError
 from .fp_algebra import (
     CycloInt,
@@ -111,17 +111,9 @@ def parse_anf(text: str, p: int, n: int) -> LogicFunction:
     return LogicFunction.from_anf(p, n, anf_terms(text, p, n))
 
 
-def parse_function_file(text: str) -> LogicFunction:
-    """Two content lines: 'p n' then either 'anf: <polynomial>' or
-    'tt: <p^n residues in index order>'. Truth-table residues may be a
-    compact digit string or whitespace/comma separated values. Blank lines
-    and lines starting with '#' are skipped."""
-    return build_function(*read_function_file(text))
-
-
 def build_function(p: int, n: int, terms, values) -> LogicFunction:
-    """The function of a read function file: from its ANF terms, or from
-    its table values when terms is None."""
+    """The function of a function file read by `_textfile.read_function_file`:
+    from its ANF terms, or from its table values when terms is None."""
     if terms is None:
         return LogicFunction.from_table(p, n, values)
     return LogicFunction.from_anf(p, n, terms)
@@ -254,14 +246,6 @@ def _shift_difference(f: LogicFunction, a) -> np.ndarray:
     return (f.table - _shifted(f, a)) % f.p
 
 
-def apc_sum(f: LogicFunction, e: PauliLabel) -> CycloInt:
-    """sum_x zeta^( f(x) - f(x-a) + b.x ) as an exact exponent histogram."""
-    if e.p != f.p or e.n != f.n:
-        raise InputError("label mismatch")
-    exps = (_shift_difference(f, e.a) + linear_values(f.p, f.n, e.b)) % f.p
-    return cyclo_from_histogram(f.p, np.bincount(exps, minlength=f.p))
-
-
 # Entries gathered at once when a block's labels read their histograms: at
 # most one table's worth, so a gather never outgrows the tables themselves.
 _GATHER_ENTRIES = 1 << 20
@@ -270,8 +254,8 @@ _GATHER_ENTRIES = 1 << 20
 def _first_nonvanishing(f: LogicFunction, betas) -> tuple:
     """(w, a, b): the first label, in increasing weight and label_blocks
     order, at which some shift pair (beta_i, beta_j), i = j included, makes
-    the sum at (a, b + beta_i - beta_j) nonzero; i = j is apc_sum(f, (a, b)),
-    and a full-support row never vanishes.
+    the sum at (a, b + beta_i - beta_j) nonzero; i = j is the sum
+    sum_x zeta^(f(x) - f(x-a) + b.x), and a full-support row never vanishes.
 
     The labels of one block share their support S and shift a, and b is 0
     off S. With y = x_S, delta = beta_i - beta_j and d(x) = f(x) - f(x-a),

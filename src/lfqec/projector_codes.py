@@ -7,7 +7,8 @@ No verdict forms a dense operator. The rank follows from the premises, and
 each recovered state is checked as a joint eigenvector of the n rows, one
 exact gather per row (the stabilizer formalism, Gottesman quant-ph/9705052).
 OperatorMatrix stores 2^scale_log2 * sum_j entries[.,.,j] zeta^j with
-integer entries, for callers that want the dense operator algebra itself.
+integer entries, and keeps only what its rank by trace needs: the exact
+product, equality across scales, the trace and the idempotency test.
 """
 from __future__ import annotations
 
@@ -59,13 +60,6 @@ class OperatorMatrix:
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
 
-    @classmethod
-    def identity(cls, p: int, n: int) -> "OperatorMatrix":
-        N = _operator_dim(p, n)
-        e = np.zeros((N, N, p), dtype=np.int64)
-        e[np.arange(N), np.arange(N), 0] = 1
-        return cls(p, n, e)
-
     def _check(self, other: "OperatorMatrix"):
         if (self.p, self.n) != (other.p, other.n):
             raise InputError("operator shape mismatch")
@@ -88,24 +82,6 @@ class OperatorMatrix:
 
     def __hash__(self):
         raise TypeError("OperatorMatrix is not hashable")
-
-    def add(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._check(other)
-        a, b, s = self._aligned(other)
-        return OperatorMatrix(self.p, self.n, a + b, s)
-
-    def sub(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._check(other)
-        a, b, s = self._aligned(other)
-        return OperatorMatrix(self.p, self.n, a - b, s)
-
-    def half(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.p, self.n, self.entries, self.scale_log2 - 1)
-
-    def phase(self, e: int) -> "OperatorMatrix":
-        """Multiply by zeta^e (index roll in the exponent axis)."""
-        rolled = self.entries[:, :, (np.arange(self.p) - e) % self.p]
-        return OperatorMatrix(self.p, self.n, rolled, self.scale_log2)
 
     def mul(self, other: "OperatorMatrix") -> "OperatorMatrix":
         """Exact product: p^2 integer matrix products folded by exponent.
@@ -134,10 +110,6 @@ class OperatorMatrix:
                     out[:, :, (j + k) % p] += prod.astype(np.int64)
         return OperatorMatrix(p, self.n, out, self.scale_log2 + other.scale_log2)
 
-    def dagger(self) -> "OperatorMatrix":
-        e = self.entries.transpose(1, 0, 2)[:, :, (-np.arange(self.p)) % self.p]
-        return OperatorMatrix(self.p, self.n, e, self.scale_log2)
-
     def trace(self) -> CycloInt:
         """Trace of the entry layer, ignoring the dyadic scale."""
         N = self.p**self.n
@@ -161,17 +133,6 @@ class OperatorMatrix:
         if r:
             raise RuntimeError("projector trace is not an integer after scaling")
         return q
-
-
-def operator_matrix(e: PauliLabel) -> OperatorMatrix:
-    """Displacement operator: entry (x + a, x) = zeta^(b.x)."""
-    p, n = e.p, e.n
-    N = _operator_dim(p, n)
-    sh = shifted_indices(p, n, e.a)
-    rot = linear_values(p, n, e.b)
-    ent = np.zeros((N, N, p), dtype=np.int64)
-    ent[sh, np.arange(N), rot] = 1
-    return OperatorMatrix(p, n, ent)
 
 
 # ---------------------------------------------------------------------------

@@ -61,9 +61,6 @@ class StateVector:
         a.setflags(write=False)
         object.__setattr__(self, "amps", a)
 
-    def is_zero(self) -> bool:
-        return bool(np.all(self.amps == self.amps[:, :1]))
-
     def __eq__(self, other) -> bool:
         """Exact equality in Z[zeta_p]: the difference row at each basis
         state must have all-equal coordinates (the one relation zeta^0 +
@@ -75,10 +72,6 @@ class StateVector:
 
     def __hash__(self):
         raise TypeError("StateVector is not hashable")
-
-    def to_complex(self) -> np.ndarray:
-        zeta = np.exp(2j * np.pi / self.p)
-        return self.amps @ zeta ** np.arange(self.p)
 
 
 def state_from_function(f) -> StateVector:
@@ -147,14 +140,6 @@ def inner_product(u: StateVector, v: StateVector) -> CycloInt:
         raise InputError("states live on different spaces")
     X = _stack([u, v])
     return CycloInt(u.p, tuple(int(c) for c in _gram(X[:1], X[1:], u.p)[:, 0, 0]))
-
-
-def gram_matrix(basis, e: PauliLabel):
-    """G_e[i][j] = <psi_i| E'_e |psi_j> for every basis pair."""
-    p, n = _check_basis(basis)
-    G = _gram(_stack(basis), _stack([apply_error(e, psi) for psi in basis]), p)
-    K = len(basis)
-    return [[CycloInt(p, tuple(int(c) for c in G[:, i, j])) for j in range(K)] for i in range(K)]
 
 
 @dataclass(frozen=True)

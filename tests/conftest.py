@@ -1,8 +1,8 @@
 """Shared helpers: seeded random objects, independent float-arithmetic
 cross-checks, and the direct (slow, exact) reference implementations that
 the transform, matrix-product and eigenvector routines are compared
-against, among them the dense projector operators and the syndrome-by-
-syndrome basis extraction."""
+against, among them the per-label character sums, the dense projector
+operators and the syndrome-by-syndrome basis extraction."""
 from __future__ import annotations
 
 import cmath
@@ -21,10 +21,8 @@ from lfqec import (
     PauliLabel,
     PremiseError,
     StateVector,
-    apc_sum,
     apply_error,
     graph_to_stabilizer_rows,
-    operator_matrix,
     rank,
     solve_coboundary,
     solve_linear,
@@ -48,6 +46,41 @@ def digit_index(p: int, x) -> int:
     for v in x:
         idx = idx * p + v
     return idx
+
+
+@functools.lru_cache(maxsize=8)
+def grid_vectors(p: int, n: int) -> np.ndarray:
+    """Every x in F_p^n in table-index order, as an (p^n, n) int64 array."""
+    return np.array(list(itertools.product(range(p), repeat=n)), dtype=np.int64)
+
+
+def grid_index(p: int, x: np.ndarray) -> np.ndarray:
+    """Table index of each row of x, x_1 the most significant digit."""
+    return x @ p ** np.arange(x.shape[1] - 1, -1, -1)
+
+
+def label_weight(e: PauliLabel) -> int:
+    """Positions where (a_i, b_i) != (0, 0)."""
+    return sum(1 for x, y in zip(e.a, e.b) if x or y)
+
+
+def label_sum(u: PauliLabel, v: PauliLabel) -> PauliLabel:
+    """(a_u + a_v | b_u + b_v), reduced mod p by the label."""
+    return PauliLabel(u.p, tuple(map(sum, zip(u.a, v.a))), tuple(map(sum, zip(u.b, v.b))))
+
+
+def state_complex(psi: StateVector) -> np.ndarray:
+    """The amplitudes of psi as complex floats at zeta = exp(2 pi i / p)."""
+    return psi.amps @ np.exp(2j * np.pi * np.arange(psi.p) / psi.p)
+
+
+def character_sum(f: LogicFunction, a, b) -> CycloInt:
+    """sum_x zeta^(f(x) - f(x - a) + b.x) as an exact exponent histogram.
+    x - a is indexed digit by digit and b.x is one product over the listed
+    vectors, so none of lfqec's shift or linear-form tables is used."""
+    x = grid_vectors(f.p, f.n)
+    exps = (f.table - f.table[grid_index(f.p, (x - a) % f.p)] + x @ np.array(b)) % f.p
+    return CycloInt(f.p, tuple(np.bincount(exps, minlength=f.p).tolist()))
 
 
 def direct_spectrum(f: LogicFunction) -> np.ndarray:
@@ -134,6 +167,17 @@ def reference_gram_matrix(basis, e: PauliLabel) -> list:
     return [[reference_inner_product(u, w) for w in shifted] for u in basis]
 
 
+def kernel_gram_matrix(basis, e: PauliLabel) -> list:
+    """G_e[i][j] = <psi_i|E'_e|psi_j> from the oracle's own float64 kernel
+    (`_stack` and `_gram`, which the Gram sweep runs once per label)."""
+    from lfqec import state_oracle
+
+    p, K = basis[0].p, len(basis)
+    kets = state_oracle._stack([apply_error(e, psi) for psi in basis])
+    G = state_oracle._gram(state_oracle._stack(basis), kets, p)
+    return [[CycloInt(p, tuple(int(c) for c in G[:, i, j])) for j in range(K)] for i in range(K)]
+
+
 def reference_label_failure(basis, e: PauliLabel):
     """The first scalar-Gram violation of one label as a report entry, or
     None: G[0][0] = 0 for K = 1; else the first nonzero off-diagonal entry in
@@ -190,7 +234,7 @@ def reference_coset_distance(f: LogicFunction, betas) -> tuple:
             for bi in betas:
                 for bj in betas:
                     moved = tuple((x + y - z) % f.p for x, y, z in zip(b, bi, bj))
-                    if not apc_sum(f, PauliLabel(f.p, a, moved)).is_zero():
+                    if not character_sum(f, a, moved).is_zero():
                         return w, (a, b)
     raise AssertionError("the diagonal pairs fail by weight n")
 
@@ -200,7 +244,7 @@ def reference_apc_distance(f: LogicFunction) -> tuple:
     character sum per label."""
     for w in range(1, f.n + 1):
         for a, b in reference_labels(f.p, f.n, w):
-            if not apc_sum(f, PauliLabel(f.p, a, b)).is_zero():
+            if not character_sum(f, a, b).is_zero():
                 return w, (a, b)
     raise AssertionError("a full-support row never vanishes")
 
@@ -234,14 +278,32 @@ def stabilizer_labels(A: FpMatrix) -> list:
     return [PauliLabel(A.p, A.row(i)[:n], A.row(i)[n:]) for i in range(n)]
 
 
+def displacement(e: PauliLabel, phase: int = 0) -> OperatorMatrix:
+    """zeta^phase E'_e as a dense exact operator: entry (x + a, x) is
+    zeta^(b.x + phase)."""
+    x = grid_vectors(e.p, e.n)
+    ent = np.zeros((len(x), len(x), e.p), dtype=np.int64)
+    ent[grid_index(e.p, (x + e.a) % e.p), np.arange(len(x)), (x @ np.array(e.b) + phase) % e.p] = 1
+    return OperatorMatrix(e.p, e.n, ent)
+
+
+def identity_operator(p: int, n: int) -> OperatorMatrix:
+    return displacement(PauliLabel(p, (0,) * n, (0,) * n))
+
+
+def operator_sum(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
+    """A + B, at the finer of their two dyadic scales."""
+    a, b, s = A._aligned(B)
+    return OperatorMatrix(A.p, A.n, a + b, s)
+
+
 def syndrome_term(ops: list, t, p: int, n: int) -> OperatorMatrix:
     """Product over rows of 1/2 (I + (-1)^(t_i) E_i), row order fixed, as a
     dense exact operator."""
-    ident = OperatorMatrix.identity(p, n)
+    ident = identity_operator(p, n)
     term = ident
     for ti, E in zip(t, ops):
-        factor = (ident.add(E) if ti == 0 else ident.sub(E)).half()
-        term = term.mul(factor)
+        term = term.mul(OperatorMatrix(p, n, ident.entries + (-1) ** ti * E.entries, -1))
     return term
 
 
@@ -258,14 +320,14 @@ def assemble_projector(f: LogicFunction, A: FpMatrix) -> OperatorMatrix:
                 raise InputError(f"rows {i} and {j} do not commute")
     if rank(A) != A.rows:
         raise InputError("rows are linearly dependent")
-    ops = [operator_matrix(e) for e in rows]
+    ops = [displacement(e) for e in rows]
     M, support = weight_support(f)
     if M == 0:
         raise InputError("the function has empty support")
     acc = None
     for t in support:
         term = syndrome_term(ops, t, f.p, f.n)
-        acc = term if acc is None else acc.add(term)
+        acc = term if acc is None else operator_sum(acc, term)
     return acc
 
 
@@ -307,11 +369,9 @@ def function_outer(g: LogicFunction) -> OperatorMatrix:
 def float_displacement(e: PauliLabel) -> np.ndarray:
     """E'_e as a dense complex matrix: entry (x + a, x) = zeta^(b.x), with
     vectors listed in index order (x1 most significant)."""
-    p, n = e.p, e.n
-    x = np.array(list(itertools.product(range(p), repeat=n)), dtype=np.int64)
-    target = (x + e.a) % p @ p ** np.arange(n - 1, -1, -1)
-    out = np.zeros((p**n, p**n), dtype=complex)
-    out[target, np.arange(p**n)] = np.exp(2j * np.pi * (x @ e.b) / p)
+    x = grid_vectors(e.p, e.n)
+    out = np.zeros((len(x), len(x)), dtype=complex)
+    out[grid_index(e.p, (x + e.a) % e.p), np.arange(len(x))] = np.exp(2j * np.pi * (x @ e.b) / e.p)
     return out
 
 

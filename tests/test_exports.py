@@ -33,6 +33,25 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(lfqec, "verify_stabilizer")
 
 
+# removed from the package: no command, README example or acceptance criterion uses them
+REMOVED = (
+    "apc_sum",
+    "coverage_witness",
+    "gram_matrix",
+    "is_uncoverable",
+    "operator_matrix",
+    "parse_function_file",
+    "symplectic_weight",
+)
+
+
+@pytest.mark.parametrize("name", REMOVED)
+def test_removed_name_raises_attribute_error(name):
+    assert name not in lfqec.__all__
+    with pytest.raises(AttributeError, match=name):
+        getattr(lfqec, name)
+
+
 @pytest.mark.parametrize("name", lfqec.__all__)
 def test_export_names_its_defining_module(name):
     module = f"lfqec.{lfqec._EXPORTS[name]}"

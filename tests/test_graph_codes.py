@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import reference_kernel_check, rng, verify_stabilizer
+from lfqec import graph_codes
 from lfqec import (
     CapacityError,
     FpMatrix,
@@ -15,9 +16,7 @@ from lfqec import (
     add_affine,
     apply_error,
     build_graph_code,
-    coverage_witness,
     graph_to_stabilizer_rows,
-    is_uncoverable,
     matrix_code_check,
     matrix_kernel_check,
     min_distance,
@@ -81,9 +80,9 @@ def symmetric_f2(bits, n):
 def test_parse_graph_file():
     G = parse_graph_file(C5_TEXT)
     assert (G.p, G.n) == (2, 5)
-    assert G.weight(1, 2) == 1 and G.weight(1, 3) == 0
+    assert G.adj.entries[0][1] == 1 and G.adj.entries[0][2] == 0
     H = parse_graph_file("3 3\n1 2 2\n# comment\n2 3\n")
-    assert H.weight(1, 2) == 2 and H.weight(2, 3) == 1 and H.weight(1, 3) == 0
+    assert H.adj.entries[0][1] == 2 and H.adj.entries[1][2] == 1 and H.adj.entries[0][2] == 0
     assert parse_graph_file("2 3\n").n == 3  # edgeless graph is fine
 
 
@@ -127,6 +126,8 @@ def test_uncoverable_family_pins():
     }
     # with no shift budget every nonempty set is an obstruction
     assert len(uncoverable_family(C5, 1)) == 2**5 - 1
+    with pytest.raises(InputError, match="d must be >= 1"):
+        uncoverable_family(C5, 0)
 
 
 def test_family_shrinks_with_distance(gen):
@@ -137,6 +138,7 @@ def test_family_shrinks_with_distance(gen):
 
 
 def test_coverage_witness_recomputes(gen):
+    # each witness of the coverage map that build_graph_code reads, recomputed
     for _ in range(40):
         n = int(gen.integers(3, 7))
         p = int(gen.choice([2, 3]))
@@ -145,30 +147,18 @@ def test_coverage_witness_recomputes(gen):
         T = frozenset(
             int(v) + 1 for v in gen.choice(n, size=int(gen.integers(1, n + 1)), replace=False)
         )
-        wit = coverage_witness(G, T, d)
+        wit = graph_codes._coverage_map(G, d - 1).get(sum(1 << (v - 1) for v in T))
         if wit is None:
-            assert is_uncoverable(G, T, d)
+            assert T in uncoverable_family(G, d)
             continue
-        omega, delta = wit
+        omega, delta = ({v for v in range(n) if m >> v & 1} for m in wit)  # 0-based
         assert len(omega | delta) <= d - 1
         # recompute: T = delta xor support of the weighted neighborhood sum
         acc = np.zeros(n, dtype=int)
         for u in omega:
-            for v in range(1, n + 1):
-                acc[v - 1] += G.weight(u, v)
-        parity = {v + 1 for v in range(n) if acc[v] % p}
-        assert (parity ^ set(delta)) == set(T)
-
-
-def test_is_uncoverable_validation():
-    G = parse_graph_file(C5_TEXT)
-    with pytest.raises(InputError):
-        is_uncoverable(G, {1}, 0)
-    with pytest.raises(InputError):
-        is_uncoverable(G, {9}, 2)
-    big = WeightedGraph(2, 21, FpMatrix.from_rows(2, [[0] * 21 for _ in range(21)]))
-    with pytest.raises(CapacityError):
-        is_uncoverable(big, {1}, 2)
+            acc += G.adj.entries[u]
+        parity = {v for v in range(n) if acc[v] % p}
+        assert {v + 1 for v in parity ^ delta} == set(T)
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +177,10 @@ def test_build_graph_code_requires_empty_class():
     G = parse_graph_file(C5_TEXT)
     with pytest.raises(InputError, match="empty class"):
         build_graph_code(G, [frozenset({1})], 2)
+    with pytest.raises(InputError, match="vertex 9 out of range"):
+        build_graph_code(G, [frozenset(), frozenset({9})], 2)
+    with pytest.raises(InputError, match="d must be >= 1"):
+        build_graph_code(G, [frozenset()], 0)
 
 
 def test_build_graph_code_rejects_coverable_difference():

@@ -10,31 +10,32 @@ import numpy as np
 import pytest
 
 from conftest import (
+    as_complex,
+    character_sum,
     close,
     direct_spectrum,
     direct_zset,
+    label_weight,
     random_function,
     reference_apc_distance,
     reference_coset_distance,
     rng,
 )
 import lfqec.logic_fn
+from lfqec._textfile import read_function_file
 from lfqec import (
     CapacityError,
     FpMatrix,
     InputError,
     LogicFunction,
-    PauliLabel,
     add_affine,
     anf_text,
     apc_distance,
-    apc_sum,
     autocorrelation,
     autocorrelation_spectrum,
     is_bent,
     label_blocks,
     parse_anf,
-    parse_function_file,
     quadratic_form,
     solve_coboundary,
     weight_support,
@@ -248,14 +249,14 @@ def apc_sum_float(f, a, b):
 
 
 def test_apc_sum_matches_float_reference(gen):
+    # the exact per-label sum of the distance references, against floats
     for _ in range(60):
         p = int(gen.choice([2, 3, 5]))
         n = int(gen.integers(1, 3))
         f = random_function(gen, p, n)
         a = tuple(int(v) for v in gen.integers(0, p, n))
         b = tuple(int(v) for v in gen.integers(0, p, n))
-        exact = apc_sum(f, PauliLabel(p, a, b))
-        assert close(exact.to_complex(), apc_sum_float(f, a, b))
+        assert close(as_complex(character_sum(f, a, b)), apc_sum_float(f, a, b))
 
 
 def test_apc_distance_pins():
@@ -265,9 +266,9 @@ def test_apc_distance_pins():
     # every label below the distance has a vanishing sum; the witness does not
     for a, bs in label_blocks(2, 4, 1):
         for b in bs:
-            assert apc_sum(f, PauliLabel(2, a, b)).is_zero()
-    assert not apc_sum(f, res.witness).is_zero()
-    assert res.witness.weight() == 2
+            assert character_sum(f, a, b).is_zero()
+    assert not character_sum(f, res.witness.a, res.witness.b).is_zero()
+    assert label_weight(res.witness) == 2
 
     zero = LogicFunction(2, 2, np.zeros(4, dtype=np.int64))
     assert apc_distance(zero).distance == 1
@@ -500,6 +501,10 @@ def test_solve_coboundary_pinned():
 
 # ---------------------------------------------------------------------------
 # function files
+
+
+def parse_function_file(text: str) -> LogicFunction:
+    return lfqec.logic_fn.build_function(*read_function_file(text))
 
 
 def test_parse_function_file_variants():

@@ -3,11 +3,12 @@ process with one OpenBLAS thread whose address space alone is capped at
 768 MiB: parsing an n = 22 or n = 24 function and `lfqec bent` on an
 n = 22 bent function must finish inside it, with the exact answer, and
 `lfqec zset` with 2^21 shifts to list must be refused with exit 3. So must
-`lfqec verify` of a shared-quadratic code with 4096^2 basis pairs and
 `lfqec mds --m 7`, whose 4096 basis tables hold 2^26 entries, while 2048
-basis functions at n = 12 and `mds --m 6` must finish. Under 256 MiB,
-`lfqec zset --format json` must list 2^17 shifts of length 18, and
-`lfqec coset-code` must search with 32 shifts of length 16."""
+basis functions at n = 12 and `mds --m 6` must finish. Under 384 MiB,
+`lfqec verify` of a shared-quadratic code with 4096^2 basis pairs must be
+refused with exit 3. Under 256 MiB, `lfqec zset --format json` must list
+2^17 shifts of length 18, and `lfqec coset-code` must search with 32
+shifts of length 16."""
 import json
 import os
 import pathlib
@@ -133,9 +134,11 @@ def test_closed_form_pair_table_fits_the_ceiling(tmp_path):
 
 
 def test_closed_form_pair_table_over_budget_is_refused(tmp_path):
+    # the distinctness check hashes each table in turn and keeps no copy of
+    # them, so the 4096 tables (256 MiB) reach the refusal under 384 MiB
     path = tmp_path / "k4096.json"
     path.write_text(code_file(4096, 13))
-    proc = run_child(cli_code("verify", str(path)))
+    proc = run_child(cli_code("verify", str(path)), ceiling=384 << 20)
     assert proc.returncode == 3, proc.stderr[-2000:]
     assert proc.stderr == "capacity: K^2 = 16777216 basis pairs exceed the listing budget 4194304\n"
     assert proc.stdout == ""

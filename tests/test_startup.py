@@ -1,8 +1,8 @@
 """Start-up contract of the command line, checked in fresh interpreters:
 importing `lfqec.cli` loads no numpy, input errors (exit 2) in any input
-file, code descriptions included, are reported before numpy loads, and a
-subcommand loads only the modules it runs (`matrix-check` without --build
-runs on Python integers alone)."""
+file, code descriptions and their stated K included, are reported before
+numpy loads, and a subcommand loads only the modules it runs
+(`matrix-check` without --build runs on Python integers alone)."""
 import json
 import os
 import pathlib
@@ -60,6 +60,7 @@ MALFORMED = {
     "code json": ({"c.json": '{"p": 2,'}, ["verify", "c.json"]),
     "code field": ({"c.json": CODE.replace('"claimed_d": 1', '"claimed_d": "x"')}, ["verify", "c.json"]),
     "code anf": ({"c.json": CODE.replace("x1*x2", "x1 @ x2")}, ["verify", "c.json"]),
+    "code K": ({"c.json": CODE.replace('"claimed_d"', '"K": 3, "claimed_d"')}, ["verify", "c.json"]),
 }
 
 

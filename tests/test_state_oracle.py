@@ -9,7 +9,11 @@ import numpy as np
 import pytest
 
 from conftest import (
+    as_complex,
+    character_sum,
     close,
+    kernel_gram_matrix,
+    label_sum,
     random_function,
     reference_apply_error,
     reference_gram_matrix,
@@ -17,6 +21,7 @@ from conftest import (
     reference_kl_report,
     reference_min_distance,
     rng,
+    state_complex,
 )
 from lfqec import state_oracle
 from lfqec import (
@@ -31,7 +36,6 @@ from lfqec import (
     apply_error,
     build_coset_code,
     build_graph_code,
-    gram_matrix,
     inner_product,
     kl_verify,
     kl_verify_functions,
@@ -89,7 +93,7 @@ def test_state_from_function_one_hot():
     assert amps.sum() == 4
     for idx in range(4):
         assert amps[idx, f.table[idx]] == 1
-    vec = psi.to_complex()
+    vec = state_complex(psi)
     assert close(vec[3], -1) and close(vec[0], 1)
 
 
@@ -111,11 +115,11 @@ def test_apply_error_float_reference(gen):
         n = int(gen.integers(1, 3))
         psi = random_state(gen, p, n)
         e = random_label(gen, p, n)
-        got = apply_error(e, psi).to_complex()
+        got = state_complex(apply_error(e, psi))
 
         zeta = np.exp(2j * np.pi / p)
         ref = np.zeros(p**n, dtype=complex)
-        vec = psi.to_complex()
+        vec = state_complex(psi)
         for idx, x in enumerate(itertools.product(range(p), repeat=n)):
             shifted = tuple((xi + ai) % p for xi, ai in zip(x, e.a))
             jdx = 0
@@ -135,7 +139,7 @@ def test_error_composition_invariant(gen):
         u = random_label(gen, p, n)
         v = random_label(gen, p, n)
         seq = apply_error(u, apply_error(v, psi))
-        combined = apply_error(u + v, psi)
+        combined = apply_error(label_sum(u, v), psi)
         cross = sum(bu * av for bu, av in zip(u.b, v.a)) % p
         assert seq == rotated(combined, cross)
 
@@ -165,7 +169,7 @@ def test_inner_product_norm_and_symmetry(gen):
         vu = inner_product(v, u)
         assert uv == reference_inner_product(u, v)
         assert uv == vu.conj()
-        assert close(uv.to_complex(), np.vdot(u.to_complex(), v.to_complex()))
+        assert close(as_complex(uv), np.vdot(state_complex(u), state_complex(v)))
     with pytest.raises(InputError):
         inner_product(
             state_from_function(parse_anf("x1", 2, 1)),
@@ -185,8 +189,8 @@ def test_gram_hermiticity_relation(gen):
             tuple((-ai) % p for ai in e.a),
             tuple((-bi) % p for bi in e.b),
         )
-        G = gram_matrix(basis, e)
-        H = gram_matrix(basis, minus)
+        G = kernel_gram_matrix(basis, e)
+        H = kernel_gram_matrix(basis, minus)
         assert G == reference_gram_matrix(basis, e)
         ab = sum(ai * bi for ai, bi in zip(e.a, e.b)) % p
         for i in range(3):
@@ -202,7 +206,7 @@ def test_gram_matrix_generic_states_match_reference(gen):
         basis = [random_state(gen, p, n) for _ in range(K)]
         basis = [StateVector(p, n, np.asarray(s.amps) - 2) for s in basis]  # signed
         e = random_label(gen, p, n)
-        assert gram_matrix(basis, e) == reference_gram_matrix(basis, e)
+        assert kernel_gram_matrix(basis, e) == reference_gram_matrix(basis, e)
 
 
 def test_inner_product_beyond_float_range_raises():
@@ -213,7 +217,7 @@ def test_inner_product_beyond_float_range_raises():
     with pytest.raises(CapacityError):
         inner_product(u, u)
     with pytest.raises(CapacityError):
-        gram_matrix([u], PauliLabel(2, (1,), (0,)))
+        kernel_gram_matrix([u], PauliLabel(2, (1,), (0,)))
 
 
 def test_kl_verify_exactness_bound():
@@ -232,7 +236,7 @@ def test_kl_verify_exactness_bound():
     assert kl_verify(edge, 1).to_dict() == reference_kl_report(edge, 1)
     assert inner_product(edge[0], edge[0]).as_integer() == m * m
     xz = PauliLabel(2, (1,), (1,))
-    assert gram_matrix(edge, xz) == reference_gram_matrix(edge, xz)
+    assert kernel_gram_matrix(edge, xz) == reference_gram_matrix(edge, xz)
 
 
 def dressed(gen, states):
@@ -290,13 +294,11 @@ def test_generic_histograms_of_code_states_keep_distance(gen):
 
 def test_gram_diagonal_is_shift_sum():
     # for a one-function basis the Gram entry is the shifted character sum
-    from lfqec import apc_sum
-
     f = parse_anf(K4_ANF, 2, 4)
     psi = state_from_function(f)
     for e in [PauliLabel(2, (1, 1, 0, 0), (1, 1, 0, 0)), PauliLabel(2, (1, 0, 0, 0), (0, 0, 0, 0))]:
-        G = gram_matrix([psi], e)
-        assert G[0][0] == apc_sum(f, e)
+        G = kernel_gram_matrix([psi], e)
+        assert G[0][0] == character_sum(f, e.a, e.b)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +365,7 @@ def test_full_coset_family_has_distance_one():
     f = parse_anf(K4_ANF, 2, 4)
     betas = list(itertools.product((0, 1), repeat=4))
     states = [state_from_function(add_affine(f, beta, 0)) for beta in betas]
-    G = gram_matrix(states, PauliLabel(2, (0, 0, 0, 0), (1, 0, 0, 0)))
+    G = kernel_gram_matrix(states, PauliLabel(2, (0, 0, 0, 0), (1, 0, 0, 0)))
     assert any(not G[i][j].is_zero() for i in range(16) for j in range(16) if i != j)
     assert min_distance(states) == 1
 
