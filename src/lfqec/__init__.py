@@ -39,9 +39,7 @@ _EXPORTS = {
     "apply_error": "state_oracle",
     "inner_product": "state_oracle",
     "kl_verify": "state_oracle",
-    "kl_verify_functions": "state_oracle",
     "min_distance": "state_oracle",
-    "min_distance_functions": "state_oracle",
     "state_from_function": "state_oracle",
     "CodeSpec": "codespec",
     "check_claim": "codespec",

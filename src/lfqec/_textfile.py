@@ -12,7 +12,7 @@ import json
 import re
 
 from .errors import InputError
-from .fp_algebra import FpMatrix, table_size
+from .fp_algebra import FpMatrix, check_listing, table_size
 
 _DIGITS = re.compile(r"[0-9]+")
 
@@ -230,7 +230,8 @@ def read_code_file(text: str) -> tuple:
     """(p, n, claimed_d, provenance, basis terms) of a code description: a
     JSON object with integers p, n and claimed_d, a list `basis` of ANF
     strings (read by `anf_terms`), and optionally a `provenance` and an
-    integer K, which must equal the number of basis strings."""
+    integer K, which must equal the number of basis strings. A basis over
+    the oracle's pair budget is refused before any string is parsed."""
     try:
         data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
@@ -246,6 +247,7 @@ def read_code_file(text: str) -> tuple:
             raise InputError(f"malformed code description: {key} = {value!r} is not an integer")
     if not isinstance(basis, list) or not all(isinstance(s, str) for s in basis):
         raise InputError("malformed code description: basis must be a list of strings")
+    check_listing(len(basis) ** 2, f"K^2 = {len(basis) ** 2} basis pairs")
     terms = [anf_terms(s, p, n) for s in basis]
     if data.get("K", len(terms)) != len(terms):
         raise InputError(f"stated K = {data['K']} but {len(terms)} basis functions were given")

@@ -156,9 +156,9 @@ def cmd_apc(args) -> int:
     ]
     code = 0
     if args.verify:
-        from .state_oracle import min_distance_functions
+        from .state_oracle import min_distance
 
-        oracle = min_distance_functions([f], cap=f.n)
+        oracle = min_distance([f], cap=f.n)
         agree = oracle == res.distance
         payload["oracle_distance"] = oracle
         payload["oracle_agrees"] = agree
@@ -313,12 +313,12 @@ def cmd_verify(args) -> int:
     p, n, claimed_d, provenance, terms = read_code_file(_read(args.codespec))
     from .codespec import CodeSpec
     from .logic_fn import LogicFunction
-    from .state_oracle import kl_verify_functions
+    from .state_oracle import kl_verify
 
     basis = tuple(LogicFunction.from_anf(p, n, t) for t in terms)
     spec = CodeSpec(p, n, basis, claimed_d, provenance)
     max_weight = args.max_weight if args.max_weight is not None else spec.claimed_d - 1
-    report = kl_verify_functions(spec.basis, max_weight)
+    report = kl_verify(spec.basis, max_weight)
     lines = [f"verdict: {report.verdict} (max weight {max_weight})"] + _failure_lines(report)
     _emit(args, report.to_dict(), lines)
     return 0 if report.passed else 1

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .logic_fn import LogicFunction, anf_text
-from .state_oracle import VerifyReport, kl_verify_functions, state_from_function
+from .state_oracle import VerifyReport, kl_verify, state_from_function
 
 
 @dataclass(frozen=True)
@@ -57,4 +57,4 @@ class CodeSpec:
 def check_claim(spec: CodeSpec) -> VerifyReport:
     """Exact check of the distance claim: every error of weight below
     claimed_d must leave the scalar-Gram condition intact."""
-    return kl_verify_functions(spec.basis, spec.claimed_d - 1)
+    return kl_verify(spec.basis, spec.claimed_d - 1)

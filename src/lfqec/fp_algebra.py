@@ -53,6 +53,12 @@ def table_size(p: int, n: int, cap: int = MAX_TABLE) -> int:
     return N
 
 
+def check_listing(entries: int, what: str) -> None:
+    """Refuse a listing of more than MAX_LISTING entries before it is built."""
+    if entries > MAX_LISTING:
+        raise CapacityError(f"{what} exceed the listing budget {MAX_LISTING}")
+
+
 # ---------------------------------------------------------------------------
 # cyclotomic integers
 

@@ -21,13 +21,13 @@ import numpy as np
 
 from ._tables import digit_axis, index_vectors, linear_values, vector_index
 from ._textfile import anf_terms
-from .errors import CapacityError, InputError
+from .errors import InputError
 from .fp_algebra import (
     CycloInt,
     FpMatrix,
-    MAX_LISTING,
     MAX_TABLE,
     PauliLabel,
+    check_listing,
     cyclo_from_histogram,
     label_blocks,
     rank,
@@ -360,11 +360,10 @@ def _autocorrelate(v: np.ndarray) -> np.ndarray:
 
 
 def _shifts_where(n: int, mask: np.ndarray) -> set:
-    """The binary shifts a, as tuples, whose index is set in mask; over
-    MAX_LISTING entries in all, refused before any tuple is built."""
+    """The binary shifts a, as tuples, whose index is set in mask; over the
+    listing budget, refused before any tuple is built."""
     count = int(np.count_nonzero(mask))
-    if count * n > MAX_LISTING:
-        raise CapacityError(f"{count} shifts of length {n} exceed the listing budget {MAX_LISTING}")
+    check_listing(count * n, f"{count} shifts of length {n}")
     return set(index_vectors(2, n, np.flatnonzero(mask)))
 
 

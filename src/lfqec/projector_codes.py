@@ -16,20 +16,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._tables import linear_values, shifted_indices
+from ._tables import linear_values, shifted_indices, vector_index
 from .errors import CapacityError, InputError, PremiseError
 from .fp_algebra import (
-    MAX_LISTING,
     MAX_OPERATOR_DIM,
     CycloInt,
     FpMatrix,
     PauliLabel,
+    check_listing,
     rank as fp_rank,
     solve_linear,
     symplectic_product,
     validate_prime,
 )
-from .logic_fn import LogicFunction, add_affine, is_bent, solve_coboundary, weight_support, zset
+from .logic_fn import LogicFunction, _autocorrelate, add_affine, is_bent
+from .logic_fn import solve_coboundary, weight_support
 
 _FLOAT_EXACT_BOUND = 2**52
 
@@ -211,14 +212,12 @@ def check_projector_premises(f: LogicFunction, A: FpMatrix) -> PremiseReport:
         raise InputError(f"matrix must be {f.n} x {2 * f.n} over F_2")
     n = f.n
     M = int(np.count_nonzero(f.table))
-    zs = zset(f)
+    zero = _autocorrelate(f.table) == 0  # zset(f) by shift index, probed and never listed
+    idx = [vector_index(2, n, A.col(j)) for j in range(2 * n)]
     weight_ok = 0 < M <= 2 ** (n - 1)
-    missing_cols = tuple(j for j in range(2 * n) if A.col(j) not in zs)
-    missing_sums = tuple(
-        i
-        for i in range(n)
-        if tuple((A.col(i)[r] + A.col(n + i)[r]) % 2 for r in range(n)) not in zs
-    )
+    missing_cols = tuple(j for j in range(2 * n) if not zero[idx[j]])
+    # binary vectors add mod 2 as their indices XOR
+    missing_sums = tuple(i for i in range(n) if not zero[idx[i] ^ idx[n + i]])
     rows = _stabilizer_rows(A)
     nonorth = tuple(
         (i, j)
@@ -284,8 +283,7 @@ def extract_boolean_basis(f: LogicFunction, A: FpMatrix) -> list:
     if fp_rank(left) != n:
         raise InputError("left block of the matrix must be invertible")
     M = int(np.count_nonzero(f.table))
-    if M << n > MAX_LISTING:  # the M recovered tables are held at once
-        raise CapacityError(f"{M} x 2^{n} table entries exceed the listing budget {MAX_LISTING}")
+    check_listing(M << n, f"{M} x 2^{n} table entries")  # the M recovered tables are held at once
     _, support = weight_support(f)
     if not support:
         return []
@@ -327,6 +325,6 @@ def bent_exclusion(f: LogicFunction) -> bool:
         return False
     if not is_bent(f):
         return False
-    if zset(f):
+    if (_autocorrelate(f.table) == 0).any():
         raise RuntimeError("bent function with nonempty zero-product shift set")
     return True

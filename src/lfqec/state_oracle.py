@@ -22,6 +22,8 @@ quadratic Q, of symmetric form S = U + U^T, need no states: G_e[i][j] =
 p^n zeta^(const) if u = b - S a equals L_i - L_j, else 0 (the codeword-
 stabilized criterion, arXiv:0708.1021; over F_p, quant-ph/0508070). Other
 function bases, and states, take the Gram sweep: the closed form's reference.
+kl_verify and min_distance take either kind of basis, and refuse on both
+routes a basis whose K^2 pairs exceed the listing budget.
 """
 from __future__ import annotations
 
@@ -31,15 +33,8 @@ import numpy as np
 
 from ._tables import linear_values, shifted_indices
 from .errors import CapacityError, InputError
-from .fp_algebra import (
-    MAX_LISTING,
-    MAX_STATE,
-    CycloInt,
-    PauliLabel,
-    label_blocks,
-    table_size,
-)
-from .logic_fn import _anf_terms
+from .fp_algebra import MAX_STATE, CycloInt, PauliLabel, check_listing, label_blocks, table_size
+from .logic_fn import LogicFunction, _anf_terms
 
 # Integers up to 2^53 in size are exact in float64, and so is every sum of
 # them that stays in that range, in any order.
@@ -223,10 +218,10 @@ def _closed_form_failures(S, L, p: int, n: int, max_weight: int):
     """_failures on the states of f_j = Q + L_j.x + c_j via u = b - S a, keyed
     u . (1, p, p^2, ...): the first pair i != j with L_i - L_j = u, else, if
     u = 0, the first j with L_j.a != L_0.a, as G_jj ~ zeta^(-L_j.a); K = 1 fails iff u = 0.
-    The key table D holds K^2 entries, built one coordinate at a time."""
+    The key table D holds K^2 entries, built one coordinate at a time, under
+    the pair budget that _check_basis applies to every basis (`lfqec verify`
+    applies it before any ANF is parsed or table built)."""
     K, key = len(L), p ** np.arange(n)
-    if K * K > MAX_LISTING:
-        raise CapacityError(f"K^2 = {K * K} basis pairs exceed the listing budget {MAX_LISTING}")
     D = np.zeros((K, K), dtype=np.int64)
     for col, k in zip(L.T, key.tolist()):
         D += np.subtract.outer(col, col) % p * k
@@ -259,50 +254,42 @@ def _function_failures(basis, p: int, n: int, max_weight: int):
 
 
 def _check_basis(basis):
+    """(p, n, sweep) for a basis of StateVectors or of LogicFunctions, whose
+    K^2 pairs every route reads: the closed form as a key table, the Gram
+    sweep as (Kp)^2 products per label."""
     if not basis:
         raise InputError("basis must be nonempty")
+    if all(isinstance(s, LogicFunction) for s in basis):
+        sweep = _function_failures
+    elif all(isinstance(s, StateVector) for s in basis):
+        sweep = _failures
+    else:
+        raise InputError("a basis must hold only StateVectors or only LogicFunctions")
     p, n = basis[0].p, basis[0].n
     for s in basis:
         if (s.p, s.n) != (p, n):
             raise InputError("basis states live on different spaces")
     table_size(p, n, cap=MAX_STATE)  # the state capacity, for function bases too
-    return p, n
-
-
-def _report(basis, max_weight: int, sweep) -> VerifyReport:
-    p, n = _check_basis(basis)
-    if not 0 <= max_weight <= n:
-        raise InputError(f"max_weight must lie in [0, {n}]")
-    failures = tuple(bad for _, bad in sweep(basis, p, n, max_weight))
-    return VerifyReport(p, n, len(basis), max_weight, "fail" if failures else "pass", failures)
+    check_listing(len(basis) ** 2, f"K^2 = {len(basis) ** 2} basis pairs")
+    return p, n, sweep
 
 
 def kl_verify(basis, max_weight: int) -> VerifyReport:
     """Check every error label of weight 1..max_weight, in increasing weight
     and a fixed deterministic order within each weight. Records one failure
     entry per failing label; verdict is "pass" iff there are none."""
-    return _report(basis, max_weight, _failures)
-
-
-def kl_verify_functions(basis, max_weight: int) -> VerifyReport:
-    """kl_verify on the states of the LogicFunctions in basis."""
-    return _report(basis, max_weight, _function_failures)
-
-
-def _first_weight(basis, cap, sweep):
-    p, n = _check_basis(basis)
-    cap = n if cap is None else cap
-    if not 1 <= cap <= n:
-        raise InputError(f"cap must lie in [1, {n}]")
-    return next((w for w, _ in sweep(basis, p, n, cap)), f"> {cap}")
+    p, n, sweep = _check_basis(basis)
+    if not 0 <= max_weight <= n:
+        raise InputError(f"max_weight must lie in [0, {n}]")
+    failures = tuple(bad for _, bad in sweep(basis, p, n, max_weight))
+    return VerifyReport(p, n, len(basis), max_weight, "fail" if failures else "pass", failures)
 
 
 def min_distance(basis, cap: int | None = None):
     """Smallest weight at which some label breaks the scalar-Gram condition,
     or the string "> cap" when every weight up to the cap is clean."""
-    return _first_weight(basis, cap, _failures)
-
-
-def min_distance_functions(basis, cap: int | None = None):
-    """min_distance on the states of the LogicFunctions in basis."""
-    return _first_weight(basis, cap, _function_failures)
+    p, n, sweep = _check_basis(basis)
+    cap = n if cap is None else cap
+    if not 1 <= cap <= n:
+        raise InputError(f"cap must lie in [1, {n}]")
+    return next((w for w, _ in sweep(basis, p, n, cap)), f"> {cap}")

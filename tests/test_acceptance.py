@@ -10,7 +10,6 @@ sub-claims that do not hold.
 """
 import itertools
 import json
-import pathlib
 import time
 
 import numpy as np
@@ -41,7 +40,6 @@ from lfqec import (
     parse_anf,
     parse_graph_file,
     projector_rank,
-    quadratic_form,
     state_from_function,
     symplectic_product,
     uncoverable_family,

@@ -192,11 +192,24 @@ def test_projector_checks_premises_once(files, capsys, monkeypatch, mat, want):
     import lfqec.projector_codes
 
     calls = []
-    zset = lfqec.projector_codes.zset
-    monkeypatch.setattr(lfqec.projector_codes, "zset", lambda f: calls.append(f) or zset(f))
+    correlate = lfqec.projector_codes._autocorrelate
+    monkeypatch.setattr(lfqec.projector_codes, "_autocorrelate",
+                        lambda v: calls.append(v) or correlate(v))
     code, out = run(capsys, "projector", files("g2.fn", G2_FN), files("m.mat", mat))
     assert (code, len(calls)) == (want, 1)
     assert out.startswith("premises: ok\n" if want == 0 else "premises: FAIL (")
+
+
+@pytest.mark.parametrize("n", [18, 20])
+def test_projector_probes_the_shift_set_without_listing_it(files, capsys, n):
+    # x1*...*xn has 2^n - 1 zero-product shifts, over the listing budget as
+    # vectors; the premises only read 3n of them
+    cycle = [[int((i - j) % n in (1, n - 1)) for j in range(n)] for i in range(n)]
+    rows = [" ".join(map(str, [int(i == j) for j in range(n)] + cycle[i])) for i in range(n)]
+    fn = files("prod.fn", f"2 {n}\nanf: " + "*".join(f"x{i + 1}" for i in range(n)) + "\n")
+    mat = files("cycle.mat", f"2 {n}\n" + "\n".join(rows) + "\n")
+    want = "premises: ok\nprojector rank: 1 (support size 1)\n"
+    assert run(capsys, "projector", fn, mat) == (0, want)
 
 
 def test_exit_1_mds_verify(files, capsys):

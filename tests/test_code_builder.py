@@ -1,17 +1,14 @@
 """Code constructions from coset characters, premise-checked matrices, and
 the two-point quadratic family, each cross-checked against the state oracle."""
-import itertools
-
 import numpy as np
 import pytest
 
-from conftest import random_function, reference_coset_distance, rng
+from conftest import random_function, reference_coset_distance
 from lfqec import (
     FpMatrix,
     InputError,
     PremiseError,
     add_affine,
-    anf_text,
     apc_distance,
     build_coset_code,
     build_matrix_code,

@@ -5,13 +5,12 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import reference_kernel_check, rng, verify_stabilizer
+from conftest import reference_kernel_check, verify_stabilizer
 from lfqec import graph_codes
 from lfqec import (
     CapacityError,
     FpMatrix,
     InputError,
-    PauliLabel,
     WeightedGraph,
     add_affine,
     apply_error,

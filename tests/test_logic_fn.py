@@ -19,8 +19,8 @@ from conftest import (
     random_function,
     reference_apc_distance,
     reference_coset_distance,
-    rng,
 )
+import lfqec.fp_algebra
 import lfqec.logic_fn
 from lfqec._textfile import read_function_file
 from lfqec import (
@@ -390,9 +390,9 @@ def test_zset_routes_agree_at_n16(gen):
 def test_zset_listing_budget_counts_entries(monkeypatch):
     # x1 on n = 4 has the 8 shifts with a_1 = 1: 32 entries in all
     f = parse_anf("x1", 2, 4)
-    monkeypatch.setattr(lfqec.logic_fn, "MAX_LISTING", 32)
+    monkeypatch.setattr(lfqec.fp_algebra, "MAX_LISTING", 32)
     assert len(zset(f)) == 8
-    monkeypatch.setattr(lfqec.logic_fn, "MAX_LISTING", 31)
+    monkeypatch.setattr(lfqec.fp_algebra, "MAX_LISTING", 31)
     with pytest.raises(CapacityError, match="8 shifts of length 4"):
         zset(f)
     with pytest.raises(CapacityError):

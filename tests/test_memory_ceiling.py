@@ -6,9 +6,10 @@ n = 22 bent function must finish inside it, with the exact answer, and
 `lfqec mds --m 7`, whose 4096 basis tables hold 2^26 entries, while 2048
 basis functions at n = 12 and `mds --m 6` must finish. Under 384 MiB,
 `lfqec verify` of a shared-quadratic code with 4096^2 basis pairs must be
-refused with exit 3. Under 256 MiB, `lfqec zset --format json` must list
-2^17 shifts of length 18, and `lfqec coset-code` must search with 32
-shifts of length 16."""
+refused with exit 3; the pairs are counted from the basis list, so it is
+refused before any table is built. Under 256 MiB, `lfqec zset --format
+json` must list 2^17 shifts of length 18, and `lfqec coset-code` must
+search with 32 shifts of length 16."""
 import json
 import os
 import pathlib
@@ -134,8 +135,8 @@ def test_closed_form_pair_table_fits_the_ceiling(tmp_path):
 
 
 def test_closed_form_pair_table_over_budget_is_refused(tmp_path):
-    # the distinctness check hashes each table in turn and keeps no copy of
-    # them, so the 4096 tables (256 MiB) reach the refusal under 384 MiB
+    # the pairs are counted from the length of the basis list, before one
+    # string is parsed or one of the 4096 tables (256 MiB) is built
     path = tmp_path / "k4096.json"
     path.write_text(code_file(4096, 13))
     proc = run_child(cli_code("verify", str(path)), ceiling=384 << 20)

@@ -2,8 +2,6 @@
 four-premise projector construction, syndrome-term extraction against the
 dense operator reference and the syndrome-by-syndrome solve, and the
 bent-function exclusion."""
-import itertools
-
 import numpy as np
 import pytest
 
@@ -19,12 +17,11 @@ from conftest import (
     operator_sum,
     random_function,
     reference_boolean_basis,
-    rng,
     stabilizer_labels,
     state_complex,
     syndrome_term,
 )
-from lfqec import projector_codes
+from lfqec import fp_algebra, projector_codes
 from lfqec import (
     CapacityError,
     FpMatrix,
@@ -221,7 +218,7 @@ def test_projector_rank_capacity_after_premises(monkeypatch):
     assert projector_rank(f, A) == 1  # no operator is formed, so no dimension cap applies
     # the extraction holds M tables of 2^n entries: over the budget it is
     # refused before the difference system is solved
-    monkeypatch.setattr(projector_codes, "MAX_LISTING", 2**11 - 1)
+    monkeypatch.setattr(fp_algebra, "MAX_LISTING", 2**11 - 1)
     monkeypatch.setattr(projector_codes, "solve_coboundary", lambda *args: pytest.fail("solved"))
     with pytest.raises(CapacityError, match=r"1 x 2\^11 table entries exceed the listing budget"):
         extract_boolean_basis(f, A)

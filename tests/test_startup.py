@@ -1,8 +1,9 @@
 """Start-up contract of the command line, checked in fresh interpreters:
 importing `lfqec.cli` loads no numpy, input errors (exit 2) in any input
 file, code descriptions and their stated K included, are reported before
-numpy loads, and a subcommand loads only the modules it runs
-(`matrix-check` without --build runs on Python integers alone)."""
+numpy loads, so is a code over the oracle's pair budget (exit 3), and a
+subcommand loads only the modules it runs (`matrix-check` without --build
+runs on Python integers alone)."""
 import json
 import os
 import pathlib
@@ -17,9 +18,11 @@ CHILD = """
 import contextlib, io, json, sys
 import lfqec.cli
 imported = sorted(sys.modules)
-with contextlib.redirect_stdout(io.StringIO()):
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
     rc = lfqec.cli.main(sys.argv[1:])
-print(json.dumps({"imported": imported, "rc": rc, "loaded": sorted(sys.modules)}))
+print(json.dumps({"imported": imported, "rc": rc, "loaded": sorted(sys.modules),
+                  "stdout": out.getvalue()}))
 """
 
 GRAPH = "2 3\n1 2\n2 3\n"
@@ -44,7 +47,7 @@ def run_cli(tmp_path, files: dict, *argv) -> dict:
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    return json.loads(proc.stdout)
+    return {**json.loads(proc.stdout), "stderr": proc.stderr}
 
 
 MALFORMED = {
@@ -75,6 +78,19 @@ def test_input_errors_exit_2_before_numpy_loads(tmp_path, case):
     files, argv = MALFORMED[case]
     out = run_cli(tmp_path, files, *argv)
     assert out["rc"] == 2
+    assert "numpy" not in out["loaded"]
+
+
+def test_code_over_the_pair_budget_exits_3_before_numpy_loads(tmp_path):
+    # K = 4096 basis functions on 13 variables make 4096^2 pairs, over 2^22:
+    # refused from the length of the basis list, before one string is parsed
+    basis = [" + ".join(["x1*x2 + x2*x3"] + [f"x{k + 1}" for k in range(13) if j >> k & 1])
+             for j in range(4096)]
+    code = json.dumps({"p": 2, "n": 13, "claimed_d": 2, "basis": basis})
+    out = run_cli(tmp_path, {"k4096.json": code}, "verify", "k4096.json")
+    assert out["rc"] == 3 and out["stdout"] == ""
+    refusal = "K^2 = 16777216 basis pairs exceed the listing budget 4194304"
+    assert out["stderr"] == f"capacity: {refusal}\n"
     assert "numpy" not in out["loaded"]
 
 

@@ -20,13 +20,11 @@ from conftest import (
     reference_inner_product,
     reference_kl_report,
     reference_min_distance,
-    rng,
     state_complex,
 )
-from lfqec import state_oracle
+from lfqec import fp_algebra, state_oracle
 from lfqec import (
     CapacityError,
-    CycloInt,
     InputError,
     LogicFunction,
     PauliLabel,
@@ -38,10 +36,8 @@ from lfqec import (
     build_graph_code,
     inner_product,
     kl_verify,
-    kl_verify_functions,
     label_blocks,
     min_distance,
-    min_distance_functions,
     parse_anf,
     parse_graph_file,
     state_from_function,
@@ -473,9 +469,9 @@ def test_closed_form_matches_gram_kernel(gen, monkeypatch):
         cases.append((basis, want, min_distance(states)))
     monkeypatch.setattr(state_oracle, "state_from_function", refuse)
     for basis, want, distance in cases:
-        got = [kl_verify_functions(basis, w).to_dict() for w in range(len(want))]
+        got = [kl_verify(basis, w).to_dict() for w in range(len(want))]
         assert got == want
-        assert min_distance_functions(basis) == distance
+        assert min_distance(basis) == distance
         seen.update((len(basis) == 1, f["kind"], f["j"] > 1) for f in got[-1]["failures"])
     assert {(True, "diag_unequal", False), (False, "offdiag_nonzero", True),
             (False, "diag_unequal", True)} <= seen
@@ -485,10 +481,23 @@ def test_closed_form_refuses_a_pair_table_over_the_listing_budget(monkeypatch):
     # K = 8 distinct linear parts make a table of 64 pairs, over a budget of 63
     basis = [add_affine(parse_anf("x1*x2 + x2*x3", 2, 3), lin, 0)
              for lin in itertools.product((0, 1), repeat=3)]
-    assert kl_verify_functions(basis, 1).verdict == "fail"
-    monkeypatch.setattr(state_oracle, "MAX_LISTING", 63)
+    assert kl_verify(basis, 1).verdict == "fail"
+    monkeypatch.setattr(fp_algebra, "MAX_LISTING", 63)
     with pytest.raises(CapacityError, match="K\\^2 = 64 basis pairs exceed the listing budget 63"):
-        kl_verify_functions(basis, 1)
+        kl_verify(basis, 1)
+
+
+def test_state_basis_over_the_pair_budget_is_refused_before_stacking(monkeypatch):
+    # the Gram route reads (K p)^2 products per label; 8 states make 64 pairs
+    f = parse_anf("x1*x2*x3", 2, 3)
+    lins = itertools.product((0, 1), repeat=3)
+    states = [state_from_function(add_affine(f, lin)) for lin in lins]
+    monkeypatch.setattr(fp_algebra, "MAX_LISTING", 63)
+    monkeypatch.setattr(state_oracle, "_stack", refuse)
+    refusal = "K\\^2 = 64 basis pairs exceed the listing budget 63"
+    for entry in (kl_verify, min_distance):
+        with pytest.raises(CapacityError, match=refusal):
+            entry(states, 1)
 
 
 def test_function_bases_outside_the_closed_form_take_the_gram_kernel(monkeypatch):
@@ -501,20 +510,24 @@ def test_function_bases_outside_the_closed_form_take_the_gram_kernel(monkeypatch
     want = [[kl_verify(s, w).to_dict() for w in range(s[0].n + 1)] for s in states]
     monkeypatch.setattr(state_oracle, "_closed_form_failures", refuse)
     for basis, s, reports in zip(bases, states, want):
-        assert [kl_verify_functions(basis, w).to_dict() for w in range(len(reports))] == reports
-        assert min_distance_functions(basis) == min_distance(s)
+        assert [kl_verify(basis, w).to_dict() for w in range(len(reports))] == reports
+        assert min_distance(basis) == min_distance(s)
 
 
 def test_function_entries_keep_the_input_errors():
     f = parse_anf("x1*x2", 2, 2)
     with pytest.raises(InputError, match="nonempty"):
-        kl_verify_functions([], 1)
+        kl_verify([], 1)
     with pytest.raises(InputError, match="different spaces"):
-        kl_verify_functions([f, parse_anf("x1", 2, 1)], 1)
+        kl_verify([f, parse_anf("x1", 2, 1)], 1)
+    with pytest.raises(InputError, match="only StateVectors or only LogicFunctions"):
+        kl_verify([f, state_from_function(f)], 1)
+    with pytest.raises(InputError, match="only StateVectors or only LogicFunctions"):
+        min_distance([state_from_function(f), f])
     with pytest.raises(InputError, match=r"max_weight must lie in \[0, 2\]"):
-        kl_verify_functions([f], 3)
+        kl_verify([f], 3)
     with pytest.raises(InputError, match=r"cap must lie in \[1, 2\]"):
-        min_distance_functions([f], cap=0)
+        min_distance([f], cap=0)
     with pytest.raises(CapacityError, match="p\\^n with n = 21 exceeds cap 1048576"):
-        kl_verify_functions([parse_anf("x1*x2", 2, 21)], 1)
-    assert kl_verify_functions([f], 0).passed
+        kl_verify([parse_anf("x1*x2", 2, 21)], 1)
+    assert kl_verify([f], 0).passed
