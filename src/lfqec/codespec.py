@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .logic_fn import LogicFunction, anf_text
+from .logic_fn import LogicFunction, _anf_terms, anf_text
 from .state_oracle import VerifyReport, kl_verify, state_from_function
 
 
@@ -19,7 +19,7 @@ from .state_oracle import VerifyReport, kl_verify, state_from_function
 class CodeSpec:
     p: int
     n: int
-    basis: tuple  # LogicFunction, pairwise distinct truth tables
+    basis: tuple  # LogicFunction, pairwise distinct
     claimed_d: int
     provenance: str
 
@@ -30,7 +30,7 @@ class CodeSpec:
         for f in basis:
             if not isinstance(f, LogicFunction) or (f.p, f.n) != (self.p, self.n):
                 raise InputError("basis functions must share the code's (p, n)")
-        if len(set(basis)) != len(basis):
+        if len({_anf_terms(f) for f in basis}) != len(basis):  # reduced ANFs are unique
             raise InputError("basis functions must have pairwise distinct tables")
         if self.claimed_d < 1:
             raise InputError("claimed distance must be >= 1")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._tables import digit_axis, index_vectors, linear_values, vector_index
+from ._tables import digit_axis, index_vectors, linear_values
 from ._textfile import anf_terms
 from .errors import InputError
 from .fp_algebra import (
@@ -36,53 +36,56 @@ from .fp_algebra import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LogicFunction:
+    """Held as its truth table (a `tt:` input) or as its canonical ANF (from_anf
+    and every builder), never both."""
+
     p: int
     n: int
-    table: np.ndarray
-    anf: tuple | None = None  # ((coeff, monomial), ...) or None
+    values: np.ndarray | None = None  # the table, when the function is held as one
+    anf: tuple | None = None  # ((coeff, monomial), ...) in canonical order, as from_anf makes it
 
     def __post_init__(self):
         N = table_size(self.p, self.n)
-        t = np.asarray(self.table, dtype=np.int64) % self.p
-        if t.shape != (N,):
-            raise InputError(f"table must have {N} entries, got shape {t.shape}")
-        t.setflags(write=False)
-        object.__setattr__(self, "table", t)
-
-    @classmethod
-    def from_table(cls, p: int, n: int, values) -> "LogicFunction":
-        return cls(p, n, np.asarray(list(values), dtype=np.int64))
+        if (self.values is None) == (self.anf is None):
+            raise InputError("a logic function holds either its table or its ANF")
+        if self.values is not None:
+            t = np.asarray(self.values, dtype=np.int64) % self.p
+            if t.shape != (N,):
+                raise InputError(f"table must have {N} entries, got shape {t.shape}")
+            t.setflags(write=False)
+            object.__setattr__(self, "values", t)
 
     @classmethod
     def from_anf(cls, p: int, n: int, terms) -> "LogicFunction":
         """terms: iterable of (coeff, monomial). Exponents must already be
-        reduced below p; coefficients are reduced mod p and zero terms drop.
-        A term is a product of digit axes, so it spans only the axes of its
-        variables until it is added onto the grid."""
-        canon = _canonical_terms(p, n, terms)
+        reduced below p; coefficients are reduced mod p and zero terms drop."""
+        return cls(p, n, anf=_canonical_terms(p, n, terms))
+
+    @property
+    def table(self) -> np.ndarray:
+        """The held table, or the ANF expanded anew on each read, so a caller
+        reads it once. A term is a product of digit axes, so it spans only
+        the axes of its variables until it is added onto the grid."""
+        if self.values is not None:
+            return self.values
+        p, n = self.p, self.n
         acc = np.zeros((p,) * n, dtype=np.int64)
-        for coeff, mono in canon:
+        for coeff, mono in self.anf:
             term = np.int64(coeff)
             for v in mono:
                 term = term * digit_axis(p, n, v) % p
             acc += term
-        return cls(p, n, acc.reshape(-1), anf=canon)
-
-    def value(self, x) -> int:
-        return int(self.table[vector_index(self.p, self.n, x)])
+        acc %= p
+        return acc.reshape(-1)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LogicFunction)
-            and self.p == other.p
-            and self.n == other.n
-            and bool(np.array_equal(self.table, other.table))
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.n, self.table.tobytes()))
+        if not isinstance(other, LogicFunction) or (self.p, self.n) != (other.p, other.n):
+            return False
+        if self.anf is not None and other.anf is not None:
+            return self.anf == other.anf  # the reduced polynomial of a function is unique
+        return bool(np.array_equal(self.table, other.table))
 
 
 def _canonical_terms(p: int, n: int, terms) -> tuple:
@@ -107,7 +110,7 @@ def _canonical_terms(p: int, n: int, terms) -> tuple:
 
 def parse_anf(text: str, p: int, n: int) -> LogicFunction:
     """Parse a polynomial in x1..xn (aliases y1..yn) into a LogicFunction
-    with both the reduced ANF and the expanded table."""
+    held as its reduced ANF."""
     return LogicFunction.from_anf(p, n, anf_terms(text, p, n))
 
 
@@ -115,7 +118,7 @@ def build_function(p: int, n: int, terms, values) -> LogicFunction:
     """The function of a function file read by `_textfile.read_function_file`:
     from its ANF terms, or from its table values when terms is None."""
     if terms is None:
-        return LogicFunction.from_table(p, n, values)
+        return LogicFunction(p, n, values)
     return LogicFunction.from_anf(p, n, terms)
 
 
@@ -207,21 +210,19 @@ def quadratic_form(A: FpMatrix) -> LogicFunction:
 
 
 def add_affine(f: LogicFunction, beta, c: int = 0) -> LogicFunction:
-    """g(x) = f(x) + beta . x + c, with the ANF updated when present. Only
-    the constant and the linear terms change, and the canonical order puts
-    them, by monomial, ahead of every term of degree >= 2."""
+    """g(x) = f(x) + beta . x + c, held in the form f is held in. On an ANF
+    only the constant and the linear terms change, and the canonical order
+    puts them, by monomial, ahead of every term of degree >= 2."""
     beta = tuple(int(v) % f.p for v in beta)
     if len(beta) != f.n:
         raise InputError("beta length mismatch")
-    table = (f.table + linear_values(f.p, f.n, beta) + int(c)) % f.p
-    anf = None
-    if f.anf is not None:
-        low = [()] + [(j,) for j in range(f.n)]
-        old = {m: coeff for coeff, m in f.anf if len(m) < 2}
-        coeffs = [(old.get(m, 0) + v) % f.p for m, v in zip(low, (int(c),) + beta)]
-        anf = tuple((v, m) for v, m in zip(coeffs, low) if v)
-        anf += tuple(term for term in f.anf if len(term[1]) > 1)
-    return LogicFunction(f.p, f.n, table, anf=anf)
+    if f.anf is None:
+        return LogicFunction(f.p, f.n, f.values + linear_values(f.p, f.n, beta) + int(c))
+    low = [()] + [(j,) for j in range(f.n)]
+    old = {m: coeff for coeff, m in f.anf if len(m) < 2}
+    coeffs = [(old.get(m, 0) + v) % f.p for m, v in zip(low, (int(c),) + beta)]
+    anf = tuple((v, m) for v, m in zip(coeffs, low) if v)
+    return LogicFunction(f.p, f.n, anf=anf + tuple(term for term in f.anf if len(term[1]) > 1))
 
 
 def weight_support(f: LogicFunction):
@@ -234,16 +235,11 @@ def weight_support(f: LogicFunction):
 # character sums
 
 
-def _shifted(f: LogicFunction, a) -> np.ndarray:
-    """f(x - a) for every x: the grid rolled by a_i along each axis i."""
-    axes = tuple(i for i, v in enumerate(a) if v % f.p)
-    grid = f.table.reshape((f.p,) * f.n)
+def _shifted(table: np.ndarray, p: int, n: int, a) -> np.ndarray:
+    """table[x - a] for every x: the grid rolled by a_i along each axis i."""
+    axes = tuple(i for i, v in enumerate(a) if v % p)
+    grid = table.reshape((p,) * n)
     return np.roll(grid, tuple(int(a[i]) for i in axes), axis=axes).reshape(-1)
-
-
-def _shift_difference(f: LogicFunction, a) -> np.ndarray:
-    """f(x) - f(x-a) mod p for every x."""
-    return (f.table - _shifted(f, a)) % f.p
 
 
 # Entries gathered at once when a block's labels read their histograms: at
@@ -267,7 +263,7 @@ def _first_nonvanishing(f: LogicFunction, betas) -> tuple:
     p^(w+1) gathered entries, hist[e] = sum_y H[y][e - b_S.y]; it is nonzero
     iff hist is not flat. Memory is O(K N): the tables +-beta_i.x, made once,
     the block's keys, and gathers of at most one table's entries."""
-    p, n = f.p, f.n
+    p, n, table = f.p, f.n, f.table
     plus = [linear_values(p, n, beta) for beta in betas]
     minus = [linear_values(p, n, [-v for v in beta]) for beta in betas]
     pairs = {}
@@ -287,9 +283,9 @@ def _first_nonvanishing(f: LogicFunction, betas) -> tuple:
             supp = [i for i, (u, v) in enumerate(zip(a, bs[0])) if u or v]  # b is 1 where a is 0
             if supp != last:  # blocks come grouped by support
                 y_key = sum(digit_axis(p, n, s) * p ** (w - 1 - k) for k, s in enumerate(supp))
-                base = (f.table.reshape((p,) * n) + (stride * y_key + p)).reshape(-1)
+                base = (table.reshape((p,) * n) + (stride * y_key + p)).reshape(-1)
                 last = supp
-            keys = base - _shifted(f, a)
+            keys = base - _shifted(table, p, n, a)
             b_supp = np.array(bs)[:, supp]
             for c in range(0, len(bs), rows):
                 by = (b_supp[c : c + rows] @ ys)[:, :, None]
@@ -332,7 +328,8 @@ def autocorrelation(f: LogicFunction, a) -> CycloInt:
     """sum_x zeta^( f(x) - f(x+a) ); the plain integer correlation at p = 2."""
     if len(a) != f.n:
         raise InputError("shift length mismatch")
-    exps = _shift_difference(f, [-int(v) for v in a])
+    t = f.table
+    exps = (t - _shifted(t, f.p, f.n, [-int(v) for v in a])) % f.p
     return cyclo_from_histogram(f.p, np.bincount(exps, minlength=f.p))
 
 
@@ -394,10 +391,11 @@ def zset_via_autocorrelation(f: LogicFunction) -> set:
     is at most 2^(n-1). That bound is a precondition here."""
     if f.p != 2:
         raise InputError("defined for p = 2")
-    M = int(np.sum(f.table))
+    t = f.table
+    M = int(np.sum(t))
     if M > 2 ** (f.n - 1):
         raise InputError(f"weight {M} exceeds 2^(n-1) = {2 ** (f.n - 1)}")
-    return _shifts_where(f.n, autocorrelation_spectrum(f) == 2**f.n - 4 * M)
+    return _shifts_where(f.n, _autocorrelate(1 - 2 * t) == 2**f.n - 4 * M)
 
 
 def is_bent(f: LogicFunction) -> bool:
@@ -409,9 +407,10 @@ def is_bent(f: LogicFunction) -> bool:
         raise InputError("bent detection is defined for p = 2")
     if f.n % 2:
         raise InputError("bent functions require even n")
-    bent = bool(np.all(np.abs(_fwht(1 - 2 * f.table)) == 2 ** (f.n // 2)))
+    t = f.table
+    bent = bool(np.all(np.abs(_fwht(1 - 2 * t)) == 2 ** (f.n // 2)))
     if bent:
-        M = int(np.sum(f.table))
+        M = int(np.sum(t))
         half = 2 ** (f.n - 1)
         quarter = 2 ** (f.n // 2 - 1)
         if M not in (half - quarter, half + quarter):

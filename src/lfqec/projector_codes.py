@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._tables import linear_values, shifted_indices, vector_index
+from ._tables import index_vectors, linear_values, shifted_indices, vector_index
 from .errors import CapacityError, InputError, PremiseError
 from .fp_algebra import (
     MAX_OPERATOR_DIM,
@@ -30,7 +30,7 @@ from .fp_algebra import (
     validate_prime,
 )
 from .logic_fn import LogicFunction, _autocorrelate, add_affine, is_bent
-from .logic_fn import solve_coboundary, weight_support
+from .logic_fn import solve_coboundary
 
 _FLOAT_EXACT_BOUND = 2**52
 
@@ -210,9 +210,9 @@ def check_projector_premises(f: LogicFunction, A: FpMatrix) -> PremiseReport:
         raise InputError("the projector construction is defined for p = 2")
     if A.p != 2 or A.rows != f.n or A.cols != 2 * f.n:
         raise InputError(f"matrix must be {f.n} x {2 * f.n} over F_2")
-    n = f.n
-    M = int(np.count_nonzero(f.table))
-    zero = _autocorrelate(f.table) == 0  # zset(f) by shift index, probed and never listed
+    n, t = f.n, f.table
+    M = int(np.count_nonzero(t))
+    zero = _autocorrelate(t) == 0  # zset(f) by shift index, probed and never listed
     idx = [vector_index(2, n, A.col(j)) for j in range(2 * n)]
     weight_ok = 0 < M <= 2 ** (n - 1)
     missing_cols = tuple(j for j in range(2 * n) if not zero[idx[j]])
@@ -282,10 +282,10 @@ def extract_boolean_basis(f: LogicFunction, A: FpMatrix) -> list:
     left = A.submatrix(range(n), range(n))
     if fp_rank(left) != n:
         raise InputError("left block of the matrix must be invertible")
-    M = int(np.count_nonzero(f.table))
-    check_listing(M << n, f"{M} x 2^{n} table entries")  # the M recovered tables are held at once
-    _, support = weight_support(f)
-    if not support:
+    idx = np.flatnonzero(f.table)
+    M = len(idx)
+    check_listing(M << n, f"{M} x 2^{n} table entries")  # the M check tables are held at once
+    if not M:
         return []
     pairs = [(e.a, e.b, sum(x * y for x, y in zip(e.a, e.b)) % 2) for e in rows]
     g0 = solve_coboundary(pairs, 2, n)
@@ -295,9 +295,9 @@ def extract_boolean_basis(f: LogicFunction, A: FpMatrix) -> list:
         )
     # lambda_t = L^(-1) t for every t at once; row i of inv_rows solves L v = e_i
     inv_rows = np.array([solve_linear(left, e).particular for e in np.eye(n, dtype=int).tolist()])
-    signs = np.array(support)
-    basis = [add_affine(g0, lam) for lam in (signs @ inv_rows % 2).tolist()]
-    tables = np.stack([g.table for g in basis])
+    signs = np.array(index_vectors(2, n, idx))
+    lams = (signs @ inv_rows % 2).tolist()
+    tables = g0.table ^ np.stack([linear_values(2, n, lam) for lam in lams])  # one expansion
     # E_i psi_g = (-1)^(t_i) psi_g iff g(x + a_i) = g(x) + b_i . x + t_i for every x
     for i, e in enumerate(rows):
         want = tables ^ linear_values(2, n, e.b) ^ signs[:, i, None]  # sums mod 2
@@ -305,7 +305,7 @@ def extract_boolean_basis(f: LogicFunction, A: FpMatrix) -> list:
         if bad.size:
             raise RuntimeError(f"recovered state is not an eigenvector of row {i} with sign "
                                f"(-1)^{signs[bad[0], i]}")
-    return basis
+    return [add_affine(g0, lam) for lam in lams]
 
 
 # ---------------------------------------------------------------------------

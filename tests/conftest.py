@@ -40,6 +40,20 @@ def random_function(gen: np.random.Generator, p: int, n: int) -> LogicFunction:
     return LogicFunction(p, n, gen.integers(0, p, p**n).astype(np.int64))
 
 
+def count_expansions(monkeypatch) -> list:
+    """Patch LogicFunction.table to record each ANF-held function whose ANF
+    it expands; the list keeps them alive, so their ids stay distinct."""
+    expanded, table = [], LogicFunction.table
+
+    def counted(f):
+        if f.anf is not None:
+            expanded.append(f)
+        return table.fget(f)
+
+    monkeypatch.setattr(LogicFunction, "table", property(counted))
+    return expanded
+
+
 def digit_index(p: int, x) -> int:
     """Table index of x by Horner's rule, x_1 the most significant digit."""
     idx = 0

@@ -1,5 +1,6 @@
 """Command-line interface: every subcommand in both output formats, the
 documented exit codes, and one installed-script smoke test."""
+import collections
 import json
 import os
 import pathlib
@@ -8,6 +9,7 @@ import sys
 
 import pytest
 
+from conftest import count_expansions
 import lfqec
 from lfqec import build_coset_code, parse_anf
 from lfqec.cli import main
@@ -198,6 +200,15 @@ def test_projector_checks_premises_once(files, capsys, monkeypatch, mat, want):
     code, out = run(capsys, "projector", files("g2.fn", G2_FN), files("m.mat", mat))
     assert (code, len(calls)) == (want, 1)
     assert out.startswith("premises: ok\n" if want == 0 else "premises: FAIL (")
+
+
+def test_projector_expands_each_function_once_per_call(files, capsys, monkeypatch):
+    expanded = count_expansions(monkeypatch)
+    code, out = run(capsys, "projector", files("g2.fn", G2_FN), files("m.mat", REPAIRED_MAT),
+                    "--extract-basis")
+    assert code == 0 and out.count("basis[") == 4
+    # the function once for its premises and once for its support, g_0 once for the checks
+    assert sorted(collections.Counter(map(id, expanded)).values()) == [1, 2]
 
 
 @pytest.mark.parametrize("n", [18, 20])

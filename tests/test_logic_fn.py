@@ -13,6 +13,7 @@ from conftest import (
     as_complex,
     character_sum,
     close,
+    count_expansions,
     direct_spectrum,
     direct_zset,
     label_weight,
@@ -66,6 +67,26 @@ def test_parse_anf_pinned_tables():
     assert list(h.table) == [1, 0]
     q = parse_anf("2*x1 + x2^2", 3, 2)
     assert list(q.table) == brute_table(3, 2, lambda x: 2 * x[0] + x[1] ** 2)
+
+
+def test_a_function_holds_its_anf_or_its_table():
+    pairs = [((1, 0), (0, 1), 0), ((0, 1), (1, 0), 0)]
+    anf_held = [
+        LogicFunction.from_anf(3, 2, [(1, (0, 1))]),
+        parse_anf("x1*x2 + x3", 2, 3),
+        quadratic_form(FpMatrix.from_rows(2, [[0, 1], [1, 0]])),
+        solve_coboundary(pairs, 2, 2),
+        add_affine(parse_anf("x1*x2", 2, 2), (1, 1), 1),
+    ]
+    assert all(f.anf is not None and f.values is None for f in anf_held)
+    tables = [lfqec.logic_fn.build_function(2, 2, None, [0, 1, 1, 0])]
+    tables.append(add_affine(tables[0], (1, 0), 1))
+    assert all(f.anf is None and f.values is not None for f in tables)
+    assert tables[1].table.tolist() == [1, 0, 1, 0]
+    with pytest.raises(InputError, match="either its table or its ANF"):
+        LogicFunction(2, 2)
+    with pytest.raises(InputError, match="either its table or its ANF"):
+        LogicFunction(2, 2, [0, 0, 0, 1], anf=((1, (0, 1)),))
 
 
 def test_parse_exponent_reduction():
@@ -410,6 +431,22 @@ def test_is_bent():
         is_bent(parse_anf("x1*x2", 2, 3))  # odd n
     with pytest.raises(InputError):
         is_bent(parse_anf("x1*x2", 3, 2))  # p != 2
+
+
+def test_table_readers_expand_an_anf_once(monkeypatch):
+    f, bent = parse_anf("x1*x2*x3 + x4", 2, 4), parse_anf(K4_ANF, 2, 4)
+    reads = [
+        (lambda: lfqec.logic_fn._first_nonvanishing(f, [(0, 0, 0, 0), (1, 1, 0, 0)]), f),
+        (lambda: apc_distance(f), f),
+        (lambda: is_bent(bent), bent),
+        (lambda: autocorrelation(f, (1, 0, 1, 0)), f),
+        (lambda: zset_via_autocorrelation(f), f),
+    ]
+    expanded = count_expansions(monkeypatch)
+    for read, g in reads:
+        expanded.clear()
+        read()
+        assert len(expanded) == 1 and expanded[0] is g
 
 
 def test_is_bent_at_n18():

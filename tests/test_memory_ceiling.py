@@ -7,9 +7,11 @@ n = 22 bent function must finish inside it, with the exact answer, and
 basis functions at n = 12 and `mds --m 6` must finish. Under 384 MiB,
 `lfqec verify` of a shared-quadratic code with 4096^2 basis pairs must be
 refused with exit 3; the pairs are counted from the basis list, so it is
-refused before any table is built. Under 256 MiB, `lfqec zset --format
-json` must list 2^17 shifts of length 18, and `lfqec coset-code` must
-search with 32 shifts of length 16."""
+refused before any table is built. An in-cap shared-quadratic code at
+n = 16 and n = 20 must get its verdict under 384 and 256 MiB, since no
+basis function is expanded to a table. Under 256 MiB, `lfqec zset
+--format json` must list 2^17 shifts of length 18, and `lfqec coset-code`
+must search with 32 shifts of length 16."""
 import json
 import os
 import pathlib
@@ -132,6 +134,21 @@ def test_closed_form_pair_table_fits_the_ceiling(tmp_path):
     ]
     # of the 36 weight-1 labels, only the three on x12, which no linear part uses, pass
     assert len(lines) == 1 + 33
+
+
+@pytest.mark.parametrize("K, n, ceiling_mib", [(512, 20, 256), (2048, 16, 384)])
+def test_shared_quadratic_verify_builds_no_table(tmp_path, K, n, ceiling_mib):
+    # K tables of 2^n entries would take 4 GiB and 512 MiB; the closed form reads the ANFs
+    path = tmp_path / "code.json"
+    path.write_text(code_file(K, n))
+    proc = run_child(cli_code("verify", str(path)), ceiling=ceiling_mib << 20)
+    assert proc.returncode == 1, proc.stderr[-2000:]
+    assert proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert lines[:2] == ["verdict: fail (max weight 1)",
+                         f"failure: a={'0' * n} b=1{'0' * (n - 1)} offdiag_nonzero at (0, 1)"]
+    # each of the three weight-1 labels on the log2(K) variables the linear parts use fails
+    assert len(lines) == 1 + 3 * (K.bit_length() - 1)
 
 
 def test_closed_form_pair_table_over_budget_is_refused(tmp_path):

@@ -23,8 +23,10 @@ from conftest import (
     state_complex,
 )
 from lfqec import fp_algebra, state_oracle
+from lfqec.cli import main
 from lfqec import (
     CapacityError,
+    FpMatrix,
     InputError,
     LogicFunction,
     PauliLabel,
@@ -34,6 +36,8 @@ from lfqec import (
     apply_error,
     build_coset_code,
     build_graph_code,
+    build_matrix_code,
+    check_claim,
     inner_product,
     kl_verify,
     label_blocks,
@@ -498,6 +502,27 @@ def test_state_basis_over_the_pair_budget_is_refused_before_stacking(monkeypatch
     for entry in (kl_verify, min_distance):
         with pytest.raises(CapacityError, match=refusal):
             entry(states, 1)
+
+
+def test_shared_quadratic_verdicts_read_no_table(monkeypatch, tmp_path, capsys):
+    # the builders, the closed form and `lfqec verify` read only ANFs
+    rank_pin = FpMatrix.from_rows(2, [[0, 0, 1, 1, 0], [0, 0, 1, 1, 1], [1, 1, 0, 0, 0],
+                                      [1, 1, 0, 0, 0], [0, 1, 0, 0, 0]])
+    code = tmp_path / "code.json"
+
+    def verdicts():
+        k4 = parse_anf(K4_ANF, 2, 4)
+        basis = [add_affine(k4, beta) for beta in itertools.product((0, 1), repeat=4)]
+        graph = build_graph_code(parse_graph_file(C5_TEXT), [frozenset(), frozenset(range(1, 6))], 3)
+        code.write_text(json.dumps(graph.to_dict()))
+        reports = [kl_verify(basis, w) for w in range(5)]
+        reports += [check_claim(graph), check_claim(build_matrix_code(rank_pin, 1, 2))]
+        return [r.to_dict() for r in reports], main(["verify", str(code)]), capsys.readouterr()
+
+    want = verdicts()
+    assert [r["verdict"] for r in want[0]] == ["pass"] + ["fail"] * 4 + ["pass", "pass"]
+    monkeypatch.setattr(LogicFunction, "table", property(refuse))
+    assert verdicts() == want
 
 
 def test_function_bases_outside_the_closed_form_take_the_gram_kernel(monkeypatch):

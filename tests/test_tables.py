@@ -47,7 +47,6 @@ def test_layout_matches_digit_arithmetic(gen, p, n):
 def test_function_reads_follow_the_layout(gen, p, n):
     f = random_function(gen, p, n)
     xs = list(itertools.product(range(p), repeat=n))
-    assert all(f.value(x) == f.table[digit_index(p, x)] for x in xs)
     M, support = weight_support(f)
     want = [x for x in xs if f.table[digit_index(p, x)]]
     assert (M, support) == (len(want), want)
