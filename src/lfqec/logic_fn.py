@@ -161,16 +161,21 @@ def _anf_terms(f: LogicFunction, max_deg: int | None = None) -> tuple | None:
                     s //= 2
                 rows[:, m] = acc
     grid = grid.reshape((p,) * n)
-    if max_deg is not None and grid[sum(digit_axis(p, n, i) for i in range(n)) > max_deg].any():
+    exps = np.argwhere(grid)  # the exponent vectors of the nonzero coefficients
+    deg = exps.sum(axis=1)
+    if max_deg is not None and (deg > max_deg).any():
         return None  # before one tuple per term is built
-    flat = grid.reshape(-1)
-    idx = np.flatnonzero(flat)
-    terms = [
-        (c, tuple(v for v, e in enumerate(k) for _ in range(e)))
-        for c, k in zip(flat[idx].tolist(), index_vectors(p, n, idx))
-    ]
-    return _canonical_terms(p, n, terms)
-
+    # canonical order: by degree, then by monomial tuple; within one degree
+    # the tuples ascend as the exponent vectors, and so their indices, descend
+    order = np.lexsort((-np.arange(len(deg)), deg))
+    exps, deg = exps[order], deg[order]
+    coeffs = grid[tuple(exps.T)].tolist()
+    terms = []
+    for d in np.unique(deg).tolist():
+        lo, hi = np.searchsorted(deg, [d, d + 1]).tolist()
+        monos = np.repeat(np.tile(np.arange(n), hi - lo), exps[lo:hi].ravel())
+        terms += zip(coeffs[lo:hi], map(tuple, monos.reshape(hi - lo, d).tolist()))
+    return tuple(terms)
 
 
 def anf_text(f: LogicFunction) -> str:
@@ -179,18 +184,15 @@ def anf_text(f: LogicFunction) -> str:
     terms = _anf_terms(f)
     if not terms:
         return "0"
+    names = [f"x{v + 1}" for v in range(f.n)]
     parts = []
     for coeff, mono in terms:
-        factors = []
-        for v in sorted(set(mono)):
-            e = mono.count(v)
-            factors.append(f"x{v + 1}" + (f"^{e}" if e > 1 else ""))
-        if not factors:
-            parts.append(str(coeff))
-        elif coeff == 1:
-            parts.append("*".join(factors))
-        else:
-            parts.append(f"{coeff}*" + "*".join(factors))
+        if len(set(mono)) == len(mono):  # every exponent 1, as always at p = 2
+            factors = "*".join([names[v] for v in mono])
+        else:  # a power, which needs p > 2
+            factors = "*".join(f"{names[v]}^{mono.count(v)}".removesuffix("^1")
+                               for v in sorted(set(mono)))
+        parts.append(f"{coeff}*{factors}" if factors and coeff != 1 else factors or str(coeff))
     return " + ".join(parts)
 
 
