@@ -23,7 +23,8 @@ p^n zeta^(const) if u = b - S a equals L_i - L_j, else 0 (the codeword-
 stabilized criterion, arXiv:0708.1021; over F_p, quant-ph/0508070). Other
 function bases, and states, take the Gram sweep: the closed form's reference.
 kl_verify and min_distance take either kind of basis, and refuse on both
-routes a basis whose K^2 pairs exceed the listing budget.
+routes a basis whose K^2 pairs exceed the listing budget; the Gram route
+also refuses, before it builds a state, K p^(n+1) entries over the table cap.
 """
 from __future__ import annotations
 
@@ -33,7 +34,8 @@ import numpy as np
 
 from ._tables import linear_values, shifted_indices
 from .errors import CapacityError, InputError
-from .fp_algebra import MAX_STATE, CycloInt, PauliLabel, check_listing, label_blocks, table_size
+from .fp_algebra import MAX_STATE, MAX_TABLE, CycloInt, PauliLabel, check_listing, label_blocks
+from .fp_algebra import table_size
 from .logic_fn import LogicFunction, _anf_terms
 
 # Integers up to 2^53 in size are exact in float64, and so is every sum of
@@ -195,10 +197,18 @@ def _violation(G: np.ndarray):
     return None
 
 
+def _check_sweep(K: int, p: int, n: int) -> None:
+    """Refuse, before one state is built, a Gram sweep whose K states, float
+    stack and ket buffer, each of K p^(n+1) entries, exceed the table cap."""
+    if (entries := K * p ** (n + 1)) > MAX_TABLE:
+        raise CapacityError(f"K p^(n+1) = {entries} Gram sweep entries exceed the cap {MAX_TABLE}")
+
+
 def _failures(basis, p: int, n: int, max_weight: int):
     """Yield (weight, KLFailure) for every failing label of weight
     1..max_weight, in increasing weight and the fixed order within each.
     A block's labels share their a, and so the shift x - a."""
+    _check_sweep(len(basis), p, n)
     X = _stack(basis)
     # One ket buffer per sweep, so labels allocate no fresh p*N arrays (the
     # OS would fault their pages in anew each time). take() buffers `out`
@@ -244,6 +254,7 @@ def _function_failures(basis, p: int, n: int, max_weight: int):
     anfs = [_anf_terms(f, max_deg=2) for f in basis]
     quads = {tuple(t for t in terms if len(t[1]) == 2) for terms in anfs if terms is not None}
     if None in anfs or len(quads) > 1:
+        _check_sweep(len(basis), p, n)
         return _failures([state_from_function(f) for f in basis], p, n, max_weight)
     S = np.zeros((n, n), dtype=np.int64)
     for c, m in quads.pop():

@@ -9,9 +9,10 @@ basis functions at n = 12 and `mds --m 6` must finish. Under 384 MiB,
 refused with exit 3; the pairs are counted from the basis list, so it is
 refused before any table is built. An in-cap shared-quadratic code at
 n = 16 and n = 20 must get its verdict under 384 and 256 MiB, since no
-basis function is expanded to a table. Under 256 MiB, `lfqec zset
---format json` must list 2^17 shifts of length 18, and `lfqec coset-code`
-must search with 32 shifts of length 16."""
+basis function is expanded to a table, and a Gram sweep over 48 cubic
+functions at n = 20 must be refused with exit 3 before a state is built.
+Under 256 MiB, `lfqec zset --format json` must list 2^17 shifts of length
+18, and `lfqec coset-code` must search with 32 shifts of length 16."""
 import json
 import os
 import pathlib
@@ -149,6 +150,21 @@ def test_shared_quadratic_verify_builds_no_table(tmp_path, K, n, ceiling_mib):
                          f"failure: a={'0' * n} b=1{'0' * (n - 1)} offdiag_nonzero at (0, 1)"]
     # each of the three weight-1 labels on the log2(K) variables the linear parts use fails
     assert len(lines) == 1 + 3 * (K.bit_length() - 1)
+
+
+def test_gram_sweep_over_the_table_cap_is_refused(tmp_path):
+    # 48 cubic functions at n = 20 fit every cap, but K states of p^(n+1)
+    # entries, their float stack and a ket buffer would take 2.4 GB
+    basis = [" + ".join(["x1*x2*x3"] + [f"x{k + 1}" for k in range(20) if j >> k & 1])
+             for j in range(48)]
+    path = tmp_path / "cubic48.json"
+    path.write_text(json.dumps({"p": 2, "n": 20, "claimed_d": 2, "basis": basis}))
+    proc = run_child(cli_code("verify", str(path)))
+    assert proc.returncode == 3, proc.stderr[-2000:]
+    assert proc.stderr == (
+        "capacity: K p^(n+1) = 100663296 Gram sweep entries exceed the cap 16777216\n"
+    )
+    assert proc.stdout == ""
 
 
 def test_closed_form_pair_table_over_budget_is_refused(tmp_path):
