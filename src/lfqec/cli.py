@@ -226,6 +226,8 @@ def _matrix_result_line(name: str, res) -> str:
 
 
 def cmd_matrix_check(args) -> int:
+    if args.verify and not args.build:
+        raise InputError("--verify checks the built code, so it needs --build")
     A = parse_matrix_file(_read(args.matrix))
     from .graph_codes import matrix_code_check, matrix_kernel_check
 

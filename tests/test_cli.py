@@ -250,6 +250,10 @@ def test_exit_2_input_errors(files, capsys):
         "3",
     )
     assert code == 2  # coverable symmetric difference is an input defect
+    # --verify checks the code that --build makes, so alone it is refused
+    code = main(["matrix-check", files("m.mat", RANK_MAT), "--k", "1", "--d", "2", "--verify"])
+    assert code == 2
+    assert capsys.readouterr() == ("", "error: --verify checks the built code, so it needs --build\n")
 
 
 @pytest.mark.parametrize(

@@ -57,6 +57,7 @@ MALFORMED = {
     "graph": ({"g": "2 3\n1 4\n", "c": CLASSES}, ["graph-code", "g", "--classes", "c", "--d", "2"]),
     "classes": ({"g": GRAPH, "c": "012\n"}, ["graph-code", "g", "--classes", "c", "--d", "2"]),
     "matrix": ({"m": "2 2\n1 0\n0\n"}, ["matrix-check", "m", "--k", "0", "--d", "1"]),
+    "matrix verify": ({"m": RANK_MAT}, ["matrix-check", "m", "--k", "1", "--d", "2", "--verify"]),
     "projector matrix": ({"f.fn": FUNCTION, "m": "2 1\n0 1 q\n"}, ["projector", "f.fn", "m"]),
     "betas": ({"f.fn": FUNCTION}, ["coset-code", "f.fn", "--betas", "00,012"]),
     "system": ({"s": "2 2\n10 01\n"}, ["solve-basis", "s"]),
