@@ -1,18 +1,21 @@
 """No function in `src/lfqec` carries state from one call to the next
-through functools' memoizing decorators: each table and map is built inside
-the call that uses it, and is freed when that call returns."""
+through functools' memoizing decorators, or through the two ways a frozen
+dataclass could cache a value on itself: `functools.cached_property`, or
+`object.__setattr__` outside `__post_init__`. Each table and map is built
+inside the call that uses it, and is freed when that call returns."""
 import ast
 import pathlib
 
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "lfqec"
-MEMOIZERS = {"lru_cache", "cache"}
+MEMOIZERS = {"lru_cache", "cache", "cached_property"}
 
 
 def memoized_functions(source: str) -> list:
-    """Names of the functions decorated with functools.lru_cache or
-    functools.cache, under any import spelling or alias."""
+    """Names of the functions decorated with functools.lru_cache,
+    functools.cache or functools.cached_property, under any import spelling
+    or alias."""
     tree = ast.parse(source)
     modules, names = set(), set()  # local names of functools, and of its memoizers
     for node in ast.walk(tree):
@@ -37,9 +40,35 @@ def memoized_functions(source: str) -> list:
     ]
 
 
+def late_setattrs(source: str) -> list:
+    """Line numbers of the `object.__setattr__` calls that are not in the
+    body of a `__post_init__`, nested functions and classes included."""
+    lines = []
+
+    def visit(node, in_post_init: bool):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+                visit(child, getattr(child, "name", None) == "__post_init__")
+                continue
+            func = getattr(child, "func", None)
+            if (isinstance(child, ast.Call) and isinstance(func, ast.Attribute)
+                    and func.attr == "__setattr__" and isinstance(func.value, ast.Name)
+                    and func.value.id == "object" and not in_post_init):
+                lines.append(child.lineno)
+            visit(child, in_post_init)
+
+    visit(ast.parse(source), False)
+    return lines
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_no_function_is_memoized(path):
     assert memoized_functions(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_frozen_objects_are_set_only_in_post_init(path):
+    assert late_setattrs(path.read_text()) == []
 
 
 @pytest.mark.parametrize(
@@ -49,6 +78,8 @@ def test_no_function_is_memoized(path):
         "from functools import cache as keep\n@keep\ndef f(): pass",
         "import functools\n@functools.lru_cache\ndef f(): pass",
         "import functools as ft\nclass C:\n    @ft.cache\n    def f(self): pass",
+        "from functools import cached_property\nclass C:\n    @cached_property\n    def f(self): pass",
+        "import functools\nclass C:\n    @functools.cached_property\n    def f(self): pass",
     ],
 )
 def test_each_spelling_is_found(source):
@@ -58,3 +89,22 @@ def test_each_spelling_is_found(source):
 def test_other_decorators_pass():
     source = "import functools\n@functools.wraps(g)\n@staticmethod\ndef f(): pass"
     assert memoized_functions(source) == []
+
+
+def test_late_setattrs_are_found():
+    source = """
+class C:
+    def __post_init__(self):
+        object.__setattr__(self, "a", 1)
+
+    @property
+    def table(self):
+        object.__setattr__(self, "_t", 2)
+
+    def __post_init_helper(self):
+        def inner():
+            object.__setattr__(self, "b", 3)
+
+object.__setattr__(C, "c", 4)
+"""
+    assert late_setattrs(source) == [8, 12, 14]
