@@ -184,11 +184,12 @@ def cmd_zset(args) -> int:
 
 def cmd_bent(args) -> int:
     parsed = read_function_file(_read(args.function))
-    from .logic_fn import build_function, is_bent
+    from .logic_fn import LogicFunction, build_function, is_bent
 
     f = build_function(*parsed)
-    bent = is_bent(f)
-    M = int((f.table != 0).sum())
+    t = f.table  # one expansion of an ANF, read by both
+    bent = is_bent(LogicFunction(f.p, f.n, t))
+    M = int((t != 0).sum())
     payload = {"bent": bent, "support_size": M}
     lines = [f"bent: {str(bent).lower()}", f"support size: {M}"]
     _emit(args, payload, lines)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .logic_fn import LogicFunction, _anf_terms, anf_text
+from .logic_fn import LogicFunction, anf_text
 from .state_oracle import VerifyReport, kl_verify, state_from_function
 
 
@@ -30,7 +30,12 @@ class CodeSpec:
         for f in basis:
             if not isinstance(f, LogicFunction) or (f.p, f.n) != (self.p, self.n):
                 raise InputError("basis functions must share the code's (p, n)")
-        if len({_anf_terms(f) for f in basis}) != len(basis):  # reduced ANFs are unique
+        # reduced ANFs are unique; tables go by a hash of their bytes, compared on a tie
+        anfs = all(f.anf is not None for f in basis)
+        keys = [f.anf if anfs else hash(f.table.tobytes()) for f in basis]
+        if len(set(keys)) < len(basis) and (anfs or any(
+                basis[i].table.tobytes() == basis[j].table.tobytes()
+                for i in range(len(basis)) for j in range(i) if keys[i] == keys[j])):
             raise InputError("basis functions must have pairwise distinct tables")
         if self.claimed_d < 1:
             raise InputError("claimed distance must be >= 1")

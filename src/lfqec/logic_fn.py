@@ -38,30 +38,32 @@ from .fp_algebra import (
 
 @dataclass(frozen=True, eq=False)
 class LogicFunction:
-    """Held as its truth table (a `tt:` input) or as its canonical ANF (from_anf
-    and every builder), never both."""
+    """Held as its truth table (a `tt:` input) or as its ANF (from_anf and
+    every builder), never both; an ANF is put in canonical order here."""
 
     p: int
     n: int
     values: np.ndarray | None = None  # the table, when the function is held as one
-    anf: tuple | None = None  # ((coeff, monomial), ...) in canonical order, as from_anf makes it
+    anf: tuple | None = None  # ((coeff, monomial), ...)
 
     def __post_init__(self):
         N = table_size(self.p, self.n)
         if (self.values is None) == (self.anf is None):
             raise InputError("a logic function holds either its table or its ANF")
-        if self.values is not None:
-            t = np.asarray(self.values, dtype=np.int64) % self.p
-            if t.shape != (N,):
-                raise InputError(f"table must have {N} entries, got shape {t.shape}")
-            t.setflags(write=False)
-            object.__setattr__(self, "values", t)
+        if self.anf is not None:
+            object.__setattr__(self, "anf", _canonical_terms(self.p, self.n, self.anf))
+            return
+        t = np.asarray(self.values, dtype=np.int64) % self.p
+        if t.shape != (N,):
+            raise InputError(f"table must have {N} entries, got shape {t.shape}")
+        t.setflags(write=False)
+        object.__setattr__(self, "values", t)
 
     @classmethod
     def from_anf(cls, p: int, n: int, terms) -> "LogicFunction":
         """terms: iterable of (coeff, monomial). Exponents must already be
         reduced below p; coefficients are reduced mod p and zero terms drop."""
-        return cls(p, n, anf=_canonical_terms(p, n, terms))
+        return cls(p, n, anf=terms)
 
     @property
     def table(self) -> np.ndarray:
@@ -83,8 +85,6 @@ class LogicFunction:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LogicFunction) or (self.p, self.n) != (other.p, other.n):
             return False
-        if self.anf is not None and other.anf is not None:
-            return self.anf == other.anf  # the reduced polynomial of a function is unique
         return bool(np.array_equal(self.table, other.table))
 
 
@@ -212,19 +212,14 @@ def quadratic_form(A: FpMatrix) -> LogicFunction:
 
 
 def add_affine(f: LogicFunction, beta, c: int = 0) -> LogicFunction:
-    """g(x) = f(x) + beta . x + c, held in the form f is held in. On an ANF
-    only the constant and the linear terms change, and the canonical order
-    puts them, by monomial, ahead of every term of degree >= 2."""
+    """g(x) = f(x) + beta . x + c, held in the form f is held in."""
     beta = tuple(int(v) % f.p for v in beta)
     if len(beta) != f.n:
         raise InputError("beta length mismatch")
     if f.anf is None:
         return LogicFunction(f.p, f.n, f.values + linear_values(f.p, f.n, beta) + int(c))
-    low = [()] + [(j,) for j in range(f.n)]
-    old = {m: coeff for coeff, m in f.anf if len(m) < 2}
-    coeffs = [(old.get(m, 0) + v) % f.p for m, v in zip(low, (int(c),) + beta)]
-    anf = tuple((v, m) for v, m in zip(coeffs, low) if v)
-    return LogicFunction(f.p, f.n, anf=anf + tuple(term for term in f.anf if len(term[1]) > 1))
+    return LogicFunction(f.p, f.n, anf=f.anf + ((int(c), ()),) + tuple(
+        (v, (j,)) for j, v in enumerate(beta)))
 
 
 def weight_support(f: LogicFunction):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._tables import index_vectors, linear_values, shifted_indices, vector_index
+from ._tables import linear_values, shifted_indices, vector_index
 from .errors import CapacityError, InputError, PremiseError
 from .fp_algebra import (
     MAX_OPERATOR_DIM,
@@ -30,7 +30,7 @@ from .fp_algebra import (
     validate_prime,
 )
 from .logic_fn import LogicFunction, _autocorrelate, add_affine, is_bent
-from .logic_fn import solve_coboundary
+from .logic_fn import solve_coboundary, weight_support
 
 _FLOAT_EXACT_BOUND = 2**52
 
@@ -282,8 +282,7 @@ def extract_boolean_basis(f: LogicFunction, A: FpMatrix) -> list:
     left = A.submatrix(range(n), range(n))
     if fp_rank(left) != n:
         raise InputError("left block of the matrix must be invertible")
-    idx = np.flatnonzero(f.table)
-    M = len(idx)
+    M, support = weight_support(f)
     check_listing(M << n, f"{M} x 2^{n} table entries")  # the M check tables are held at once
     if not M:
         return []
@@ -295,7 +294,7 @@ def extract_boolean_basis(f: LogicFunction, A: FpMatrix) -> list:
         )
     # lambda_t = L^(-1) t for every t at once; row i of inv_rows solves L v = e_i
     inv_rows = np.array([solve_linear(left, e).particular for e in np.eye(n, dtype=int).tolist()])
-    signs = np.array(index_vectors(2, n, idx))
+    signs = np.array(support)
     lams = (signs @ inv_rows % 2).tolist()
     tables = g0.table ^ np.stack([linear_values(2, n, lam) for lam in lams])  # one expansion
     # E_i psi_g = (-1)^(t_i) psi_g iff g(x + a_i) = g(x) + b_i . x + t_i for every x
@@ -323,8 +322,9 @@ def bent_exclusion(f: LogicFunction) -> bool:
         raise InputError("exclusion statement needs n > 2")
     if f.n % 2:
         return False
-    if not is_bent(f):
+    t = f.table  # one expansion of an ANF, read by both
+    if not is_bent(LogicFunction(2, f.n, t)):
         return False
-    if (_autocorrelate(f.table) == 0).any():
+    if (_autocorrelate(t) == 0).any():
         raise RuntimeError("bent function with nonempty zero-product shift set")
     return True

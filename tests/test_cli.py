@@ -211,6 +211,13 @@ def test_projector_expands_each_function_once_per_call(files, capsys, monkeypatc
     assert sorted(collections.Counter(map(id, expanded)).values()) == [1, 2]
 
 
+def test_bent_expands_its_function_once(files, capsys, monkeypatch):
+    expanded = count_expansions(monkeypatch)
+    code, out = run(capsys, "bent", files("b.fn", "2 4\nanf: x1*x2 + x3*x4\n"))
+    assert code == 0 and out == "bent: true\nsupport size: 6\n"
+    assert len(expanded) == 1
+
+
 @pytest.mark.parametrize("n", [18, 20])
 def test_projector_probes_the_shift_set_without_listing_it(files, capsys, n):
     # x1*...*xn has 2^n - 1 zero-product shifts, over the listing budget as

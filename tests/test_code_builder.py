@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import random_function, reference_coset_distance
+import lfqec.codespec
 from lfqec import (
+    CodeSpec,
     FpMatrix,
     InputError,
+    LogicFunction,
     PremiseError,
     add_affine,
     apc_distance,
@@ -117,6 +120,20 @@ def test_build_coset_code_errors():
         build_coset_code(f, [(0, 0, 0)])
     with pytest.raises(InputError):
         build_coset_code(f, [(0, 0, 0, 2)])
+
+
+def test_codespec_refuses_equal_basis_functions_in_either_form(monkeypatch):
+    anf, other = parse_anf("x1*x2 + x3", 2, 3), parse_anf("x1*x2", 2, 3)
+    table, other_table = LogicFunction(2, 3, anf.table), LogicFunction(2, 3, other.table)
+    for basis in ([anf, other, anf], [table, other_table, table], [other, anf, table]):
+        with pytest.raises(InputError, match="pairwise distinct tables"):
+            CodeSpec(2, 3, tuple(basis), 1, "test")
+    assert CodeSpec(2, 3, (table, other), 1, "test").claimed_K == 2
+    # with every hash tied, the tables themselves decide
+    monkeypatch.setattr(lfqec.codespec, "hash", lambda data: 0, raising=False)
+    assert CodeSpec(2, 3, (table, other_table, parse_anf("x3", 2, 3)), 1, "test").claimed_K == 3
+    with pytest.raises(InputError, match="pairwise distinct tables"):
+        CodeSpec(2, 3, (table, other, anf), 1, "test")
 
 
 def test_coset_claim_is_never_optimistic(gen):

@@ -34,6 +34,7 @@ from lfqec import (
     apc_distance,
     autocorrelation,
     autocorrelation_spectrum,
+    bent_exclusion,
     is_bent,
     label_blocks,
     parse_anf,
@@ -87,6 +88,17 @@ def test_a_function_holds_its_anf_or_its_table():
         LogicFunction(2, 2)
     with pytest.raises(InputError, match="either its table or its ANF"):
         LogicFunction(2, 2, [0, 0, 0, 1], anf=((1, (0, 1)),))
+
+
+def test_an_anf_is_put_in_canonical_order_on_construction():
+    # out of order, a repeated monomial, an unsorted one and coefficients to reduce
+    raw = ((1, (2,)), (1, (1, 0)), (2, (0, 1)), (4, ()), (3, (2,)))
+    f = LogicFunction(3, 3, anf=raw)
+    assert f.anf == LogicFunction.from_anf(3, 3, raw).anf == ((1, ()), (1, (2,)))
+    assert f == parse_anf("x3 + 1", 3, 3)
+    assert add_affine(f, (1, 0, 2), 2).anf == ((1, (0,)),)  # x3 + 1 + x1 + 2*x3 + 2
+    with pytest.raises(InputError, match="exponent of x1"):
+        LogicFunction(3, 3, anf=((1, (0, 0, 0)),))
 
 
 def test_parse_exponent_reduction():
@@ -441,6 +453,7 @@ def test_table_readers_expand_an_anf_once(monkeypatch):
         (lambda: is_bent(bent), bent),
         (lambda: autocorrelation(f, (1, 0, 1, 0)), f),
         (lambda: zset_via_autocorrelation(f), f),
+        (lambda: bent_exclusion(bent), bent),
     ]
     expanded = count_expansions(monkeypatch)
     for read, g in reads:
