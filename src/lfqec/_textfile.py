@@ -63,32 +63,33 @@ def residues(token: str, p: int, count: int | None = None, sep: str = r"[\s,]+")
 
 
 def read_function_file(text: str) -> tuple:
-    """(p, n, terms, values) of a function file: two content lines, 'p n'
-    then either 'anf: <polynomial>' (terms from `anf_terms`, values None) or
-    'tt: <p^n residues in index order>' (the residues, terms None).
-    Truth-table residues may be a compact digit string or whitespace/comma
-    separated values."""
+    """(p, n, values, terms), the arguments of `LogicFunction`, of a function
+    file: two content lines, 'p n' then either 'anf: <polynomial>' (terms
+    from `anf_terms`, values None) or 'tt: <p^n residues in index order>'
+    (the residues, terms None). Truth-table residues may be a compact digit
+    string or whitespace/comma separated values."""
     p, n, body = read_header(text, "p n")
     if not body:
         raise InputError("function file needs a body line after 'p n'")
     N = table_size(p, n)
     if body[0].startswith("anf:"):
-        return p, n, anf_terms(body[0][4:].strip(), p, n), None
+        return p, n, None, anf_terms(body[0][4:].strip(), p, n)
     if body[0].startswith("tt:"):
-        return p, n, None, residues(body[0][3:].strip(), p, N)
+        return p, n, residues(body[0][3:].strip(), p, N), None
     raise InputError("body line must start with 'anf:' or 'tt:'")
 
 
 def anf_terms(text: str, p: int, n: int) -> list:
     """(coeff, monomial) terms of a polynomial in x1..xn (aliases y1..yn),
-    exponents reduced below p; a monomial lists its 0-based variables with
-    repetition as exponent."""
+    exponents reduced below p and zero coefficients dropped; a monomial lists
+    its 0-based variables with repetition as exponent."""
     table_size(p, n)
     try:
         poly = _Parser(text, p, n).parse()
     except RecursionError as exc:  # too deeply nested
         raise InputError("polynomial nests too deeply") from exc
-    return [(c, tuple(v for v, e in enumerate(ev) for _ in range(e))) for ev, c in poly.items()]
+    return [(c, tuple(v for v, e in enumerate(ev) for _ in range(e)))
+            for ev, c in poly.items() if c]
 
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([xy])(\d+)|(\*\*|[-+*^()]))")
@@ -207,10 +208,10 @@ def _reduce_exponent(e: int, p: int) -> int:
 
 
 def _poly_add(a: dict, b: dict, p: int) -> dict:
-    out = dict(a)
+    """a + b, summed into a, a dict made for this sum; zero sums stay."""
     for k, v in b.items():
-        out[k] = (out.get(k, 0) + v) % p
-    return {k: v for k, v in out.items() if v}
+        a[k] = (a.get(k, 0) + v) % p
+    return a
 
 
 def _poly_scale(a: dict, s: int, p: int) -> dict:

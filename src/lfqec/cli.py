@@ -10,13 +10,15 @@ or an inconsistent difference system); 2 malformed input; 3 capacity.
 
 Each subcommand reads and checks its input files first and only then
 imports the modules it runs, so malformed input is refused before numpy
-loads, and no subcommand loads the modules of another.
+loads, and no subcommand loads the modules of another. A subcommand
+returns (payload, text lines, exit code), which `main` alone writes.
 """
 from __future__ import annotations
 
 import argparse
 import itertools
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -140,11 +142,11 @@ def _failure_lines(report) -> list:
 # subcommands
 
 
-def cmd_apc(args) -> int:
+def cmd_apc(args) -> tuple:
     parsed = read_function_file(_read(args.function))
-    from .logic_fn import apc_distance, build_function
+    from .logic_fn import LogicFunction, apc_distance
 
-    f = build_function(*parsed)
+    f = LogicFunction(*parsed)
     res = apc_distance(f)
     payload = {
         "distance": res.distance,
@@ -165,46 +167,38 @@ def cmd_apc(args) -> int:
         lines.append(f"oracle distance: {oracle} ({'agrees' if agree else 'DISAGREES'})")
         if not agree:
             code = 1
-    _emit(args, payload, lines)
-    return code
+    return payload, lines, code
 
 
-def cmd_zset(args) -> int:
+def cmd_zset(args) -> tuple:
     parsed = read_function_file(_read(args.function))
-    from .logic_fn import build_function, zset
+    from .logic_fn import LogicFunction, zset
 
-    zs = sorted(zset(build_function(*parsed)))
+    zs = sorted(zset(LogicFunction(*parsed)))
     # only the requested form: near the listing budget each takes hundreds of MB
     if args.format == "json":
-        _emit(args, {"size": len(zs), "shifts": zs}, [])  # tuples encode as JSON lists
-    else:
-        _emit(args, {}, [f"size: {len(zs)}", *map(_vector_str, zs)])
-    return 0
+        return {"size": len(zs), "shifts": zs}, [], 0  # tuples encode as JSON lists
+    return {}, [f"size: {len(zs)}", *map(_vector_str, zs)], 0
 
 
-def cmd_bent(args) -> int:
+def cmd_bent(args) -> tuple:
     parsed = read_function_file(_read(args.function))
-    from .logic_fn import LogicFunction, build_function, is_bent
+    from .logic_fn import LogicFunction, is_bent
 
-    f = build_function(*parsed)
+    f = LogicFunction(*parsed)
     t = f.table  # one expansion of an ANF, read by both
     bent = is_bent(LogicFunction(f.p, f.n, t))
     M = int((t != 0).sum())
     payload = {"bent": bent, "support_size": M}
-    lines = [f"bent: {str(bent).lower()}", f"support size: {M}"]
-    _emit(args, payload, lines)
-    return 0
+    return payload, [f"bent: {str(bent).lower()}", f"support size: {M}"], 0
 
 
-def cmd_graph_code(args) -> int:
+def cmd_graph_code(args) -> tuple:
     p, n, adj = read_graph_file(_read(args.graph))
     classes = parse_classes_file(_read(args.classes), n)
     from .graph_codes import WeightedGraph, build_graph_code
 
-    spec = build_graph_code(WeightedGraph(p, n, adj), classes, args.d)
-    payload, lines, code = _code_output(args, spec)
-    _emit(args, payload, lines)
-    return code
+    return _code_output(args, build_graph_code(WeightedGraph(p, n, adj), classes, args.d))
 
 
 def _matrix_result_dict(res) -> dict:
@@ -226,7 +220,7 @@ def _matrix_result_line(name: str, res) -> str:
     return f"{name}: rejected ({res.condition}{extra})"
 
 
-def cmd_matrix_check(args) -> int:
+def cmd_matrix_check(args) -> tuple:
     if args.verify and not args.build:
         raise InputError("--verify checks the built code, so it needs --build")
     A = parse_matrix_file(_read(args.matrix))
@@ -250,35 +244,30 @@ def cmd_matrix_check(args) -> int:
 
         payload["code"], more, code = _code_output(args, build_matrix_code(A, args.k, args.d))
         lines += more
-    _emit(args, payload, lines)
-    return code
+    return payload, lines, code
 
 
-def cmd_coset_code(args) -> int:
-    p, n, terms, values = read_function_file(_read(args.function))
+def cmd_coset_code(args) -> tuple:
+    p, n, values, terms = read_function_file(_read(args.function))
     betas = _parse_betas(args.betas, p, n)
     from .code_builder import build_coset_code
-    from .logic_fn import build_function
+    from .logic_fn import LogicFunction
 
-    spec = build_coset_code(build_function(p, n, terms, values), betas)
-    payload, lines, code = _code_output(args, spec)
-    _emit(args, payload, lines)
-    return code
+    return _code_output(args, build_coset_code(LogicFunction(p, n, values, terms), betas))
 
 
-def cmd_projector(args) -> int:
+def cmd_projector(args) -> tuple:
     parsed = read_function_file(_read(args.function))
     A = parse_matrix_file(_read(args.matrix))
-    from .logic_fn import anf_text, build_function
+    from .logic_fn import LogicFunction, anf_text
     from .projector_codes import PremiseReport, extract_boolean_basis, projector_rank
 
-    f = build_function(*parsed)
+    f = LogicFunction(*parsed)
     try:
         prank = projector_rank(f, A)
     except PremiseError as exc:
         report = exc.report
-        _emit(args, {"premises": report.to_dict()}, [f"premises: FAIL ({report.summary()})"])
-        return 1
+        return {"premises": report.to_dict()}, [f"premises: FAIL ({report.summary()})"], 1
     # projector_rank returns only when every premise holds, and the rank is the support size
     report = PremiseReport(f.n, prank, True, (), (), (), True)
     payload = {"premises": report.to_dict(), "rank": prank, "support_size": prank}
@@ -287,44 +276,38 @@ def cmd_projector(args) -> int:
         basis = [anf_text(g) for g in extract_boolean_basis(f, A)]
         payload["basis"] = basis
         lines += [f"basis[{i}]: {text}" for i, text in enumerate(basis)]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines, 0
 
 
-def cmd_mds(args) -> int:
+def cmd_mds(args) -> tuple:
     from .code_builder import build_mds_family
 
-    payload, lines, code = _code_output(args, build_mds_family(args.m))
-    _emit(args, payload, lines)
-    return code
+    return _code_output(args, build_mds_family(args.m))
 
 
-def cmd_solve_basis(args) -> int:
+def cmd_solve_basis(args) -> tuple:
     p, n, pairs = parse_system_file(_read(args.system))
     from .logic_fn import anf_text, solve_coboundary
 
     g = solve_coboundary(pairs, p, n)
     if g is None:
-        _emit(args, {"consistent": False}, ["inconsistent"])
-        return 1
+        return {"consistent": False}, ["inconsistent"], 1
     text = anf_text(g)
-    _emit(args, {"consistent": True, "solution": text}, [f"solution: {text}"])
-    return 0
+    return {"consistent": True, "solution": text}, [f"solution: {text}"], 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple:
     p, n, claimed_d, provenance, terms = read_code_file(_read(args.codespec))
     from .codespec import CodeSpec
     from .logic_fn import LogicFunction
     from .state_oracle import kl_verify
 
-    basis = tuple(LogicFunction.from_anf(p, n, t) for t in terms)
+    basis = tuple(LogicFunction(p, n, anf=t) for t in terms)
     spec = CodeSpec(p, n, basis, claimed_d, provenance)
     max_weight = args.max_weight if args.max_weight is not None else spec.claimed_d - 1
     report = kl_verify(spec.basis, max_weight)
     lines = [f"verdict: {report.verdict} (max weight {max_weight})"] + _failure_lines(report)
-    _emit(args, report.to_dict(), lines)
-    return 0 if report.passed else 1
+    return report.to_dict(), lines, 0 if report.passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        payload, lines, code = args.fn(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -415,6 +398,14 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity: {exc}", file=sys.stderr)
         return 3
+    try:
+        _emit(args, payload, lines)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early: the verdict stands, and the
+        # interpreter's exit flush of what is left goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -38,8 +38,10 @@ from .fp_algebra import (
 
 @dataclass(frozen=True, eq=False)
 class LogicFunction:
-    """Held as its truth table (a `tt:` input) or as its ANF (from_anf and
-    every builder), never both; an ANF is put in canonical order here."""
+    """Held as its truth table (a `tt:` input) or as its ANF (every builder),
+    never both. The ANF is an iterable of (coeff, monomial) terms whose
+    exponents are already below p; here its coefficients are reduced mod p,
+    zero terms dropped and the rest put in canonical order."""
 
     p: int
     n: int
@@ -58,12 +60,6 @@ class LogicFunction:
             raise InputError(f"table must have {N} entries, got shape {t.shape}")
         t.setflags(write=False)
         object.__setattr__(self, "values", t)
-
-    @classmethod
-    def from_anf(cls, p: int, n: int, terms) -> "LogicFunction":
-        """terms: iterable of (coeff, monomial). Exponents must already be
-        reduced below p; coefficients are reduced mod p and zero terms drop."""
-        return cls(p, n, anf=terms)
 
     @property
     def table(self) -> np.ndarray:
@@ -98,28 +94,19 @@ def _canonical_terms(p: int, n: int, terms) -> tuple:
             if mono.count(v) >= p:
                 raise InputError(f"exponent of x{v + 1} must be < p in ANF")
         acc[mono] = (acc.get(mono, 0) + int(coeff)) % p
-    canon = tuple(
+    return tuple(
         (c, m) for m, c in sorted(acc.items(), key=lambda kv: (len(kv[0]), kv[0])) if c != 0
     )
-    return canon
 
 
 # ---------------------------------------------------------------------------
-# ANF text and function files (the syntax is read by `_textfile`)
+# ANF text (the syntax is read by `_textfile`)
 
 
 def parse_anf(text: str, p: int, n: int) -> LogicFunction:
     """Parse a polynomial in x1..xn (aliases y1..yn) into a LogicFunction
     held as its reduced ANF."""
-    return LogicFunction.from_anf(p, n, anf_terms(text, p, n))
-
-
-def build_function(p: int, n: int, terms, values) -> LogicFunction:
-    """The function of a function file read by `_textfile.read_function_file`:
-    from its ANF terms, or from its table values when terms is None."""
-    if terms is None:
-        return LogicFunction(p, n, values)
-    return LogicFunction.from_anf(p, n, terms)
+    return LogicFunction(p, n, anf=anf_terms(text, p, n))
 
 
 def _anf_terms(f: LogicFunction, max_deg: int | None = None) -> tuple | None:
@@ -208,7 +195,7 @@ def quadratic_form(A: FpMatrix) -> LogicFunction:
         raise InputError("matrix must have zero diagonal")
     n = A.rows
     terms = [(A.entries[i][j], (i, j)) for i in range(n) for j in range(i + 1, n)]
-    return LogicFunction.from_anf(A.p, n, terms)
+    return LogicFunction(A.p, n, anf=terms)
 
 
 def add_affine(f: LogicFunction, beta, c: int = 0) -> LogicFunction:
@@ -467,4 +454,4 @@ def solve_coboundary(pairs, p: int, n: int) -> LogicFunction | None:
     x = sol.particular
     terms = [(x[m], (m,)) for m in range(n)]
     terms += [(x[col], (j, k)) for (j, k), col in quad_idx.items()]
-    return LogicFunction.from_anf(p, n, terms)
+    return LogicFunction(p, n, anf=terms)

@@ -294,12 +294,13 @@ def extract_boolean_basis(f: LogicFunction, A: FpMatrix) -> list:
         )
     # lambda_t = L^(-1) t for every t at once; row i of inv_rows solves L v = e_i
     inv_rows = np.array([solve_linear(left, e).particular for e in np.eye(n, dtype=int).tolist()])
-    signs = np.array(support)
+    signs = np.array(support, dtype=np.uint8)
     lams = (signs @ inv_rows % 2).tolist()
-    tables = g0.table ^ np.stack([linear_values(2, n, lam) for lam in lams])  # one expansion
+    tables = np.stack([linear_values(2, n, lam) for lam in lams], dtype=np.uint8, casting="unsafe")
+    tables ^= g0.table.astype(np.uint8)  # one expansion; the tables hold only 0 and 1
     # E_i psi_g = (-1)^(t_i) psi_g iff g(x + a_i) = g(x) + b_i . x + t_i for every x
     for i, e in enumerate(rows):
-        want = tables ^ linear_values(2, n, e.b) ^ signs[:, i, None]  # sums mod 2
+        want = tables ^ linear_values(2, n, e.b).astype(np.uint8) ^ signs[:, i, None]  # mod 2
         bad = np.flatnonzero((tables[:, shifted_indices(2, n, e.a)] != want).any(axis=1))
         if bad.size:
             raise RuntimeError(f"recovered state is not an eigenvector of row {i} with sign "

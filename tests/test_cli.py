@@ -380,20 +380,49 @@ def test_quadratic_inputs_are_verified_without_states(files, capsys, monkeypatch
 
 
 # ---------------------------------------------------------------------------
-# installed script
+# child processes: a reader that closes stdout early, and the installed script
+
+
+def child_env() -> dict:
+    """The environment of a child that imports the same lfqec as the tests,
+    installed or not."""
+    src = str(pathlib.Path(lfqec.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+
+
+def read_one_byte(tmp_path, *argv) -> tuple:
+    """(exit code, stderr) of `lfqec argv` when its reader takes one byte
+    of stdout and closes the pipe. The output must exceed the 64 KiB pipe
+    buffer, so that the child is still writing when the pipe closes."""
+    proc = subprocess.Popen([sys.executable, "-m", "lfqec.cli", *argv], cwd=tmp_path,
+                            env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(1)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    return proc.wait(timeout=120), err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_closed_stdout_changes_neither_exit_code_nor_stderr(tmp_path, fmt):
+    # every nonzero shift of x1*...*x14 is listed: 246 KB of text, 2.3 MB of JSON
+    (tmp_path / "x14.fn").write_text("2 14\nanf: " + "*".join(f"x{i}" for i in range(1, 15)))
+    assert read_one_byte(tmp_path, "zset", "x14.fn", "--format", fmt) == (0, "")
+
+
+def test_a_closed_stdout_keeps_a_refutation(tmp_path):
+    # the refuted weight-1 claim of mds --m 6: 240 KB of text (m = 5 gives only 47 KB)
+    assert read_one_byte(tmp_path, "mds", "--m", "6", "--verify") == (1, "")
 
 
 def test_console_script(tmp_path):
     fn = tmp_path / "k4.fn"
     fn.write_text(K4_FN)
-    # the child imports the same lfqec as the tests, installed or not
-    src = str(pathlib.Path(lfqec.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "lfqec.cli", "apc", str(fn), "--format", "json"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["distance"] == 2

@@ -453,7 +453,7 @@ def random_quadratic_basis(gen, p, n, K):
         else:
             affine.append(([(int(v), (i,)) for i, v in enumerate(gen.integers(0, p, n))],
                            int(gen.integers(p))))
-    basis = [LogicFunction.from_anf(p, n, quad + lin + [(c, ())]) for lin, c in affine]
+    basis = [LogicFunction(p, n, anf=quad + lin + [(c, ())]) for lin, c in affine]
     return [LogicFunction(p, n, f.table) if gen.random() < 0.3 else f for f in basis]
 
 

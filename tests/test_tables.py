@@ -54,6 +54,6 @@ def test_function_reads_follow_the_layout(gen, p, n):
     # repeated variables are powers, () is the constant
     monos = [tuple(sorted(gen.integers(0, n, int(gen.integers(0, 4))).tolist())) for _ in range(8)]
     terms = [(int(gen.integers(1, p)), m) for m in monos if all(m.count(v) < p for v in m)]
-    g = LogicFunction.from_anf(p, n, terms)
+    g = LogicFunction(p, n, anf=terms)
     want = [sum(c * int(np.prod([x[v] for v in m])) for c, m in terms) % p for x in xs]
     assert g.table.tolist() == want
