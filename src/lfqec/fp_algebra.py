@@ -31,6 +31,7 @@ MAX_STATE = 2**20
 # Most entries in one listing, such as zset's vectors x length; fits 768 MiB
 MAX_LISTING = 2**22
 MAX_OPERATOR_DIM = 1024
+_CHUNK_ROWS = 2**16  # numbers the label walk decodes at once, so rows in one of its chunks
 
 
 def validate_prime(p) -> int:
@@ -76,57 +77,6 @@ class CycloInt:
             raise InputError(f"need {self.p} coefficients, got {len(self.coeffs)}")
         m = min(self.coeffs)
         object.__setattr__(self, "coeffs", tuple(int(c) - m for c in self.coeffs))
-
-    @classmethod
-    def zero(cls, p: int) -> "CycloInt":
-        return cls(p, (0,) * p)
-
-    @classmethod
-    def integer(cls, p: int, k: int) -> "CycloInt":
-        return cls(p, (k,) + (0,) * (p - 1))
-
-    @classmethod
-    def zeta_power(cls, p: int, e: int, mult: int = 1) -> "CycloInt":
-        c = [0] * p
-        c[e % p] = mult
-        return cls(p, tuple(c))
-
-    def _check(self, other: "CycloInt"):
-        if self.p != other.p:
-            raise InputError(f"mixed fields p={self.p} and p={other.p}")
-
-    def __add__(self, other: "CycloInt") -> "CycloInt":
-        self._check(other)
-        return CycloInt(self.p, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "CycloInt") -> "CycloInt":
-        self._check(other)
-        return CycloInt(self.p, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __mul__(self, other: "CycloInt") -> "CycloInt":
-        self._check(other)
-        p = self.p
-        out = [0] * p
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[(i + j) % p] += a * b
-        return CycloInt(p, tuple(out))
-
-    def scale(self, k: int) -> "CycloInt":
-        return CycloInt(self.p, tuple(k * c for c in self.coeffs))
-
-    def rotate(self, e: int) -> "CycloInt":
-        """Multiplication by zeta^e."""
-        p = self.p
-        e %= p
-        return CycloInt(p, tuple(self.coeffs[(j - e) % p] for j in range(p)))
-
-    def conj(self) -> "CycloInt":
-        p = self.p
-        return CycloInt(p, tuple(self.coeffs[(p - j) % p] for j in range(p)))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -178,22 +128,24 @@ def symplectic_product(u: PauliLabel, v: PauliLabel) -> int:
 
 
 def label_blocks(p: int, n: int, w: int):
-    """All labels of symplectic weight w as blocks (a, bs): bs lists the
-    b-parts that go with a, all tuples of Python ints. The blocks
-    concatenated give the fixed order: support, then a, then b, each
-    lexicographic (b_i = 0 only where a_i != 0)."""
+    """All labels of symplectic weight w in the fixed order: support, then a,
+    then b, each lexicographic, as (supp, A, B) per chunk: int8 rows a_S, b_S
+    from the 2w base-p digits of up to _CHUNK_ROWS numbers, less those with
+    a_k = b_k = 0. A weight whose p^2w numbers fit one chunk shares it, read-only."""
+    import numpy as np  # in the walk, so that the command line loads this module without numpy
+
+    digits = np.indices((p,) * w, dtype=np.int8).reshape(w, p**w).T  # row i: i in base p
+
+    def chunk(lo):
+        a, b = np.divmod(np.arange(lo, min(lo + _CHUNK_ROWS, p ** (2 * w))), p**w)
+        keep = (digits[a] | digits[b]).all(axis=1)
+        return digits[a[keep]], digits[b[keep]]
+
+    starts = range(0, p ** (2 * w), _CHUNK_ROWS)
+    whole = [chunk(0)] if len(starts) == 1 else None
     for supp in itertools.combinations(range(n), w):
-        for avals in itertools.product(range(p), repeat=w):
-            branges = [range(p) if av else range(1, p) for av in avals]
-            bs = [_on_support(n, supp, bvals) for bvals in itertools.product(*branges)]
-            yield _on_support(n, supp, avals), bs
-
-
-def _on_support(n: int, supp: tuple, vals: tuple) -> tuple:
-    out = [0] * n
-    for pos, v in zip(supp, vals):
-        out[pos] = v
-    return tuple(out)
+        for A, B in whole or (AB for AB in map(chunk, starts) if len(AB[0])):
+            yield list(supp), A, B
 
 
 # ---------------------------------------------------------------------------

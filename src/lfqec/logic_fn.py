@@ -21,7 +21,7 @@ import numpy as np
 
 from ._tables import digit_axis, index_vectors, linear_values
 from ._textfile import anf_terms
-from .errors import InputError
+from .errors import CapacityError, InputError
 from .fp_algebra import (
     CycloInt,
     FpMatrix,
@@ -34,6 +34,9 @@ from .fp_algebra import (
     solve_linear,
     table_size,
 )
+
+
+MAX_EXPANSION = 2**30  # terms x p^n of one ANF expansion: (1+x1)...(1+x15), 6 s on 2 cores
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,6 +72,8 @@ class LogicFunction:
         if self.values is not None:
             return self.values
         p, n = self.p, self.n
+        if len(self.anf) * p**n > MAX_EXPANSION:
+            raise CapacityError(f"{len(self.anf)} ANF terms x p^n exceed {MAX_EXPANSION} additions")
         acc = np.zeros((p,) * n, dtype=np.int64)
         for coeff, mono in self.anf:
             term = np.int64(coeff)
@@ -226,34 +231,29 @@ def _shifted(table: np.ndarray, p: int, n: int, a) -> np.ndarray:
     return np.roll(grid, tuple(int(a[i]) for i in axes), axis=axes).reshape(-1)
 
 
-# Entries gathered at once when a block's labels read their histograms: at
-# most one table's worth, so a gather never outgrows the tables themselves.
-_GATHER_ENTRIES = 1 << 20
-
-
 def _first_nonvanishing(f: LogicFunction, betas) -> tuple:
     """(w, a, b): the first label, in increasing weight and label_blocks
     order, at which some shift pair (beta_i, beta_j), i = j included, makes
     the sum at (a, b + beta_i - beta_j) nonzero; i = j is the sum
     sum_x zeta^(f(x) - f(x-a) + b.x), and a full-support row never vanishes.
 
-    The labels of one block share their support S and shift a, and b is 0
+    The labels of an a-group share their support S and shift a, and b is 0
     off S. With y = x_S, delta = beta_i - beta_j and d(x) = f(x) - f(x-a),
 
         sum_x zeta^(d(x) + delta.x + b.x) = sum_y zeta^(b_S.y) H[y],
 
     where H[y][e] counts the x over y with d(x) + delta.x = e mod p. One
-    bincount over N keys gives H for a block and delta, and a label sums
+    bincount over N keys gives H for an a-group and delta, and a label sums
     p^(w+1) gathered entries, hist[e] = sum_y H[y][e - b_S.y]; it is nonzero
     iff hist is not flat. Memory is O(K N): the tables +-beta_i.x, made once,
-    the block's keys, and gathers of at most one table's entries."""
+    the a-group's keys, and gathers of at most one table's entries."""
     p, n, table = f.p, f.n, f.table
     plus = [linear_values(p, n, beta) for beta in betas]
     minus = [linear_values(p, n, [-v for v in beta]) for beta in betas]
     pairs = {}
     for (i, bi), (j, bj) in itertools.product(enumerate(betas), repeat=2):
         pairs.setdefault(tuple((x - y) % p for x, y in zip(bi, bj)), (i, j))
-    del pairs[(0,) * n]  # delta = 0 reads the block's own keys
+    del pairs[(0,) * n]  # delta = 0 reads the a-group's own keys
     # a key is stride * index(y) + d(x) + p + beta_i.x + (-beta_j).x, whose
     # last four terms lie in [1, 4p - 3]: no reduction mod p on the N keys
     stride = 4 * p
@@ -261,28 +261,26 @@ def _first_nonvanishing(f: LogicFunction, betas) -> tuple:
     for w in range(1, n + 1):
         ys = np.indices((p,) * w).reshape(w, -1)  # y in index order, x_S[0] most significant
         y_rows = p * np.arange(p**w)[:, None]  # H[y] starts at p y in the flat H
-        rows = max(1, min(p**n, _GATHER_ENTRIES) // p ** (w + 1))
-        last = None
-        for a, bs in label_blocks(p, n, w):
-            supp = [i for i, (u, v) in enumerate(zip(a, bs[0])) if u or v]  # b is 1 where a is 0
-            if supp != last:  # blocks come grouped by support
-                y_key = sum(digit_axis(p, n, s) * p ** (w - 1 - k) for k, s in enumerate(supp))
-                base = (table.reshape((p,) * n) + (stride * y_key + p)).reshape(-1)
-                last = supp
-            keys = base - _shifted(table, p, n, a)
-            b_supp = np.array(bs)[:, supp]
-            for c in range(0, len(bs), rows):
-                by = (b_supp[c : c + rows] @ ys)[:, :, None]
-                idx = y_rows + (np.arange(p) - by) % p  # (b, y, e) -> H[y][e - b_S.y]
-                hit = np.zeros(len(idx), dtype=bool)
-                for exps in _delta_keys(keys, plus, minus, pairs.values(), buf):
-                    counts = np.bincount(exps, minlength=stride * p**w)
-                    sums = counts.reshape(p**w, 4, p).sum(axis=1).reshape(-1)[idx].sum(axis=1)
-                    hit |= (sums != sums[:, :1]).any(axis=1)
-                    if hit[0]:  # no label of the chunk comes before it
-                        break
-                if hit.any():
-                    return w, a, bs[c + int(np.argmax(hit))]
+        rows = p ** max(0, n - w - 1)  # labels per gather: rows p^(w+1) <= N entries
+        for supp, A, B in label_blocks(p, n, w):
+            y_key = sum(digit_axis(p, n, s) * p ** (w - 1 - k) for k, s in enumerate(supp))
+            base = (table.reshape((p,) * n) + (stride * y_key + p)).reshape(-1)
+            E = np.eye(n, dtype=np.int64)[supp]  # x_S @ E spreads x_S over the n positions
+            cut = [0, *((A[1:] != A[:-1]).any(axis=1).nonzero()[0] + 1).tolist(), len(A)]
+            for lo, hi in zip(cut, cut[1:]):  # the a-groups of the chunk
+                keys = base - _shifted(table, p, n, a := (A[lo] @ E).tolist())
+                for c in range(lo, hi, rows):
+                    by = (B[c : min(c + rows, hi)] @ ys)[:, :, None]
+                    idx = y_rows + (np.arange(p) - by) % p  # (b, y, e) -> H[y][e - b_S.y]
+                    hit = np.zeros(len(idx), dtype=bool)
+                    for exps in _delta_keys(keys, plus, minus, pairs.values(), buf):
+                        counts = np.bincount(exps, minlength=stride * p**w)
+                        sums = counts.reshape(p**w, 4, p).sum(axis=1).reshape(-1)[idx].sum(axis=1)
+                        hit |= (sums != sums[:, :1]).any(axis=1)
+                        if hit[0]:  # no label of the gather comes before it
+                            break
+                    if hit.any():
+                        return w, tuple(a), tuple((B[c + hit.argmax()] @ E).tolist())
     raise RuntimeError("unreachable: weight-n labels always include a nonvanishing sum")
 
 

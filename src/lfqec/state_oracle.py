@@ -207,7 +207,7 @@ def _check_sweep(K: int, p: int, n: int) -> None:
 def _failures(basis, p: int, n: int, max_weight: int):
     """Yield (weight, KLFailure) for every failing label of weight
     1..max_weight, in increasing weight and the fixed order within each.
-    A block's labels share their a, and so the shift x - a."""
+    The labels of one a-group share their a, and so the shift x - a."""
     _check_sweep(len(basis), p, n)
     X = _stack(basis)
     # One ket buffer per sweep, so labels allocate no fresh p*N arrays (the
@@ -215,13 +215,17 @@ def _failures(basis, p: int, n: int, max_weight: int):
     # under its default mode="raise"; the index is in range by construction.
     kets = np.empty_like(X)
     for w in range(1, max_weight + 1):
-        for a, bs in label_blocks(p, n, w):
-            shift = shifted_indices(p, n, [-v for v in a])
-            for b in bs:
-                np.take(X, _error_index(shift, a, b, p, n), axis=1, out=kets, mode="clip")
-                bad = _violation(_gram(X, kets, p))
-                if bad is not None:
-                    yield w, KLFailure(a, b, *bad)
+        for supp, A, B in label_blocks(p, n, w):
+            E = np.eye(n, dtype=np.int64)[supp]  # x_S @ E spreads x_S over the n positions
+            cut = [0, *((A[1:] != A[:-1]).any(axis=1).nonzero()[0] + 1).tolist(), len(A)]
+            for lo, hi in zip(cut, cut[1:]):  # Python ints: _error_index sums over them
+                a = (A[lo] @ E).tolist()
+                shift = shifted_indices(p, n, [-v for v in a])
+                for b in (B[lo:hi] @ E).tolist():
+                    np.take(X, _error_index(shift, a, b, p, n), axis=1, out=kets, mode="clip")
+                    bad = _violation(_gram(X, kets, p))
+                    if bad is not None:
+                        yield w, KLFailure(tuple(a), tuple(b), *bad)
 
 
 def _closed_form_failures(S, L, p: int, n: int, max_weight: int):
@@ -235,18 +239,21 @@ def _closed_form_failures(S, L, p: int, n: int, max_weight: int):
     D = np.zeros((K, K), dtype=np.int64)
     for col, k in zip(L.T, key.tolist()):
         D += np.subtract.outer(col, col) % p * k
-    D.flat[:: K + 1] = -1  # i = j is the diagonal test, not a pair
+    D.flat[:: K + 1] = p**n  # i = j is the diagonal test, not a pair: no key is p^n
     codes, first = np.unique(D, return_index=True)
-    pairs = {c: divmod(k, K) for c, k in zip(codes.tolist(), first.tolist()) if c >= 0}
     for w in range(1, max_weight + 1):
-        for a, bs in label_blocks(p, n, w):
-            for b, u in zip(bs, ((np.array(bs) - S @ a) % p @ key).tolist()):
-                if u in pairs:
-                    yield w, KLFailure(a, b, "offdiag_nonzero", *pairs[u])
-                elif u == 0:
-                    j = int(np.argmax((L - L[0]) @ a % p != 0))
-                    if K == 1 or j:
-                        yield w, KLFailure(a, b, "diag_unequal", 0, j)
+        for supp, A, B in label_blocks(p, n, w):
+            E = np.eye(n, dtype=np.int64)[supp]  # x_S @ E spreads x_S over the n positions
+            u = (B @ E - A @ S[supp]) % p @ key  # S a = a_S S[supp], as S is symmetric
+            at = np.searchsorted(codes, u)
+            for r in np.flatnonzero((codes[at] == u) | (u == 0)).tolist():
+                if codes[at[r]] == u[r]:
+                    bad = ("offdiag_nonzero", *divmod(int(first[at[r]]), K))
+                elif (j := int(np.argmax((L[:, supp] - L[0, supp]) @ A[r] % p != 0))) or K == 1:
+                    bad = ("diag_unequal", 0, j)
+                else:
+                    continue
+                yield w, KLFailure(tuple((A[r] @ E).tolist()), tuple((B[r] @ E).tolist()), *bad)
 
 
 def _function_failures(basis, p: int, n: int, max_weight: int):

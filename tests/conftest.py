@@ -23,6 +23,7 @@ from lfqec import (
     StateVector,
     apply_error,
     graph_to_stabilizer_rows,
+    label_blocks,
     rank,
     solve_coboundary,
     solve_linear,
@@ -114,6 +115,30 @@ def direct_zset(f: LogicFunction) -> set:
     return {
         tuple(int(bit) for bit in format(a, f"0{f.n}b")) for a in x if np.sum(t * t[x ^ a]) == 0
     }
+
+
+def walk_blocks(p: int, n: int, w: int) -> list:
+    """The walk label_blocks(p, n, w) read as blocks (a, bs), one per support
+    and a, every vector a tuple of Python ints: bs lists the b that go with a."""
+    blocks = []
+    for supp, A, B in label_blocks(p, n, w):
+        full = np.zeros((2, len(A), n), dtype=np.int64)
+        full[0][:, supp], full[1][:, supp] = A, B
+        for a, b in zip(*(map(tuple, rows.tolist()) for rows in full)):
+            if not blocks or blocks[-1][:2] != (supp, a):
+                blocks.append((supp, a, []))
+            blocks[-1][2].append(b)
+    return [(a, bs) for _, a, bs in blocks]
+
+
+def conj(coeffs: tuple) -> tuple:
+    """The coefficients of the complex conjugate: zeta^j goes to zeta^(-j)."""
+    return tuple(coeffs[-j % len(coeffs)] for j in range(len(coeffs)))
+
+
+def rotate(coeffs: tuple, e: int) -> tuple:
+    """The coefficients of zeta^e times the value."""
+    return tuple(coeffs[(j - e) % len(coeffs)] for j in range(len(coeffs)))
 
 
 def reference_labels(p: int, n: int, w: int) -> list:

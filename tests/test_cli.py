@@ -344,6 +344,15 @@ def test_exit_3_capacity(files, capsys):
     assert code == 3
 
 
+def test_exit_3_anf_expansion_over_the_budget(files, capsys):
+    # (1+x1)...(1+x16) has 2^16 terms: 2^32 additions, 21 s on a 2-core host
+    text = "2 16\nanf: " + "".join(f"(1+x{i})" for i in range(1, 17)) + "\n"
+    assert main(["bent", files("prod16.fn", text)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "capacity: 65536 ANF terms x p^n exceed 1073741824 additions\n"
+
+
 def test_exit_3_state_capacity_for_a_quadratic_code(files, capsys):
     # the closed form needs no states, but the state cap still bounds the oracle
     text = json.dumps({"p": 2, "n": 21, "claimed_d": 2, "basis": ["x1*x2", "x1*x2 + x3"]})

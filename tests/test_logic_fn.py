@@ -21,6 +21,7 @@ from conftest import (
     random_function,
     reference_apc_distance,
     reference_coset_distance,
+    walk_blocks,
 )
 import lfqec._textfile
 import lfqec.fp_algebra
@@ -38,7 +39,6 @@ from lfqec import (
     autocorrelation_spectrum,
     bent_exclusion,
     is_bent,
-    label_blocks,
     parse_anf,
     quadratic_form,
     solve_coboundary,
@@ -174,6 +174,30 @@ def test_a_dense_anf_text_parses_in_linear_time(gen):
     g = parse_anf(text, 2, 14)
     assert time.perf_counter() - t0 < 3
     assert g == f
+
+
+def product_anf(n: int) -> list:
+    """The 2^n terms of (1+x1)(1+x2)...(1+xn) over F_2."""
+    return [(1, m) for k in range(n + 1) for m in itertools.combinations(range(n), k)]
+
+
+def test_an_expansion_over_the_budget_is_refused_up_front():
+    # 2^16 terms over 2^16 entries: 2^32 additions, 21 s on a 2-core host
+    f = LogicFunction(2, 16, anf=product_anf(16))
+    t0 = time.perf_counter()
+    with pytest.raises(CapacityError, match="65536 ANF terms x p\\^n exceed 1073741824 additions"):
+        f.table
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_an_expansion_at_the_budget_runs(monkeypatch):
+    # 4 terms over 8 entries make 32 additions: at the budget, then one over it
+    monkeypatch.setattr(lfqec.logic_fn, "MAX_EXPANSION", 32)
+    f = LogicFunction(2, 3, anf=product_anf(2))
+    assert f.table.tolist() == [1, 1, 0, 0, 0, 0, 0, 0]  # 1 only where x1 = x2 = 0
+    monkeypatch.setattr(lfqec.logic_fn, "MAX_EXPANSION", 31)
+    with pytest.raises(CapacityError, match="4 ANF terms x p\\^n exceed 31 additions"):
+        f.table
 
 
 def test_anf_interpolated_from_table(gen):
@@ -336,7 +360,7 @@ def test_apc_distance_pins():
     res = apc_distance(f)
     assert res.distance == 2
     # every label below the distance has a vanishing sum; the witness does not
-    for a, bs in label_blocks(2, 4, 1):
+    for a, bs in walk_blocks(2, 4, 1):
         for b in bs:
             assert character_sum(f, a, b).is_zero()
     assert not character_sum(f, res.witness.a, res.witness.b).is_zero()
@@ -372,7 +396,7 @@ def test_apc_distance_matches_per_label_reference(gen, p, max_n):
 def test_search_reads_every_gather_chunk(gen, monkeypatch):
     # one label per gather chunk, so a first failing label that is not the
     # first of its block lies past the block's first chunk
-    monkeypatch.setattr(lfqec.logic_fn, "_GATHER_ENTRIES", 1)
+    monkeypatch.setattr(lfqec.fp_algebra, "_CHUNK_ROWS", 1)
     later = 0
     for p, n in [(2, 4), (3, 3), (5, 2)]:
         for _ in range(10):
@@ -380,9 +404,22 @@ def test_search_reads_every_gather_chunk(gen, monkeypatch):
             betas = sorted({tuple(int(v) for v in gen.integers(0, p, n)) for _ in range(3)})
             w, (a, b) = reference_coset_distance(f, betas)
             assert lfqec.logic_fn._first_nonvanishing(f, betas) == (w, a, b)
-            bs = next(bs for a2, bs in label_blocks(p, n, w) if a2 == a and b in bs)
+            bs = next(bs for a2, bs in walk_blocks(p, n, w) if a2 == a and b in bs)
             later += bs.index(b) > 0
     assert later
+
+
+@pytest.mark.parametrize("p, n", [(2, 4), (3, 3), (5, 2)])
+def test_search_across_chunk_boundaries(gen, monkeypatch, p, n):
+    # 7 numbers per walk chunk: supports span chunks, and chunks split a-groups
+    monkeypatch.setattr(lfqec.fp_algebra, "_CHUNK_ROWS", 7)
+    for _ in range(10):
+        f = random_quadratic(gen, p, n)
+        betas = sorted({tuple(int(v) for v in gen.integers(0, p, n)) for _ in range(3)})
+        w, (a, b) = reference_coset_distance(f, betas)
+        assert lfqec.logic_fn._first_nonvanishing(f, betas) == (w, a, b)
+        res = apc_distance(f)
+        assert (res.distance, (res.witness.a, res.witness.b)) == reference_apc_distance(f)
 
 
 def test_apc_distance_affine_invariance(gen):
@@ -403,7 +440,7 @@ def test_autocorrelation_values():
             assert autocorrelation(f, a).as_integer() == 0
     g = parse_anf("x1", 3, 1)
     # sum zeta^(x - (x+1)) = 3 * zeta^-1
-    assert autocorrelation(g, (1,)) == __import__("lfqec").CycloInt.zeta_power(3, 2, 3)
+    assert autocorrelation(g, (1,)) == __import__("lfqec").CycloInt(3, (0, 0, 3))
 
 
 def test_spectrum_transform_matches_direct(gen):

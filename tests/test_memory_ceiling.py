@@ -12,7 +12,8 @@ n = 16 and n = 20 must get its verdict under 384 and 256 MiB, since no
 basis function is expanded to a table, and a Gram sweep over 48 cubic
 functions at n = 20 must be refused with exit 3 before a state is built.
 Under 256 MiB, `lfqec zset --format json` must list 2^17 shifts of length
-18, and `lfqec coset-code` must search with 32 shifts of length 16."""
+18, `lfqec coset-code` must search with 32 shifts of length 16, and the
+closed form must walk the 4.7 M weight-3 labels of a p = 13, n = 3 code."""
 import json
 import os
 import pathlib
@@ -150,6 +151,22 @@ def test_shared_quadratic_verify_builds_no_table(tmp_path, K, n, ceiling_mib):
                          f"failure: a={'0' * n} b=1{'0' * (n - 1)} offdiag_nonzero at (0, 1)"]
     # each of the three weight-1 labels on the log2(K) variables the linear parts use fails
     assert len(lines) == 1 + 3 * (K.bit_length() - 1)
+
+
+def test_closed_form_walk_fits_256_mib_at_p13(tmp_path):
+    # K = 2 at p = 13, n = 3: 168^3 = 4.7 M weight-3 labels on one support,
+    # whose patterns held at once take hundreds of MB; the walk holds chunks
+    path = tmp_path / "p13.json"
+    basis = ["x1*x2 + x2*x3", "x1*x2 + x2*x3 + x1"]
+    path.write_text(json.dumps({"p": 13, "n": 3, "claimed_d": 2, "basis": basis}))
+    proc = run_child(cli_code("verify", str(path), "--max-weight", "3"), ceiling=256 << 20)
+    assert proc.returncode == 1, proc.stderr[-2000:]
+    assert proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert lines[:2] == ["verdict: fail (max weight 3)",
+                         "failure: a=000 b=100 offdiag_nonzero at (1, 0)"]
+    # u = b - S a is +-e_1 for two b per a, and 0 for one b per a with a_1 != 0
+    assert len(lines) == 1 + 2 * 13**3 + 12 * 13**2
 
 
 def test_gram_sweep_over_the_table_cap_is_refused(tmp_path):

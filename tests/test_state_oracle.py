@@ -12,6 +12,7 @@ from conftest import (
     as_complex,
     character_sum,
     close,
+    conj,
     kernel_gram_matrix,
     label_sum,
     random_function,
@@ -20,7 +21,9 @@ from conftest import (
     reference_inner_product,
     reference_kl_report,
     reference_min_distance,
+    rotate,
     state_complex,
+    walk_blocks,
 )
 from lfqec import fp_algebra, state_oracle
 from lfqec.cli import main
@@ -40,7 +43,6 @@ from lfqec import (
     check_claim,
     inner_product,
     kl_verify,
-    label_blocks,
     min_distance,
     parse_anf,
     parse_graph_file,
@@ -168,7 +170,7 @@ def test_inner_product_norm_and_symmetry(gen):
         uv = inner_product(u, v)
         vu = inner_product(v, u)
         assert uv == reference_inner_product(u, v)
-        assert uv == vu.conj()
+        assert uv.coeffs == conj(vu.coeffs)
         assert close(as_complex(uv), np.vdot(state_complex(u), state_complex(v)))
     with pytest.raises(InputError):
         inner_product(
@@ -195,7 +197,7 @@ def test_gram_hermiticity_relation(gen):
         ab = sum(ai * bi for ai, bi in zip(e.a, e.b)) % p
         for i in range(3):
             for j in range(3):
-                assert G[j][i] == H[i][j].conj().rotate(-ab)
+                assert G[j][i].coeffs == rotate(conj(H[i][j].coeffs), -ab)
 
 
 def test_gram_matrix_generic_states_match_reference(gen):
@@ -430,7 +432,7 @@ def test_gram_sweep_forms_one_shift_per_block(gen, monkeypatch):
                         lambda p, n, a: calls.append(tuple(a)) or shift(p, n, a))
     psi = state_from_function(random_function(gen, 3, 7))
     assert not kl_verify([psi], 2).passed
-    blocks = [a for w in (1, 2) for a, _ in label_blocks(3, 7, w)]
+    blocks = [a for w in (1, 2) for a, _ in walk_blocks(3, 7, w)]
     assert len(blocks) == 7 * 3 + 21 * 9
     assert calls == [tuple(-v for v in a) for a in blocks]
 
@@ -479,6 +481,22 @@ def test_closed_form_matches_gram_kernel(gen, monkeypatch):
         seen.update((len(basis) == 1, f["kind"], f["j"] > 1) for f in got[-1]["failures"])
     assert {(True, "diag_unequal", False), (False, "offdiag_nonzero", True),
             (False, "diag_unequal", True)} <= seen
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_both_routes_keep_their_verdicts_across_chunk_boundaries(gen, monkeypatch, p):
+    # 5 numbers per walk chunk: supports span chunks, and chunks split a-groups
+    cases = []
+    for _ in range(4):
+        n = int(gen.integers(2, {2: 5, 3: 4, 5: 3}[p]))
+        basis = random_quadratic_basis(gen, p, n, min(int(gen.integers(1, 4)), p**n))
+        states = [state_from_function(f) for f in basis]
+        cases.append((basis, states, kl_verify(states, n).to_dict()))
+    monkeypatch.setattr(fp_algebra, "_CHUNK_ROWS", 5)
+    for basis, states, want in cases:
+        n = want["n"]
+        assert kl_verify(basis, n).to_dict() == want
+        assert kl_verify(states, n).to_dict() == reference_kl_report(states, n)
 
 
 def test_closed_form_refuses_a_pair_table_over_the_listing_budget(monkeypatch):
