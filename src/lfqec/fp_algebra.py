@@ -131,7 +131,7 @@ def label_blocks(p: int, n: int, w: int):
     """All labels of symplectic weight w in the fixed order: support, then a,
     then b, each lexicographic, as (supp, A, B) per chunk: int8 rows a_S, b_S
     from the 2w base-p digits of up to _CHUNK_ROWS numbers, less those with
-    a_k = b_k = 0. A weight whose p^2w numbers fit one chunk shares it, read-only."""
+    a_k = b_k = 0. A weight whose (p^2 - 1)^w kept rows fit one chunk shares it."""
     import numpy as np  # in the walk, so that the command line loads this module without numpy
 
     digits = np.indices((p,) * w, dtype=np.int8).reshape(w, p**w).T  # row i: i in base p
@@ -142,7 +142,8 @@ def label_blocks(p: int, n: int, w: int):
         return digits[a[keep]], digits[b[keep]]
 
     starts = range(0, p ** (2 * w), _CHUNK_ROWS)
-    whole = [chunk(0)] if len(starts) == 1 else None
+    fits = (p * p - 1) ** w <= _CHUNK_ROWS  # then decoded chunk by chunk once, shared read-only
+    whole = [tuple(map(np.concatenate, zip(*map(chunk, starts))))] if fits else None
     for supp in itertools.combinations(range(n), w):
         for A, B in whole or (AB for AB in map(chunk, starts) if len(AB[0])):
             yield list(supp), A, B

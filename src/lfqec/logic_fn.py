@@ -15,13 +15,14 @@ the constant monomial.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._tables import digit_axis, index_vectors, linear_values
 from ._textfile import anf_terms
-from .errors import CapacityError, InputError
+from .errors import InputError
 from .fp_algebra import (
     CycloInt,
     FpMatrix,
@@ -34,9 +35,6 @@ from .fp_algebra import (
     solve_linear,
     table_size,
 )
-
-
-MAX_EXPANSION = 2**30  # terms x p^n of one ANF expansion: (1+x1)...(1+x15), 6 s on 2 cores
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,21 +65,25 @@ class LogicFunction:
     @property
     def table(self) -> np.ndarray:
         """The held table, or the ANF expanded anew on each read, so a caller
-        reads it once. A term is a product of digit axes, so it spans only
-        the axes of its variables until it is added onto the grid."""
+        reads it once. The coefficients are scattered onto the exponent grid,
+        one axis a variable and one entry longer than its largest exponent,
+        and evaluated by _per_axis with V[x][m] = x^m (0^0 = 1)."""
         if self.values is not None:
             return self.values
         p, n = self.p, self.n
-        if len(self.anf) * p**n > MAX_EXPANSION:
-            raise CapacityError(f"{len(self.anf)} ANF terms x p^n exceed {MAX_EXPANSION} additions")
-        acc = np.zeros((p,) * n, dtype=np.int64)
-        for coeff, mono in self.anf:
-            term = np.int64(coeff)
-            for v in mono:
-                term = term * digit_axis(p, n, v) % p
-            acc += term
-        acc %= p
-        return acc.reshape(-1)
+        monos = [m for _, m in self.anf]
+        lens = np.fromiter(map(len, monos), dtype=np.int64, count=len(monos))
+        var = np.fromiter(itertools.chain.from_iterable(monos), dtype=np.int64)
+        term = np.repeat(np.arange(len(monos)), lens)
+        # a monomial lists its variables in order, so an exponent is a run of equal keys
+        starts = np.flatnonzero(np.diff(term * n + var, prepend=-1))
+        shape = np.ones(n, dtype=np.int64)
+        np.maximum.at(shape, var[starts], np.diff(starts, append=len(var)) + 1)
+        grid = np.zeros(shape.tolist(), dtype=np.uint8)  # one byte an entry: strides count entries
+        flat = np.bincount(term, weights=np.array(grid.strides)[var], minlength=len(monos))
+        grid.reshape(-1)[flat.astype(np.int64)] = [c for c, _ in self.anf]
+        values = _per_axis(grid, [[pow(x, m, p) for m in range(p)] for x in range(p)], p)
+        return np.broadcast_to(values, (p,) * n).astype(np.int64, order="C").reshape(-1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LogicFunction) or (self.p, self.n) != (other.p, other.n):
@@ -114,45 +116,42 @@ def parse_anf(text: str, p: int, n: int) -> LogicFunction:
     return LogicFunction(p, n, anf=anf_terms(text, p, n))
 
 
+def _per_axis(grid: np.ndarray, M: list, p: int) -> np.ndarray:
+    """The p x p matrix M applied mod p along every axis of the uint8 grid:
+    new[x] = sum_k M[x][k] old[k] over the slabs of one axis. An axis of
+    length L < p reads M's first L columns and grows to p; one of length 1 is
+    left to broadcast. At p > 2 a pass sums over the slabs of the last axis,
+    reduces the sums mod p by table lookup and puts the new axis first."""
+    assert p * (p - 1) ** 2 < 2**16, "uint16 sums of p products are exact: 1872 at p = 13"
+    if p == 2:  # M = [[1, 0], [1, 1]]: slab 0 stays, so slab 1 sums in place, the Moebius XOR
+        for axis, L in enumerate(grid.shape):
+            if L == 2:
+                rows = grid.reshape(math.prod(grid.shape[:axis]), 2, -1)
+                rows[:, 1] ^= rows[:, 0]
+        return grid
+    cols = np.array(M, dtype=np.uint8).T[:, :, None]  # cols[k]: column k of M, shaped (p, 1)
+    residue = (np.arange(p * (p - 1) ** 2 + 1) % p).astype(np.uint8)
+    for _ in range(grid.ndim):
+        rows = np.ascontiguousarray(grid.reshape(-1, grid.shape[-1]).T)  # slabs of the last axis
+        if len(rows) > 1:
+            acc = (cols[0] * rows[0]).astype(np.uint16)
+            for k in range(1, len(rows)):
+                acc += cols[k] * rows[k]  # a uint8 product: at most (p-1)^2
+            rows = np.take(residue, acc)
+        grid = rows.reshape(rows.shape[:1] + grid.shape[:-1])
+    return grid
+
+
 def _anf_terms(f: LogicFunction, max_deg: int | None = None) -> tuple | None:
     """The reduced ANF of f, f.anf or else interpolated from the table; None
-    if a monomial has degree above max_deg. Along one axis the values
-    v(0..p-1) are replaced in place by the forward differences
-    d_k = Delta^k v(0), so that v(x) = sum_k d_k C(x, k), and then by the
-    coefficients of x^m in that sum, C(x, k) being x(x-1)...(x-k+1)/k!.
-    Both steps are triangular, so row m is rewritten from rows not yet
-    rewritten. At p = 2 the first step is the Moebius butterfly and the
-    second is empty."""
+    if a monomial has degree above max_deg. Along each axis the coefficients
+    are c_0 = v(0) and c_m = -sum_x x^(p-1-m) v(x) for 1 <= m <= p-1, the
+    expansion of sum_a v(a) (1 - (x-a)^(p-1)), which is 1 at x = a only."""
     if f.anf is not None:
         return f.anf if max_deg is None or all(len(m) <= max_deg for _, m in f.anf) else None
     p, n = f.p, f.n
-    expand = []  # expand[k][m]: coefficient of x^m in C(x, k), m <= k
-    falling, fact = [1], 1
-    for k in range(p):
-        expand.append([c * pow(fact, p - 2, p) % p for c in falling])
-        falling = [(a - k * b) % p for a, b in zip([0] + falling, falling + [0])]
-        fact *= k + 1
-    grid = f.table.astype(np.uint8)
-    for axis in range(n):
-        rows = grid.reshape(p**axis, p, -1)
-        for k in range(1, p):
-            for a in range(p - 1, k - 1, -1):
-                rows[:, a] -= rows[:, a - 1]  # wraps below 0 to 256 - p or more
-                np.minimum(rows[:, a], rows[:, a] + p, out=rows[:, a])
-        for m in range(p):
-            parts = [(k, expand[k][m]) for k in range(m, p) if expand[k][m]]
-            if parts != [(m, 1)]:
-                acc = np.zeros(rows[:, m].shape, dtype=np.uint16)
-                for k, c in parts:
-                    acc += rows[:, k] * c  # a uint8 product: at most (p-1)^2
-                s = p
-                while 2 * s <= (p - 1) * sum(c for _, c in parts):  # acc's largest value
-                    s *= 2
-                while s >= p:  # subtract p 2^j where it does not wrap: acc mod p
-                    np.minimum(acc, acc - s, out=acc)
-                    s //= 2
-                rows[:, m] = acc
-    grid = grid.reshape((p,) * n)
+    W = [[1] + [0] * (p - 1)] + [[-pow(x, p - 1 - m, p) % p for x in range(p)] for m in range(1, p)]
+    grid = _per_axis(f.table.astype(np.uint8).reshape((p,) * n), W, p)
     exps = np.argwhere(grid)  # the exponent vectors of the nonzero coefficients
     deg = exps.sum(axis=1)
     if max_deg is not None and (deg > max_deg).any():

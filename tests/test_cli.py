@@ -344,13 +344,13 @@ def test_exit_3_capacity(files, capsys):
     assert code == 3
 
 
-def test_exit_3_anf_expansion_over_the_budget(files, capsys):
-    # (1+x1)...(1+x16) has 2^16 terms: 2^32 additions, 21 s on a 2-core host
+def test_bent_expands_a_product_of_16_factors(files, capsys):
+    # (1+x1)...(1+x16) has 2^16 terms; it is 1 at x = 0 alone
     text = "2 16\nanf: " + "".join(f"(1+x{i})" for i in range(1, 17)) + "\n"
-    assert main(["bent", files("prod16.fn", text)]) == 3
+    assert main(["bent", files("prod16.fn", text)]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "capacity: 65536 ANF terms x p^n exceed 1073741824 additions\n"
+    assert captured.out == "bent: false\nsupport size: 1\n"
+    assert captured.err == ""
 
 
 def test_exit_3_state_capacity_for_a_quadratic_code(files, capsys):

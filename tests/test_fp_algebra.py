@@ -162,7 +162,22 @@ def test_label_walk_in_small_chunks_keeps_the_reference_order(p, rows, monkeypat
             assert all(0 < len(A) <= rows for _, A, _ in chunks)
             flat = [(a, b) for a, bs in walk_blocks(p, n, w) for b in bs]
             assert flat == reference_labels(p, n, w)
-    assert len(chunks) > 1  # the one support of weight 3
+    # the one support of weight 3 spans several chunks, unless its kept rows fit one
+    assert (len(chunks) == 1) if (p * p - 1) ** 3 <= rows else (len(chunks) > 1)
+
+
+@pytest.mark.parametrize("p, w, rows", [(2, 2, 9), (2, 3, 30), (3, 2, 70)])
+def test_a_weight_whose_kept_rows_fit_a_chunk_is_decoded_once(p, w, rows, monkeypatch):
+    # the p^2w numbers take several decode chunks, but the (p^2 - 1)^w rows
+    # kept fit one, which every support shares
+    monkeypatch.setattr(fp_algebra, "_CHUNK_ROWS", rows)
+    assert (p * p - 1) ** w <= rows < p ** (2 * w)
+    n = w + 2
+    chunks = list(label_blocks(p, n, w))
+    assert len(chunks) == math.comb(n, w)
+    assert all(A is chunks[0][1] and B is chunks[0][2] for _, A, B in chunks)
+    flat = [(a, b) for a, bs in walk_blocks(p, n, w) for b in bs]
+    assert flat == reference_labels(p, n, w)
 
 
 # ---------------------------------------------------------------------------
