@@ -64,13 +64,15 @@ def residues(token: str, p: int, count: int | None = None, sep: str = r"[\s,]+")
 
 def read_function_file(text: str) -> tuple:
     """(p, n, values, terms), the arguments of `LogicFunction`, of a function
-    file: two content lines, 'p n' then either 'anf: <polynomial>' (terms
-    from `anf_terms`, values None) or 'tt: <p^n residues in index order>'
-    (the residues, terms None). Truth-table residues may be a compact digit
-    string or whitespace/comma separated values."""
+    file: exactly two content lines, 'p n' then either 'anf: <polynomial>'
+    (terms from `anf_terms`, values None) or 'tt: <p^n residues in index
+    order>' (the residues, terms None). Truth-table residues may be a compact
+    digit string or whitespace/comma separated values."""
     p, n, body = read_header(text, "p n")
     if not body:
         raise InputError("function file needs a body line after 'p n'")
+    if len(body) > 1:
+        raise InputError(f"function file has one body line, but {body[1]!r} follows it")
     N = table_size(p, n)
     if body[0].startswith("anf:"):
         return p, n, None, anf_terms(body[0][4:].strip(), p, n)
@@ -81,150 +83,115 @@ def read_function_file(text: str) -> tuple:
 
 def anf_terms(text: str, p: int, n: int) -> list:
     """(coeff, monomial) terms of a polynomial in x1..xn (aliases y1..yn),
-    exponents reduced below p and zero coefficients dropped; a monomial lists
-    its 0-based variables with repetition as exponent."""
+    zero coefficients dropped; a monomial lists its 0-based variables in
+    order, exponents (below p) as repetition, as `LogicFunction.anf` does."""
     table_size(p, n)
+    parser = _Parser(text, p, n)
     try:
-        poly = _Parser(text, p, n).parse()
+        poly = parser.expr()
     except RecursionError as exc:  # too deeply nested
         raise InputError("polynomial nests too deeply") from exc
-    return [(c, tuple(v for v, e in enumerate(ev) for _ in range(e)))
-            for ev, c in poly.items() if c]
+    if parser.tok[0] != "end":
+        raise InputError(f"unexpected token {parser.tok[1]!r} at position {parser.pos}")
+    return [(c, mono) for mono, c in poly.items() if c]
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([xy])(\d+)|(\*\*|[-+*^()]))")
+_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|[xy](?P<var>\d+)|(?P<op>\*\*|[-+*^()])|(?P<end>\Z))?")
 
 
 class _Parser:
-    """Polynomials in x1..xn (y aliases), with +, -, *, ^, parentheses and
-    implicit multiplication by juxtaposition. Exponents reduce by x^p = x."""
+    """Polynomials in x1..xn (y aliases) with +, -, *, ^, parentheses and
+    juxtaposition, as dicts from monomials to coefficients mod p. A token is
+    (kind, value); only an operator's value is an operator symbol."""
 
     def __init__(self, text: str, p: int, n: int):
         self.text = text
         self.p = p
         self.n = n
         self.pos = 0
-        self.tok = None
         self._advance()
 
     def _advance(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        if self.pos >= len(self.text):
-            self.tok = ("end", None)
-            return
         m = _TOKEN.match(self.text, self.pos)
-        if not m:
-            raise InputError(f"syntax error at position {self.pos}: {self.text[self.pos:]!r}")
         self.pos = m.end()
-        if m.group(1) is not None:
-            self.tok = ("int", integer(m.group(1), "constant"))
-        elif m.group(2) is not None:
-            idx = integer(m.group(3), "variable index")
-            if not 1 <= idx <= self.n:
-                raise InputError(f"variable index {idx} out of range 1..{self.n}")
-            self.tok = ("var", idx - 1)
-        else:
-            op = m.group(4)
-            self.tok = ("op", "^" if op == "**" else op)
+        kind = m.lastgroup
+        if kind is None:
+            raise InputError(f"syntax error at position {self.pos}: {self.text[self.pos:]!r}")
+        val = m[kind]
+        if kind == "int":
+            val = integer(val, "constant")
+        elif kind == "var":
+            val = integer(val, "variable index") - 1
+            if not 0 <= val < self.n:
+                raise InputError(f"variable index {val + 1} out of range 1..{self.n}")
+        elif val == "**":
+            val = "^"
+        self.tok = (kind, val)
 
-    def parse(self) -> dict:
-        poly = self._expr()
-        if self.tok[0] != "end":
-            raise InputError(f"unexpected token {self.tok[1]!r} at position {self.pos}")
-        return poly
-
-    def _expr(self) -> dict:
-        kind, val = self.tok
-        neg = False
-        if kind == "op" and val in "+-":
-            neg = val == "-"
-            self._advance()
-        poly = self._term()
-        if neg:
-            poly = _poly_scale(poly, -1, self.p)
-        while self.tok[0] == "op" and self.tok[1] in "+-":
-            op = self.tok[1]
-            self._advance()
-            rhs = self._term()
-            if op == "-":
-                rhs = _poly_scale(rhs, -1, self.p)
-            poly = _poly_add(poly, rhs, self.p)
-        return poly
+    def expr(self) -> dict:
+        poly: dict = {}
+        while True:
+            sign = self.tok[1]
+            if sign in ("+", "-"):  # optional before the first term
+                self._advance()
+            for mono, v in self._term().items():  # summed in place: no copy per '+'
+                poly[mono] = (poly.get(mono, 0) + (self.p - v if sign == "-" else v)) % self.p
+            if self.tok[1] not in ("+", "-"):
+                return poly
 
     def _term(self) -> dict:
         poly = self._power()
-        while True:
-            kind, val = self.tok
-            if kind == "op" and val == "*":
+        while self.tok[0] in ("int", "var") or self.tok[1] in ("*", "("):
+            if self.tok[1] == "*":  # else a factor by juxtaposition
                 self._advance()
-                poly = _poly_mul(poly, self._power(), self.p)
-            elif kind in ("int", "var") or (kind == "op" and val == "("):
-                poly = _poly_mul(poly, self._power(), self.p)
-            else:
-                return poly
+            poly = _poly_mul(poly, self._power(), self.p)
+        return poly
 
     def _power(self) -> dict:
         base = self._atom()
-        if self.tok == ("op", "^"):
-            self._advance()
-            kind, val = self.tok
-            if kind != "int":
-                raise InputError(f"exponent must be an integer at position {self.pos}")
-            self._advance()
-            out = {(0,) * self.n: 1}
-            for _ in range(_reduce_exponent(val, self.p)):
-                out = _poly_mul(out, base, self.p)
-            return out
-        return base
+        if self.tok[1] != "^":
+            return base
+        self._advance()
+        kind, e = self.tok
+        if kind != "int":
+            raise InputError(f"exponent must be an integer at position {self.pos}")
+        self._advance()
+        out = {(): 1}
+        for _ in range(_reduce_exponent(e, self.p)):
+            out = _poly_mul(out, base, self.p)
+        return out
 
     def _atom(self) -> dict:
         kind, val = self.tok
+        if kind not in ("int", "var") and val != "(":
+            raise InputError(f"unexpected token at position {self.pos}")
+        self._advance()
         if kind == "int":
-            self._advance()
-            return {(0,) * self.n: val % self.p}
+            return {(): val % self.p}
         if kind == "var":
-            self._advance()
-            e = [0] * self.n
-            e[val] = 1
-            return {tuple(e): 1}
-        if kind == "op" and val == "(":
-            self._advance()
-            poly = self._expr()
-            if self.tok != ("op", ")"):
-                raise InputError(f"missing ')' at position {self.pos}")
-            self._advance()
-            return poly
-        raise InputError(f"unexpected token at position {self.pos}")
+            return {(val,): 1}
+        poly = self.expr()
+        if self.tok[1] != ")":
+            raise InputError(f"missing ')' at position {self.pos}")
+        self._advance()
+        return poly
 
 
 def _reduce_exponent(e: int, p: int) -> int:
     """x^p = x pointwise, so exponents e >= 1 reduce to ((e-1) mod (p-1)) + 1."""
-    if e < 0:
-        raise InputError("negative exponents are not allowed")
-    if e == 0:
-        return 0
-    return (e - 1) % (p - 1) + 1 if p > 2 else 1
-
-
-def _poly_add(a: dict, b: dict, p: int) -> dict:
-    """a + b, summed into a, a dict made for this sum; zero sums stay."""
-    for k, v in b.items():
-        a[k] = (a.get(k, 0) + v) % p
-    return a
-
-
-def _poly_scale(a: dict, s: int, p: int) -> dict:
-    return {k: (v * s) % p for k, v in a.items() if (v * s) % p}
+    return (e - 1) % (p - 1) + 1 if e else 0
 
 
 def _poly_mul(a: dict, b: dict, p: int) -> dict:
     out: dict = {}
     for ka, va in a.items():
         for kb, vb in b.items():
-            k = tuple(_reduce_exponent(ea + eb, p) if ea + eb else 0 for ea, eb in zip(ka, kb))
-            out[k] = (out.get(k, 0) + va * vb) % p
-    return {k: v for k, v in out.items() if v}
+            mono = tuple(sorted(ka + kb))
+            if len(mono) - len(set(mono)) >= p - 1:  # some variable may repeat p times
+                mono = tuple(v for v in sorted(set(mono))
+                             for _ in range(_reduce_exponent(mono.count(v), p)))
+            out[mono] = (out.get(mono, 0) + va * vb) % p
+    return out
 
 
 def read_code_file(text: str) -> tuple:

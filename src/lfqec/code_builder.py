@@ -13,7 +13,7 @@ import itertools
 
 from .codespec import CodeSpec
 from .errors import InputError, PremiseError
-from .fp_algebra import FpMatrix
+from .fp_algebra import FpMatrix, table_size
 from .graph_codes import matrix_code_check
 from .logic_fn import LogicFunction, _first_nonvanishing, add_affine, parse_anf, quadratic_form
 from .projector_codes import extract_boolean_basis
@@ -89,6 +89,7 @@ def mds_function(m: int) -> LogicFunction:
     if m < 2:
         raise InputError("the product family needs m >= 2")
     n = 2 * m
+    table_size(2, n)  # before the text, which grows with m
     common = " + ".join(f"y{i}" for i in range(1, n - 1))
     text = f"({common} + y{n - 1}) * ({common} + y{n})"
     return parse_anf(text, 2, n)

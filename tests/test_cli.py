@@ -247,6 +247,12 @@ def test_exit_2_input_errors(files, capsys):
     assert code == 2
     code, out = run(capsys, "apc", files("broken.fn", "2 2\n"))
     assert code == 2
+    # a function file has one body line; a line after it is refused, not dropped
+    for extra in ("2 3\nanf: x1*x2\n+ x3\n", "2 1\ntt: 01\n10\n"):
+        code = main(["zset", files("extra.fn", extra)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: function file has one body line, but ")
     code, out = run(
         capsys,
         "graph-code",

@@ -4,6 +4,7 @@ integer paths they check."""
 import cmath
 import itertools
 import math
+import re
 import sys
 import time
 
@@ -23,7 +24,6 @@ from conftest import (
     reference_coset_distance,
     walk_blocks,
 )
-import lfqec._textfile
 import lfqec.fp_algebra
 import lfqec.logic_fn
 from lfqec._textfile import read_function_file
@@ -127,6 +127,51 @@ def test_parse_errors():
             parse_anf(bad, 2, 4)
 
 
+# int() refuses digit strings over this length (default 4,300 since Python 3.11)
+MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+OVER_MAX_DIGITS = pytest.mark.skipif(not 0 < MAX_DIGITS < 5000, reason="no int digit limit")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x1 @ x2", "syntax error at position 3: '@ x2'"),
+        ("x1 + x", "syntax error at position 5: 'x'"),
+        ("x5", "variable index 5 out of range 1..4"),
+        ("x0", "variable index 0 out of range 1..4"),
+        ("y7 + 1", "variable index 7 out of range 1..4"),
+        ("x1 ^ x2", "exponent must be an integer at position 7"),
+        ("x1^-1", "exponent must be an integer at position 4"),
+        ("(x1", "missing ')' at position 3"),
+        ("((x1 + x2)*x3", "missing ')' at position 13"),
+        ("x1 +", "unexpected token at position 4"),
+        ("x1 +   ", "unexpected token at position 7"),
+        (")", "unexpected token at position 1"),
+        ("", "unexpected token at position 0"),
+        ("x1 * * x2", "unexpected token at position 6"),
+        ("x1 x2 )", "unexpected token ')' at position 7"),
+        ("(x1)(x2))", "unexpected token ')' at position 9"),
+        # two faults: the first in reading order is reported
+        ("x1 ^ x2 @", "exponent must be an integer at position 7"),
+        ("(x1 @", "syntax error at position 4: '@'"),
+        ("y2*x3 ) + x9", "unexpected token ')' at position 7"),
+        ("x1 \t\n+ x2 $", "syntax error at position 10: '$'"),
+        ("x1 ^ 2 3 ^ x2", "exponent must be an integer at position 13"),
+        pytest.param("9" * 5000, f"constant must be an integer, got {'9' * 5000!r}",
+                     marks=OVER_MAX_DIGITS, id="5000-digit constant"),
+        pytest.param("x" + "1" * 5000, f"variable index must be an integer, got {'1' * 5000!r}",
+                     marks=OVER_MAX_DIGITS, id="5000-digit index"),
+        pytest.param("x1^" + "7" * 5000, f"constant must be an integer, got {'7' * 5000!r}",
+                     marks=OVER_MAX_DIGITS, id="5000-digit exponent"),
+        pytest.param("(" * 3000 + "x1" + ")" * 3000, "polynomial nests too deeply", id="nested 3000"),
+    ],
+)
+def test_reader_messages(text, message):
+    with pytest.raises(InputError) as exc:
+        parse_anf(text, 3, 4)
+    assert str(exc.value) == message
+
+
 def test_anf_text_round_trip(gen):
     for _ in range(100):
         p = int(gen.choice([2, 3]))
@@ -140,12 +185,14 @@ def test_anf_text_round_trip(gen):
         assert parse_anf(anf_text(f), p, n) == f
 
 
-def copying_poly_add(a: dict, b: dict, p: int) -> dict:
-    """The parser's sum as it was: a + b in a new dict, zero sums dropped."""
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = (out.get(k, 0) + v) % p
-    return {k: v for k, v in out.items() if v}
+def evaluate_text(p, n, text) -> list:
+    """The table of an ANF text evaluated x by x as a Python expression over
+    the integers: '^' becomes '**', factors juxtaposed as ')(' are joined by
+    '*', and xi and yi read x[i-1]."""
+    expr = re.sub(r"\)\s*\(", ")*(", text.replace("^", "**"))
+    expr = re.sub(r"[xy](\d+)", lambda m: f"x[{int(m[1]) - 1}]", expr)
+    code = compile(expr, "<anf>", "eval")
+    return brute_table(p, n, lambda x: eval(code, {"x": x}))
 
 
 CANCELLING = [
@@ -159,12 +206,59 @@ CANCELLING = [
 
 
 @pytest.mark.parametrize("p, n, dense", [(2, 8, 4), (3, 5, 4), (5, 3, 4), (7, 3, 4), (13, 3, 1)])
-def test_summing_in_place_keeps_the_canonical_anf(gen, monkeypatch, p, n, dense):
-    # texts of random tables, and sums that cancel, against the copying sum
+def test_summing_in_place_keeps_the_canonical_anf(gen, p, n, dense):
+    # texts of random tables, and sums that cancel, against the interpolated
+    # ANF of each text's values computed x by x
     texts = [anf_text(random_function(gen, p, n)) for _ in range(dense)] + CANCELLING
-    got = [parse_anf(text, p, n).anf for text in texts]
-    monkeypatch.setattr(lfqec._textfile, "_poly_add", copying_poly_add)
-    assert got == [parse_anf(text, p, n).anf for text in texts]
+    for text in texts:
+        expected = lfqec.logic_fn._anf_terms(LogicFunction(p, n, evaluate_text(p, n, text)))
+        assert parse_anf(text, p, n).anf == expected
+
+
+def random_expression(gen, p, n, depth) -> tuple:
+    """(text, value, level) of a random expression tree: value(x) evaluates
+    it over the integers, powers mod p, and level is how loosely its text
+    binds (0 a constant, variable or parenthesized text, 1 a power, 2 a
+    product, 3 a sum). Leaves are constants up to 3p and variables under
+    either name; nodes are sums, differences, unary minus, products written
+    with '*' or by juxtaposition, and powers up to 2p + 1 written with '^' or
+    '**'."""
+    kind = int(gen.integers(0, 6)) if depth else int(gen.integers(0, 2))
+    if kind == 0:
+        c = int(gen.integers(0, 3 * p + 1))
+        return str(c), lambda x: c, 0
+    if kind == 1:
+        v = int(gen.integers(0, n))
+        return f"{gen.choice(['x', 'y'])}{v + 1}", lambda x: x[v], 0
+
+    def operand(loosest):  # a subtree, parenthesized if it binds looser, or at random
+        text, value, level = random_expression(gen, p, n, depth - 1)
+        return (text if level <= loosest and gen.random() < 0.7 else f"({text})"), value
+
+    if kind == 2:  # a leading '-' negates the whole term it starts
+        a, fa = operand(2)
+        return f"(-{a})", lambda x: -fa(x), 0
+    if kind == 3:
+        (a, fa), e = operand(0), int(gen.integers(0, 2 * p + 2))
+        return f"{a}{gen.choice(['^', '**'])}{e}", lambda x: pow(fa(x), e, p), 1
+    (a, fa), (b, fb) = operand(3 if kind == 4 else 2), operand(2)
+    if kind == 4:
+        if gen.random() < 0.5:
+            return f"{a} + {b}", lambda x: fa(x) + fb(x), 3
+        return f"{a} - {b}", lambda x: fa(x) - fb(x), 3
+    if gen.random() < 0.5:
+        return f"{a}*{b}", lambda x: fa(x) * fb(x), 2
+    # juxtaposed: no space is needed after ')' or before '(' or a variable
+    space = "" if a.endswith(")") or b[0] in "(xy" else " "
+    return f"{a}{space}{b}", lambda x: fa(x) * fb(x), 2
+
+
+@pytest.mark.parametrize("p, n", [(2, 5), (3, 3), (5, 2), (13, 2)])
+def test_random_expressions_match_their_values(gen, p, n):
+    for _ in range(150):
+        text, value, _ = random_expression(gen, p, n, int(gen.integers(1, 5)))
+        expected = lfqec.logic_fn._anf_terms(LogicFunction(p, n, brute_table(p, n, value)))
+        assert parse_anf(text, p, n).anf == expected, text
 
 
 def test_a_dense_anf_text_parses_in_linear_time(gen):
@@ -645,7 +739,6 @@ def test_parse_function_file_errors():
     ):
         with pytest.raises(InputError):
             parse_function_file(bad)
-    max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if max_digits:  # int() refuses longer digit strings
+    if MAX_DIGITS:  # int() refuses longer digit strings
         with pytest.raises(InputError):
-            parse_function_file("2 2\nanf: " + "9" * (max_digits + 1))
+            parse_function_file("2 2\nanf: " + "9" * (MAX_DIGITS + 1))

@@ -4,7 +4,8 @@ process with one OpenBLAS thread whose address space alone is capped at
 n = 22 bent function must finish inside it, with the exact answer, and
 `lfqec zset` with 2^21 shifts to list must be refused with exit 3. So must
 `lfqec mds --m 7`, whose 4096 basis tables hold 2^26 entries, while 2048
-basis functions at n = 12 and `mds --m 6` must finish. Under 384 MiB,
+basis functions at n = 12 and `mds --m 6` must finish; under 256 MiB,
+`mds --m 30000000` must be refused with exit 3 within a second. Under 384 MiB,
 `lfqec verify` of a shared-quadratic code with 4096^2 basis pairs must be
 refused with exit 3; the pairs are counted from the basis list, so it is
 refused before any table is built. An in-cap shared-quadratic code at
@@ -19,6 +20,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -203,3 +205,13 @@ def test_mds_extraction_fits_the_ceiling_up_to_the_listing_budget():
     proc = run_child(cli_code("mds", "--m", "7"))
     assert proc.returncode == 3, proc.stderr[-2000:]
     assert proc.stderr == "capacity: 4096 x 2^14 table entries exceed the listing budget 4194304\n"
+
+
+def test_mds_over_the_table_cap_is_refused_before_its_text_is_built():
+    # the product's text for m = 3e7 takes gigabytes; the cap on n = 2m comes first
+    t0 = time.perf_counter()
+    proc = run_child(cli_code("mds", "--m", "30000000"), ceiling=256 << 20)
+    assert time.perf_counter() - t0 < 1
+    assert proc.returncode == 3, proc.stderr[-2000:]
+    assert proc.stderr == "capacity: p^n with n = 60000000 exceeds cap 16777216\n"
+    assert proc.stdout == ""

@@ -54,6 +54,7 @@ MALFORMED = {
     "function header": ({"f.fn": "2\nanf: x1\n"}, ["zset", "f.fn"]),
     "function anf": ({"f.fn": "2 4\nanf: x1 @ x2\n"}, ["apc", "f.fn"]),
     "function table": ({"f.fn": "2 2\ntt: 00011\n"}, ["bent", "f.fn"]),
+    "function extra line": ({"f.fn": "2 3\nanf: x1*x2\n+ x3\n"}, ["zset", "f.fn"]),
     "graph": ({"g": "2 3\n1 4\n", "c": CLASSES}, ["graph-code", "g", "--classes", "c", "--d", "2"]),
     "classes": ({"g": GRAPH, "c": "012\n"}, ["graph-code", "g", "--classes", "c", "--d", "2"]),
     "matrix": ({"m": "2 2\n1 0\n0\n"}, ["matrix-check", "m", "--k", "0", "--d", "1"]),
