@@ -15,6 +15,7 @@ from .errors import InputError
 from .fp_algebra import FpMatrix, check_listing, table_size
 
 _DIGITS = re.compile(r"[0-9]+")
+MAX_NESTING = 100  # open parentheses in an ANF; the parser spends 4 frames on each
 
 
 def content_lines(text: str) -> list:
@@ -89,7 +90,7 @@ def anf_terms(text: str, p: int, n: int) -> list:
     parser = _Parser(text, p, n)
     try:
         poly = parser.expr()
-    except RecursionError as exc:  # too deeply nested
+    except RecursionError as exc:  # a caller already deep in the stack
         raise InputError("polynomial nests too deeply") from exc
     if parser.tok[0] != "end":
         raise InputError(f"unexpected token {parser.tok[1]!r} at position {parser.pos}")
@@ -109,6 +110,7 @@ class _Parser:
         self.p = p
         self.n = n
         self.pos = 0
+        self.depth = 0  # parentheses open at the current token
         self._advance()
 
     def _advance(self):
@@ -170,9 +172,13 @@ class _Parser:
             return {(): val % self.p}
         if kind == "var":
             return {(val,): 1}
+        if self.depth == MAX_NESTING:
+            raise InputError("polynomial nests too deeply")
+        self.depth += 1
         poly = self.expr()
         if self.tok[1] != ")":
             raise InputError(f"missing ')' at position {self.pos}")
+        self.depth -= 1
         self._advance()
         return poly
 

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 from ._textfile import read_graph_file
 from .errors import CapacityError, InputError
-from .fp_algebra import FpMatrix, PauliLabel, rank, solve_linear
+from .fp_algebra import FpMatrix, PauliLabel, check_listing, rank, solve_linear
 
-# Coverage and the matrix checks are F_p work on Python ints: only the
-# function-valued constructions import logic_fn and codespec, and so numpy.
+# The matrix checks run on Python ints; numpy loads only when coverage runs
+# or a function-valued construction imports logic_fn and codespec.
 
 MAX_COVERAGE_VERTICES = 20
 
@@ -81,35 +81,30 @@ def _unmask(mask: int, n: int) -> frozenset:
     return frozenset(v + 1 for v in range(n) if mask >> v & 1)
 
 
-def _parity_mask_of(G: WeightedGraph, omega_mask: int) -> int:
-    """Vertices with nonzero total weight into omega, as a bitmask."""
-    totals = [0] * G.n
-    for v in range(G.n):
-        if omega_mask >> v & 1:
-            row = G.adj.entries[v]
-            for u in range(G.n):
-                totals[u] = (totals[u] + row[u]) % G.p
-    return sum(1 << u for u in range(G.n) if totals[u])
-
-
-def _coverage_map(G: WeightedGraph, budget: int) -> dict:
-    """mask(T) -> (omega, delta) masks for every T coverable within the
-    budget; first witness in deterministic order wins."""
+def _coverage_map(G: WeightedGraph, budget: int) -> np.ndarray:
+    """Rows omega and delta over the 2^n vertex masks T: the masks of T's
+    first witness in (support size, support, roles) order; omega[T] is -1
+    where T is not coverable within the budget."""
     if G.n > MAX_COVERAGE_VERTICES:
         raise CapacityError(f"coverage search limited to {MAX_COVERAGE_VERTICES} vertices")
-    cov: dict = {}
-    for s in range(budget + 1):
-        for supp in itertools.combinations(range(G.n), s):
-            # roles: 1 = omega only, 2 = delta only, 3 = both
-            for roles in itertools.product((1, 2, 3), repeat=s):
-                om = de = 0
-                for v, role in zip(supp, roles):
-                    if role & 1:
-                        om |= 1 << v
-                    if role & 2:
-                        de |= 1 << v
-                t = de ^ _parity_mask_of(G, om)
-                cov.setdefault(t, (om, de))
+    top = min(budget, G.n)  # no support is larger than n
+    check_listing(3**top, f"3^{top} = {3**top} coverage role tuples")
+    import numpy as np
+
+    bits, adj = 1 << np.arange(G.n), np.array(G.adj.entries, dtype=np.int64)
+    cov = np.full((2, 1 << G.n), -1)
+    for s in range(top + 1):
+        # role tuples in product order, 1 = omega only, 2 = delta only, 3 = both;
+        # each picks its omega and its delta by subset index into the support
+        roles = np.indices((3,) * s).reshape(s, 3**s).T + 1
+        picks = np.stack([roles & 1, roles >> 1]) @ bits[:s]
+        subsets = np.arange(1 << s)[:, None] >> np.arange(s) & 1
+        for supp in map(list, itertools.combinations(range(G.n), s)):
+            masks = subsets @ bits[supp]
+            nbrs = (subsets @ adj[supp] % G.p != 0) @ bits  # N(omega) per subset
+            t, first = np.unique(masks[picks[1]] ^ nbrs[picks[0]], return_index=True)
+            new = cov[0, t] < 0
+            cov[:, t[new]] = masks[picks[:, first[new]]]
     return cov
 
 
@@ -118,10 +113,8 @@ def uncoverable_family(G: WeightedGraph, d: int) -> set:
     coverage test. Exponential in n; guarded by the vertex cap."""
     if d < 1:
         raise InputError("d must be >= 1")
-    cov = _coverage_map(G, d - 1)
-    return {
-        _unmask(m, G.n) for m in range(1, 1 << G.n) if m not in cov
-    }
+    omega, _ = _coverage_map(G, d - 1)
+    return {_unmask(m, G.n) for m in range(1, 1 << G.n) if omega[m] < 0}
 
 
 # ---------------------------------------------------------------------------
@@ -141,12 +134,12 @@ def build_graph_code(G: WeightedGraph, classes, d: int) -> CodeSpec:
     if len(set(classes)) != len(classes):
         raise InputError("classes must be pairwise distinct")
     # distinct classes differ, so each difference is nonempty and is coverable
-    # exactly when the map holds it
-    cov = _coverage_map(G, d - 1) if len(classes) > 1 else {}
+    # exactly when omega holds a witness for it
+    omega, delta = _coverage_map(G, d - 1) if len(classes) > 1 else ((), ())
     for ci, cj in itertools.combinations(classes, 2):
-        hit = cov.get(_mask(ci ^ cj))
-        if hit is not None:
-            om, de = (sorted(_unmask(m, G.n)) for m in hit)
+        t = _mask(ci ^ cj)
+        if omega[t] >= 0:
+            om, de = (sorted(_unmask(m, G.n)) for m in (omega[t], delta[t]))
             raise InputError(
                 f"classes {sorted(ci)} and {sorted(cj)}: symmetric difference "
                 f"{sorted(ci ^ cj)} is coverable below weight {d}; witness "

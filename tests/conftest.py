@@ -311,6 +311,26 @@ def reference_kernel_check(A: FpMatrix, k: int, d: int):
     return True, None, None, None
 
 
+def reference_coverage_map(G, budget: int) -> dict:
+    """mask(T) -> (omega, delta) masks of the first witness of every T
+    coverable within the budget, by three nested loops over support size,
+    support and role tuple (1 = omega only, 2 = delta only, 3 = both), with
+    N(omega) summed row by row for each tuple."""
+    cov: dict = {}
+    for s in range(budget + 1):
+        for supp in itertools.combinations(range(G.n), s):
+            for roles in itertools.product((1, 2, 3), repeat=s):
+                om = sum(1 << v for v, r in zip(supp, roles) if r & 1)
+                de = sum(1 << v for v, r in zip(supp, roles) if r & 2)
+                totals = [0] * G.n
+                for v in range(G.n):
+                    if om >> v & 1:
+                        totals = [t + w for t, w in zip(totals, G.adj.entries[v])]
+                parity = sum(1 << u for u in range(G.n) if totals[u] % G.p)
+                cov.setdefault(de ^ parity, (om, de))
+    return cov
+
+
 def stabilizer_labels(A: FpMatrix) -> list:
     """Row i of the n x 2n matrix (L|B) as the label (L_i, B_i)."""
     n = A.rows

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import reference_kernel_check, verify_stabilizer
+from conftest import reference_coverage_map, reference_kernel_check, verify_stabilizer
 from lfqec import graph_codes
 from lfqec import (
     CapacityError,
@@ -136,6 +136,16 @@ def test_family_shrinks_with_distance(gen):
         assert uncoverable_family(G, d + 1) <= uncoverable_family(G, d)
 
 
+def test_coverage_map_matches_the_reference(gen):
+    # witness for witness, at every budget up to two past n
+    for p, n in itertools.product((2, 3, 5), range(1, 8)):
+        G = random_graph(gen, p, n)
+        for budget in range(n + 3):
+            omega, delta = graph_codes._coverage_map(G, budget)
+            found = {m: (omega[m], delta[m]) for m in range(1 << n) if omega[m] >= 0}
+            assert found == reference_coverage_map(G, budget), (p, n, budget)
+
+
 def test_coverage_witness_recomputes(gen):
     # each witness of the coverage map that build_graph_code reads, recomputed
     for _ in range(40):
@@ -146,11 +156,12 @@ def test_coverage_witness_recomputes(gen):
         T = frozenset(
             int(v) + 1 for v in gen.choice(n, size=int(gen.integers(1, n + 1)), replace=False)
         )
-        wit = graph_codes._coverage_map(G, d - 1).get(sum(1 << (v - 1) for v in T))
-        if wit is None:
+        mask = sum(1 << (v - 1) for v in T)
+        omegas, deltas = graph_codes._coverage_map(G, d - 1)
+        if omegas[mask] < 0:
             assert T in uncoverable_family(G, d)
             continue
-        omega, delta = ({v for v in range(n) if m >> v & 1} for m in wit)  # 0-based
+        omega, delta = ({v for v in range(n) if m >> v & 1} for m in (omegas[mask], deltas[mask]))
         assert len(omega | delta) <= d - 1
         # recompute: T = delta xor support of the weighted neighborhood sum
         acc = np.zeros(n, dtype=int)

@@ -26,7 +26,7 @@ from conftest import (
 )
 import lfqec.fp_algebra
 import lfqec.logic_fn
-from lfqec._textfile import read_function_file
+from lfqec._textfile import MAX_NESTING, anf_terms, read_function_file
 from lfqec.fp_algebra import PRIMES
 from lfqec import (
     CapacityError,
@@ -170,6 +170,21 @@ def test_reader_messages(text, message):
     with pytest.raises(InputError) as exc:
         parse_anf(text, 3, 4)
     assert str(exc.value) == message
+
+
+def read_nested(depth: int, frames: int) -> list:
+    """anf_terms of x1 inside `depth` parentheses, from `frames` extra frames."""
+    if frames:
+        return read_nested(depth, frames - 1)
+    return anf_terms("(" * depth + "x1" + ")" * depth, 2, 1)
+
+
+@pytest.mark.parametrize("frames", [0, 300])
+def test_nesting_limit_is_a_property_of_the_text(frames):
+    assert read_nested(MAX_NESTING, frames) == [(1, (0,))]
+    for depth in (MAX_NESTING + 1, 200):
+        with pytest.raises(InputError, match="^polynomial nests too deeply$"):
+            read_nested(depth, frames)
 
 
 def test_anf_text_round_trip(gen):

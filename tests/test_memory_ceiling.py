@@ -14,7 +14,11 @@ basis function is expanded to a table, and a Gram sweep over 48 cubic
 functions at n = 20 must be refused with exit 3 before a state is built.
 Under 256 MiB, `lfqec zset --format json` must list 2^17 shifts of length
 18, `lfqec coset-code` must search with 32 shifts of length 16, and the
-closed form must walk the 4.7 M weight-3 labels of a p = 13, n = 3 code."""
+closed form must walk the 4.7 M weight-3 labels of a p = 13, n = 3 code,
+and `lfqec graph-code` must search the cycle C20 for coverage with budget 4.
+A coverage budget above n stops at n, so C5 with d = 20 gets its witness
+within a second, and 3^14 role tuples on one support are refused with
+exit 3 within a second, before any support is walked."""
 import json
 import os
 import pathlib
@@ -214,4 +218,49 @@ def test_mds_over_the_table_cap_is_refused_before_its_text_is_built():
     assert time.perf_counter() - t0 < 1
     assert proc.returncode == 3, proc.stderr[-2000:]
     assert proc.stderr == "capacity: p^n with n = 60000000 exceeds cap 16777216\n"
+    assert proc.stdout == ""
+
+
+def cycle_graph_code(tmp_path, n: int, d: int, ceiling: int = CEILING) -> subprocess.CompletedProcess:
+    """`lfqec graph-code` on the cycle Cn with the classes {} and V."""
+    graph, classes = tmp_path / f"c{n}.g", tmp_path / f"c{n}.classes"
+    graph.write_text(f"2 {n}\n" + "".join(f"{i} {i % n + 1}\n" for i in range(1, n + 1)))
+    classes.write_text("0" * n + "\n" + "1" * n + "\n")
+    return run_child(cli_code("graph-code", str(graph), "--classes", str(classes), "--d", str(d)),
+                     ceiling=ceiling)
+
+
+def test_graph_code_coverage_fits_256_mib(tmp_path):
+    # C20 with budget 4: 6,196 supports, 424,996 role tuples
+    proc = cycle_graph_code(tmp_path, 20, 5, ceiling=256 << 20)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    quad = " + ".join(["x1*x2", "x1*x20"] + [f"x{i}*x{i + 1}" for i in range(2, 20)])
+    linear = " + ".join(f"x{i}" for i in range(1, 21))
+    assert proc.stdout == (f"code: ((20, 2, 5))_p=2\nprovenance: graph-code\n"
+                           f"basis[0]: {quad}\nbasis[1]: {linear} + {quad}\n")
+    assert proc.stderr == ""
+
+
+def test_graph_code_budget_past_n_stops_at_n(tmp_path):
+    t0 = time.perf_counter()
+    proc = cycle_graph_code(tmp_path, 5, 20)
+    assert time.perf_counter() - t0 < 1
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert proc.stderr == (
+        "error: classes [] and [1, 2, 3, 4, 5]: symmetric difference [1, 2, 3, 4, 5] is "
+        "coverable below weight 20; witness omega=[1, 2, 3] delta=[2]\n"
+    )
+    assert proc.stdout == ""
+
+
+def test_graph_code_coverage_over_the_listing_budget_is_refused(tmp_path):
+    # 3^14 role tuples on the one support of size 14; walking all supports
+    # would take 4^14 role tuples
+    t0 = time.perf_counter()
+    proc = cycle_graph_code(tmp_path, 14, 15)
+    assert time.perf_counter() - t0 < 1
+    assert proc.returncode == 3, proc.stderr[-2000:]
+    assert proc.stderr == (
+        "capacity: 3^14 = 4782969 coverage role tuples exceed the listing budget 4194304\n"
+    )
     assert proc.stdout == ""
