@@ -6,7 +6,7 @@ That is the C-order ravel of an array on the grid (p,)*n whose axis i
 carries the digit x_(i+1). Every helper here works on that grid: a digit is
 one broadcast axis, a linear form is a sum of them and a shift is a roll, so
 no helper forms a table of all p^n * n digits. This module is the only one
-that converts between indices and vectors.
+that converts between indices and vectors, and `shifted` is the one roll.
 """
 import numpy as np
 
@@ -40,11 +40,12 @@ def vector_index(p: int, n: int, x) -> int:
     return int(np.ravel_multi_index(tuple(int(v) for v in x), (p,) * n))
 
 
+def shifted(values: np.ndarray, p: int, n: int, a) -> np.ndarray:
+    """values[x - a] for every x: the one grid roll, by a_i along each axis i."""
+    axes = tuple(i for i, v in enumerate(a) if v % p)
+    return np.roll(values.reshape((p,) * n), tuple(int(a[i]) for i in axes), axis=axes).reshape(-1)
+
+
 def shifted_indices(p: int, n: int, a) -> np.ndarray:
-    """Index of x + a for every x, as an array over table indices. On the
-    grid, x + a is a cyclic roll by -a_i along each axis i where a_i is
-    nonzero."""
-    a = [int(v) % p for v in a]
-    supp = tuple(i for i, v in enumerate(a) if v)
-    grid = np.arange(p**n).reshape((p,) * n)
-    return np.roll(grid, tuple(-a[i] for i in supp), axis=supp).ravel()
+    """Index of x + a for every x, as an array over table indices."""
+    return shifted(np.arange(p**n), p, n, [-int(v) for v in a])

@@ -158,8 +158,9 @@ class _Parser:
         if kind != "int":
             raise InputError(f"exponent must be an integer at position {self.pos}")
         self._advance()
-        out = {(): 1}
-        for _ in range(_reduce_exponent(e, self.p)):
+        e = _reduce_exponent(e, self.p)
+        out = base if e else {(): 1}  # 0^0 = 1; no caller mutates a term, so base is shared
+        for _ in range(e - 1):
             out = _poly_mul(out, base, self.p)
         return out
 

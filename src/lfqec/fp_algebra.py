@@ -9,7 +9,7 @@ Three pillars used everywhere else:
   coefficient is 0. A value is zero exactly when its coefficients are all
   equal, which makes character-sum zero tests pure integer comparisons.
 - PauliLabel: (a|b) in F_p^n x F_p^n naming the phase-free error X_a Z_b,
-  with the symplectic product. Label searches walk `label_blocks`.
+  with the symplectic product. `label_blocks` walks them as rows grouped by a.
 - F_p linear algebra: rank, solve with nullspace basis, over small matrices.
 
 Capacities keep everything desk-scale: p <= 13, truth tables to 2^24
@@ -129,9 +129,11 @@ def symplectic_product(u: PauliLabel, v: PauliLabel) -> int:
 
 def label_blocks(p: int, n: int, w: int):
     """All labels of symplectic weight w in the fixed order: support, then a,
-    then b, each lexicographic, as (supp, A, B) per chunk: int8 rows a_S, b_S
-    from the 2w base-p digits of up to _CHUNK_ROWS numbers, less those with
-    a_k = b_k = 0. A weight whose (p^2 - 1)^w kept rows fit one chunk shares it."""
+    then b, each lexicographic, as (supp, A, B, starts) per chunk. A and B are
+    int8 rows (rows, n) holding a and b, 0 off supp, decoded from the 2w
+    base-p digits of up to _CHUNK_ROWS numbers less those with a_k = b_k = 0;
+    rows starts[i]:starts[i + 1] share their a, and starts runs 0 .. rows. A
+    weight whose (p^2 - 1)^w kept rows fit one chunk is decoded and grouped once."""
     import numpy as np  # in the walk, so that the command line loads this module without numpy
 
     digits = np.indices((p,) * w, dtype=np.int8).reshape(w, p**w).T  # row i: i in base p
@@ -139,14 +141,20 @@ def label_blocks(p: int, n: int, w: int):
     def chunk(lo):
         a, b = np.divmod(np.arange(lo, min(lo + _CHUNK_ROWS, p ** (2 * w))), p**w)
         keep = (digits[a] | digits[b]).all(axis=1)
-        return digits[a[keep]], digits[b[keep]]
+        return digits[np.stack((a[keep], b[keep]))]  # (2, rows, w): the a_S and b_S rows
 
-    starts = range(0, p ** (2 * w), _CHUNK_ROWS)
-    fits = (p * p - 1) ** w <= _CHUNK_ROWS  # then decoded chunk by chunk once, shared read-only
-    whole = [tuple(map(np.concatenate, zip(*map(chunk, starts))))] if fits else None
-    for supp in itertools.combinations(range(n), w):
-        for A, B in whole or (AB for AB in map(chunk, starts) if len(AB[0])):
-            yield list(supp), A, B
+    def grouped(AB):
+        cut = (AB[0, 1:] != AB[0, :-1]).any(axis=1).nonzero()[0] + 1
+        return AB, [0, *cut.tolist(), AB.shape[1]]
+
+    numbers = range(0, p ** (2 * w), _CHUNK_ROWS)
+    fits = (p * p - 1) ** w <= _CHUNK_ROWS  # then decoded chunk by chunk and grouped once
+    whole = [grouped(np.concatenate(list(map(chunk, numbers)), axis=1))] if fits else None
+    for supp in map(list, itertools.combinations(range(n), w)):
+        for AB, starts in whole or (grouped(AB) for AB in map(chunk, numbers) if AB.shape[1]):
+            full = np.zeros((2, AB.shape[1], n), dtype=np.int8)
+            full[..., supp] = AB
+            yield supp, *full, starts
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._tables import digit_axis, index_vectors, linear_values
+from ._tables import digit_axis, index_vectors, linear_values, shifted
 from ._textfile import anf_terms
 from .errors import InputError
 from .fp_algebra import (
@@ -223,13 +223,6 @@ def weight_support(f: LogicFunction):
 # character sums
 
 
-def _shifted(table: np.ndarray, p: int, n: int, a) -> np.ndarray:
-    """table[x - a] for every x: the grid rolled by a_i along each axis i."""
-    axes = tuple(i for i, v in enumerate(a) if v % p)
-    grid = table.reshape((p,) * n)
-    return np.roll(grid, tuple(int(a[i]) for i in axes), axis=axes).reshape(-1)
-
-
 def _first_nonvanishing(f: LogicFunction, betas) -> tuple:
     """(w, a, b): the first label, in increasing weight and label_blocks
     order, at which some shift pair (beta_i, beta_j), i = j included, makes
@@ -261,15 +254,13 @@ def _first_nonvanishing(f: LogicFunction, betas) -> tuple:
         ys = np.indices((p,) * w).reshape(w, -1)  # y in index order, x_S[0] most significant
         y_rows = p * np.arange(p**w)[:, None]  # H[y] starts at p y in the flat H
         rows = p ** max(0, n - w - 1)  # labels per gather: rows p^(w+1) <= N entries
-        for supp, A, B in label_blocks(p, n, w):
+        for supp, A, B, starts in label_blocks(p, n, w):
             y_key = sum(digit_axis(p, n, s) * p ** (w - 1 - k) for k, s in enumerate(supp))
             base = (table.reshape((p,) * n) + (stride * y_key + p)).reshape(-1)
-            E = np.eye(n, dtype=np.int64)[supp]  # x_S @ E spreads x_S over the n positions
-            cut = [0, *((A[1:] != A[:-1]).any(axis=1).nonzero()[0] + 1).tolist(), len(A)]
-            for lo, hi in zip(cut, cut[1:]):  # the a-groups of the chunk
-                keys = base - _shifted(table, p, n, a := (A[lo] @ E).tolist())
+            for lo, hi in zip(starts, starts[1:]):  # the a-groups of the chunk
+                keys = base - shifted(table, p, n, a := A[lo].tolist())
                 for c in range(lo, hi, rows):
-                    by = (B[c : min(c + rows, hi)] @ ys)[:, :, None]
+                    by = (B[c : min(c + rows, hi), supp] @ ys)[:, :, None]
                     idx = y_rows + (np.arange(p) - by) % p  # (b, y, e) -> H[y][e - b_S.y]
                     hit = np.zeros(len(idx), dtype=bool)
                     for exps in _delta_keys(keys, plus, minus, pairs.values(), buf):
@@ -279,7 +270,7 @@ def _first_nonvanishing(f: LogicFunction, betas) -> tuple:
                         if hit[0]:  # no label of the gather comes before it
                             break
                     if hit.any():
-                        return w, tuple(a), tuple((B[c + hit.argmax()] @ E).tolist())
+                        return w, tuple(a), tuple(B[c + hit.argmax()].tolist())
     raise RuntimeError("unreachable: weight-n labels always include a nonvanishing sum")
 
 
@@ -310,7 +301,7 @@ def autocorrelation(f: LogicFunction, a) -> CycloInt:
     if len(a) != f.n:
         raise InputError("shift length mismatch")
     t = f.table
-    exps = (t - _shifted(t, f.p, f.n, [-int(v) for v in a])) % f.p
+    exps = (t - shifted(t, f.p, f.n, [-int(v) for v in a])) % f.p
     return cyclo_from_histogram(f.p, np.bincount(exps, minlength=f.p))
 
 

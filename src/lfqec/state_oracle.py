@@ -215,13 +215,11 @@ def _failures(basis, p: int, n: int, max_weight: int):
     # under its default mode="raise"; the index is in range by construction.
     kets = np.empty_like(X)
     for w in range(1, max_weight + 1):
-        for supp, A, B in label_blocks(p, n, w):
-            E = np.eye(n, dtype=np.int64)[supp]  # x_S @ E spreads x_S over the n positions
-            cut = [0, *((A[1:] != A[:-1]).any(axis=1).nonzero()[0] + 1).tolist(), len(A)]
-            for lo, hi in zip(cut, cut[1:]):  # Python ints: _error_index sums over them
-                a = (A[lo] @ E).tolist()
+        for _, A, B, starts in label_blocks(p, n, w):
+            for lo, hi in zip(starts, starts[1:]):
+                a = A[lo].tolist()  # Python ints: _error_index sums over them
                 shift = shifted_indices(p, n, [-v for v in a])
-                for b in (B[lo:hi] @ E).tolist():
+                for b in B[lo:hi].tolist():
                     np.take(X, _error_index(shift, a, b, p, n), axis=1, out=kets, mode="clip")
                     bad = _violation(_gram(X, kets, p))
                     if bad is not None:
@@ -242,18 +240,17 @@ def _closed_form_failures(S, L, p: int, n: int, max_weight: int):
     D.flat[:: K + 1] = p**n  # i = j is the diagonal test, not a pair: no key is p^n
     codes, first = np.unique(D, return_index=True)
     for w in range(1, max_weight + 1):
-        for supp, A, B in label_blocks(p, n, w):
-            E = np.eye(n, dtype=np.int64)[supp]  # x_S @ E spreads x_S over the n positions
-            u = (B @ E - A @ S[supp]) % p @ key  # S a = a_S S[supp], as S is symmetric
+        for supp, A, B, _ in label_blocks(p, n, w):
+            u = (B - A[:, supp] @ S[supp]) % p @ key  # S a = a_S S[supp], as S is symmetric
             at = np.searchsorted(codes, u)
             for r in np.flatnonzero((codes[at] == u) | (u == 0)).tolist():
                 if codes[at[r]] == u[r]:
                     bad = ("offdiag_nonzero", *divmod(int(first[at[r]]), K))
-                elif (j := int(np.argmax((L[:, supp] - L[0, supp]) @ A[r] % p != 0))) or K == 1:
+                elif (j := int(np.argmax((L - L[0]) @ A[r] % p != 0))) or K == 1:
                     bad = ("diag_unequal", 0, j)
                 else:
                     continue
-                yield w, KLFailure(tuple((A[r] @ E).tolist()), tuple((B[r] @ E).tolist()), *bad)
+                yield w, KLFailure(tuple(A[r].tolist()), tuple(B[r].tolist()), *bad)
 
 
 def _function_failures(basis, p: int, n: int, max_weight: int):

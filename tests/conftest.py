@@ -121,10 +121,8 @@ def walk_blocks(p: int, n: int, w: int) -> list:
     """The walk label_blocks(p, n, w) read as blocks (a, bs), one per support
     and a, every vector a tuple of Python ints: bs lists the b that go with a."""
     blocks = []
-    for supp, A, B in label_blocks(p, n, w):
-        full = np.zeros((2, len(A), n), dtype=np.int64)
-        full[0][:, supp], full[1][:, supp] = A, B
-        for a, b in zip(*(map(tuple, rows.tolist()) for rows in full)):
+    for supp, A, B, _ in label_blocks(p, n, w):  # merges a-groups itself, not by starts
+        for a, b in zip(map(tuple, A.tolist()), map(tuple, B.tolist())):
             if not blocks or blocks[-1][:2] != (supp, a):
                 blocks.append((supp, a, []))
             blocks[-1][2].append(b)

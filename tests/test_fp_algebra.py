@@ -141,13 +141,13 @@ def test_label_blocks_follow_the_reference_order(p):
             blocks = walk_blocks(p, n, w)
             assert [(a, b) for a, bs in blocks for b in bs] == reference_labels(p, n, w)
             # one block per (support, a) pair; the chunks of a support come in
-            # a row, in the order of the supports, and hold int8 rows w wide
+            # a row, in the order of the supports, and hold int8 rows n wide
             assert len(blocks) == math.comb(n, w) * p**w
             chunks = list(label_blocks(p, n, w))
             supports = [list(s) for s in itertools.combinations(range(n), w)]
-            assert [supp for supp, _ in itertools.groupby(s for s, _, _ in chunks)] == supports
-            assert all(X.dtype == np.int8 and X.shape == (len(A), w)
-                       for _, A, B in chunks for X in (A, B))
+            assert [supp for supp, _ in itertools.groupby(s for s, *_ in chunks)] == supports
+            assert all(X.dtype == np.int8 and X.shape == (len(A), n)
+                       for _, A, B, _ in chunks for X in (A, B))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -159,7 +159,7 @@ def test_label_walk_in_small_chunks_keeps_the_reference_order(p, rows, monkeypat
     for n in range(1, 4):
         for w in range(n + 1):
             chunks = list(label_blocks(p, n, w))
-            assert all(0 < len(A) <= rows for _, A, _ in chunks)
+            assert all(0 < len(A) <= rows for _, A, *_ in chunks)
             flat = [(a, b) for a, bs in walk_blocks(p, n, w) for b in bs]
             assert flat == reference_labels(p, n, w)
     # the one support of weight 3 spans several chunks, unless its kept rows fit one
@@ -169,15 +169,40 @@ def test_label_walk_in_small_chunks_keeps_the_reference_order(p, rows, monkeypat
 @pytest.mark.parametrize("p, w, rows", [(2, 2, 9), (2, 3, 30), (3, 2, 70)])
 def test_a_weight_whose_kept_rows_fit_a_chunk_is_decoded_once(p, w, rows, monkeypatch):
     # the p^2w numbers take several decode chunks, but the (p^2 - 1)^w rows
-    # kept fit one, which every support shares
+    # kept fit one, which every support shares: one grouping, and the one
+    # decode placed on each support
     monkeypatch.setattr(fp_algebra, "_CHUNK_ROWS", rows)
     assert (p * p - 1) ** w <= rows < p ** (2 * w)
     n = w + 2
     chunks = list(label_blocks(p, n, w))
     assert len(chunks) == math.comb(n, w)
-    assert all(A is chunks[0][1] and B is chunks[0][2] for _, A, B in chunks)
+    supp0, A0, B0, starts0 = chunks[0]
+    for supp, A, B, starts in chunks:
+        assert starts is starts0
+        for X, X0 in ((A, A0), (B, B0)):
+            want = np.zeros_like(X0)
+            want[:, supp] = X0[:, supp0]
+            assert np.array_equal(X, want)
     flat = [(a, b) for a, bs in walk_blocks(p, n, w) for b in bs]
     assert flat == reference_labels(p, n, w)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("rows", [1, 7, 40])
+def test_label_walk_hands_full_rows_and_a_group_starts(p, rows, monkeypatch):
+    # A and B are int8 (rows, n), 0 off the support, and starts cuts each
+    # chunk at exactly the maximal runs of equal a
+    monkeypatch.setattr(fp_algebra, "_CHUNK_ROWS", rows)
+    for n in range(1, 4):
+        for w in range(n + 1):
+            for supp, A, B, starts in label_blocks(p, n, w):
+                off = [i for i in range(n) if i not in supp]
+                for X in (A, B):
+                    assert X.dtype == np.int8 and X.shape == (len(A), n)
+                    assert not X[:, off].any()
+                a = A.tolist()
+                runs = [i for i in range(1, len(a)) if a[i] != a[i - 1]]
+                assert starts == [0, *runs, len(a)]
 
 
 # ---------------------------------------------------------------------------

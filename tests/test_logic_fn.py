@@ -110,6 +110,19 @@ def test_parse_exponent_reduction():
     assert parse_anf("x1^4", 3, 1) == parse_anf("x1^2", 3, 1)
     assert parse_anf("x1^2", 3, 1) != parse_anf("x1", 3, 1)
     assert parse_anf("x1^0", 3, 1) == parse_anf("1", 3, 1)
+    # a power starts from its base: every exponent 0..2p, on a variable, a
+    # sum and a constant (0^0 = 1), read as the per-x power
+    for p in (3, 5, 7):
+        bases = [("x1", lambda x: x[0]), ("(x1 + 2*x2 + 1)", lambda x: x[0] + 2 * x[1] + 1),
+                 ("0", lambda x: 0), (f"({p - 1})", lambda x: p - 1)]
+        for e in range(2 * p + 1):
+            for text, fn in bases:
+                f = parse_anf(f"{text}^{e}", p, 2)
+                assert list(f.table) == brute_table(p, 2, lambda x: pow(fn(x), e, p)), (text, e)
+    # a variable repeated across factors reduces as one power: x1^3 = x1
+    f = parse_anf("x1^2*x1", 3, 2)
+    assert f.anf == ((1, (0,)),)
+    assert list(f.table) == brute_table(3, 2, lambda x: x[0] ** 3)
 
 
 def test_parse_operators_and_aliases():

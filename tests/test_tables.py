@@ -12,6 +12,7 @@ from lfqec._tables import (
     digit_axis,
     index_vectors,
     linear_values,
+    shifted,
     shifted_indices,
     vector_index,
 )
@@ -38,8 +39,11 @@ def test_layout_matches_digit_arithmetic(gen, p, n):
     for v in vectors(gen, p, n):
         want = [sum(vi * xi for vi, xi in zip(v, x)) % p for x in xs]
         assert linear_values(p, n, v).tolist() == want
-        shifted = [digit_index(p, [(xi + vi) % p for xi, vi in zip(x, v)]) for x in xs]
-        assert shifted_indices(p, n, v).tolist() == shifted
+        moved = [digit_index(p, [(xi + vi) % p for xi, vi in zip(x, v)]) for x in xs]
+        assert shifted_indices(p, n, v).tolist() == moved
+        values = gen.permutation(N)
+        rolled = [values[digit_index(p, [(xi - vi) % p for xi, vi in zip(x, v)])] for x in xs]
+        assert shifted(values, p, n, v).tolist() == rolled
     assert linear_values(p, n, (0,) * n).tolist() == [0] * N
 
 
