@@ -14,7 +14,6 @@ _EXPORTS = {
     "FpMatrix": "fp_algebra",
     "LinearSolution": "fp_algebra",
     "PauliLabel": "fp_algebra",
-    "cyclo_from_histogram": "fp_algebra",
     "label_blocks": "fp_algebra",
     "rank": "fp_algebra",
     "solve_linear": "fp_algebra",

@@ -1,10 +1,11 @@
-"""Readers of the input files: comment and blank-line filtering, the
-two-integer header, integer tokens and residue rows (on which `cli` reads
-matrix, classes and system files), the function and graph files, the code
-description (JSON), and the ANF syntax. Every malformed token raises
-InputError. Readers return plain values (header integers, ANF term
-lists, residue lists, an adjacency FpMatrix) and import no numeric library,
-so bad input is refused before one is loaded.
+"""Readers of every input format: the token helpers (comment and
+blank-line filtering, the two-integer header, integer tokens and residue
+rows), residue vectors (shift lists and system columns), the matrix,
+classes, system, function and graph files, the code description (JSON),
+and the ANF syntax. Every malformed token raises InputError. Readers return
+plain values (header integers, ANF term lists, residue lists and tuples,
+FpMatrix) and import no numeric library, so bad input is refused before one
+is loaded.
 """
 from __future__ import annotations
 
@@ -57,6 +58,60 @@ def residues(token: str, p: int, count: int | None = None, sep: str = r"[\s,]+")
     if any(not 0 <= v < p for v in vals):
         raise InputError(f"residues must lie in [0, {p})")
     return vals
+
+
+def read_vectors(text: str, p: int, n: int, sep: str = ",") -> list:
+    """Vectors of n residues, one per nonempty `sep`-separated token: a
+    compact digit string or residues separated by '.', ',' or ':'."""
+    return [tuple(residues(tok, p, n, sep=r"[.,:]")) for tok in text.split(sep) if tok]
+
+
+# ---------------------------------------------------------------------------
+# matrix, classes and system files
+
+
+def read_matrix_file(text: str) -> FpMatrix:
+    """'p r' then r rows of residues (compact digits for p <= 7 or
+    separated values); column count is set by the first row."""
+    p, r, body = read_header(text, "p r")
+    if len(body) != r:
+        raise InputError(f"expected {r} matrix rows, got {len(body)}")
+    rows = [residues(ln, p) for ln in body]
+    if len({len(row) for row in rows}) != 1:
+        raise InputError("matrix rows have inconsistent lengths")
+    return FpMatrix.from_rows(p, rows)
+
+
+def read_classes_file(text: str, n: int) -> list:
+    """One class per line as a length-n binary string, vertex 1 leftmost."""
+    classes = []
+    for ln in content_lines(text):
+        if not re.fullmatch(r"[01]+", ln) or len(ln) != n:
+            raise InputError(f"class line must be {n} binary digits, got {ln!r}")
+        classes.append(frozenset(i + 1 for i, ch in enumerate(ln) if ch == "1"))
+    if not classes:
+        raise InputError("classes file has no classes")
+    return classes
+
+
+def read_system_file(text: str) -> tuple:
+    """(p, n, rows) of a system file: 'p n' then rows 'alpha beta t' (two
+    residue vectors and a residue), each read as (alpha, beta, t)."""
+    p, n, body = read_header(text, "p n")
+    if not body:
+        raise InputError("system file needs at least one 'alpha beta t' row")
+    rows = []
+    for ln in body:
+        parts = ln.split()
+        if len(parts) != 3:
+            raise InputError(f"system row must be 'alpha beta t', got {ln!r}")
+        # split on the space between the columns: a ',' inside one separates residues
+        alpha, beta = read_vectors(" ".join(parts[:2]), p, n, sep=" ")
+        t = integer(parts[2], "t")
+        if not 0 <= t < p:
+            raise InputError(f"t must lie in [0, p), got {t}")
+        rows.append((alpha, beta, t))
+    return p, n, rows
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +266,8 @@ def read_code_file(text: str) -> tuple:
         data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise InputError(f"invalid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputError("malformed code description: the top level must be a JSON object")
     try:
         p, n, claimed_d, basis = (data[key] for key in ("p", "n", "claimed_d", "basis"))
         provenance = str(data.get("provenance", ""))

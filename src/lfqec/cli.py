@@ -1,4 +1,4 @@
-"""Command-line interface.
+"""Command-line interface: maps arguments to commands and reports to output.
 
 Subcommands: apc, zset, bent, graph-code, matrix-check, coset-code,
 projector, mds, solve-basis, verify. Every subcommand takes --format
@@ -8,10 +8,11 @@ Exit codes: 0 success / verified; 1 verification or premise failure
 (a failed distance claim, rejected matrix, failed projector premises,
 or an inconsistent difference system); 2 malformed input; 3 capacity.
 
-Each subcommand reads and checks its input files first and only then
-imports the modules it runs, so malformed input is refused before numpy
-loads, and no subcommand loads the modules of another. A subcommand
-returns (payload, text lines, exit code), which `main` alone writes.
+Each subcommand reads its input files with `_textfile`, which knows every
+input syntax, and only then imports the modules it runs, so malformed
+input is refused before numpy loads, and no subcommand loads the modules
+of another. A subcommand returns (payload, text lines, exit code), which
+`main` alone writes.
 """
 from __future__ import annotations
 
@@ -19,18 +20,12 @@ import argparse
 import itertools
 import json
 import os
-import re
 import sys
 from pathlib import Path
 
-from ._textfile import content_lines, integer, read_header, residues
-from ._textfile import read_code_file, read_function_file, read_graph_file
+from ._textfile import read_classes_file, read_code_file, read_function_file, read_graph_file
+from ._textfile import read_matrix_file, read_system_file, read_vectors
 from .errors import CapacityError, InputError, PremiseError
-from .fp_algebra import FpMatrix
-
-
-# ---------------------------------------------------------------------------
-# file formats shared by several subcommands
 
 
 def _read(path: str) -> str:
@@ -38,57 +33,6 @@ def _read(path: str) -> str:
         return Path(path).read_text()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-
-
-def parse_matrix_file(text: str) -> FpMatrix:
-    """'p r' then r rows of residues (compact digits for p <= 7 or
-    separated values); column count is set by the first row."""
-    p, r, body = read_header(text, "p r")
-    if len(body) != r:
-        raise InputError(f"expected {r} matrix rows, got {len(body)}")
-    rows = [residues(ln, p) for ln in body]
-    if len({len(row) for row in rows}) != 1:
-        raise InputError("matrix rows have inconsistent lengths")
-    return FpMatrix.from_rows(p, rows)
-
-
-def parse_classes_file(text: str, n: int) -> list:
-    """One class per line as a length-n binary string, vertex 1 leftmost."""
-    classes = []
-    for ln in content_lines(text):
-        if not re.fullmatch(r"[01]+", ln) or len(ln) != n:
-            raise InputError(f"class line must be {n} binary digits, got {ln!r}")
-        classes.append(frozenset(i + 1 for i, ch in enumerate(ln) if ch == "1"))
-    if not classes:
-        raise InputError("classes file has no classes")
-    return classes
-
-
-def parse_system_file(text: str):
-    """'p n' then rows 'alpha beta t' (two residue vectors and a residue)."""
-    p, n, body = read_header(text, "p n")
-    if not body:
-        raise InputError("system file needs at least one 'alpha beta t' row")
-    pairs = []
-    for ln in body:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise InputError(f"system row must be 'alpha beta t', got {ln!r}")
-        alpha = _parse_vector(parts[0], p, n)
-        beta = _parse_vector(parts[1], p, n)
-        t = integer(parts[2], "t")
-        if not 0 <= t < p:
-            raise InputError(f"t must lie in [0, p), got {t}")
-        pairs.append((alpha, beta, t))
-    return p, n, pairs
-
-
-def _parse_vector(token: str, p: int, n: int) -> tuple:
-    return tuple(residues(token, p, n, sep=r"[.,:]"))
-
-
-def _parse_betas(arg: str, p: int, n: int) -> list:
-    return [_parse_vector(tok, p, n) for tok in arg.split(",") if tok]
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +139,7 @@ def cmd_bent(args) -> tuple:
 
 def cmd_graph_code(args) -> tuple:
     p, n, adj = read_graph_file(_read(args.graph))
-    classes = parse_classes_file(_read(args.classes), n)
+    classes = read_classes_file(_read(args.classes), n)
     from .graph_codes import WeightedGraph, build_graph_code
 
     return _code_output(args, build_graph_code(WeightedGraph(p, n, adj), classes, args.d))
@@ -223,7 +167,7 @@ def _matrix_result_line(name: str, res) -> str:
 def cmd_matrix_check(args) -> tuple:
     if args.verify and not args.build:
         raise InputError("--verify checks the built code, so it needs --build")
-    A = parse_matrix_file(_read(args.matrix))
+    A = read_matrix_file(_read(args.matrix))
     from .graph_codes import matrix_code_check, matrix_kernel_check
 
     rank_res = matrix_code_check(A, args.k, args.d)
@@ -249,7 +193,7 @@ def cmd_matrix_check(args) -> tuple:
 
 def cmd_coset_code(args) -> tuple:
     p, n, values, terms = read_function_file(_read(args.function))
-    betas = _parse_betas(args.betas, p, n)
+    betas = read_vectors(args.betas, p, n)
     from .code_builder import build_coset_code
     from .logic_fn import LogicFunction
 
@@ -258,7 +202,7 @@ def cmd_coset_code(args) -> tuple:
 
 def cmd_projector(args) -> tuple:
     parsed = read_function_file(_read(args.function))
-    A = parse_matrix_file(_read(args.matrix))
+    A = read_matrix_file(_read(args.matrix))
     from .logic_fn import LogicFunction, anf_text
     from .projector_codes import PremiseReport, extract_boolean_basis, projector_rank
 
@@ -286,7 +230,7 @@ def cmd_mds(args) -> tuple:
 
 
 def cmd_solve_basis(args) -> tuple:
-    p, n, pairs = parse_system_file(_read(args.system))
+    p, n, pairs = read_system_file(_read(args.system))
     from .logic_fn import anf_text, solve_coboundary
 
     g = solve_coboundary(pairs, p, n)

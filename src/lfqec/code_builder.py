@@ -14,9 +14,7 @@ import itertools
 from .codespec import CodeSpec
 from .errors import InputError, PremiseError
 from .fp_algebra import FpMatrix, table_size
-from .graph_codes import matrix_code_check
 from .logic_fn import LogicFunction, _first_nonvanishing, add_affine, parse_anf, quadratic_form
-from .projector_codes import extract_boolean_basis
 
 
 def claimed_coset_distance(f: LogicFunction, betas) -> int:
@@ -57,6 +55,8 @@ def build_matrix_code(A: FpMatrix, k: int, d: int) -> CodeSpec:
     of the qudit block plus the linear part fed by the class columns.
     Rejects any matrix the rank conditions reject; constants in c alone are
     dropped since a global phase never changes the code."""
+    from .graph_codes import matrix_code_check
+
     result = matrix_code_check(A, k, d)
     if not result.accepted:
         raise PremiseError(
@@ -113,6 +113,8 @@ def build_mds_family(m: int) -> CodeSpec:
     """Code claimed ((2m, 2^(2m-2), 2)): one basis function per support
     point of the product function, all recovered from one coboundary solve
     and each checked exactly as a joint eigenvector of the rows."""
+    from .projector_codes import extract_boolean_basis
+
     f = mds_function(m)
     basis = extract_boolean_basis(f, mds_matrix(m))
     return CodeSpec(f.p, f.n, tuple(basis), claimed_d=2, provenance="mds-family")

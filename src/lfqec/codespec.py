@@ -2,9 +2,9 @@
 claimed parameters ((n, K, d)), and where the construction came from.
 
 A CodeSpec is a *claim*. `check_claim` turns it into a verdict by running
-the exact oracle check on the basis functions at every error weight below
-the claimed distance; builders surface the report instead of silently
-trusting their own bookkeeping.
+the exact oracle check (imported by the call, as in `states`) on the basis
+functions at every error weight below the claimed distance; builders
+surface the report instead of silently trusting their own bookkeeping.
 """
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .logic_fn import LogicFunction, anf_text
-from .state_oracle import VerifyReport, kl_verify, state_from_function
 
 
 @dataclass(frozen=True)
@@ -46,6 +45,8 @@ class CodeSpec:
         return len(self.basis)
 
     def states(self):
+        from .state_oracle import state_from_function
+
         return [state_from_function(f) for f in self.basis]
 
     def to_dict(self) -> dict:
@@ -59,7 +60,9 @@ class CodeSpec:
         }
 
 
-def check_claim(spec: CodeSpec) -> VerifyReport:
-    """Exact check of the distance claim: every error of weight below
-    claimed_d must leave the scalar-Gram condition intact."""
+def check_claim(spec: CodeSpec):
+    """The oracle's VerifyReport on the distance claim: every error of
+    weight below claimed_d must leave the scalar-Gram condition intact."""
+    from .state_oracle import kl_verify
+
     return kl_verify(spec.basis, spec.claimed_d - 1)

@@ -90,11 +90,6 @@ class CycloInt:
         return self.coeffs[0] - (tail[0] if tail else 0)
 
 
-def cyclo_from_histogram(p: int, hist) -> CycloInt:
-    """CycloInt from exponent counts: hist[j] occurrences of zeta^j."""
-    return CycloInt(p, tuple(int(h) for h in hist))
-
-
 # ---------------------------------------------------------------------------
 # error labels
 

@@ -29,7 +29,6 @@ from .fp_algebra import (
     MAX_TABLE,
     PauliLabel,
     check_listing,
-    cyclo_from_histogram,
     label_blocks,
     rank,
     solve_linear,
@@ -302,7 +301,7 @@ def autocorrelation(f: LogicFunction, a) -> CycloInt:
         raise InputError("shift length mismatch")
     t = f.table
     exps = (t - shifted(t, f.p, f.n, [-int(v) for v in a])) % f.p
-    return cyclo_from_histogram(f.p, np.bincount(exps, minlength=f.p))
+    return CycloInt(f.p, tuple(np.bincount(exps, minlength=f.p).tolist()))
 
 
 def _fwht(v: np.ndarray) -> np.ndarray:

@@ -267,6 +267,11 @@ def test_exit_2_input_errors(files, capsys):
     code = main(["matrix-check", files("m.mat", RANK_MAT), "--k", "1", "--d", "2", "--verify"])
     assert code == 2
     assert capsys.readouterr() == ("", "error: --verify checks the built code, so it needs --build\n")
+    # valid JSON that is not an object is refused by name, not by a TypeError's text
+    code = main(["verify", files("list.json", "[1, 2]")])
+    assert code == 2
+    want = "error: malformed code description: the top level must be a JSON object\n"
+    assert capsys.readouterr() == ("", want)
 
 
 @pytest.mark.parametrize(
@@ -368,7 +373,6 @@ def test_exit_3_state_capacity_for_a_quadratic_code(files, capsys):
 
 
 def test_quadratic_inputs_are_verified_without_states(files, capsys, monkeypatch, tmp_path):
-    import lfqec.codespec
     import lfqec.state_oracle
 
     k4 = files("k4.fn", K4_FN)
@@ -389,8 +393,8 @@ def test_quadratic_inputs_are_verified_without_states(files, capsys, monkeypatch
     def refuse(f):
         raise AssertionError("state built")
 
+    # CodeSpec.states imports it per call, so this one patch covers it too
     monkeypatch.setattr(lfqec.state_oracle, "state_from_function", refuse)
-    monkeypatch.setattr(lfqec.codespec, "state_from_function", refuse)
     assert [run(capsys, *argv) for argv in argvs] == want
 
 

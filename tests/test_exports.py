@@ -38,6 +38,7 @@ def test_unknown_name_raises_attribute_error():
 REMOVED = (
     "apc_sum",
     "coverage_witness",
+    "cyclo_from_histogram",
     "gram_matrix",
     "is_uncoverable",
     "kl_verify_functions",

@@ -22,7 +22,6 @@ from lfqec import (
     FpMatrix,
     InputError,
     PauliLabel,
-    cyclo_from_histogram,
     label_blocks,
     rank,
     solve_linear,
@@ -69,11 +68,6 @@ def test_is_zero_agrees_with_float_magnitude():
         p = int(gen.choice([2, 3, 5]))
         z = random_cyclo(gen, p, lo=-3, hi=4)
         assert z.is_zero() == (abs(as_complex(z)) < 1e-6)
-
-
-def test_histogram_constructor():
-    z = cyclo_from_histogram(3, np.array([4, 1, 1]))
-    assert z.as_integer() == 3  # 4 + zeta + zeta^2 = 4 - 1
 
 
 def test_mixed_field_rejected():

@@ -3,7 +3,8 @@ importing `lfqec.cli` loads no numpy, input errors (exit 2) in any input
 file, code descriptions and their stated K included, are reported before
 numpy loads, so is a code over the oracle's pair budget (exit 3), and a
 subcommand loads only the modules it runs (`matrix-check` without --build
-runs on Python integers alone)."""
+runs on Python integers alone, and a code built without --verify loads no
+oracle)."""
 import json
 import os
 import pathlib
@@ -63,6 +64,7 @@ MALFORMED = {
     "betas": ({"f.fn": FUNCTION}, ["coset-code", "f.fn", "--betas", "00,012"]),
     "system": ({"s": "2 2\n10 01\n"}, ["solve-basis", "s"]),
     "code json": ({"c.json": '{"p": 2,'}, ["verify", "c.json"]),
+    "code not object": ({"c.json": "[1, 2]"}, ["verify", "c.json"]),
     "code field": ({"c.json": CODE.replace('"claimed_d": 1', '"claimed_d": "x"')}, ["verify", "c.json"]),
     "code anf": ({"c.json": CODE.replace("x1*x2", "x1 @ x2")}, ["verify", "c.json"]),
     "code K": ({"c.json": CODE.replace('"claimed_d"', '"K": 3, "claimed_d"')}, ["verify", "c.json"]),
@@ -112,8 +114,21 @@ def test_code_over_the_pair_budget_exits_3_before_numpy_loads(tmp_path):
             ["state_oracle", "code_builder"],
         ),
         (["matrix-check", "m", "--k", "1", "--d", "2"], {"m": RANK_MAT}, 0, ["logic_fn", "numpy"]),
+        (
+            ["coset-code", "f.fn", "--betas", "00,11"],
+            {"f.fn": FUNCTION},
+            0,
+            ["graph_codes", "projector_codes", "state_oracle"],
+        ),
+        (["mds", "--m", "2"], {}, 0, ["graph_codes", "state_oracle"]),
+        (
+            ["graph-code", "g", "--classes", "c", "--d", "1"],
+            {"g": GRAPH, "c": CLASSES},
+            0,
+            ["projector_codes", "state_oracle"],
+        ),
     ],
-    ids=["zset", "projector", "matrix-check"],
+    ids=["zset", "projector", "matrix-check", "coset-code", "mds", "graph-code"],
 )
 def test_subcommand_loads_only_its_modules(tmp_path, argv, files, rc, unloaded):
     out = run_cli(tmp_path, files, *argv)
