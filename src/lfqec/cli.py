@@ -21,6 +21,7 @@ import itertools
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from ._textfile import read_classes_file, read_code_file, read_function_file, read_graph_file
@@ -145,16 +146,6 @@ def cmd_graph_code(args) -> tuple:
     return _code_output(args, build_graph_code(WeightedGraph(p, n, adj), classes, args.d))
 
 
-def _matrix_result_dict(res) -> dict:
-    return {
-        "accepted": res.accepted,
-        "condition": res.condition,
-        "erased": list(res.erased) if res.erased is not None else None,
-        "vector": list(res.vector) if res.vector is not None else None,
-        "warning": res.warning,
-    }
-
-
 def _matrix_result_line(name: str, res) -> str:
     if res.accepted:
         return f"{name}: accepted"
@@ -172,10 +163,7 @@ def cmd_matrix_check(args) -> tuple:
 
     rank_res = matrix_code_check(A, args.k, args.d)
     kernel_res = matrix_kernel_check(A, args.k, args.d)
-    payload = {
-        "rank_route": _matrix_result_dict(rank_res),
-        "kernel_route": _matrix_result_dict(kernel_res),
-    }
+    payload = {"rank_route": asdict(rank_res), "kernel_route": asdict(kernel_res)}
     lines = [
         _matrix_result_line("rank route", rank_res),
         _matrix_result_line("kernel route", kernel_res),

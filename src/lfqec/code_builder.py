@@ -12,8 +12,8 @@ from __future__ import annotations
 import itertools
 
 from .codespec import CodeSpec
-from .errors import InputError, PremiseError
-from .fp_algebra import FpMatrix, table_size
+from .errors import CapacityError, InputError, PremiseError
+from .fp_algebra import MAX_TABLE, FpMatrix, check_listing, table_size
 from .logic_fn import LogicFunction, _first_nonvanishing, add_affine, parse_anf, quadratic_form
 
 
@@ -37,6 +37,10 @@ def _check_betas(f: LogicFunction, betas) -> list:
         raise InputError("at least one shift vector is required")
     if len(set(out)) != len(out):
         raise InputError("shift vectors must be pairwise distinct")
+    # the search holds 2K tables of p^n entries and reads K^2 ordered shift pairs
+    check_listing(len(out) ** 2, f"K^2 = {len(out) ** 2} shift pairs")
+    if (entries := len(out) * f.p**f.n) > MAX_TABLE:
+        raise CapacityError(f"K p^n = {entries} shift table entries exceed the cap {MAX_TABLE}")
     return out
 
 

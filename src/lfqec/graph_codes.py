@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from ._textfile import read_graph_file
 from .errors import CapacityError, InputError
-from .fp_algebra import FpMatrix, PauliLabel, check_listing, rank, solve_linear
+from .fp_algebra import FpMatrix, PauliLabel, _eliminate, check_listing, solve_linear
 
 # The matrix checks run on Python ints; numpy loads only when coverage runs
 # or a function-valued construction imports logic_fn and codespec.
@@ -45,10 +45,6 @@ class WeightedGraph:
         if not self.adj.has_zero_diagonal():
             raise InputError("self-loops are not allowed")
 
-    def _check_vertex(self, v: int):
-        if not 1 <= v <= self.n:
-            raise InputError(f"vertex {v} out of range 1..{self.n}")
-
     def function(self) -> LogicFunction:
         from .logic_fn import quadratic_form
 
@@ -66,15 +62,14 @@ def parse_graph_file(text: str) -> WeightedGraph:
 # coverage
 
 
-def _as_vertex_set(G: WeightedGraph, vs) -> frozenset:
-    vs = frozenset(int(v) for v in vs)
-    for v in vs:
-        G._check_vertex(v)
-    return vs
-
-
-def _mask(vs) -> int:
-    return sum(1 << (v - 1) for v in vs)
+def _mask(G: WeightedGraph, vs) -> int:
+    """The bitmask of a vertex set, refusing a vertex outside 1..n."""
+    mask = 0
+    for v in frozenset(map(int, vs)):
+        if not 1 <= v <= G.n:
+            raise InputError(f"vertex {v} out of range 1..{G.n}")
+        mask |= 1 << (v - 1)
+    return mask
 
 
 def _unmask(mask: int, n: int) -> frozenset:
@@ -124,35 +119,38 @@ def uncoverable_family(G: WeightedGraph, d: int) -> set:
 def build_graph_code(G: WeightedGraph, classes, d: int) -> CodeSpec:
     """Span of g_i = f + chi(C_i).x over the given vertex classes, claiming
     distance d. Requires the empty class to be present and every pairwise
-    symmetric difference to be uncoverable; a violation reports the pair and
-    a coverage witness."""
-    classes = [_as_vertex_set(G, c) for c in classes]
+    symmetric difference to be uncoverable; the first violating pair in class
+    order is reported with a coverage witness. K^2 is held to the listing budget."""
+    masks = [_mask(G, c) for c in classes]
     if d < 1:
         raise InputError("d must be >= 1")
-    if frozenset() not in classes:
+    if 0 not in masks:
         raise InputError("the empty class must be included")
-    if len(set(classes)) != len(classes):
+    if len(set(masks)) != len(masks):
         raise InputError("classes must be pairwise distinct")
-    # distinct classes differ, so each difference is nonempty and is coverable
-    # exactly when omega holds a witness for it
-    omega, delta = _coverage_map(G, d - 1) if len(classes) > 1 else ((), ())
-    for ci, cj in itertools.combinations(classes, 2):
-        t = _mask(ci ^ cj)
-        if omega[t] >= 0:
-            om, de = (sorted(_unmask(m, G.n)) for m in (omega[t], delta[t]))
-            raise InputError(
-                f"classes {sorted(ci)} and {sorted(cj)}: symmetric difference "
-                f"{sorted(ci ^ cj)} is coverable below weight {d}; witness "
-                f"omega={om} delta={de}"
-            )
+    check_listing(len(masks) ** 2, f"K^2 = {len(masks) ** 2} class pairs")
+    if len(masks) > 1:
+        import numpy as np
+
+        # distinct classes differ, so each difference is nonempty and is
+        # coverable exactly when omega holds a witness for it
+        omega, delta = _coverage_map(G, d - 1)
+        mask_array = np.array(masks)
+        for i, mi in enumerate(masks[:-1]):
+            hits = np.flatnonzero(omega[mi ^ mask_array[i + 1 :]] >= 0)
+            if hits.size:
+                mj = masks[i + 1 + hits[0]]
+                ci, cj, t = (sorted(_unmask(m, G.n)) for m in (mi, mj, mi ^ mj))
+                om, de = (sorted(_unmask(m[mi ^ mj], G.n)) for m in (omega, delta))
+                raise InputError(
+                    f"classes {ci} and {cj}: symmetric difference {t} is coverable "
+                    f"below weight {d}; witness omega={om} delta={de}"
+                )
     from .codespec import CodeSpec
     from .logic_fn import add_affine
 
     f = G.function()
-    basis = []
-    for c in classes:
-        chi = [1 if v + 1 in c else 0 for v in range(G.n)]
-        basis.append(add_affine(f, chi))
+    basis = [add_affine(f, [m >> v & 1 for v in range(G.n)]) for m in masks]
     return CodeSpec(G.p, G.n, tuple(basis), claimed_d=d, provenance="graph-code")
 
 
@@ -198,7 +196,7 @@ def _split_blocks(A: FpMatrix, k: int, d: int):
             f"only {len(qudits)} qudits for k = {k}, d = {d}; "
             f"the construction expects at least k + 2(d-1) = {k + 2 * (d - 1)}"
         )
-    return list(range(k)), qudits, warning
+    return tuple(range(k)), qudits, warning
 
 
 def matrix_code_check(A: FpMatrix, k: int, d: int) -> MatrixCheckResult:
@@ -209,14 +207,19 @@ def matrix_code_check(A: FpMatrix, k: int, d: int) -> MatrixCheckResult:
       (i)  the E-rows restricted to I-columns have full rank d-1;
       (ii) adjoining the class columns to the I-rows-over-E-columns block
            raises the rank by exactly k.
+
+    Each set takes two eliminations of rows read from A.entries. For (ii)
+    the I-rows are reduced over the E columns and then the class columns,
+    so the pivots from column d-1 on are the rank the class columns add.
     """
     cls, qudits, warning = _split_blocks(A, k, d)
+    p, rows = A.p, A.entries
     for E in itertools.combinations(qudits, d - 1):
         I = [q for q in qudits if q not in E]
-        if rank(A.submatrix(E, I)) != d - 1:
+        if len(_eliminate([[rows[e][i] for i in I] for e in E], p)) != d - 1:
             return MatrixCheckResult(False, "selector_rank", E, None, warning)
-        joint = A.submatrix(I, cls).hstack(A.submatrix(I, E))
-        if rank(joint) != rank(A.submatrix(I, E)) + k:
+        pivots = _eliminate([[rows[i][c] for c in E + cls] for i in I], p)
+        if sum(c >= d - 1 for c in pivots) != k:
             return MatrixCheckResult(False, "joint_rank", E, None, warning)
     return MatrixCheckResult(True, None, None, None, warning)
 
@@ -240,14 +243,10 @@ def matrix_kernel_check(A: FpMatrix, k: int, d: int) -> MatrixCheckResult:
     cls, qudits, warning = _split_blocks(A, k, d)
     for E in itertools.combinations(qudits, d - 1):
         I = [q for q in qudits if q not in E]
-        M = A.submatrix(I, cls).hstack(A.submatrix(I, list(E)))
-        for bvec in reversed(solve_linear(M, [0] * M.rows).nullspace):
-            vec = tuple(int(v) % A.p for v in bvec)
+        M = FpMatrix(A.p, tuple(tuple(A.entries[i][c] for c in cls + E) for i in I))
+        for vec in reversed(solve_linear(M, [0] * M.rows).nullspace):  # residue tuples
             if any(vec[:k]):
                 return MatrixCheckResult(False, "kernel_class_component", E, vec, warning)
-            dE = vec[k:]
-            for x in cls:
-                acc = sum(A.entries[x][e] * dv for e, dv in zip(E, dE)) % A.p
-                if acc:
-                    return MatrixCheckResult(False, "kernel_class_action", E, vec, warning)
+            if any(sum(A.entries[x][e] * v for e, v in zip(E, vec[k:])) % A.p for x in cls):
+                return MatrixCheckResult(False, "kernel_class_action", E, vec, warning)
     return MatrixCheckResult(True, None, None, None, warning)

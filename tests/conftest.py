@@ -309,6 +309,40 @@ def reference_kernel_check(A: FpMatrix, k: int, d: int):
     return True, None, None, None
 
 
+def reference_rank(rows, p: int) -> int:
+    """Rank over F_p by forward elimination on a copy of the rows."""
+    rows, r = [list(row) for row in rows], 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c] * inv
+            rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+def reference_rank_check(A: FpMatrix, k: int, d: int):
+    """matrix_code_check with the three ranks of each erasure set E taken
+    as stated: rank A_E,I must be d-1, and rank [A_I,class | A_I,E] must be
+    rank A_I,E + k. Returns (accepted, condition, erased)."""
+    cls, qudits = list(range(k)), list(range(k, A.rows))
+
+    def sub(rows, cols):
+        return [[A.entries[i][j] for j in cols] for i in rows]
+
+    for E in itertools.combinations(qudits, d - 1):
+        I = [q for q in qudits if q not in E]
+        if reference_rank(sub(E, I), A.p) != d - 1:
+            return False, "selector_rank", E
+        if reference_rank(sub(I, cls + list(E)), A.p) != reference_rank(sub(I, E), A.p) + k:
+            return False, "joint_rank", E
+    return True, None, None
+
+
 def reference_coverage_map(G, budget: int) -> dict:
     """mask(T) -> (omega, delta) masks of the first witness of every T
     coverable within the budget, by three nested loops over support size,

@@ -180,6 +180,19 @@ def test_exit_1_matrix_check_rejects(files, capsys):
     assert data["rank_route"]["condition"] == "selector_rank"
 
 
+def test_exit_1_matrix_check_warns_on_few_qudits(files, capsys):
+    mat = files("k.mat", "2 6\n001100\n001110\n110000\n110000\n010000\n000000\n")
+    code, out = run(capsys, "matrix-check", mat, "--k", "2", "--d", "3")
+    assert code == 1
+    assert out == (
+        "rank route: rejected (selector_rank at erasure [2, 3])\n"
+        "kernel route: rejected (kernel_class_action at erasure [2, 3] "
+        "kernel vector [0, 0, 0, 1])\n"
+        "warning: only 4 qudits for k = 2, d = 3; the construction expects at least "
+        "k + 2(d-1) = 6\n"
+    )
+
+
 def test_exit_1_projector_premises(files, capsys):
     code, data = run_json(
         capsys, "projector", files("g2.fn", G2_FN), files("pr.mat", PRINTED_MAT)
@@ -187,6 +200,19 @@ def test_exit_1_projector_premises(files, capsys):
     assert code == 1
     assert data["premises"]["all_ok"] is False
     assert data["premises"]["missing_sums"] == [0, 1]
+
+
+def test_exit_1_projector_premises_every_failure_on_one_line(files, capsys):
+    # support size 12 of 16, and rows 1 and 3 equal and not orthogonal to rows 0 and 2
+    fn = files("g2c.fn", "2 4\nanf: 1 + " + G2_FN.split("anf: ")[1])
+    mat = files("c.mat", "2 4\n10000011\n00010100\n01101000\n00010100\n")
+    code, out = run(capsys, "projector", fn, mat)
+    assert code == 1
+    assert out == (
+        "premises: FAIL (support size 12 outside (0, 2^(n-1)]; columns [0, 1, 2, 3, 4, 5, 6, 7] "
+        "outside the shift set; column sums at [0, 1, 2, 3] outside the shift set; row pairs "
+        "[(0, 1), (0, 3), (1, 2), (2, 3)] not orthogonal; rows are linearly dependent)\n"
+    )
 
 
 @pytest.mark.parametrize("mat, want", [(REPAIRED_MAT, 0), (PRINTED_MAT, 1)], ids=["ok", "fail"])
@@ -267,6 +293,13 @@ def test_exit_2_input_errors(files, capsys):
     code = main(["matrix-check", files("m.mat", RANK_MAT), "--k", "1", "--d", "2", "--verify"])
     assert code == 2
     assert capsys.readouterr() == ("", "error: --verify checks the built code, so it needs --build\n")
+    code = main(["matrix-check", files("r.mat", "2 3\n10\n1\n0\n"), "--k", "0", "--d", "1"])
+    assert code == 2
+    assert capsys.readouterr() == ("", "error: matrix rows have inconsistent lengths\n")
+    code = main(["solve-basis", files("s.sys", "2 2\n\n# nothing\n")])
+    assert code == 2
+    want = "error: system file needs at least one 'alpha beta t' row\n"
+    assert capsys.readouterr() == ("", want)
     # valid JSON that is not an object is refused by name, not by a TypeError's text
     code = main(["verify", files("list.json", "[1, 2]")])
     assert code == 2

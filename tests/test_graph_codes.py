@@ -5,7 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import reference_coverage_map, reference_kernel_check, verify_stabilizer
+from conftest import reference_coverage_map, reference_kernel_check, reference_rank_check
+from conftest import verify_stabilizer
 from lfqec import graph_codes
 from lfqec import (
     CapacityError,
@@ -220,6 +221,37 @@ def test_one_class_graph_code_needs_no_coverage_search():
         build_graph_code(G, [frozenset(), frozenset({1})], 2)
 
 
+def test_first_coverable_pair_matches_a_pair_loop(gen):
+    # the first pair in class order whose difference the reference map
+    # covers, with that map's witness, or the code when no pair is covered
+    outcomes = {"accepted": 0, "rejected": 0}
+    for _ in range(150):
+        p, n = int(gen.choice([2, 3, 5])), int(gen.integers(2, 7))
+        G, d = random_graph(gen, p, n), int(gen.integers(1, 4))
+        K = int(gen.integers(2, min(7, 1 << n) + 1))
+        masks = [0, *(int(m) for m in gen.choice(np.arange(1, 1 << n), K - 1, replace=False))]
+        classes = [frozenset(v + 1 for v in range(n) if masks[i] >> v & 1)
+                   for i in gen.permutation(K)]
+        cov, want = reference_coverage_map(G, d - 1), None
+        for ci, cj in itertools.combinations(classes, 2):
+            t = sum(1 << (v - 1) for v in ci ^ cj)
+            if t in cov:
+                om, de = ([v + 1 for v in range(n) if m >> v & 1] for m in cov[t])
+                want = (f"classes {sorted(ci)} and {sorted(cj)}: symmetric difference "
+                        f"{sorted(ci ^ cj)} is coverable below weight {d}; witness "
+                        f"omega={om} delta={de}")
+                break
+        if want is None:
+            assert build_graph_code(G, classes, d).claimed_K == K
+            outcomes["accepted"] += 1
+        else:
+            with pytest.raises(InputError) as err:
+                build_graph_code(G, classes, d)
+            assert str(err.value) == want
+            outcomes["rejected"] += 1
+    assert min(outcomes.values()) >= 20, outcomes
+
+
 def test_graph_code_basis_functions():
     K4 = parse_graph_file(K4_TEXT)
     classes = [frozenset(), frozenset({1, 2}), frozenset({1, 3}), frozenset({1, 4})]
@@ -282,6 +314,35 @@ def test_rank_route_rejections():
     A = FpMatrix.from_rows(2, symmetric_f2(16, 5))  # single edge, zero class column
     r = matrix_code_check(A, 1, 2)
     assert not r.accepted and r.condition == "joint_rank" and r.erased == (1,)
+
+
+def test_rank_route_matches_reference(gen):
+    # the verdict, failed condition and erasure set of three plain ranks per set
+    seen = {}
+    for _ in range(600):
+        p = int(gen.choice([2, 3, 5]))
+        m = int(gen.integers(3, 9))
+        k = int(gen.integers(0, min(3, m)))
+        d = int(gen.integers(1, min(5, m - k + 2)))
+        mask = gen.random((m, m)) < float(gen.choice([0.3, 0.6, 0.9]))
+        A = FpMatrix.from_rows(p, (gen.integers(1, p, (m, m)) * mask).tolist())
+        got = matrix_code_check(A, k, d)
+        assert (got.accepted, got.condition, got.erased) == reference_rank_check(A, k, d)
+        seen[got.condition] = seen.get(got.condition, 0) + 1
+    assert min(seen.get(c, 0) for c in (None, "selector_rank", "joint_rank")) >= 20
+
+
+def test_rank_route_eliminates_twice_per_erasure_set(monkeypatch):
+    # rows are read from A.entries: no submatrix is built, and each of the
+    # C(4, 1) erasure sets of an accepted matrix takes two eliminations
+    calls = []
+    eliminate = graph_codes._eliminate
+    monkeypatch.setattr(graph_codes, "_eliminate",
+                        lambda rows, p: calls.append(p) or eliminate(rows, p))
+    A = FpMatrix.from_rows(2, RANK_PIN_F2_ROWS)
+    monkeypatch.setattr(FpMatrix, "__post_init__", lambda M: pytest.fail("FpMatrix built"))
+    assert matrix_code_check(A, 1, 2).accepted
+    assert len(calls) == 2 * 4
 
 
 def test_rank_route_warning_and_validation():

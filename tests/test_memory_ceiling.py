@@ -18,7 +18,10 @@ closed form must walk the 4.7 M weight-3 labels of a p = 13, n = 3 code,
 and `lfqec graph-code` must search the cycle C20 for coverage with budget 4.
 A coverage budget above n stops at n, so C5 with d = 20 gets its witness
 within a second, and 3^14 role tuples on one support are refused with
-exit 3 within a second, before any support is walked."""
+exit 3 within a second, before any support is walked. So are 4096 classes
+on C12, whose 4096^2 pairs exceed the listing budget (2048 classes are
+checked), and 2000 shifts of length 18 under 256 MiB, whose 2000 tables
+of 2^18 entries exceed the table cap."""
 import json
 import os
 import pathlib
@@ -118,6 +121,21 @@ def test_coset_search_fits_256_mib(tmp_path):
     proc = run_child(cli_code("coset-code", str(fn), "--betas", arg), ceiling=256 << 20, timeout=30)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.startswith(f"code: (({n}, 32, 1))_p=2\n")
+
+
+def test_coset_shift_tables_over_the_cap_are_refused(tmp_path):
+    # 2K tables +-beta.x of 2^18 int64 entries would take about 8.4 GB
+    fn = tmp_path / "x1x2.fn"
+    fn.write_text("2 18\nanf: x1*x2\n")
+    arg = ",".join(format(j, "018b") for j in range(2000))
+    t0 = time.perf_counter()
+    proc = run_child(cli_code("coset-code", str(fn), "--betas", arg), ceiling=256 << 20)
+    assert time.perf_counter() - t0 < 1
+    assert proc.returncode == 3, proc.stderr[-2000:]
+    assert proc.stderr == (
+        "capacity: K p^n = 524288000 shift table entries exceed the cap 16777216\n"
+    )
+    assert proc.stdout == ""
 
 
 def code_file(K: int, n: int) -> str:
@@ -264,3 +282,26 @@ def test_graph_code_coverage_over_the_listing_budget_is_refused(tmp_path):
         "capacity: 3^14 = 4782969 coverage role tuples exceed the listing budget 4194304\n"
     )
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("K", [2048, 4096])
+def test_graph_code_class_pairs_up_to_the_listing_budget(tmp_path, K):
+    # every 12-bit mask below K is a class; at d = 1 no difference is coverable
+    graph, classes = tmp_path / "c12.g", tmp_path / "c12.classes"
+    graph.write_text("2 12\n" + "".join(f"{i} {i % 12 + 1}\n" for i in range(1, 13)))
+    classes.write_text("".join(format(j, "012b") + "\n" for j in range(K)))
+    t0 = time.perf_counter()
+    proc = run_child(cli_code("graph-code", str(graph), "--classes", str(classes), "--d", "1"))
+    elapsed = time.perf_counter() - t0
+    if K == 2048:
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        lines = proc.stdout.splitlines()
+        assert lines[:2] == ["code: ((12, 2048, 1))_p=2", "provenance: graph-code"]
+        assert len(lines) == 2 + 2048 and lines[-1].startswith("basis[2047]: x2 + x3 + ")
+    else:
+        assert elapsed < 1
+        assert proc.returncode == 3, proc.stderr[-2000:]
+        assert proc.stderr == (
+            "capacity: K^2 = 16777216 class pairs exceed the listing budget 4194304\n"
+        )
+        assert proc.stdout == ""

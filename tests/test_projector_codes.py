@@ -2,6 +2,8 @@
 four-premise projector construction, syndrome-term extraction against the
 dense operator reference and the syndrome-by-syndrome solve, and the
 bent-function exclusion."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,39 @@ def test_premises_repaired_matrix_pass():
     report = check_projector_premises(g, repaired_matrix())
     assert report.all_ok
     assert report.summary() == "all premises hold"
+
+
+@pytest.mark.parametrize(
+    "anf, rows, fields, summary",
+    [
+        (  # row 1 has a nonzero product with rows 2 and 3
+            G2_ANF,
+            [[1, 0, 0, 0, 0, 0, 1, 0], [0, 1, 0, 0, 0, 0, 0, 1],
+             [0, 0, 1, 1, 1, 0, 0, 0], [0, 0, 0, 0, 0, 1, 0, 0]],
+            {"nonorthogonal_pairs": ((1, 2), (1, 3))},
+            "row pairs [(1, 2), (1, 3)] not orthogonal",
+        ),
+        (  # rows 0 and 2 are equal
+            G2_ANF,
+            [[1, 0, 0, 0, 0, 0, 1, 0], [0, 1, 1, 0, 1, 0, 0, 1],
+             [1, 0, 0, 0, 0, 0, 1, 0], [0, 0, 0, 1, 0, 1, 0, 0]],
+            {"rows_independent": False},
+            "rows are linearly dependent",
+        ),
+        (  # the zero function: no support, and every shift in its set
+            "0", [[1, 0, 0, 0, 0, 0, 1, 0], [0, 1, 0, 0, 0, 0, 0, 1],
+                  [0, 0, 1, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 1, 0, 0]],
+            {"M": 0, "weight_ok": False},
+            "support size 0 outside (0, 2^(n-1)]",
+        ),
+    ],
+    ids=["nonorthogonal", "dependent", "empty-support"],
+)
+def test_premise_failures_each_alone(anf, rows, fields, summary):
+    report = check_projector_premises(parse_anf(anf, 2, 4), FpMatrix.from_rows(2, rows))
+    holding = projector_codes.PremiseReport(4, report.M, True, (), (), (), True)
+    assert report == dataclasses.replace(holding, **fields)
+    assert not report.all_ok and report.summary() == summary
 
 
 def test_projector_rank_repaired():
