@@ -17,6 +17,8 @@ of another. A subcommand returns (payload, text lines, exit code), which
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import itertools
 import json
 import os
@@ -27,6 +29,8 @@ from pathlib import Path
 from ._textfile import read_classes_file, read_code_file, read_function_file, read_graph_file
 from ._textfile import read_matrix_file, read_system_file, read_vectors
 from .errors import CapacityError, InputError, PremiseError
+
+atexit.register(gc.freeze)  # a command leaves little garbage: skip the exit collections
 
 
 def _read(path: str) -> str:
@@ -172,9 +176,9 @@ def cmd_matrix_check(args) -> tuple:
         lines.append(f"warning: {rank_res.warning}")
     code = 0 if rank_res.accepted else 1
     if args.build and rank_res.accepted:
-        from .code_builder import build_matrix_code
+        from .code_builder import _matrix_code
 
-        payload["code"], more, code = _code_output(args, build_matrix_code(A, args.k, args.d))
+        payload["code"], more, code = _code_output(args, _matrix_code(A, args.k, args.d))
         lines += more
     return payload, lines, code
 
@@ -192,18 +196,17 @@ def cmd_projector(args) -> tuple:
     parsed = read_function_file(_read(args.function))
     A = read_matrix_file(_read(args.matrix))
     from .logic_fn import LogicFunction, anf_text
-    from .projector_codes import PremiseReport, extract_boolean_basis, projector_rank
+    from .projector_codes import extract_boolean_basis, projector_rank
 
     f = LogicFunction(*parsed)
+    f = LogicFunction(f.p, f.n, f.table)  # one expansion of an ANF, read by both
     try:
-        prank = projector_rank(f, A)
+        report = projector_rank(f, A)
     except PremiseError as exc:
         report = exc.report
         return {"premises": report.to_dict()}, [f"premises: FAIL ({report.summary()})"], 1
-    # projector_rank returns only when every premise holds, and the rank is the support size
-    report = PremiseReport(f.n, prank, True, (), (), (), True)
-    payload = {"premises": report.to_dict(), "rank": prank, "support_size": prank}
-    lines = ["premises: ok", f"projector rank: {prank} (support size {prank})"]
+    payload = {"premises": report.to_dict(), "rank": report.M, "support_size": report.M}
+    lines = ["premises: ok", f"projector rank: {report.M} (support size {report.M})"]
     if args.extract_basis:
         basis = [anf_text(g) for g in extract_boolean_basis(f, A)]
         payload["basis"] = basis

@@ -46,8 +46,9 @@ def _check_betas(f: LogicFunction, betas) -> list:
 
 def build_coset_code(f: LogicFunction, betas) -> CodeSpec:
     """Basis f + beta.x for each shift; the claimed distance is the
-    character-sum bound computed by claimed_coset_distance."""
-    betas = _check_betas(f, betas)
+    character-sum bound computed by claimed_coset_distance, which alone
+    checks the shifts."""
+    betas = list(betas)  # read twice: by the distance, then by the basis
     d = claimed_coset_distance(f, betas)
     basis = tuple(add_affine(f, beta) for beta in betas)
     return CodeSpec(f.p, f.n, basis, claimed_d=d, provenance="coset-code")
@@ -55,10 +56,10 @@ def build_coset_code(f: LogicFunction, betas) -> CodeSpec:
 
 def build_matrix_code(A: FpMatrix, k: int, d: int) -> CodeSpec:
     """Code from a square matrix whose first k indices are class columns:
-    one basis function per class vector c, consisting of the quadratic form
-    of the qudit block plus the linear part fed by the class columns.
-    Rejects any matrix the rank conditions reject; constants in c alone are
-    dropped since a global phase never changes the code."""
+    one basis function per class vector c, the quadratic form of the qudit
+    block plus the linear part fed by the class columns (a constant in c
+    alone is a global phase, so it is dropped). Rejects any matrix the rank
+    conditions reject, checked here once; `_matrix_code` then builds the code."""
     from .graph_codes import matrix_code_check
 
     result = matrix_code_check(A, k, d)
@@ -68,19 +69,17 @@ def build_matrix_code(A: FpMatrix, k: int, d: int) -> CodeSpec:
             f"erasure set {result.erased}",
             result,
         )
-    m = A.rows
-    nq = m - k
-    qudits = list(range(k, m))
-    block = A.submatrix(qudits, qudits)
-    quad = quadratic_form(block)  # enforces symmetric, zero diagonal
+    return _matrix_code(A, k, d)
+
+
+def _matrix_code(A: FpMatrix, k: int, d: int) -> CodeSpec:
+    qudits = range(k, A.rows)
+    quad = quadratic_form(A.submatrix(qudits, qudits))  # enforces symmetric, zero diagonal
     basis = []
     for c in itertools.product(range(A.p), repeat=k):
-        lin = [
-            sum(A.entries[q][col] * c[col] for col in range(k)) % A.p
-            for q in qudits
-        ]
+        lin = [sum(A.entries[q][col] * c[col] for col in range(k)) % A.p for q in qudits]
         basis.append(add_affine(quad, lin))
-    return CodeSpec(A.p, nq, tuple(basis), claimed_d=d, provenance="matrix-code")
+    return CodeSpec(A.p, len(qudits), tuple(basis), claimed_d=d, provenance="matrix-code")
 
 
 # ---------------------------------------------------------------------------
@@ -102,15 +101,16 @@ def mds_function(m: int) -> LogicFunction:
 def mds_matrix(m: int) -> FpMatrix:
     """(I | Gamma(f)) for the product function: identity on the left,
     the quadratic coefficient matrix on the right."""
-    f = mds_function(m)
-    n = f.n
-    gamma = [[0] * n for _ in range(n)]
-    for coeff, mono in f.anf:
-        if len(mono) == 2 and coeff:
+    return _identity_gamma(mds_function(m))
+
+
+def _identity_gamma(f: LogicFunction) -> FpMatrix:
+    gamma = [[0] * f.n for _ in range(f.n)]
+    for coeff, mono in f.anf:  # canonical terms: every coefficient is nonzero
+        if len(mono) == 2:
             i, j = mono
             gamma[i][j] = gamma[j][i] = coeff
-    ident = FpMatrix.identity(2, n)
-    return ident.hstack(FpMatrix.from_rows(2, gamma))
+    return FpMatrix.identity(2, f.n).hstack(FpMatrix.from_rows(2, gamma))
 
 
 def build_mds_family(m: int) -> CodeSpec:
@@ -119,6 +119,6 @@ def build_mds_family(m: int) -> CodeSpec:
     and each checked exactly as a joint eigenvector of the rows."""
     from .projector_codes import extract_boolean_basis
 
-    f = mds_function(m)
-    basis = extract_boolean_basis(f, mds_matrix(m))
+    f = mds_function(m)  # parsed once, for the matrix and the basis
+    basis = extract_boolean_basis(f, _identity_gamma(f))
     return CodeSpec(f.p, f.n, tuple(basis), claimed_d=2, provenance="mds-family")

@@ -61,10 +61,6 @@ class OperatorMatrix:
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
 
-    def _check(self, other: "OperatorMatrix"):
-        if (self.p, self.n) != (other.p, other.n):
-            raise InputError("operator shape mismatch")
-
     def _aligned(self, other: "OperatorMatrix"):
         s = min(self.scale_log2, other.scale_log2)
         a = self.entries * (1 << (self.scale_log2 - s))
@@ -87,7 +83,8 @@ class OperatorMatrix:
     def mul(self, other: "OperatorMatrix") -> "OperatorMatrix":
         """Exact product: p^2 integer matrix products folded by exponent.
         float64 BLAS is used only under a proven-exact magnitude bound."""
-        self._check(other)
+        if (self.p, self.n) != (other.p, other.n):
+            raise InputError("operator shape mismatch")
         p = self.p
         N = p**self.n
         amax = int(self.entries.max(initial=0))
@@ -105,10 +102,9 @@ class OperatorMatrix:
                     continue
                 if use_float:
                     prod = Af @ B.astype(np.float64)
-                    out[:, :, (j + k) % p] += prod.astype(np.int64)
                 else:
                     prod = A.astype(object) @ B.astype(object)
-                    out[:, :, (j + k) % p] += prod.astype(np.int64)
+                out[:, :, (j + k) % p] += prod.astype(np.int64)
         return OperatorMatrix(p, self.n, out, self.scale_log2 + other.scale_log2)
 
     def trace(self) -> CycloInt:
@@ -233,9 +229,10 @@ def check_projector_premises(f: LogicFunction, A: FpMatrix) -> PremiseReport:
 # projector rank and basis extraction
 
 
-def projector_rank(f: LogicFunction, A: FpMatrix) -> int:
-    """Rank of the projector sum_t prod_i 1/2 (I + (-1)^(t_i) E_i), t over
-    the support of f, without forming it. All four premises must hold, and
+def projector_rank(f: LogicFunction, A: FpMatrix) -> PremiseReport:
+    """The checked premise report of (f, A): its support size M is the rank
+    of the projector sum_t prod_i 1/2 (I + (-1)^(t_i) E_i), t over the
+    support of f, which is never formed. All four premises must hold, and
     every row must square to +I, which for E_i = E'_(a_i, b_i) means
     a_i . b_i = 0 (mod 2).
 
@@ -250,7 +247,7 @@ def projector_rank(f: LogicFunction, A: FpMatrix) -> int:
     for i, e in enumerate(_stabilizer_rows(A)):
         if sum(x * y for x, y in zip(e.a, e.b)) % 2:
             raise InputError(f"row {i} squares to -I: a . b is odd, so it is not an involution")
-    return report.M
+    return report
 
 
 def extract_boolean_basis(f: LogicFunction, A: FpMatrix) -> list:

@@ -233,8 +233,60 @@ def test_projector_expands_each_function_once_per_call(files, capsys, monkeypatc
     code, out = run(capsys, "projector", files("g2.fn", G2_FN), files("m.mat", REPAIRED_MAT),
                     "--extract-basis")
     assert code == 0 and out.count("basis[") == 4
-    # the function once for its premises and once for its support, g_0 once for the checks
-    assert sorted(collections.Counter(map(id, expanded)).values()) == [1, 2]
+    # the function once, read by its premises and its support, g_0 once for the checks
+    assert sorted(collections.Counter(map(id, expanded)).values()) == [1, 1]
+
+
+@pytest.mark.parametrize("mat, want", [(REPAIRED_MAT, 0), (PRINTED_MAT, 1)], ids=["ok", "fail"])
+def test_projector_reports_the_premise_check_it_ran(files, capsys, monkeypatch, mat, want):
+    import lfqec.projector_codes
+
+    built = []
+    report = lfqec.projector_codes.PremiseReport
+    monkeypatch.setattr(lfqec.projector_codes, "PremiseReport",
+                        lambda *args: built.append(args) or report(*args))
+    code, out = run(capsys, "projector", files("g2.fn", G2_FN), files("m.mat", mat),
+                    "--extract-basis")
+    # the one report is the premise check's: the command builds none of its own
+    assert (code, len(built)) == (want, 1)
+    assert out.startswith("premises: ok\n" if want == 0 else "premises: FAIL (")
+
+
+def test_matrix_check_build_runs_the_rank_route_once(files, capsys, monkeypatch):
+    import lfqec.graph_codes
+
+    calls = []
+    check = lfqec.graph_codes.matrix_code_check
+    monkeypatch.setattr(lfqec.graph_codes, "matrix_code_check",
+                        lambda *args: calls.append(args) or check(*args))
+    code, out = run(capsys, "matrix-check", files("m.mat", RANK_MAT), "--k", "1", "--d", "2",
+                    "--build")
+    assert (code, len(calls)) == (0, 1)
+    assert out.startswith("rank route: accepted\nkernel route: accepted\ncode: ((4, 2, 2))_p=2\n")
+
+
+def test_coset_code_checks_its_shifts_once(files, capsys, monkeypatch):
+    import lfqec.code_builder
+
+    calls = []
+    check = lfqec.code_builder._check_betas
+    monkeypatch.setattr(lfqec.code_builder, "_check_betas",
+                        lambda f, betas: calls.append(betas) or check(f, betas))
+    code, out = run(capsys, "coset-code", files("k4.fn", K4_FN), "--betas", "0000,1100,1010,1001")
+    assert (code, len(calls)) == (0, 1)
+    assert out.startswith("code: ((4, 4, 2))_p=2\n")
+
+
+def test_mds_parses_its_product_function_once(capsys, monkeypatch):
+    import lfqec.code_builder
+
+    calls = []
+    parse = lfqec.code_builder.parse_anf
+    monkeypatch.setattr(lfqec.code_builder, "parse_anf",
+                        lambda *args: calls.append(args) or parse(*args))
+    code, out = run(capsys, "mds", "--m", "3")
+    assert (code, len(calls)) == (0, 1)
+    assert out.startswith("code: ((6, 16, 2))_p=2\n")
 
 
 def test_bent_expands_its_function_once(files, capsys, monkeypatch):

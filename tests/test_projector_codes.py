@@ -218,7 +218,8 @@ def test_premise_failures_each_alone(anf, rows, fields, summary):
 
 def test_projector_rank_repaired():
     g = parse_anf(G2_ANF, 2, 4)
-    assert projector_rank(g, repaired_matrix()) == 4
+    report = projector_rank(g, repaired_matrix())  # the checked report, whose M is the rank
+    assert report == check_projector_premises(g, repaired_matrix()) and report.M == 4
     P = assemble_projector(g, repaired_matrix())
     assert P.is_idempotent()
     assert is_hermitian(P)
@@ -250,7 +251,7 @@ def test_projector_rank_capacity_after_premises(monkeypatch):
     B = [[int(j == (i + 1) % 11 or i == (j + 1) % 11) for j in range(11)] for i in range(11)]
     A = FpMatrix.identity(2, 11).hstack(FpMatrix.from_rows(2, B))
     assert check_projector_premises(f, A).all_ok
-    assert projector_rank(f, A) == 1  # no operator is formed, so no dimension cap applies
+    assert projector_rank(f, A).M == 1  # no operator is formed, so no dimension cap applies
     # the extraction holds M tables of 2^n entries: over the budget it is
     # refused before the difference system is solved
     monkeypatch.setattr(fp_algebra, "MAX_LISTING", 2**11 - 1)
@@ -432,7 +433,7 @@ def test_projector_rank_and_extraction_match_dense_reference(gen):
         js = [int(j) for j in gen.choice(n, int(gen.integers(1, n + 1)), replace=False)]
         for A in (A0, swap_column_pairs(A0, js)):
             cases += 1
-            assert projector_rank(f, A) == assemble_projector(f, A).rank()
+            assert projector_rank(f, A).M == assemble_projector(f, A).rank()
             ops = [displacement(e) for e in stabilizer_labels(A)]
             if rank(A.submatrix(range(n), range(n))) != n:
                 singular += 1

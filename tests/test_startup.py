@@ -4,7 +4,8 @@ file, code descriptions and their stated K included, are reported before
 numpy loads, so is a code over the oracle's pair budget (exit 3), and a
 subcommand loads only the modules it runs (`matrix-check` without --build
 runs on Python integers alone, and a code built without --verify loads no
-oracle)."""
+oracle). A finished command freezes the collector, so the interpreter's
+exit skips its full collections, with output and exit code unchanged."""
 import json
 import os
 import pathlib
@@ -135,3 +136,32 @@ def test_subcommand_loads_only_its_modules(tmp_path, argv, files, rc, unloaded):
     assert out["rc"] == rc
     loaded = [m for m in unloaded if m in out["loaded"] or f"lfqec.{m}" in out["loaded"]]
     assert loaded == []
+
+
+# registered before lfqec's own handler, so it runs after it (last in, first out)
+FREEZE_CHILD = """
+import atexit, gc, sys
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0))
+import lfqec.cli
+sys.exit(lfqec.cli.main(sys.argv[1:]))
+"""
+
+
+def test_exit_freezes_the_collector_after_the_command(tmp_path, capsys, monkeypatch):
+    from lfqec.cli import main
+
+    (tmp_path / "g2.fn").write_text(G2_FN)
+    (tmp_path / "m").write_text(REPAIRED_MAT)
+    argv = ["projector", "g2.fn", "m", "--extract-basis"]
+    proc = subprocess.run(
+        [sys.executable, "-c", FREEZE_CHILD, *argv],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    monkeypatch.chdir(tmp_path)
+    rc = main(argv)
+    assert (proc.returncode, proc.stderr) == (rc, "")
+    assert proc.stdout == capsys.readouterr().out + "frozen at exit: True\n"
