@@ -16,6 +16,7 @@ from .errors import InputError
 from .fp_algebra import FpMatrix, check_listing, table_size
 
 _DIGITS = re.compile(r"[0-9]+")
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
 MAX_NESTING = 100  # open parentheses in an ANF; the parser spends 4 frames on each
 
 
@@ -50,12 +51,12 @@ def residues(token: str, p: int, count: int | None = None, sep: str = r"[\s,]+")
     exactly `count` digits, otherwise integers separated by `sep`. A given
     `count` is enforced."""
     if _DIGITS.fullmatch(token) and (p <= 7 or len(token) == count):
-        vals = [int(ch) for ch in token]
+        vals = list(token.encode().translate(_DIGIT_VALUES))  # b"0" .. b"9" to bytes 0 .. 9
     else:
         vals = [integer(tok, "residue") for tok in re.split(sep, token) if tok]
     if count is not None and len(vals) != count:
         raise InputError(f"expected {count} residues, got {len(vals)}")
-    if any(not 0 <= v < p for v in vals):
+    if vals and (min(vals) < 0 or max(vals) >= p):
         raise InputError(f"residues must lie in [0, {p})")
     return vals
 

@@ -132,9 +132,9 @@ def cmd_zset(args) -> tuple:
 
 def cmd_bent(args) -> tuple:
     parsed = read_function_file(_read(args.function))
-    from .logic_fn import LogicFunction, is_bent
+    from .logic_fn import LogicFunction, _bent_domain, is_bent
 
-    f = LogicFunction(*parsed)
+    f = _bent_domain(LogicFunction(*parsed))  # refused outside it before its ANF is expanded
     t = f.table  # one expansion of an ANF, read by both
     bent = is_bent(LogicFunction(f.p, f.n, t))
     M = int((t != 0).sum())
@@ -196,10 +196,10 @@ def cmd_projector(args) -> tuple:
     parsed = read_function_file(_read(args.function))
     A = read_matrix_file(_read(args.matrix))
     from .logic_fn import LogicFunction, anf_text
-    from .projector_codes import extract_boolean_basis, projector_rank
+    from .projector_codes import _binary_table, extract_boolean_basis, projector_rank
 
-    f = LogicFunction(*parsed)
-    f = LogicFunction(f.p, f.n, f.table)  # one expansion of an ANF, read by both
+    # checked with A before its ANF is expanded, once, for the premises and the basis
+    f = _binary_table(LogicFunction(*parsed), A)
     try:
         report = projector_rank(f, A)
     except PremiseError as exc:

@@ -369,16 +369,22 @@ def zset_via_autocorrelation(f: LogicFunction) -> set:
     return _shifts_where(f.n, _autocorrelate(1 - 2 * t) == 2**f.n - 4 * M)
 
 
-def is_bent(f: LogicFunction) -> bool:
-    """True iff every nonzero shift has zero correlation (p = 2, n even),
-    that is, iff every Walsh coefficient of (-1)^f has magnitude 2^(n/2).
-    On a positive answer the support size is checked against the only two
-    values a flat spectrum allows."""
+def _bent_domain(f: LogicFunction) -> LogicFunction:
+    """f, once it lies in bent detection's domain, p = 2 and even n: checked
+    before an ANF is expanded."""
     if f.p != 2:
         raise InputError("bent detection is defined for p = 2")
     if f.n % 2:
         raise InputError("bent functions require even n")
-    t = f.table
+    return f
+
+
+def is_bent(f: LogicFunction) -> bool:
+    """True iff every nonzero shift has zero correlation, that is, iff every
+    Walsh coefficient of (-1)^f has magnitude 2^(n/2). f over p != 2 or with
+    odd n is refused before its ANF is expanded. On a positive answer the
+    support size is checked against the only two values a flat spectrum allows."""
+    t = _bent_domain(f).table
     bent = bool(np.all(np.abs(_fwht(1 - 2 * t)) == 2 ** (f.n // 2)))
     if bent:
         M = int(np.sum(t))

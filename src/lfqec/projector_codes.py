@@ -23,9 +23,9 @@ from .fp_algebra import (
     CycloInt,
     FpMatrix,
     PauliLabel,
+    _eliminate,
     check_listing,
     rank as fp_rank,
-    solve_linear,
     symplectic_product,
     validate_prime,
 )
@@ -185,11 +185,14 @@ class PremiseReport:
         return "; ".join(bad)
 
 
-def _stabilizer_rows(A: FpMatrix) -> list:
-    n = A.rows
-    if A.cols != 2 * n:
-        raise InputError(f"matrix must be n x 2n, got {A.rows} x {A.cols}")
-    return [PauliLabel(A.p, A.row(i)[:n], A.row(i)[n:]) for i in range(n)]
+def _binary_table(f: LogicFunction, A: FpMatrix) -> LogicFunction:
+    """f held as its table, once f is over F_2 and A is f.n x 2f.n over F_2:
+    both are checked before an ANF is expanded."""
+    if f.p != 2:
+        raise InputError("the projector construction is defined for p = 2")
+    if A.p != 2 or A.rows != f.n or A.cols != 2 * f.n:
+        raise InputError(f"matrix must be {f.n} x {2 * f.n} over F_2")
+    return f if f.anf is None else LogicFunction(2, f.n, f.table)
 
 
 def check_projector_premises(f: LogicFunction, A: FpMatrix) -> PremiseReport:
@@ -201,12 +204,10 @@ def check_projector_premises(f: LogicFunction, A: FpMatrix) -> PremiseReport:
       (3) every sum col_i(L) + col_i(B) lies in zset(f);
       (4) the rows commute pairwise (symplectic product 0) and are
           linearly independent.
-    """
-    if f.p != 2:
-        raise InputError("the projector construction is defined for p = 2")
-    if A.p != 2 or A.rows != f.n or A.cols != 2 * f.n:
-        raise InputError(f"matrix must be {f.n} x {2 * f.n} over F_2")
-    n, t = f.n, f.table
+
+    f over p != 2, or an A that is not n x 2n over F_2, is refused before
+    an ANF is expanded."""
+    n, t = f.n, _binary_table(f, A).table
     M = int(np.count_nonzero(t))
     zero = _autocorrelate(t) == 0  # zset(f) by shift index, probed and never listed
     idx = [vector_index(2, n, A.col(j)) for j in range(2 * n)]
@@ -214,13 +215,9 @@ def check_projector_premises(f: LogicFunction, A: FpMatrix) -> PremiseReport:
     missing_cols = tuple(j for j in range(2 * n) if not zero[idx[j]])
     # binary vectors add mod 2 as their indices XOR
     missing_sums = tuple(i for i in range(n) if not zero[idx[i] ^ idx[n + i]])
-    rows = _stabilizer_rows(A)
-    nonorth = tuple(
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if symplectic_product(rows[i], rows[j]) != 0
-    )
+    rows = [PauliLabel(2, r[:n], r[n:]) for r in A.entries]
+    nonorth = tuple((i, j) for i in range(n) for j in range(i + 1, n)
+                    if symplectic_product(rows[i], rows[j]) != 0)
     independent = fp_rank(A) == n
     return PremiseReport(n, M, weight_ok, missing_cols, missing_sums, nonorth, independent)
 
@@ -232,9 +229,10 @@ def check_projector_premises(f: LogicFunction, A: FpMatrix) -> PremiseReport:
 def projector_rank(f: LogicFunction, A: FpMatrix) -> PremiseReport:
     """The checked premise report of (f, A): its support size M is the rank
     of the projector sum_t prod_i 1/2 (I + (-1)^(t_i) E_i), t over the
-    support of f, which is never formed. All four premises must hold, and
-    every row must square to +I, which for E_i = E'_(a_i, b_i) means
-    a_i . b_i = 0 (mod 2).
+    support of f, which is never formed. The premise check first refuses f
+    over p != 2 and an A that is not n x 2n over F_2, before an ANF is
+    expanded. All four premises must hold, and every row must square to +I,
+    which for E_i = E'_(a_i, b_i) means a_i . b_i = 0 (mod 2).
 
     The rows are then n commuting, independent, Hermitian involutions. No
     product of a nonempty subset of them is a multiple of I, so each such
@@ -244,8 +242,8 @@ def projector_rank(f: LogicFunction, A: FpMatrix) -> PremiseReport:
     report = check_projector_premises(f, A)
     if not report.all_ok:
         raise PremiseError(f"premise failure: {report.summary()}", report)
-    for i, e in enumerate(_stabilizer_rows(A)):
-        if sum(x * y for x, y in zip(e.a, e.b)) % 2:
+    for i, r in enumerate(A.entries):
+        if sum(x * y for x, y in zip(r[: f.n], r[f.n :])) % 2:
             raise InputError(f"row {i} squares to -I: a . b is odd, so it is not an involution")
     return report
 
@@ -258,47 +256,42 @@ def extract_boolean_basis(f: LogicFunction, A: FpMatrix) -> list:
         g(x + alpha_i) - g(x) = beta_i . x + t_i + beta_i . alpha_i
 
     over the rows (alpha_i | beta_i) of A, and is verified exactly:
-    E_i psi_g = (-1)^(t_i) psi_g for every row. Requires an invertible left
-    block L; an empty support gives [].
+    E_i psi_g = (-1)^(t_i) psi_g for every row. f must be over F_2 and A
+    n x 2n over F_2, refused before an ANF is expanded, with an invertible
+    left block L; an empty support gives [].
 
     The system changes with t only in its constants, so one solve serves
     every syndrome: g_t = g_0 + lambda_t . x with L lambda_t = t, where g_0
     solves the system at t = 0. L is invertible, so lambda_t and the solution
     are unique, and the system is consistent for one t exactly when it is
-    for all.
+    for all. One elimination of [L | I] finds both L's rank and L^(-1).
 
     The check is the term identity term == (1/2^n)|psi_g><psi_g|. A common
     +-1 eigenvector forces the rows to be commuting involutions (E_i E_j =
     +-E_j E_i and E_i^2 = +-I for displacements), and the invertible left
     block makes them independent, so the joint eigenspace is the line of
     psi_g, the term is the projector onto it, and <psi_g|psi_g> = 2^n."""
-    if f.p != 2:
-        raise InputError("basis extraction is defined for p = 2")
-    n = f.n
-    rows = _stabilizer_rows(A)
-    left = A.submatrix(range(n), range(n))
-    if fp_rank(left) != n:
+    f, n = _binary_table(f, A), f.n
+    ab = [(r[:n], r[n:]) for r in A.entries]
+    inv = [list(a) + [int(i == j) for j in range(n)] for i, (a, _) in enumerate(ab)]
+    if _eliminate(inv, 2) != list(range(n)):  # a pivot in I: L is singular
         raise InputError("left block of the matrix must be invertible")
     M, support = weight_support(f)
     check_listing(M << n, f"{M} x 2^{n} table entries")  # the M check tables are held at once
     if not M:
         return []
-    pairs = [(e.a, e.b, sum(x * y for x, y in zip(e.a, e.b)) % 2) for e in rows]
-    g0 = solve_coboundary(pairs, 2, n)
+    g0 = solve_coboundary([(a, b, sum(x * y for x, y in zip(a, b)) % 2) for a, b in ab], 2, n)
     if g0 is None:
-        raise PremiseError(
-            "no quadratic function satisfies the syndrome difference system"
-        )
-    # lambda_t = L^(-1) t for every t at once; row i of inv_rows solves L v = e_i
-    inv_rows = np.array([solve_linear(left, e).particular for e in np.eye(n, dtype=int).tolist()])
+        raise PremiseError("no quadratic function satisfies the syndrome difference system")
+    # lambda_t = L^(-1) t for every t at once: the rows of signs times L^(-1) transposed
     signs = np.array(support, dtype=np.uint8)
-    lams = (signs @ inv_rows % 2).tolist()
+    lams = (signs @ np.array(inv)[:, n:].T % 2).tolist()
     tables = np.stack([linear_values(2, n, lam) for lam in lams], dtype=np.uint8, casting="unsafe")
     tables ^= g0.table.astype(np.uint8)  # one expansion; the tables hold only 0 and 1
     # E_i psi_g = (-1)^(t_i) psi_g iff g(x + a_i) = g(x) + b_i . x + t_i for every x
-    for i, e in enumerate(rows):
-        want = tables ^ linear_values(2, n, e.b).astype(np.uint8) ^ signs[:, i, None]  # mod 2
-        bad = np.flatnonzero((tables[:, shifted_indices(2, n, e.a)] != want).any(axis=1))
+    for i, (a, b) in enumerate(ab):
+        want = tables ^ linear_values(2, n, b).astype(np.uint8) ^ signs[:, i, None]  # mod 2
+        bad = np.flatnonzero((tables[:, shifted_indices(2, n, a)] != want).any(axis=1))
         if bad.size:
             raise RuntimeError(f"recovered state is not an eigenvector of row {i} with sign "
                                f"(-1)^{signs[bad[0], i]}")

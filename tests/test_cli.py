@@ -296,6 +296,34 @@ def test_bent_expands_its_function_once(files, capsys, monkeypatch):
     assert len(expanded) == 1
 
 
+P3_FN = "3 4\nanf: x1*x2 + x3\n"
+
+
+@pytest.mark.parametrize(
+    "argv, texts, err",
+    [
+        (["bent", "{0}"], [P3_FN], "bent detection is defined for p = 2"),
+        (["bent", "{0}"], ["2 3\nanf: x1*x2 + x3\n"], "bent functions require even n"),
+        (["projector", "{0}", "{1}"], [P3_FN, REPAIRED_MAT],
+         "the projector construction is defined for p = 2"),
+        (["projector", "{0}", "{1}"], [G2_FN, "2 3\n100010\n010001\n001000\n"],
+         "matrix must be 4 x 8 over F_2"),
+        (["projector", "{0}", "{1}"], [G2_FN, "3" + REPAIRED_MAT[1:]],
+         "matrix must be 4 x 8 over F_2"),
+        (["zset", "{0}"], [P3_FN], "zset is defined for p = 2"),
+        (["coset-code", "{0}", "--betas", "0000,110"], [K4_FN], "expected 4 residues, got 3"),
+    ],
+    ids=["bent-p3", "bent-odd-n", "projector-p3", "projector-3x6", "projector-F3", "zset-p3",
+         "coset-short-shift"],
+)
+def test_domain_refusals_come_before_any_expansion(files, capsys, monkeypatch, argv, texts, err):
+    expanded = count_expansions(monkeypatch)
+    paths = [files(f"in{i}.txt", text) for i, text in enumerate(texts)]
+    assert main([arg.format(*paths) for arg in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+    assert expanded == []
+
+
 @pytest.mark.parametrize("n", [18, 20])
 def test_projector_probes_the_shift_set_without_listing_it(files, capsys, n):
     # x1*...*xn has 2^n - 1 zero-product shifts, over the listing budget as

@@ -755,6 +755,13 @@ def test_parse_function_file_variants():
     assert list(parse_function_file("11 1\ntt: 01234567890\n").table) == [*range(10), 0]
 
 
+@pytest.mark.parametrize("text", ["3 1\ntt: 013\n", "3 1\ntt: 0, 1, 3\n", "3 1\ntt: 0 -1 2\n"])
+def test_parse_function_file_residue_out_of_range(text):
+    # a compact digit string and separated values, above p - 1 and below 0
+    with pytest.raises(InputError, match=r"^residues must lie in \[0, 3\)$"):
+        parse_function_file(text)
+
+
 def test_parse_function_file_errors():
     for bad in (
         "2 2\n",  # missing body

@@ -21,7 +21,9 @@ within a second, and 3^14 role tuples on one support are refused with
 exit 3 within a second, before any support is walked. So are 4096 classes
 on C12, whose 4096^2 pairs exceed the listing budget (2048 classes are
 checked), and 2000 shifts of length 18 under 256 MiB, whose 2000 tables
-of 2^18 entries exceed the table cap."""
+of 2^18 entries exceed the table cap. Under 256 MiB, `lfqec bent` on a
+p = 3, n = 15 ANF, and `lfqec projector` on it with a 15 x 30 matrix, must
+be refused with exit 2 within 5 s, before the ANF is expanded."""
 import json
 import os
 import pathlib
@@ -82,6 +84,24 @@ def test_bent_command_fits_the_ceiling(tmp_path):
     fn.write_text(f"2 22\nanf: {pairs_anf(22)}\n")
     out = run_capped(cli_code("bent", str(fn)))
     assert out == f"bent: true\nsupport size: {2**21 - 2**10}"
+
+
+@pytest.mark.parametrize("command, err", [
+    ("bent", "bent detection is defined for p = 2"),
+    ("projector", "the projector construction is defined for p = 2"),
+], ids=["bent", "projector"])
+def test_domain_refusal_comes_before_the_expansion(tmp_path, command, err):
+    # the 3^15 int64 table alone takes 115 MB, and the expansion's grids more
+    fn, mat = tmp_path / "cycle15.fn", tmp_path / "a.mat"
+    fn.write_text("3 15\nanf: " + " + ".join(f"x{i + 1}*x{(i + 1) % 15 + 1}" for i in range(15)))
+    mat.write_text("2 15\n" + "".join(format(1 << (29 - i), "030b") + "\n" for i in range(15)))
+    argv = [command, str(fn)] + [str(mat)] * (command == "projector")
+    t0 = time.perf_counter()
+    proc = run_child(cli_code(*argv), ceiling=256 << 20)
+    assert time.perf_counter() - t0 < 5
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert proc.stderr == f"error: {err}\n"
+    assert proc.stdout == ""
 
 
 def test_zset_listing_over_budget_is_refused(tmp_path):

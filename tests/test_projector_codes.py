@@ -46,6 +46,7 @@ from lfqec import (
     state_from_function,
     weight_support,
 )
+from lfqec.cli import main
 
 G2_ANF = "x1*x3 + x1*x4 + x2*x3 + x2*x4 + x3*x4 + x1 + x2"
 GAMMA_G2 = [[0, 0, 1, 1], [0, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]]
@@ -323,6 +324,37 @@ def test_extraction_errors():
         extract_boolean_basis(g, zeros)
     with pytest.raises(InputError):
         extract_boolean_basis(parse_anf("x1*x2", 3, 2), A)
+
+
+def test_extraction_refuses_a_matrix_of_the_wrong_shape():
+    # 3 x 6 has the n x 2n form, but for n = 3, not for the function's n = 4
+    A = FpMatrix.from_rows(2, np.eye(3, 6, dtype=int).tolist())
+    with pytest.raises(InputError, match="matrix must be 4 x 8 over F_2"):
+        extract_boolean_basis(parse_anf("x1*x2 + x3", 2, 4), A)
+
+
+def test_extraction_inverts_the_left_block_with_one_elimination(monkeypatch):
+    calls = []
+    eliminate = projector_codes._eliminate
+    monkeypatch.setattr(projector_codes, "_eliminate",
+                        lambda rows, p: calls.append(len(rows)) or eliminate(rows, p))
+    monkeypatch.setattr(projector_codes, "fp_rank", lambda M: pytest.fail("rank"))
+    assert len(extract_boolean_basis(mds_function(3), mds_matrix(3))) == 16
+    assert calls == [6]  # [L | I], which gives L's invertibility and L^(-1)
+
+
+def test_projector_command_builds_the_row_labels_once(tmp_path, monkeypatch, capsys):
+    # only the commutation premise reads A's rows as labels
+    built = []
+    label = projector_codes.PauliLabel
+    monkeypatch.setattr(projector_codes, "PauliLabel",
+                        lambda *args: built.append(args) or label(*args))
+    fn, mat = tmp_path / "g2.fn", tmp_path / "rep.mat"
+    fn.write_text(f"2 4\nanf: {G2_ANF}\n")
+    mat.write_text("2 4\n" + "".join(f"{''.join(map(str, r))}\n" for r in repaired_matrix().entries))
+    assert main(["projector", str(fn), str(mat), "--extract-basis"]) == 0
+    assert capsys.readouterr().out.count("basis[") == 4
+    assert len(built) == 4
 
 
 def test_extraction_rejects_a_wrong_solution(monkeypatch):
