@@ -109,7 +109,7 @@ def cmd_apc(args) -> tuple:
     if args.verify:
         from .state_oracle import min_distance
 
-        oracle = min_distance([f], cap=f.n)
+        oracle = min_distance([f])
         agree = oracle == res.distance
         payload["oracle_distance"] = oracle
         payload["oracle_agrees"] = agree

@@ -37,7 +37,7 @@ def _check_betas(f: LogicFunction, betas) -> list:
         raise InputError("at least one shift vector is required")
     if len(set(out)) != len(out):
         raise InputError("shift vectors must be pairwise distinct")
-    # the search holds 2K tables of p^n entries and reads K^2 ordered shift pairs
+    # the search holds K tables of p^n entries and reads K^2 ordered shift pairs
     check_listing(len(out) ** 2, f"K^2 = {len(out) ** 2} shift pairs")
     if (entries := len(out) * f.p**f.n) > MAX_TABLE:
         raise CapacityError(f"K p^n = {entries} shift table entries exceed the cap {MAX_TABLE}")

@@ -236,33 +236,34 @@ def _first_nonvanishing(f: LogicFunction, betas) -> tuple:
     where H[y][e] counts the x over y with d(x) + delta.x = e mod p. One
     bincount over N keys gives H for an a-group and delta, and a label sums
     p^(w+1) gathered entries, hist[e] = sum_y H[y][e - b_S.y]; it is nonzero
-    iff hist is not flat. Memory is O(K N): the tables +-beta_i.x, made once,
-    the a-group's keys, and gathers of at most one table's entries."""
+    iff hist is not flat. Memory is O(K N): the a-group's keys, gathers of at
+    most one table's entries and, when some delta != 0, the K tables beta_i.x and a buffer."""
     p, n, table = f.p, f.n, f.table
-    plus = [linear_values(p, n, beta) for beta in betas]
-    minus = [linear_values(p, n, [-v for v in beta]) for beta in betas]
     pairs = {}
     for (i, bi), (j, bj) in itertools.product(enumerate(betas), repeat=2):
         pairs.setdefault(tuple((x - y) % p for x, y in zip(bi, bj)), (i, j))
     del pairs[(0,) * n]  # delta = 0 reads the a-group's own keys
-    # a key is stride * index(y) + d(x) + p + beta_i.x + (-beta_j).x, whose
-    # last four terms lie in [1, 4p - 3]: no reduction mod p on the N keys
+    lin = [linear_values(p, n, beta) for beta in betas] if pairs else []
+    buf = np.empty(p**n, dtype=np.int64) if pairs else None
+    # a key is stride * index(y) + d(x) + 2p + beta_i.x - beta_j.x, whose last
+    # four terms lie in [2, 4p - 2]: no reduction mod p on the N keys
     stride = 4 * p
-    buf = np.empty(p**n, dtype=np.int64)
     for w in range(1, n + 1):
         ys = np.indices((p,) * w).reshape(w, -1)  # y in index order, x_S[0] most significant
         y_rows = p * np.arange(p**w)[:, None]  # H[y] starts at p y in the flat H
         rows = p ** max(0, n - w - 1)  # labels per gather: rows p^(w+1) <= N entries
         for supp, A, B, starts in label_blocks(p, n, w):
             y_key = sum(digit_axis(p, n, s) * p ** (w - 1 - k) for k, s in enumerate(supp))
-            base = (table.reshape((p,) * n) + (stride * y_key + p)).reshape(-1)
+            base = (table.reshape((p,) * n) + (stride * y_key + 2 * p)).reshape(-1)
             for lo, hi in zip(starts, starts[1:]):  # the a-groups of the chunk
                 keys = base - shifted(table, p, n, a := A[lo].tolist())
                 for c in range(lo, hi, rows):
                     by = (B[c : min(c + rows, hi), supp] @ ys)[:, :, None]
                     idx = y_rows + (np.arange(p) - by) % p  # (b, y, e) -> H[y][e - b_S.y]
                     hit = np.zeros(len(idx), dtype=bool)
-                    for exps in _delta_keys(keys, plus, minus, pairs.values(), buf):
+                    for i, j in ((0, 0), *pairs.values()):  # the a-group's own keys first
+                        exps = keys if i == j else np.subtract(
+                            np.add(keys, lin[i], out=buf), lin[j], out=buf)
                         counts = np.bincount(exps, minlength=stride * p**w)
                         sums = counts.reshape(p**w, 4, p).sum(axis=1).reshape(-1)[idx].sum(axis=1)
                         hit |= (sums != sums[:, :1]).any(axis=1)
@@ -271,15 +272,6 @@ def _first_nonvanishing(f: LogicFunction, betas) -> tuple:
                     if hit.any():
                         return w, tuple(a), tuple(B[c + hit.argmax()].tolist())
     raise RuntimeError("unreachable: weight-n labels always include a nonvanishing sum")
-
-
-def _delta_keys(keys, plus, minus, pairs, buf):
-    """keys, then keys + beta_i.x + (-beta_j).x in buf for each pair (i, j)."""
-    yield keys
-    for i, j in pairs:
-        np.add(keys, plus[i], out=buf)
-        buf += minus[j]
-        yield buf
 
 
 @dataclass(frozen=True)
@@ -305,18 +297,21 @@ def autocorrelation(f: LogicFunction, a) -> CycloInt:
 
 
 def _fwht(v: np.ndarray) -> np.ndarray:
-    """Unnormalised Walsh-Hadamard transform of an int64 vector of length 2^n.
+    """Unnormalised Walsh-Hadamard transform of v, in place on an int64 copy.
 
     The callers transform vectors with entries in {-1, 0, 1} and then their
     squared spectra, whose sum is at most 2^n * 2^n by Parseval. Every
     butterfly partial sum is bounded by that sum, so it stays below
-    MAX_TABLE^2 = 2^48 and int64 is exact across the whole table cap."""
-    assert len(v) <= MAX_TABLE and MAX_TABLE**2 < 2**63, "int64 exactness bound"
-    v = np.asarray(v, dtype=np.int64)
+    MAX_TABLE^2 = 2^48 and the intermediate -2 hi below 2^49: int64 is exact
+    across the whole table cap."""
+    assert len(v) <= MAX_TABLE and 2 * MAX_TABLE**2 < 2**63, "int64 exactness bound"
+    v = np.array(v, dtype=np.int64)
     h = 1
     while h < len(v):
-        pairs = v.reshape(-1, 2, h)
-        v = np.stack((pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]), axis=1).reshape(-1)
+        lo, hi = v.reshape(-1, 2, h).swapaxes(0, 1)  # views of the butterfly halves
+        lo += hi
+        hi *= -2
+        hi += lo  # lo + hi - 2 hi = lo - hi
         h *= 2
     return v
 
@@ -324,7 +319,7 @@ def _fwht(v: np.ndarray) -> np.ndarray:
 def _autocorrelate(v: np.ndarray) -> np.ndarray:
     """sum_x v(x) v(x + a) for every shift a, as FWHT(FWHT(v)^2) / 2^n."""
     w = _fwht(v)
-    return _fwht(w * w) // len(v)
+    return _fwht(np.square(w, out=w)) // len(v)
 
 
 def _shifts_where(n: int, mask: np.ndarray) -> set:

@@ -73,7 +73,7 @@ def test_claimed_coset_distance_matches_pairwise_reference(gen):
     # random quadratic forms (many vanishing sums) alternate with random tables;
     # every other shift set is an arithmetic progression, whose differences repeat
     distances = []
-    for p, n in [(2, 4), (2, 5), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)]:
+    for p, n in [(2, 4), (2, 5), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2), (11, 2), (13, 2)]:
         for trial in range(6):
             if trial % 2:
                 f = random_function(gen, p, n)

@@ -39,6 +39,7 @@ from lfqec import (
     autocorrelation,
     autocorrelation_spectrum,
     bent_exclusion,
+    claimed_coset_distance,
     is_bent,
     parse_anf,
     quadratic_form,
@@ -488,7 +489,7 @@ def random_quadratic(gen, p, n) -> LogicFunction:
     return LogicFunction(p, n, anf=terms)
 
 
-@pytest.mark.parametrize("p, max_n", [(2, 5), (3, 3), (5, 2), (7, 2)])
+@pytest.mark.parametrize("p, max_n", [(2, 5), (3, 3), (5, 2), (7, 2), (13, 2)])
 def test_apc_distance_matches_per_label_reference(gen, p, max_n):
     distances = []
     for _ in range(30):
@@ -531,6 +532,21 @@ def test_search_across_chunk_boundaries(gen, monkeypatch, p, n):
         assert (res.distance, (res.witness.a, res.witness.b)) == reference_apc_distance(f)
 
 
+def test_search_builds_one_shift_table_per_shift(gen, monkeypatch):
+    # the one zero shift of apc_distance has no nonzero difference, so no
+    # table beta.x is built; three shifts take one table each
+    calls = []
+    linear_values = lfqec.logic_fn.linear_values
+    monkeypatch.setattr(lfqec.logic_fn, "linear_values",
+                        lambda *args: calls.append(args) or linear_values(*args))
+    f = random_function(gen, 2, 6)
+    apc_distance(f)
+    assert calls == []
+    betas = [(0,) * 6, (0, 1, 0, 1, 1, 0), (1, 1, 0, 0, 0, 0)]
+    claimed_coset_distance(f, betas)
+    assert sorted(beta for _, _, beta in calls) == betas
+
+
 def test_apc_distance_affine_invariance(gen):
     for _ in range(40):
         p = int(gen.choice([2, 3]))
@@ -561,6 +577,29 @@ def test_spectrum_transform_matches_direct(gen):
         assert spec[0] == 2**n
     with pytest.raises(InputError):
         autocorrelation_spectrum(random_function(gen, 3, 2))
+
+
+def direct_walsh(v: np.ndarray) -> np.ndarray:
+    """sum_x v(x) (-1)^(u.x) for every u, one parity per (u, x) pair."""
+    x = np.arange(len(v))
+    return np.array([sum(int(c) * (-1) ** bin(u & k).count("1") for k, c in zip(x, v))
+                     for u in x], dtype=np.int64)
+
+
+def test_fwht_leaves_its_argument_alone(gen):
+    # a held table is read-only, and a writable array must come back unchanged too
+    for n in range(1, 9):
+        f = random_function(gen, 2, n)
+        held, signs = f.table, 1 - 2 * f.table
+        kept = held.copy(), signs.copy()
+        assert np.array_equal(lfqec.logic_fn._fwht(held), direct_walsh(held))
+        assert np.array_equal(lfqec.logic_fn._fwht(signs), direct_walsh(signs))
+        assert np.array_equal(lfqec.logic_fn._autocorrelate(signs), direct_spectrum(f))
+        x = np.arange(2**n)
+        assert np.array_equal(lfqec.logic_fn._autocorrelate(held),
+                              [int(held @ held[x ^ a]) for a in x])
+        assert np.array_equal(held, kept[0]) and np.array_equal(signs, kept[1])
+        assert not held.flags.writeable
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,9 @@ on C12, whose 4096^2 pairs exceed the listing budget (2048 classes are
 checked), and 2000 shifts of length 18 under 256 MiB, whose 2000 tables
 of 2^18 entries exceed the table cap. Under 256 MiB, `lfqec bent` on a
 p = 3, n = 15 ANF, and `lfqec projector` on it with a 15 x 30 matrix, must
-be refused with exit 2 within 5 s, before the ANF is expanded."""
+be refused with exit 2 within 5 s, before the ANF is expanded. Under
+384 MiB, `lfqec apc`, `lfqec bent` and `lfqec zset` on a random p = 2,
+n = 22 truth table must exit 0 and print what they print uncapped."""
 import json
 import os
 import pathlib
@@ -86,6 +88,26 @@ def test_bent_command_fits_the_ceiling(tmp_path):
     assert out == f"bent: true\nsupport size: {2**21 - 2**10}"
 
 
+@pytest.fixture(scope="module")
+def random22(tmp_path_factory) -> pathlib.Path:
+    """A seeded random p = 2, n = 22 table, written as one compact digit string."""
+    path = tmp_path_factory.mktemp("random22") / "random22.fn"
+    digits = np.random.default_rng(22).integers(0, 2, 2**22).astype(np.uint8) + ord("0")
+    path.write_text("2 22\ntt: " + digits.tobytes().decode() + "\n")
+    return path
+
+
+@pytest.mark.parametrize("command", ["apc", "bent", "zset"])
+def test_random_table_commands_fit_384_mib(random22, command):
+    # the search holds no shift table for apc's one zero shift, and the
+    # transform runs in place: apc fits 320 MiB, bent 288 and zset 256
+    uncapped = run_child(cli_code(command, str(random22)), ceiling=resource.RLIM_INFINITY)
+    assert uncapped.returncode == 0, uncapped.stderr[-2000:]
+    proc = run_child(cli_code(command, str(random22)), ceiling=384 << 20)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert (proc.stdout, proc.stderr) == (uncapped.stdout, "")
+
+
 @pytest.mark.parametrize("command, err", [
     ("bent", "bent detection is defined for p = 2"),
     ("projector", "the projector construction is defined for p = 2"),
@@ -127,7 +149,7 @@ def test_zset_json_listing_fits_256_mib(tmp_path):
 
 def test_coset_search_fits_256_mib(tmp_path):
     # 32 shifts have about 500 distinct differences; one table of 2^16 entries
-    # per difference would not fit, the K tables +-beta.x do. Two shifts differ
+    # per difference would not fit, the K tables beta.x do. Two shifts differ
     # by e_1, so the label (0, e_1) has a nonvanishing sum and d = 1.
     n = 16
     fn = tmp_path / "cycle16.fn"
@@ -144,7 +166,7 @@ def test_coset_search_fits_256_mib(tmp_path):
 
 
 def test_coset_shift_tables_over_the_cap_are_refused(tmp_path):
-    # 2K tables +-beta.x of 2^18 int64 entries would take about 8.4 GB
+    # K tables beta.x of 2^18 int64 entries would take about 4.2 GB
     fn = tmp_path / "x1x2.fn"
     fn.write_text("2 18\nanf: x1*x2\n")
     arg = ",".join(format(j, "018b") for j in range(2000))
