@@ -3,9 +3,9 @@ blank-line filtering, the two-integer header, integer tokens and residue
 rows), residue vectors (shift lists and system columns), the matrix,
 classes, system, function and graph files, the code description (JSON),
 and the ANF syntax. Every malformed token raises InputError. Readers return
-plain values (header integers, ANF term lists, residue lists and tuples,
-FpMatrix) and import no numeric library, so bad input is refused before one
-is loaded.
+plain values (header integers, ANF term lists, residue lists, byte views and
+tuples, FpMatrix) and import no numeric library, so bad input is refused
+before one is loaded.
 """
 from __future__ import annotations
 
@@ -46,12 +46,12 @@ def read_header(text: str, names: str) -> tuple:
     return a, b, lines[1:]
 
 
-def residues(token: str, p: int, count: int | None = None, sep: str = r"[\s,]+") -> list:
+def residues(token: str, p: int, count: int | None = None, sep: str = r"[\s,]+"):
     """Residues in [0, p): a compact digit string when p <= 7 or when it has
-    exactly `count` digits, otherwise integers separated by `sep`. A given
-    `count` is enforced."""
+    exactly `count` digits, as a memoryview of one byte a digit, otherwise a
+    list of the integers separated by `sep`. A given `count` is enforced."""
     if _DIGITS.fullmatch(token) and (p <= 7 or len(token) == count):
-        vals = list(token.encode().translate(_DIGIT_VALUES))  # b"0" .. b"9" to bytes 0 .. 9
+        vals = memoryview(token.encode().translate(_DIGIT_VALUES))  # b"0" .. b"9" to 0 .. 9
     else:
         vals = [integer(tok, "residue") for tok in re.split(sep, token) if tok]
     if count is not None and len(vals) != count:
@@ -123,8 +123,8 @@ def read_function_file(text: str) -> tuple:
     """(p, n, values, terms), the arguments of `LogicFunction`, of a function
     file: exactly two content lines, 'p n' then either 'anf: <polynomial>'
     (terms from `anf_terms`, values None) or 'tt: <p^n residues in index
-    order>' (the residues, terms None). Truth-table residues may be a compact
-    digit string or whitespace/comma separated values."""
+    order>' (terms None): a compact digit string, returned as a byte view,
+    or whitespace/comma separated values, returned as a list."""
     p, n, body = read_header(text, "p n")
     if not body:
         raise InputError("function file needs a body line after 'p n'")

@@ -4,9 +4,9 @@ Subcommands: apc, zset, bent, graph-code, matrix-check, coset-code,
 projector, mds, solve-basis, verify. Every subcommand takes --format
 text|json.
 
-Exit codes: 0 success / verified; 1 verification or premise failure
-(a failed distance claim, rejected matrix, failed projector premises,
-or an inconsistent difference system); 2 malformed input; 3 capacity.
+Exit codes: 0 success / verified; 1 a failed claim, rejected matrix, failed
+projector premises or inconsistent difference system; 2 malformed input;
+3 capacity: refused up front or, as a backstop, a command out of memory.
 
 Each subcommand reads its input files with `_textfile`, which knows every
 input syntax, and only then imports the modules it runs, so malformed
@@ -135,9 +135,8 @@ def cmd_bent(args) -> tuple:
     from .logic_fn import LogicFunction, _bent_domain, is_bent
 
     f = _bent_domain(LogicFunction(*parsed))  # refused outside it before its ANF is expanded
-    t = f.table  # one expansion of an ANF, read by both
-    bent = is_bent(LogicFunction(f.p, f.n, t))
-    M = int((t != 0).sum())
+    bent = is_bent(f)  # f is held as its table: one expansion of an ANF, read by both
+    M = int((f.table != 0).sum())
     payload = {"bent": bent, "support_size": M}
     return payload, [f"bent: {str(bent).lower()}", f"support size: {M}"], 0
 
@@ -332,6 +331,9 @@ def main(argv=None) -> int:
         return 1
     except CapacityError as exc:
         print(f"capacity: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:  # numpy's _ArrayMemoryError too: out of memory is no refutation
+        print(f"capacity: {args.command} ran out of memory", file=sys.stderr)
         return 3
     try:
         _emit(args, payload, lines)

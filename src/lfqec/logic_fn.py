@@ -55,7 +55,8 @@ class LogicFunction:
         if self.anf is not None:
             object.__setattr__(self, "anf", _canonical_terms(self.p, self.n, self.anf))
             return
-        t = np.asarray(self.values, dtype=np.int64) % self.p
+        t = np.array(self.values, dtype=np.int64)  # the one copy, reduced in place
+        t %= self.p
         if t.shape != (N,):
             raise InputError(f"table must have {N} entries, got shape {t.shape}")
         t.setflags(write=False)
@@ -254,9 +255,11 @@ def _first_nonvanishing(f: LogicFunction, betas) -> tuple:
         rows = p ** max(0, n - w - 1)  # labels per gather: rows p^(w+1) <= N entries
         for supp, A, B, starts in label_blocks(p, n, w):
             y_key = sum(digit_axis(p, n, s) * p ** (w - 1 - k) for k, s in enumerate(supp))
-            base = (table.reshape((p,) * n) + (stride * y_key + 2 * p)).reshape(-1)
+            offset = stride * y_key + 2 * p  # p^w entries, broadcast over the grid
             for lo, hi in zip(starts, starts[1:]):  # the a-groups of the chunk
-                keys = base - shifted(table, p, n, a := A[lo].tolist())
+                keys = shifted(table, p, n, a := A[lo].tolist())  # a new array: writable
+                np.subtract(table, keys, out=keys)  # d(x), then its key, in place
+                np.add(keys.reshape((p,) * n), offset, out=keys.reshape((p,) * n))
                 for c in range(lo, hi, rows):
                     by = (B[c : min(c + rows, hi), supp] @ ys)[:, :, None]
                     idx = y_rows + (np.arange(p) - by) % p  # (b, y, e) -> H[y][e - b_S.y]
@@ -271,6 +274,7 @@ def _first_nonvanishing(f: LogicFunction, betas) -> tuple:
                             break
                     if hit.any():
                         return w, tuple(a), tuple(B[c + hit.argmax()].tolist())
+                del keys, exps  # before the next roll: one a-group's keys at a time
     raise RuntimeError("unreachable: weight-n labels always include a nonvanishing sum")
 
 
@@ -365,13 +369,13 @@ def zset_via_autocorrelation(f: LogicFunction) -> set:
 
 
 def _bent_domain(f: LogicFunction) -> LogicFunction:
-    """f, once it lies in bent detection's domain, p = 2 and even n: checked
-    before an ANF is expanded."""
+    """f held as its table, once it lies in bent detection's domain, p = 2
+    and even n: both are checked before an ANF is expanded."""
     if f.p != 2:
         raise InputError("bent detection is defined for p = 2")
     if f.n % 2:
         raise InputError("bent functions require even n")
-    return f
+    return f if f.anf is None else LogicFunction(2, f.n, f.table)
 
 
 def is_bent(f: LogicFunction) -> bool:

@@ -29,7 +29,7 @@ from .fp_algebra import (
     symplectic_product,
     validate_prime,
 )
-from .logic_fn import LogicFunction, _autocorrelate, add_affine, is_bent
+from .logic_fn import LogicFunction, _autocorrelate, _bent_domain, add_affine, is_bent
 from .logic_fn import solve_coboundary, weight_support
 
 _FLOAT_EXACT_BOUND = 2**52
@@ -313,9 +313,8 @@ def bent_exclusion(f: LogicFunction) -> bool:
         raise InputError("exclusion statement needs n > 2")
     if f.n % 2:
         return False
-    t = f.table  # one expansion of an ANF, read by both
-    if not is_bent(LogicFunction(2, f.n, t)):
+    if not is_bent(f := _bent_domain(f)):  # f held as its table, read by both
         return False
-    if (_autocorrelate(t) == 0).any():
+    if (_autocorrelate(f.table) == 0).any():
         raise RuntimeError("bent function with nonempty zero-product shift set")
     return True

@@ -51,10 +51,9 @@ class StateVector:
 
     def __post_init__(self):
         N = table_size(self.p, self.n, cap=MAX_STATE)
-        a = np.asarray(self.amps, dtype=np.int64)
+        a = np.array(self.amps, dtype=np.int64)  # one copy, whatever the input's dtype
         if a.shape != (N, self.p):
             raise InputError(f"amplitude array must be {(N, self.p)}, got {a.shape}")
-        a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "amps", a)
 

@@ -7,6 +7,7 @@ import math
 import re
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -792,6 +793,32 @@ def test_parse_function_file_variants():
     assert sp == f
     # p > 7 reads a digit string compactly only when it has exactly p^n digits
     assert list(parse_function_file("11 1\ntt: 01234567890\n").table) == [*range(10), 0]
+
+
+def test_compact_table_is_read_as_one_byte_a_digit():
+    # 2^20 compact digits are held as a byte view, not a list of 8-byte entries
+    digits = np.random.default_rng(20).integers(0, 2, 2**20)
+    text = "2 20\ntt: " + (digits.astype(np.uint8) + ord("0")).tobytes().decode() + "\n"
+    tracemalloc.start()
+    try:
+        parsed = read_function_file(text)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 2 * 2**20
+    f = LogicFunction(*parsed)
+    assert np.array_equal(f.table, digits)
+    # separated values, and p = 11 residues of two digits, are read as lists
+    spaced = read_function_file("2 20\ntt: " + " ".join(map(str, digits.tolist())))
+    assert isinstance(spaced[2], list) and LogicFunction(*spaced) == f
+    vals = np.random.default_rng(11).integers(0, 11, 11**2)
+    two_digit = read_function_file("11 2\ntt: " + ", ".join(map(str, vals.tolist())))
+    assert isinstance(two_digit[2], list) and 10 in two_digit[2]
+    assert np.array_equal(LogicFunction(*two_digit).table, vals)
+    small = np.minimum(vals, 9).tolist()  # spelled both ways: p^n digits, or separated
+    compact = read_function_file("11 2\ntt: " + "".join(map(str, small)))
+    assert LogicFunction(*compact) == LogicFunction(*read_function_file(
+        "11 2\ntt: " + " ".join(map(str, small))))
 
 
 @pytest.mark.parametrize("text", ["3 1\ntt: 013\n", "3 1\ntt: 0, 1, 3\n", "3 1\ntt: 0 -1 2\n"])

@@ -25,7 +25,12 @@ of 2^18 entries exceed the table cap. Under 256 MiB, `lfqec bent` on a
 p = 3, n = 15 ANF, and `lfqec projector` on it with a 15 x 30 matrix, must
 be refused with exit 2 within 5 s, before the ANF is expanded. Under
 384 MiB, `lfqec apc`, `lfqec bent` and `lfqec zset` on a random p = 2,
-n = 22 truth table must exit 0 and print what they print uncapped."""
+n = 22 truth table must exit 0 and print what they print uncapped; under
+256 MiB they must exit 0 or 3, never 1. On a random p = 2 table at the
+n = 24 cap, each holding one int64 table, the same three must exit 0 with
+their pinned answers under 640 MiB, and under 384 MiB `bent` and `zset`
+must run out of memory and exit 3 with a one-line capacity message:
+running out of memory is never a refutation."""
 import json
 import os
 import pathlib
@@ -106,6 +111,48 @@ def test_random_table_commands_fit_384_mib(random22, command):
     proc = run_child(cli_code(command, str(random22)), ceiling=384 << 20)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert (proc.stdout, proc.stderr) == (uncapped.stdout, "")
+
+
+def table_answers(n: int, support: int) -> dict:
+    """The stdout of apc, bent and zset on the seeded random table at n."""
+    return {"apc": f"distance: 1\nwitness: a=1{'0' * (n - 1)} b={'0' * n}\n",
+            "bent": f"bent: false\nsupport size: {support}\n", "zset": "size: 0\n"}
+
+
+@pytest.mark.parametrize("command", ["apc", "bent", "zset"])
+def test_random_table_commands_never_read_out_of_memory_as_a_refutation(random22, command):
+    # at 256 MiB each either finishes (it does here) or runs out of memory
+    proc = run_child(cli_code(command, str(random22)), ceiling=256 << 20)
+    assert proc.returncode in (0, 3), proc.stderr[-2000:]
+    if proc.returncode == 3:
+        assert (proc.stdout, proc.stderr) == ("", f"capacity: {command} ran out of memory\n")
+    else:
+        assert (proc.stdout, proc.stderr) == (table_answers(22, 2098542)[command], "")
+
+
+@pytest.fixture(scope="module")
+def random24(tmp_path_factory) -> pathlib.Path:
+    """A seeded random p = 2, n = 24 table, the table cap, as one compact digit string."""
+    path = tmp_path_factory.mktemp("random24") / "random24.fn"
+    digits = np.random.default_rng(24).integers(0, 2, 2**24).astype(np.uint8) + ord("0")
+    path.write_text("2 24\ntt: " + digits.tobytes().decode() + "\n")
+    return path
+
+
+@pytest.mark.parametrize("command", ["apc", "bent", "zset"])
+def test_table_cap_commands_fit_640_mib(random24, command):
+    # one int64 table, the reader's one byte a digit and the work arrays:
+    # apc fits 448 MiB, bent and zset 576
+    proc = run_child(cli_code(command, str(random24)), ceiling=640 << 20)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert (proc.stdout, proc.stderr) == (table_answers(24, 8388819)[command], "")
+
+
+@pytest.mark.parametrize("command", ["bent", "zset"])
+def test_table_cap_commands_out_of_memory_exit_3(random24, command):
+    proc = run_child(cli_code(command, str(random24)), ceiling=384 << 20)
+    assert proc.returncode == 3, proc.stderr[-2000:]
+    assert (proc.stdout, proc.stderr) == ("", f"capacity: {command} ran out of memory\n")
 
 
 @pytest.mark.parametrize("command, err", [
