@@ -15,7 +15,7 @@ Three pillars used everywhere else:
 Capacities keep everything desk-scale: p <= 13, truth tables to 2^24
 entries, state vectors to 2^20, OperatorMatrix to dimension 1024 (it keeps
 only its product and rank, and no verdict forms one), and listings to 2^22
-entries (vectors x length, basis pairs, or recovered tables x size).
+entries (vectors x length, basis pairs, or basis functions x ANF terms).
 """
 from __future__ import annotations
 
@@ -199,11 +199,11 @@ class FpMatrix:
         return FpMatrix(self.p, tuple(a + b for a, b in zip(self.entries, other.entries)))
 
     def is_symmetric(self) -> bool:
-        return all(
+        return self.rows == self.cols and all(
             self.entries[i][j] == self.entries[j][i]
             for i in range(self.rows)
             for j in range(i + 1, self.cols)
-        ) and self.rows == self.cols
+        )
 
     def has_zero_diagonal(self) -> bool:
         return self.rows == self.cols and all(self.entries[i][i] == 0 for i in range(self.rows))

@@ -81,30 +81,26 @@ class OperatorMatrix:
         raise TypeError("OperatorMatrix is not hashable")
 
     def mul(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        """Exact product: p^2 integer matrix products folded by exponent.
-        float64 BLAS is used only under a proven-exact magnitude bound."""
+        """Exact product: p^2 float64 matrix products folded by exponent,
+        each under the bound that makes it exact; a product past it is
+        refused."""
         if (self.p, self.n) != (other.p, other.n):
             raise InputError("operator shape mismatch")
         p = self.p
         N = p**self.n
-        amax = int(self.entries.max(initial=0))
-        bmax = int(other.entries.max(initial=0))
+        bound = int(self.entries.max(initial=0)) * int(other.entries.max(initial=0)) * N
+        if bound >= _FLOAT_EXACT_BOUND:
+            raise CapacityError(f"operator product sums up to {bound} exceed the float bound 2^52")
         out = np.zeros((N, N, p), dtype=np.int64)
-        use_float = amax * bmax * N < _FLOAT_EXACT_BOUND
         for j in range(p):
             A = self.entries[:, :, j]
             if not A.any():
                 continue
-            Af = A.astype(np.float64) if use_float else None
+            Af = A.astype(np.float64)
             for k in range(p):
                 B = other.entries[:, :, k]
-                if not B.any():
-                    continue
-                if use_float:
-                    prod = Af @ B.astype(np.float64)
-                else:
-                    prod = A.astype(object) @ B.astype(object)
-                out[:, :, (j + k) % p] += prod.astype(np.int64)
+                if B.any():
+                    out[:, :, (j + k) % p] += (Af @ B.astype(np.float64)).astype(np.int64)
         return OperatorMatrix(p, self.n, out, self.scale_log2 + other.scale_log2)
 
     def trace(self) -> CycloInt:
@@ -270,32 +266,34 @@ def extract_boolean_basis(f: LogicFunction, A: FpMatrix) -> list:
     +-1 eigenvector forces the rows to be commuting involutions (E_i E_j =
     +-E_j E_i and E_i^2 = +-I for displacements), and the invertible left
     block makes them independent, so the joint eigenspace is the line of
-    psi_g, the term is the projector onto it, and <psi_g|psi_g> = 2^n."""
+    psi_g, the term is the projector onto it, and <psi_g|psi_g> = 2^n. Per
+    row i that reads g_t(x + a_i) = g_t(x) + b_i . x + t_i for every x, so
+    d_i(x) = g_0(x + a_i) + g_0(x) + b_i . x is the constant t_i + lambda_t . a_i."""
     f, n = _binary_table(f, A), f.n
     ab = [(r[:n], r[n:]) for r in A.entries]
     inv = [list(a) + [int(i == j) for j in range(n)] for i, (a, _) in enumerate(ab)]
     if _eliminate(inv, 2) != list(range(n)):  # a pivot in I: L is singular
         raise InputError("left block of the matrix must be invertible")
-    M, support = weight_support(f)
-    check_listing(M << n, f"{M} x 2^{n} table entries")  # the M check tables are held at once
+    M, terms = int(np.count_nonzero(f.table)), 1 + n + n * (n - 1) // 2
+    # the M basis functions are held at once, counted before any support point is listed
+    check_listing(M * terms, f"{M} x {terms} basis ANF terms")
     if not M:
         return []
     g0 = solve_coboundary([(a, b, sum(x * y for x, y in zip(a, b)) % 2) for a, b in ab], 2, n)
     if g0 is None:
         raise PremiseError("no quadratic function satisfies the syndrome difference system")
     # lambda_t = L^(-1) t for every t at once: the rows of signs times L^(-1) transposed
-    signs = np.array(support, dtype=np.uint8)
-    lams = (signs @ np.array(inv)[:, n:].T % 2).tolist()
-    tables = np.stack([linear_values(2, n, lam) for lam in lams], dtype=np.uint8, casting="unsafe")
-    tables ^= g0.table.astype(np.uint8)  # one expansion; the tables hold only 0 and 1
-    # E_i psi_g = (-1)^(t_i) psi_g iff g(x + a_i) = g(x) + b_i . x + t_i for every x
+    signs = np.array(weight_support(f)[1], dtype=np.uint8)
+    lams = signs @ np.array(inv)[:, n:].T % 2
+    g = g0.table  # one expansion: each row gathers d_i once, for every syndrome
     for i, (a, b) in enumerate(ab):
-        want = tables ^ linear_values(2, n, b).astype(np.uint8) ^ signs[:, i, None]  # mod 2
-        bad = np.flatnonzero((tables[:, shifted_indices(2, n, a)] != want).any(axis=1))
+        d = g[shifted_indices(2, n, a)] ^ g ^ linear_values(2, n, b)
+        c = signs[:, i] ^ lams @ a % 2
+        bad = np.flatnonzero((c != d[0]) | (d != d[0]).any())
         if bad.size:
             raise RuntimeError(f"recovered state is not an eigenvector of row {i} with sign "
                                f"(-1)^{signs[bad[0], i]}")
-    return [add_affine(g0, lam) for lam in lams]
+    return [add_affine(g0, lam) for lam in lams.tolist()]
 
 
 # ---------------------------------------------------------------------------

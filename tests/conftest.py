@@ -446,6 +446,31 @@ def reference_boolean_basis(f: LogicFunction, A: FpMatrix, t) -> LogicFunction:
     return g
 
 
+def reference_eigen_failure(g0: LogicFunction, f: LogicFunction, A: FpMatrix):
+    """The first (row, sign) at which the basis g_t = g0 + lambda_t . x,
+    L lambda_t = t for each support point t of f, fails E_i psi_g =
+    (-1)^(t_i) psi_g: rows in order, then support points in table-index
+    order; None when every row holds. lambda_t is found by trying every
+    vector, g0 is evaluated from its ANF and each row is applied basis state
+    by basis state."""
+    n = f.n
+    vectors = list(itertools.product(range(2), repeat=n))
+    support = [x for x, v in zip(vectors, f.table.tolist()) if v]
+    left = [A.row(i)[:n] for i in range(n)]
+    g0_values = [sum(c * all(x[v] for v in m) for c, m in g0.anf) for x in vectors]
+    states = []
+    for t in support:
+        lam = next(v for v in vectors if all(
+            sum(r * y for r, y in zip(row, v)) % 2 == ti for row, ti in zip(left, t)))
+        table = [(g + sum(y * z for y, z in zip(lam, x))) % 2 for g, x in zip(g0_values, vectors)]
+        states.append(state_from_function(LogicFunction(2, n, np.array(table))))
+    for i, e in enumerate(stabilizer_labels(A)):
+        for t, psi in zip(support, states):
+            if reference_apply_error(e, psi) != (StateVector(2, n, -psi.amps) if t[i] else psi):
+                return i, t[i]
+    return None
+
+
 def function_outer(g: LogicFunction) -> OperatorMatrix:
     """(1/2^n) |psi_g><psi_g| : entry (r, c) = zeta^(g(r) - g(c)), scaled."""
     p, n = g.p, g.n

@@ -464,7 +464,7 @@ def test_exit_2_projector_row_squares_to_minus_identity(files, capsys):
 def test_exit_3_capacity(files, capsys):
     code, out = run(capsys, "apc", files("huge.fn", "2 30\nanf: x1\n"))
     assert code == 3
-    code, out = run(capsys, "mds", "--m", "7")  # 2^12 tables of 2^14 entries > the listing budget
+    code, out = run(capsys, "mds", "--m", "9")  # 2^16 functions of 172 ANF terms > the listing budget
     assert code == 3
 
 

@@ -401,6 +401,8 @@ def test_quadratic_form():
         quadratic_form(FpMatrix.from_rows(2, [[0, 1], [0, 0]]))
     with pytest.raises(InputError):
         quadratic_form(FpMatrix.from_rows(2, [[1, 1], [1, 0]]))
+    with pytest.raises(InputError, match="symmetric"):  # more columns than rows
+        quadratic_form(FpMatrix.from_rows(2, [[0, 1, 1]]))
 
 
 def test_add_affine(gen):

@@ -3,8 +3,10 @@ process with one OpenBLAS thread whose address space alone is capped at
 768 MiB: parsing an n = 22 or n = 24 function and `lfqec bent` on an
 n = 22 bent function must finish inside it, with the exact answer, and
 `lfqec zset` with 2^21 shifts to list must be refused with exit 3. So must
-`lfqec mds --m 7`, whose 4096 basis tables hold 2^26 entries, while 2048
-basis functions at n = 12 and `mds --m 6` must finish; under 256 MiB,
+`lfqec mds --m 9`, whose 2^16 basis functions of up to 172 ANF terms each
+exceed the listing budget, and `mds --m 12`, whose 2^22 support points at
+the n = 24 table cap are counted, not listed, while 2048 basis functions at
+n = 12 and `mds --m 6` and `--m 7` must finish; under 256 MiB,
 `mds --m 30000000` must be refused with exit 3 within a second. Under 384 MiB,
 `lfqec verify` of a shared-quadratic code with 4096^2 basis pairs must be
 refused with exit 3; the pairs are counted from the basis list, so it is
@@ -309,13 +311,28 @@ def test_closed_form_pair_table_over_budget_is_refused(tmp_path):
 
 
 def test_mds_extraction_fits_the_ceiling_up_to_the_listing_budget():
-    # m = 6: 1024 tables of 2^12 entries, exactly the budget; m = 7: 4096 of 2^14
-    proc = run_child(cli_code("mds", "--m", "6"))
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.startswith("code: ((12, 1024, 2))_p=2\nprovenance: mds-family\n")
-    proc = run_child(cli_code("mds", "--m", "7"))
+    # the basis is M functions of at most 1 + n + n(n-1)/2 ANF terms: m = 7
+    # holds 4096 x 106, m = 9 would hold 65536 x 172, over the budget
+    for m in (6, 7):
+        proc = run_child(cli_code("mds", "--m", str(m)))
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.startswith(
+            f"code: (({2 * m}, {4 ** (m - 1)}, 2))_p=2\nprovenance: mds-family\n")
+    proc = run_child(cli_code("mds", "--m", "9"))
     assert proc.returncode == 3, proc.stderr[-2000:]
-    assert proc.stderr == "capacity: 4096 x 2^14 table entries exceed the listing budget 4194304\n"
+    assert proc.stderr == "capacity: 65536 x 172 basis ANF terms exceed the listing budget 4194304\n"
+    assert proc.stdout == ""
+
+
+def test_mds_support_is_counted_before_it_is_listed():
+    # m = 12 is n = 24, the table cap: its 2^22 support points are counted on
+    # the table and refused, never listed as 24-tuples
+    proc = run_child(cli_code("mds", "--m", "12"))
+    assert proc.returncode == 3, proc.stderr[-2000:]
+    assert proc.stderr == (
+        "capacity: 4194304 x 301 basis ANF terms exceed the listing budget 4194304\n"
+    )
+    assert proc.stdout == ""
 
 
 def test_mds_over_the_table_cap_is_refused_before_its_text_is_built():

@@ -3,6 +3,7 @@ four-premise projector construction, syndrome-term extraction against the
 dense operator reference and the syndrome-by-syndrome solve, and the
 bent-function exclusion."""
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from conftest import (
     operator_sum,
     random_function,
     reference_boolean_basis,
+    reference_eigen_failure,
     stabilizer_labels,
     state_complex,
     syndrome_term,
@@ -144,6 +146,17 @@ def test_operator_capacity():
         OperatorMatrix(2, 11, np.zeros((0, 0, 2), dtype=np.int64))
 
 
+def test_operator_product_past_the_float_bound_is_refused():
+    # a product sum of 2 * 2^26 * 2^26 = 2^53 may round in float64; 2^51 may not
+    big = np.zeros((2, 2, 2), dtype=np.int64)
+    big[:, :, 0] = 2**26
+    A = OperatorMatrix(2, 1, big)
+    with pytest.raises(CapacityError, match=r"2\^52"):
+        A.mul(A)
+    half = OperatorMatrix(2, 1, big // 2)
+    assert np.array_equal(half.mul(half).entries[:, :, 0], np.full((2, 2), 2**51))
+
+
 # ---------------------------------------------------------------------------
 # projector forms
 
@@ -253,11 +266,13 @@ def test_projector_rank_capacity_after_premises(monkeypatch):
     A = FpMatrix.identity(2, 11).hstack(FpMatrix.from_rows(2, B))
     assert check_projector_premises(f, A).all_ok
     assert projector_rank(f, A).M == 1  # no operator is formed, so no dimension cap applies
-    # the extraction holds M tables of 2^n entries: over the budget it is
-    # refused before the difference system is solved
-    monkeypatch.setattr(fp_algebra, "MAX_LISTING", 2**11 - 1)
+    # the extraction holds M functions of at most 1 + n + n(n-1)/2 = 67 ANF
+    # terms: over the budget it is refused before a support point is listed
+    # or the difference system is solved
+    monkeypatch.setattr(fp_algebra, "MAX_LISTING", 66)
+    monkeypatch.setattr(projector_codes, "weight_support", lambda *args: pytest.fail("listed"))
     monkeypatch.setattr(projector_codes, "solve_coboundary", lambda *args: pytest.fail("solved"))
-    with pytest.raises(CapacityError, match=r"1 x 2\^11 table entries exceed the listing budget"):
+    with pytest.raises(CapacityError, match="1 x 67 basis ANF terms exceed the listing budget 66"):
         extract_boolean_basis(f, A)
 
 
@@ -378,6 +393,57 @@ def test_extraction_forms_each_row_shift_once(monkeypatch):
                         lambda p, n, a: calls.append(tuple(a)) or shift(p, n, a))
     assert len(extract_boolean_basis(mds_function(5), A)) == 256
     assert calls == [tuple(A.row(i)[:10]) for i in range(10)]
+
+
+def test_extraction_forms_one_linear_form_per_row(monkeypatch):
+    # the check reads b_i . x once per row on g0's table, never once per syndrome
+    A = mds_matrix(3)
+    calls = []
+    values = projector_codes.linear_values
+    monkeypatch.setattr(projector_codes, "linear_values",
+                        lambda p, n, b: calls.append(tuple(b)) or values(p, n, b))
+    assert len(extract_boolean_basis(mds_function(3), A)) == 16
+    assert calls == [tuple(A.row(i)[6:]) for i in range(6)]
+
+
+def test_extraction_check_matches_the_per_state_reference(gen, monkeypatch):
+    # the factored check against every recovered state, row by row: the solve
+    # is given random linear and quadratic terms, so the row and the sign of
+    # the first failure vary; the unperturbed solve must pass
+    cases = [(mds_function(m), mds_matrix(m)) for m in (2, 3, 4)]
+    for _ in range(30):
+        n = int(gen.integers(1, 7))
+        f = LogicFunction(2, n, (gen.random(2**n) < 0.5).astype(np.int64))
+        cases.append((f, random_stabilizer_matrix(gen, n)))
+    solve, solved, perturb = projector_codes.solve_coboundary, [], [False]
+
+    def perturbed(pairs, p, n):
+        g = solve(pairs, p, n)
+        if perturb[0]:
+            quad = [(1, (j, k)) for j in range(n) for k in range(j + 1, n) if gen.random() < 0.2]
+            linear = [(1, (j,)) for j in range(n) if gen.random() < 0.3]
+            g = LogicFunction(2, n, anf=g.anf + tuple(linear + quad))
+        solved.append(g)
+        return g
+
+    monkeypatch.setattr(projector_codes, "solve_coboundary", perturbed)
+    seen = set()
+    for f, A in cases:
+        for perturb[0] in (False, True, True):
+            solved.clear()
+            try:
+                extract_boolean_basis(f, A)
+                got = None
+            except RuntimeError as exc:
+                found = re.fullmatch(r"recovered state is not an eigenvector of row (\d+) "
+                                     r"with sign \(-1\)\^([01])", str(exc))
+                got = (int(found[1]), int(found[2]))
+            if not perturb[0]:
+                assert got is None
+            if solved:
+                assert got == reference_eigen_failure(solved[0], f, A)
+                seen.add(got)
+    assert None in seen and any(s and s[1] for s in seen) and any(s and s[0] for s in seen)
 
 
 def test_extraction_premise_error_on_inconsistent_rows():
