@@ -93,14 +93,14 @@ class LogicFunction:
 
 def _canonical_terms(p: int, n: int, terms) -> tuple:
     acc: dict = {}
-    for coeff, mono in terms:
-        mono = tuple(sorted(int(v) for v in mono))
-        if any(v < 0 or v >= n for v in mono):
+    for coeff, mono in ((c, tuple(sorted(int(v) for v in m))) for c, m in terms):
+        acc[mono] = (acc.get(mono, 0) + int(coeff)) % p
+    for mono in acc:  # each distinct monomial once, in the order it first appears
+        if mono and (mono[0] < 0 or mono[-1] >= n):  # sorted: its ends bound its range
             raise InputError(f"variable index out of range in monomial {mono}")
         for v in set(mono):
             if mono.count(v) >= p:
                 raise InputError(f"exponent of x{v + 1} must be < p in ANF")
-        acc[mono] = (acc.get(mono, 0) + int(coeff)) % p
     return tuple(
         (c, m) for m, c in sorted(acc.items(), key=lambda kv: (len(kv[0]), kv[0])) if c != 0
     )
@@ -301,7 +301,8 @@ def autocorrelation(f: LogicFunction, a) -> CycloInt:
 
 
 def _fwht(v: np.ndarray) -> np.ndarray:
-    """Unnormalised Walsh-Hadamard transform of v, in place on an int64 copy.
+    """Unnormalised Walsh-Hadamard transform of v, in place: v is a writable
+    int64 array that the caller owns and gives up, and v itself is returned.
 
     The callers transform vectors with entries in {-1, 0, 1} and then their
     squared spectra, whose sum is at most 2^n * 2^n by Parseval. Every
@@ -309,7 +310,7 @@ def _fwht(v: np.ndarray) -> np.ndarray:
     MAX_TABLE^2 = 2^48 and the intermediate -2 hi below 2^49: int64 is exact
     across the whole table cap."""
     assert len(v) <= MAX_TABLE and 2 * MAX_TABLE**2 < 2**63, "int64 exactness bound"
-    v = np.array(v, dtype=np.int64)
+    assert v.dtype == np.int64, "an int64 array the caller owns"
     h = 1
     while h < len(v):
         lo, hi = v.reshape(-1, 2, h).swapaxes(0, 1)  # views of the butterfly halves
@@ -321,9 +322,10 @@ def _fwht(v: np.ndarray) -> np.ndarray:
 
 
 def _autocorrelate(v: np.ndarray) -> np.ndarray:
-    """sum_x v(x) v(x + a) for every shift a, as FWHT(FWHT(v)^2) / 2^n."""
-    w = _fwht(v)
-    return _fwht(np.square(w, out=w)) // len(v)
+    """sum_x v(x) v(x + a) for every shift a, as FWHT(FWHT(v)^2) / 2^n,
+    computed in place in v, which the caller owns as for _fwht."""
+    _fwht(np.square(_fwht(v), out=v))
+    return np.floor_divide(v, len(v), out=v)
 
 
 def _shifts_where(n: int, mask: np.ndarray) -> set:
@@ -340,7 +342,7 @@ def autocorrelation_spectrum(f: LogicFunction) -> np.ndarray:
     r = FWHT(FWHT(s)^2) / 2^n with s = (-1)^f."""
     if f.p != 2:
         raise InputError("spectrum is defined for p = 2")
-    return _autocorrelate(1 - 2 * f.table)
+    return _autocorrelate(np.where(f.table, -1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +355,7 @@ def zset(f: LogicFunction) -> set:
     0/1 indicator of the support."""
     if f.p != 2:
         raise InputError("zset is defined for p = 2")
-    return _shifts_where(f.n, _autocorrelate(f.table) == 0)
+    return _shifts_where(f.n, _autocorrelate(np.array(f.table)) == 0)
 
 
 def zset_via_autocorrelation(f: LogicFunction) -> set:
@@ -365,7 +367,7 @@ def zset_via_autocorrelation(f: LogicFunction) -> set:
     M = int(np.sum(t))
     if M > 2 ** (f.n - 1):
         raise InputError(f"weight {M} exceeds 2^(n-1) = {2 ** (f.n - 1)}")
-    return _shifts_where(f.n, _autocorrelate(1 - 2 * t) == 2**f.n - 4 * M)
+    return _shifts_where(f.n, _autocorrelate(np.where(t, -1, 1)) == 2**f.n - 4 * M)
 
 
 def _bent_domain(f: LogicFunction) -> LogicFunction:
@@ -384,7 +386,8 @@ def is_bent(f: LogicFunction) -> bool:
     odd n is refused before its ANF is expanded. On a positive answer the
     support size is checked against the only two values a flat spectrum allows."""
     t = _bent_domain(f).table
-    bent = bool(np.all(np.abs(_fwht(1 - 2 * t)) == 2 ** (f.n // 2)))
+    w = _fwht(np.where(t, -1, 1))
+    bent = bool(np.all(np.abs(w, out=w) == 2 ** (f.n // 2)))
     if bent:
         M = int(np.sum(t))
         half = 2 ** (f.n - 1)

@@ -205,7 +205,7 @@ def check_projector_premises(f: LogicFunction, A: FpMatrix) -> PremiseReport:
     an ANF is expanded."""
     n, t = f.n, _binary_table(f, A).table
     M = int(np.count_nonzero(t))
-    zero = _autocorrelate(t) == 0  # zset(f) by shift index, probed and never listed
+    zero = _autocorrelate(np.array(t)) == 0  # zset(f) by shift index, probed and never listed
     idx = [vector_index(2, n, A.col(j)) for j in range(2 * n)]
     weight_ok = 0 < M <= 2 ** (n - 1)
     missing_cols = tuple(j for j in range(2 * n) if not zero[idx[j]])
@@ -313,6 +313,6 @@ def bent_exclusion(f: LogicFunction) -> bool:
         return False
     if not is_bent(f := _bent_domain(f)):  # f held as its table, read by both
         return False
-    if (_autocorrelate(f.table) == 0).any():
+    if (_autocorrelate(np.array(f.table)) == 0).any():
         raise RuntimeError("bent function with nonempty zero-product shift set")
     return True

@@ -40,6 +40,7 @@ from lfqec import (
     autocorrelation,
     autocorrelation_spectrum,
     bent_exclusion,
+    check_projector_premises,
     claimed_coset_distance,
     is_bent,
     parse_anf,
@@ -589,20 +590,30 @@ def direct_walsh(v: np.ndarray) -> np.ndarray:
                      for u in x], dtype=np.int64)
 
 
-def test_fwht_leaves_its_argument_alone(gen):
-    # a held table is read-only, and a writable array must come back unchanged too
+def test_fwht_transforms_the_callers_array_in_place(gen):
+    # _fwht and _autocorrelate return the int64 array they are handed, transformed
     for n in range(1, 9):
         f = random_function(gen, 2, n)
-        held, signs = f.table, 1 - 2 * f.table
-        kept = held.copy(), signs.copy()
-        assert np.array_equal(lfqec.logic_fn._fwht(held), direct_walsh(held))
-        assert np.array_equal(lfqec.logic_fn._fwht(signs), direct_walsh(signs))
-        assert np.array_equal(lfqec.logic_fn._autocorrelate(signs), direct_spectrum(f))
-        x = np.arange(2**n)
-        assert np.array_equal(lfqec.logic_fn._autocorrelate(held),
-                              [int(held @ held[x ^ a]) for a in x])
-        assert np.array_equal(held, kept[0]) and np.array_equal(signs, kept[1])
-        assert not held.flags.writeable
+        held, x = f.table, np.arange(2**n)
+        signs = np.where(held, -1, 1)
+        for v, want in [(np.array(held), direct_walsh(held)), (signs, direct_walsh(signs))]:
+            assert lfqec.logic_fn._fwht(v) is v and np.array_equal(v, want)
+        for v, want in [(np.where(held, -1, 1), direct_spectrum(f)),
+                        (np.array(held), [int(held @ held[x ^ a]) for a in x])]:
+            assert lfqec.logic_fn._autocorrelate(v) is v and np.array_equal(v, want)
+        with pytest.raises((AssertionError, ValueError)):  # a held table is read-only
+            lfqec.logic_fn._fwht(held)
+    # each public caller builds the one array it transforms, so f's values stay as they were
+    bent = LogicFunction(2, 4, parse_anf("x1*x2 + x3*x4", 2, 4).table)
+    for f in [bent] + [random_function(gen, 2, n) for n in (4, 6, 8)]:
+        if f.table.sum() > len(f.table) // 2:  # zset_via_autocorrelation's weight bound
+            f = LogicFunction(2, f.n, 1 - f.table)
+        kept = f.values.copy()
+        A = FpMatrix.from_rows(2, gen.integers(0, 2, (f.n, 2 * f.n)).tolist())
+        for call in (zset, zset_via_autocorrelation, autocorrelation_spectrum, is_bent,
+                     bent_exclusion, lambda f: check_projector_premises(f, A)):
+            call(f)
+            assert np.array_equal(f.values, kept) and not f.values.flags.writeable
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ be refused with exit 2 within 5 s, before the ANF is expanded. Under
 n = 22 truth table must exit 0 and print what they print uncapped; under
 256 MiB they must exit 0 or 3, never 1. On a random p = 2 table at the
 n = 24 cap, each holding one int64 table, the same three must exit 0 with
-their pinned answers under 640 MiB, and under 384 MiB `bent` and `zset`
+their pinned answers under 512 MiB, and under 384 MiB `bent` and `zset`
 must run out of memory and exit 3 with a one-line capacity message:
 running out of memory is never a refutation."""
 import json
@@ -107,7 +107,7 @@ def random22(tmp_path_factory) -> pathlib.Path:
 @pytest.mark.parametrize("command", ["apc", "bent", "zset"])
 def test_random_table_commands_fit_384_mib(random22, command):
     # the search holds no shift table for apc's one zero shift, and the
-    # transform runs in place: apc fits 320 MiB, bent 288 and zset 256
+    # transform runs in place on the one array its caller builds: each fits 192 MiB
     uncapped = run_child(cli_code(command, str(random22)), ceiling=resource.RLIM_INFINITY)
     assert uncapped.returncode == 0, uncapped.stderr[-2000:]
     proc = run_child(cli_code(command, str(random22)), ceiling=384 << 20)
@@ -142,10 +142,10 @@ def random24(tmp_path_factory) -> pathlib.Path:
 
 
 @pytest.mark.parametrize("command", ["apc", "bent", "zset"])
-def test_table_cap_commands_fit_640_mib(random24, command):
-    # one int64 table, the reader's one byte a digit and the work arrays:
-    # apc fits 448 MiB, bent and zset 576
-    proc = run_child(cli_code(command, str(random24)), ceiling=640 << 20)
+def test_table_cap_commands_fit_512_mib(random24, command):
+    # one int64 table, the reader's one byte a digit and one int64 work array:
+    # each of apc, bent and zset fits 432 MiB
+    proc = run_child(cli_code(command, str(random24)), ceiling=512 << 20)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert (proc.stdout, proc.stderr) == (table_answers(24, 8388819)[command], "")
 
