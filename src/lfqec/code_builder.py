@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from .codespec import CodeSpec
 from .errors import CapacityError, InputError, PremiseError
 from .fp_algebra import MAX_TABLE, FpMatrix, check_listing, table_size
-from .logic_fn import LogicFunction, _first_nonvanishing, add_affine, parse_anf, quadratic_form
+from .logic_fn import LogicFunction, _first_nonvanishing, affine_family, parse_anf, quadratic_form
 
 
 def claimed_coset_distance(f: LogicFunction, betas) -> int:
@@ -50,8 +52,7 @@ def build_coset_code(f: LogicFunction, betas) -> CodeSpec:
     checks the shifts."""
     betas = list(betas)  # read twice: by the distance, then by the basis
     d = claimed_coset_distance(f, betas)
-    basis = tuple(add_affine(f, beta) for beta in betas)
-    return CodeSpec(f.p, f.n, basis, claimed_d=d, provenance="coset-code")
+    return CodeSpec(f.p, f.n, tuple(affine_family(f, betas)), claimed_d=d, provenance="coset-code")
 
 
 def build_matrix_code(A: FpMatrix, k: int, d: int) -> CodeSpec:
@@ -75,11 +76,11 @@ def build_matrix_code(A: FpMatrix, k: int, d: int) -> CodeSpec:
 def _matrix_code(A: FpMatrix, k: int, d: int) -> CodeSpec:
     qudits = range(k, A.rows)
     quad = quadratic_form(A.submatrix(qudits, qudits))  # enforces symmetric, zero diagonal
-    basis = []
-    for c in itertools.product(range(A.p), repeat=k):
-        lin = [sum(A.entries[q][col] * c[col] for col in range(k)) % A.p for q in qudits]
-        basis.append(add_affine(quad, lin))
-    return CodeSpec(A.p, len(qudits), tuple(basis), claimed_d=d, provenance="matrix-code")
+    # row c: the class columns of the qudit rows applied to the class vector c
+    classes = np.array(list(itertools.product(range(A.p), repeat=k)), dtype=np.int64)
+    lins = classes.reshape(A.p**k, k) @ np.array(A.entries, dtype=np.int64)[k:, :k].T % A.p
+    basis = tuple(affine_family(quad, lins.tolist()))
+    return CodeSpec(A.p, len(qudits), basis, claimed_d=d, provenance="matrix-code")
 
 
 # ---------------------------------------------------------------------------

@@ -233,10 +233,7 @@ def _eliminate(rows: list, p: int):
 
 
 def rank(M: FpMatrix) -> int:
-    if M.rows == 0 or M.cols == 0:
-        return 0
-    rows = [list(r) for r in M.entries]
-    return len(_eliminate(rows, M.p))
+    return len(_eliminate([list(r) for r in M.entries], M.p))
 
 
 @dataclass(frozen=True)
@@ -259,16 +256,9 @@ def solve_linear(M: FpMatrix, rhs) -> LinearSolution | None:
     pivots = _eliminate(aug, p)
     if ncols in pivots:
         return None  # pivot in the rhs column: inconsistent
-    pivot_rows = {c: i for i, c in enumerate(pivots)}
-    x = [0] * ncols
-    for c, i in pivot_rows.items():
-        x[c] = aug[i][ncols]
-    free = [c for c in range(ncols) if c not in pivot_rows]
-    basis = []
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
-        for c, i in pivot_rows.items():
-            v[c] = (-aug[i][fc]) % p
-        basis.append(tuple(v))
-    return LinearSolution(tuple(x), tuple(basis))
+    pivot_rows = {c: aug[i] for i, c in enumerate(pivots)}  # the reduced row of each pivot
+    x = tuple(pivot_rows[c][ncols] if c in pivot_rows else 0 for c in range(ncols))
+    basis = tuple(  # one vector per free column fc: 1 there, minus its pivot rows' entries
+        tuple(-pivot_rows[c][fc] % p if c in pivot_rows else int(c == fc) for c in range(ncols))
+        for fc in range(ncols) if fc not in pivot_rows)
+    return LinearSolution(x, basis)

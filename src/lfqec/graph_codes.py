@@ -147,20 +147,16 @@ def build_graph_code(G: WeightedGraph, classes, d: int) -> CodeSpec:
                     f"below weight {d}; witness omega={om} delta={de}"
                 )
     from .codespec import CodeSpec
-    from .logic_fn import add_affine
+    from .logic_fn import affine_family
 
-    f = G.function()
-    basis = [add_affine(f, [m >> v & 1 for v in range(G.n)]) for m in masks]
+    basis = affine_family(G.function(), [[m >> v & 1 for v in range(G.n)] for m in masks])
     return CodeSpec(G.p, G.n, tuple(basis), claimed_d=d, provenance="graph-code")
 
 
 def graph_to_stabilizer_rows(G: WeightedGraph) -> list:
     """One label per vertex: X there, Z with the row's weights elsewhere."""
-    rows = []
-    for v in range(G.n):
-        a = tuple(1 if u == v else 0 for u in range(G.n))
-        rows.append(PauliLabel(G.p, a, tuple(G.adj.entries[v])))
-    return rows
+    return [PauliLabel(G.p, tuple(int(u == v) for u in range(G.n)), G.adj.entries[v])
+            for v in range(G.n)]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ index(x) = sum_i x_i p^(n-i), x_1 most significant, which is the C-order
 ravel of the grid (p,)*n with one axis per variable. Monomials, linear forms
 and shifts are evaluated on that grid by broadcasting. ANF monomials are
 sorted tuples of 0-based variable indices with repetition as exponent; () is
-the constant monomial.
+the constant monomial. A canonical ANF has nonzero reduced coefficients,
+exponents below p and its terms in (degree, monomial) order. A `_Canonical`
+asserts it, made only by `_canonical_terms` and `affine_family` (see there).
 """
 from __future__ import annotations
 
@@ -41,7 +43,8 @@ class LogicFunction:
     """Held as its truth table (a `tt:` input) or as its ANF (every builder),
     never both. The ANF is an iterable of (coeff, monomial) terms whose
     exponents are already below p; here its coefficients are reduced mod p,
-    zero terms dropped and the rest put in canonical order."""
+    zero terms dropped and the rest put in canonical order, unless it is a
+    `_Canonical` for this (p, n), which has had all that done."""
 
     p: int
     n: int
@@ -53,7 +56,8 @@ class LogicFunction:
         if (self.values is None) == (self.anf is None):
             raise InputError("a logic function holds either its table or its ANF")
         if self.anf is not None:
-            object.__setattr__(self, "anf", _canonical_terms(self.p, self.n, self.anf))
+            if not (isinstance(self.anf, _Canonical) and self.anf.field == (self.p, self.n)):
+                object.__setattr__(self, "anf", _canonical_terms(self.p, self.n, self.anf))
             return
         t = np.array(self.values, dtype=np.int64)  # the one copy, reduced in place
         t %= self.p
@@ -91,7 +95,17 @@ class LogicFunction:
         return bool(np.array_equal(self.table, other.table))
 
 
-def _canonical_terms(p: int, n: int, terms) -> tuple:
+class _Canonical(tuple):
+    """Canonical terms and the field (p, n) they are canonical for, which
+    LogicFunction takes unchecked; a copy or an unpickled one keeps its field."""
+
+    def __new__(cls, terms, field: tuple = ()):
+        self = super().__new__(cls, terms)
+        self.field = field
+        return self
+
+
+def _canonical_terms(p: int, n: int, terms) -> _Canonical:
     acc: dict = {}
     for coeff, mono in ((c, tuple(sorted(int(v) for v in m))) for c, m in terms):
         acc[mono] = (acc.get(mono, 0) + int(coeff)) % p
@@ -101,9 +115,8 @@ def _canonical_terms(p: int, n: int, terms) -> tuple:
         for v in set(mono):
             if mono.count(v) >= p:
                 raise InputError(f"exponent of x{v + 1} must be < p in ANF")
-    return tuple(
-        (c, m) for m, c in sorted(acc.items(), key=lambda kv: (len(kv[0]), kv[0])) if c != 0
-    )
+    terms = sorted(acc.items(), key=lambda kv: (len(kv[0]), kv[0]))
+    return _Canonical(((c, m) for m, c in terms if c != 0), (p, n))
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +201,8 @@ def anf_text(f: LogicFunction) -> str:
 
 
 # ---------------------------------------------------------------------------
-# constructors used by the code builders
+# constructors used by the code builders; affine_family extends a held canonical
+# ANF, and so is the one maker of a `_Canonical` besides `_canonical_terms`
 
 
 def quadratic_form(A: FpMatrix) -> LogicFunction:
@@ -202,15 +216,34 @@ def quadratic_form(A: FpMatrix) -> LogicFunction:
     return LogicFunction(A.p, n, anf=terms)
 
 
-def add_affine(f: LogicFunction, beta, c: int = 0) -> LogicFunction:
-    """g(x) = f(x) + beta . x + c, held in the form f is held in."""
-    beta = tuple(int(v) % f.p for v in beta)
-    if len(beta) != f.n:
-        raise InputError("beta length mismatch")
+def affine_family(f: LogicFunction, rows, consts=None) -> list:
+    """g_j(x) = f(x) + L_j . x + c_j for the (K, n) rows L_j and constants c_j
+    (0 when consts is None), held as f is. An ANF member is the merged affine
+    prefix, the constant then x_1 .. x_n, before f's own degree >= 2 terms:
+    canonical order puts affine terms first, so no member is re-sorted."""
+    p, n = f.p, f.n
+    rows = [[int(v) % p for v in row] for row in rows]
+    consts = [0] * len(rows) if consts is None else [int(c) for c in consts]
+    if any(len(row) != n for row in rows) or len(consts) != len(rows):
+        raise InputError(f"each affine row needs {n} entries and one constant")
     if f.anf is None:
-        return LogicFunction(f.p, f.n, f.values + linear_values(f.p, f.n, beta) + int(c))
-    return LogicFunction(f.p, f.n, anf=f.anf + ((int(c), ()),) + tuple(
-        (v, (j,)) for j, v in enumerate(beta)))
+        return [LogicFunction(p, n, f.values + linear_values(p, n, row) + c)
+                for row, c in zip(rows, consts)]
+    lo = sum(len(m) < 2 for _, m in f.anf)  # canonical order: the affine terms lead
+    base = [0] * (n + 1)  # f's constant, then its coefficient of each x_j
+    for c, m in f.anf[:lo]:
+        base[m[0] + 1 if m else 0] = c
+    monos, tail, family = [()] + [(j,) for j in range(n)], f.anf[lo:], []
+    for row, c in zip(rows, consts):
+        coeffs = [(b + r) % p for b, r in zip(base, [c, *row])]
+        prefix = [(v, m) for v, m in zip(coeffs, monos) if v]
+        family.append(LogicFunction(p, n, anf=_Canonical(itertools.chain(prefix, tail), (p, n))))
+    return family
+
+
+def add_affine(f: LogicFunction, beta, c: int = 0) -> LogicFunction:
+    """g(x) = f(x) + beta . x + c, held in the form f is held in: one member."""
+    return affine_family(f, [beta], [c])[0]
 
 
 def weight_support(f: LogicFunction):
@@ -421,32 +454,17 @@ def solve_coboundary(pairs, p: int, n: int) -> LogicFunction | None:
     if rank(alpha_mat) != len(pairs):
         raise InputError("the alpha_i must be linearly independent")
 
-    # unknowns: lambda_1..lambda_n then q_{jk} for j < k
-    quad_idx = {pair: n + i for i, pair in enumerate(itertools.combinations(range(n), 2))}
-    nunk = n + len(quad_idx)
+    # unknowns: lambda_1..lambda_n then q_{jk} for j < k, one per monomial of f
+    quads = list(itertools.combinations(range(n), 2))
     rows, rhs = [], []
     for alpha, beta, t in pairs:
         # coefficient of x_m:  sum_{k != m} q_{mk} alpha_k  =  beta_m
-        for m in range(n):
-            row = [0] * nunk
-            for k in range(n):
-                if k != m:
-                    row[quad_idx[(min(m, k), max(m, k))]] = alpha[k] % p
-            rows.append(row)
-            rhs.append(beta[m])
+        rows += [[0] * n + [alpha[k] if j == m else alpha[j] if k == m else 0 for j, k in quads]
+                 for m in range(n)]
+        rhs += beta
         # constant:  lambda . alpha + sum_{j<k} q_{jk} alpha_j alpha_k  =  t
-        row = [0] * nunk
-        for m in range(n):
-            row[m] = alpha[m]
-        for (j, k), col in quad_idx.items():
-            row[col] = alpha[j] * alpha[k] % p
-        rows.append(row)
+        rows.append([*alpha, *(alpha[j] * alpha[k] % p for j, k in quads)])
         rhs.append(t)
-
     sol = solve_linear(FpMatrix.from_rows(p, rows), rhs)
-    if sol is None:
-        return None
-    x = sol.particular
-    terms = [(x[m], (m,)) for m in range(n)]
-    terms += [(x[col], (j, k)) for (j, k), col in quad_idx.items()]
-    return LogicFunction(p, n, anf=terms)
+    monos = [(m,) for m in range(n)] + quads
+    return None if sol is None else LogicFunction(p, n, anf=list(zip(sol.particular, monos)))

@@ -29,7 +29,7 @@ from .fp_algebra import (
     symplectic_product,
     validate_prime,
 )
-from .logic_fn import LogicFunction, _autocorrelate, _bent_domain, add_affine, is_bent
+from .logic_fn import LogicFunction, _autocorrelate, _bent_domain, affine_family, is_bent
 from .logic_fn import solve_coboundary, weight_support
 
 _FLOAT_EXACT_BOUND = 2**52
@@ -144,13 +144,8 @@ class PremiseReport:
 
     @property
     def all_ok(self) -> bool:
-        return (
-            self.weight_ok
-            and not self.missing_columns
-            and not self.missing_sums
-            and not self.nonorthogonal_pairs
-            and self.rows_independent
-        )
+        return self.weight_ok and self.rows_independent and not (
+            self.missing_columns or self.missing_sums or self.nonorthogonal_pairs)
 
     def to_dict(self) -> dict:
         return {
@@ -293,7 +288,7 @@ def extract_boolean_basis(f: LogicFunction, A: FpMatrix) -> list:
         if bad.size:
             raise RuntimeError(f"recovered state is not an eigenvector of row {i} with sign "
                                f"(-1)^{signs[bad[0], i]}")
-    return [add_affine(g0, lam) for lam in lams.tolist()]
+    return affine_family(g0, lams.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ integer paths they check."""
 import cmath
 import itertools
 import math
+import pickle
 import re
 import sys
 import time
@@ -25,21 +26,28 @@ from conftest import (
     reference_coset_distance,
     walk_blocks,
 )
+import lfqec
 import lfqec.fp_algebra
 import lfqec.logic_fn
+from lfqec._tables import linear_values
 from lfqec._textfile import MAX_NESTING, anf_terms, read_function_file
 from lfqec.fp_algebra import PRIMES
+from lfqec.logic_fn import affine_family
 from lfqec import (
     CapacityError,
     FpMatrix,
     InputError,
     LogicFunction,
+    WeightedGraph,
     add_affine,
     anf_text,
     apc_distance,
     autocorrelation,
     autocorrelation_spectrum,
     bent_exclusion,
+    build_coset_code,
+    build_graph_code,
+    build_mds_family,
     check_projector_premises,
     claimed_coset_distance,
     is_bent,
@@ -427,6 +435,96 @@ def test_add_affine(gen):
     h = parse_anf("x1*x2", 2, 2)
     k = add_affine(h, (1, 0), 1)
     assert anf_text(k) == "1 + x1 + x1*x2"
+
+
+def random_anf(gen, p, n) -> LogicFunction:
+    """An ANF-held function of degree up to 3, with raw coefficients outside
+    0..p-1, repeated monomials and exponents below p."""
+    terms = []
+    for _ in range(int(gen.integers(0, 8))):
+        mono = sorted(gen.integers(0, n, int(gen.integers(0, 4))).tolist())
+        if all(mono.count(v) < p for v in mono):
+            terms.append((int(gen.integers(-p, 2 * p)), tuple(mono)))
+    return LogicFunction(p, n, anf=terms)
+
+
+def affine_reference(f, row, c) -> LogicFunction:
+    """f + row . x + c by the full route: a plain list of terms canonicalized
+    on construction, or the table sum reduced on construction."""
+    if f.anf is None:
+        return LogicFunction(f.p, f.n, f.table + linear_values(f.p, f.n, row) + c)
+    return LogicFunction(f.p, f.n, anf=[*f.anf, (c, ()), *((v, (j,)) for j, v in enumerate(row))])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13])
+def test_affine_family_matches_full_canonicalization(gen, p):
+    n = 2 if p == 13 else 3
+    anfs = [random_anf(gen, p, n) for _ in range(12)]
+    anfs += [LogicFunction(p, n, anf=[]),  # f = 0
+             LogicFunction(p, n, anf=[(int(gen.integers(1, p)), ()), (1, (n - 1,))])]  # no tail
+    for f_anf in anfs:
+        held = {m: c for c, m in f_anf.anf}
+        # the row and constant that cancel f's own linear and constant terms
+        cancel = [-held.get((j,), 0) for j in range(n)], -held.get((), 0)
+        rows = [cancel[0]] + gen.integers(-2 * p, 3 * p, (5, n)).tolist()
+        consts = [cancel[1]] + gen.integers(-2 * p, 3 * p, 5).tolist()
+        for f in (f_anf, LogicFunction(p, n, f_anf.table)):
+            family = affine_family(f, rows, consts)
+            assert len(family) == len(rows)
+            for g, row, c in zip(family, rows, consts):
+                want = affine_reference(f, row, c)
+                assert (g.anf is None, g.values is None) == (f.anf is None, f.values is None)
+                assert g.anf == want.anf and type(g.anf) is type(want.anf)
+                assert np.array_equal(g.table, want.table)
+            if f.anf is not None:
+                assert all(len(m) >= 2 for _, m in family[0].anf)  # the prefix cancelled
+            # K = 1, without constants, and as add_affine
+            (one,) = affine_family(f, rows[1:2])
+            assert np.array_equal(one.table, affine_reference(f, rows[1], 0).table)
+            assert one.anf == add_affine(f, rows[1]).anf
+            assert affine_family(f, []) == []
+            with pytest.raises(InputError, match="needs"):
+                affine_family(f, [rows[1], rows[2][:-1]])
+            with pytest.raises(InputError, match="needs"):
+                affine_family(f, rows[:2], consts[:1])
+    assert "affine_family" not in lfqec.__all__
+
+
+def test_a_canonical_anf_is_taken_unchecked_only_for_its_own_field():
+    f = LogicFunction(3, 3, anf=[(2, (2, 2))])
+    with pytest.raises(InputError, match="out of range"):
+        LogicFunction(3, 2, anf=f.anf)
+    with pytest.raises(InputError, match="exponent"):
+        LogicFunction(2, 3, anf=f.anf)
+    kept = pickle.loads(pickle.dumps(f))
+    assert kept.anf == f.anf and kept.anf.field == (3, 3)
+
+
+def test_builders_canonicalize_as_often_at_any_K(monkeypatch):
+    calls, canonical = [], lfqec.logic_fn._canonical_terms
+
+    def counted(*args):
+        calls.append(args)
+        return canonical(*args)
+
+    def count(build):
+        calls.clear()
+        return build().claimed_K, len(calls)
+
+    monkeypatch.setattr(lfqec.logic_fn, "_canonical_terms", counted)
+    f = parse_anf("x1*x2 + x3*x4 + x4*x5", 2, 5)
+    shifts = list(itertools.product((0, 1), repeat=5))[:16]
+    cycle = [[int(abs(i - j) in (1, 3)) for j in range(4)] for i in range(4)]
+    G = WeightedGraph(2, 4, FpMatrix.from_rows(2, cycle))
+    classes = [{v + 1 for v in range(4) if m >> v & 1} for m in range(8)]
+    builds = [
+        (lambda: build_mds_family(2), lambda: build_mds_family(5), 256),
+        (lambda: build_coset_code(f, shifts[:1]), lambda: build_coset_code(f, shifts), 16),
+        (lambda: build_graph_code(G, classes[:1], 1), lambda: build_graph_code(G, classes, 1), 8),
+    ]
+    for small, large, K in builds:
+        (_, few), (got_K, many) = count(small), count(large)
+        assert got_K == K and many == few <= 2
 
 
 def test_weight_support():
