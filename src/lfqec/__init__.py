@@ -24,14 +24,12 @@ _EXPORTS = {
     "anf_text": "logic_fn",
     "apc_distance": "logic_fn",
     "autocorrelation": "logic_fn",
-    "autocorrelation_spectrum": "logic_fn",
     "is_bent": "logic_fn",
     "parse_anf": "logic_fn",
     "quadratic_form": "logic_fn",
     "solve_coboundary": "logic_fn",
     "weight_support": "logic_fn",
     "zset": "logic_fn",
-    "zset_via_autocorrelation": "logic_fn",
     "KLFailure": "state_oracle",
     "StateVector": "state_oracle",
     "VerifyReport": "state_oracle",

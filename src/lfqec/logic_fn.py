@@ -4,6 +4,9 @@ detection, and the coboundary solver that recovers quadratic functions from
 difference constraints.
 
 One label search gives `apc_distance` (one zero shift) and coset distances.
+One in-place Walsh route gives the p = 2 quantities: the zero-product shift
+set is the zero set of the support indicator's autocorrelation, and bent
+detection reads the spectrum of the signs (-1)^f.
 
 Truth tables are int64 arrays of length p^n in the layout of `_tables`:
 index(x) = sum_i x_i p^(n-i), x_1 most significant, which is the C-order
@@ -337,11 +340,11 @@ def _fwht(v: np.ndarray) -> np.ndarray:
     """Unnormalised Walsh-Hadamard transform of v, in place: v is a writable
     int64 array that the caller owns and gives up, and v itself is returned.
 
-    The callers transform vectors with entries in {-1, 0, 1} and then their
-    squared spectra, whose sum is at most 2^n * 2^n by Parseval. Every
-    butterfly partial sum is bounded by that sum, so it stays below
-    MAX_TABLE^2 = 2^48 and the intermediate -2 hi below 2^49: int64 is exact
-    across the whole table cap."""
+    The callers transform 0/1 support indicators (through _autocorrelate),
+    the signs (-1)^f (only is_bent) and the squared spectra of indicators,
+    whose sum is at most 2^n * 2^n by Parseval. Every butterfly partial sum
+    is bounded by that sum, so it stays below MAX_TABLE^2 = 2^48 and the
+    intermediate -2 hi below 2^49: int64 is exact across the whole table cap."""
     assert len(v) <= MAX_TABLE and 2 * MAX_TABLE**2 < 2**63, "int64 exactness bound"
     assert v.dtype == np.int64, "an int64 array the caller owns"
     h = 1
@@ -356,26 +359,11 @@ def _fwht(v: np.ndarray) -> np.ndarray:
 
 def _autocorrelate(v: np.ndarray) -> np.ndarray:
     """sum_x v(x) v(x + a) for every shift a, as FWHT(FWHT(v)^2) / 2^n,
-    computed in place in v, which the caller owns as for _fwht."""
+    computed in place in v, which the caller owns as for _fwht. Every caller
+    hands it the 0/1 indicator of a support, so a zero marks a shift in the
+    zero-product shift set."""
     _fwht(np.square(_fwht(v), out=v))
     return np.floor_divide(v, len(v), out=v)
-
-
-def _shifts_where(n: int, mask: np.ndarray) -> set:
-    """The binary shifts a, as tuples, whose index is set in mask; over the
-    listing budget, refused before any tuple is built."""
-    count = int(np.count_nonzero(mask))
-    check_listing(count * n, f"{count} shifts of length {n}")
-    return set(index_vectors(2, n, np.flatnonzero(mask)))
-
-
-def autocorrelation_spectrum(f: LogicFunction) -> np.ndarray:
-    """All integer correlations sum_x (-1)^(f(x)+f(x+a)) for p = 2, indexed
-    by the shift a, from the Walsh-Hadamard identity
-    r = FWHT(FWHT(s)^2) / 2^n with s = (-1)^f."""
-    if f.p != 2:
-        raise InputError("spectrum is defined for p = 2")
-    return _autocorrelate(np.where(f.table, -1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -388,19 +376,9 @@ def zset(f: LogicFunction) -> set:
     0/1 indicator of the support."""
     if f.p != 2:
         raise InputError("zset is defined for p = 2")
-    return _shifts_where(f.n, _autocorrelate(np.array(f.table)) == 0)
-
-
-def zset_via_autocorrelation(f: LogicFunction) -> set:
-    """{a : r_f(a) = 2^n - 4M}, which equals zset(f) whenever the weight M
-    is at most 2^(n-1). That bound is a precondition here."""
-    if f.p != 2:
-        raise InputError("defined for p = 2")
-    t = f.table
-    M = int(np.sum(t))
-    if M > 2 ** (f.n - 1):
-        raise InputError(f"weight {M} exceeds 2^(n-1) = {2 ** (f.n - 1)}")
-    return _shifts_where(f.n, _autocorrelate(np.where(t, -1, 1)) == 2**f.n - 4 * M)
+    zero = np.flatnonzero(_autocorrelate(np.array(f.table)) == 0)
+    check_listing(len(zero) * f.n, f"{len(zero)} shifts of length {f.n}")  # before any tuple
+    return set(index_vectors(2, f.n, zero))
 
 
 def _bent_domain(f: LogicFunction) -> LogicFunction:

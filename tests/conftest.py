@@ -1,8 +1,9 @@
 """Shared helpers: seeded random objects, independent float-arithmetic
 cross-checks, and the direct (slow, exact) reference implementations that
 the transform, matrix-product and eigenvector routines are compared
-against, among them the per-label character sums, the dense projector
-operators and the syndrome-by-syndrome basis extraction."""
+against, among them the per-label character sums, the paper's shift-set
+formula, the dense projector operators and the syndrome-by-syndrome basis
+extraction."""
 from __future__ import annotations
 
 import cmath
@@ -107,14 +108,39 @@ def direct_spectrum(f: LogicFunction) -> np.ndarray:
     return np.array([np.sum(1 - 2 * ((t + t[x ^ a]) % 2)) for a in x], dtype=np.int64)
 
 
+def shift_bits(n: int, a: int) -> tuple:
+    """The binary shift with table index a, x1 its most significant bit."""
+    return tuple(int(bit) for bit in format(a, f"0{n}b"))
+
+
 def direct_zset(f: LogicFunction) -> set:
     """Shifts a with sum_x f(x) f(x + a) = 0 over the integers, summed shift
-    by shift; a is spelled with x1 as its most significant bit."""
+    by shift."""
     t = f.table
     x = np.arange(len(t))
-    return {
-        tuple(int(bit) for bit in format(a, f"0{f.n}b")) for a in x if np.sum(t * t[x ^ a]) == 0
-    }
+    return {shift_bits(f.n, a) for a in x if np.sum(t * t[x ^ a]) == 0}
+
+
+def formula_zset(f: LogicFunction) -> set:
+    """The paper's {a : r_f(a) = 2^n - 4M}, with r_f from direct_spectrum and
+    M the weight of f. The formula's precondition M <= 2^(n-1) is checked:
+    a heavier f raises ValueError. Since r_f(a) = 2^n - 4M + 4 sum_x f(x)
+    f(x + a), the set is the zero-product shift set."""
+    M = int(np.count_nonzero(f.table))
+    if M > 2 ** (f.n - 1):
+        raise ValueError(f"weight {M} exceeds 2^(n-1) = {2 ** (f.n - 1)}")
+    r = direct_spectrum(f)
+    return {shift_bits(f.n, a) for a in np.flatnonzero(r == 2**f.n - 4 * M)}
+
+
+def difference_zset(f: LogicFunction) -> set:
+    """The shifts outside the support's XOR difference set {s + s'}: no two
+    support points differ by such an a, so sum_x f(x) f(x + a) = 0. Its
+    cost is quadratic in the support size, for sparse tables at large n."""
+    s = np.flatnonzero(f.table)
+    hit = np.zeros(len(f.table), dtype=bool)
+    hit[(s[:, None] ^ s).ravel()] = True
+    return {shift_bits(f.n, a) for a in np.flatnonzero(~hit)}
 
 
 def walk_blocks(p: int, n: int, w: int) -> list:

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import verify_stabilizer
+from conftest import formula_zset, verify_stabilizer
 from lfqec import (
     FpMatrix,
     PremiseError,
@@ -45,7 +45,6 @@ from lfqec import (
     uncoverable_family,
     weight_support,
     zset,
-    zset_via_autocorrelation,
 )
 
 K4_GRAPH_FILE = "2 4\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
@@ -170,9 +169,9 @@ def test_criterion_04_shift_set_equivalence_sweep():
         M, _ = weight_support(f)
         if M > 2 ** (n - 1):
             continue
-        assert zset(f) == zset_via_autocorrelation(f), f"disagreement at {f!r}"
+        assert zset(f) == formula_zset(f), f"disagreement at {f!r}"
         checked += 1
-    print(f"  [ok] {checked} support-bounded functions, both routes equal")
+    print(f"  [ok] {checked} support-bounded functions, zset equals the formula")
 
 
 def test_criterion_05_character_sum_vs_oracle_sweep():

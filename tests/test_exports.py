@@ -37,6 +37,7 @@ def test_unknown_name_raises_attribute_error():
 # them, and kl_verify and min_distance take function bases as well as states
 REMOVED = (
     "apc_sum",
+    "autocorrelation_spectrum",
     "coverage_witness",
     "cyclo_from_histogram",
     "gram_matrix",
@@ -46,6 +47,7 @@ REMOVED = (
     "operator_matrix",
     "parse_function_file",
     "symplectic_weight",
+    "zset_via_autocorrelation",
 )
 
 

@@ -18,8 +18,10 @@ from conftest import (
     character_sum,
     close,
     count_expansions,
+    difference_zset,
     direct_spectrum,
     direct_zset,
+    formula_zset,
     label_weight,
     random_function,
     reference_apc_distance,
@@ -43,7 +45,6 @@ from lfqec import (
     anf_text,
     apc_distance,
     autocorrelation,
-    autocorrelation_spectrum,
     bent_exclusion,
     build_coset_code,
     build_graph_code,
@@ -56,7 +57,6 @@ from lfqec import (
     solve_coboundary,
     weight_support,
     zset,
-    zset_via_autocorrelation,
 )
 
 K4_ANF = "x1*x2 + x1*x3 + x1*x4 + x2*x3 + x2*x4 + x3*x4"
@@ -670,17 +670,6 @@ def test_autocorrelation_values():
     assert autocorrelation(g, (1,)) == __import__("lfqec").CycloInt(3, (0, 0, 3))
 
 
-def test_spectrum_transform_matches_direct(gen):
-    for _ in range(100):
-        n = int(gen.integers(1, 7))
-        f = random_function(gen, 2, n)
-        spec = autocorrelation_spectrum(f)
-        assert np.array_equal(spec, direct_spectrum(f))
-        assert spec[0] == 2**n
-    with pytest.raises(InputError):
-        autocorrelation_spectrum(random_function(gen, 3, 2))
-
-
 def direct_walsh(v: np.ndarray) -> np.ndarray:
     """sum_x v(x) (-1)^(u.x) for every u, one parity per (u, x) pair."""
     x = np.arange(len(v))
@@ -704,12 +693,9 @@ def test_fwht_transforms_the_callers_array_in_place(gen):
     # each public caller builds the one array it transforms, so f's values stay as they were
     bent = LogicFunction(2, 4, parse_anf("x1*x2 + x3*x4", 2, 4).table)
     for f in [bent] + [random_function(gen, 2, n) for n in (4, 6, 8)]:
-        if f.table.sum() > len(f.table) // 2:  # zset_via_autocorrelation's weight bound
-            f = LogicFunction(2, f.n, 1 - f.table)
         kept = f.values.copy()
         A = FpMatrix.from_rows(2, gen.integers(0, 2, (f.n, 2 * f.n)).tolist())
-        for call in (zset, zset_via_autocorrelation, autocorrelation_spectrum, is_bent,
-                     bent_exclusion, lambda f: check_projector_premises(f, A)):
+        for call in (zset, is_bent, bent_exclusion, lambda f: check_projector_premises(f, A)):
             call(f)
             assert np.array_equal(f.values, kept) and not f.values.flags.writeable
 
@@ -736,11 +722,12 @@ def test_zset_equivalence_and_precondition(gen):
         assert zset(f) == direct_zset(f)
         M, _ = weight_support(f)
         if M > 2 ** (n - 1):
-            with pytest.raises(InputError):
-                zset_via_autocorrelation(f)
+            with pytest.raises(ValueError):  # the formula's precondition
+                formula_zset(f)
+            assert zset(f) == set()  # f and every shift of it share a support point
             heavy += 1
             continue
-        assert zset(f) == zset_via_autocorrelation(f)
+        assert zset(f) == formula_zset(f)
         checked += 1
     with pytest.raises(InputError):
         zset(random_function(gen, 3, 2))
@@ -752,8 +739,19 @@ def test_zset_routes_agree_at_n16(gen):
     table[gen.choice(2**n, 120, replace=False)] = 1
     f = LogicFunction(2, n, table)
     zs = zset(f)
-    assert zs == zset_via_autocorrelation(f)
+    assert zs == difference_zset(f)
     assert 0 < len(zs) < 2**n and (0,) * n not in zs
+
+
+def test_zset_references_share_no_transform(gen, monkeypatch):
+    # a fault in lfqec's Walsh transforms cannot reach the references that check zset
+    fs = [random_function(gen, 2, n) for n in range(1, 7)]
+    fs = [f if 2 * f.table.sum() <= 2**f.n else LogicFunction(2, f.n, 1 - f.table) for f in fs]
+    want = [zset(f) for f in fs]
+    for name in ("_fwht", "_autocorrelate"):
+        monkeypatch.setattr(lfqec.logic_fn, name, None)
+    assert [formula_zset(f) for f in fs] == want
+    assert [difference_zset(f) for f in fs] == want
 
 
 def test_zset_listing_budget_counts_entries(monkeypatch):
@@ -764,8 +762,6 @@ def test_zset_listing_budget_counts_entries(monkeypatch):
     monkeypatch.setattr(lfqec.fp_algebra, "MAX_LISTING", 31)
     with pytest.raises(CapacityError, match="8 shifts of length 4"):
         zset(f)
-    with pytest.raises(CapacityError):
-        zset_via_autocorrelation(f)
 
 
 def test_is_bent():
@@ -788,7 +784,7 @@ def test_table_readers_expand_an_anf_once(monkeypatch):
         (lambda: apc_distance(f), f),
         (lambda: is_bent(bent), bent),
         (lambda: autocorrelation(f, (1, 0, 1, 0)), f),
-        (lambda: zset_via_autocorrelation(f), f),
+        (lambda: zset(f), f),
         (lambda: bent_exclusion(bent), bent),
     ]
     expanded = count_expansions(monkeypatch)
