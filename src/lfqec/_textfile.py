@@ -17,6 +17,7 @@ from .fp_algebra import FpMatrix, check_listing, table_size
 
 _DIGITS = re.compile(r"[0-9]+")
 _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+_TT_PREFIX = re.compile(r"tt:\s*")  # a table body's keyword and the spaces after it
 MAX_NESTING = 100  # open parentheses in an ANF; the parser spends 4 frames on each
 
 
@@ -46,14 +47,19 @@ def read_header(text: str, names: str) -> tuple:
     return a, b, lines[1:]
 
 
-def residues(token: str, p: int, count: int | None = None, sep: str = r"[\s,]+"):
-    """Residues in [0, p): a compact digit string when p <= 7 or when it has
-    exactly `count` digits, as a memoryview of one byte a digit, otherwise a
-    list of the integers separated by `sep`. A given `count` is enforced."""
-    if _DIGITS.fullmatch(token) and (p <= 7 or len(token) == count):
-        vals = memoryview(token.encode().translate(_DIGIT_VALUES))  # b"0" .. b"9" to 0 .. 9
+def residues(token: str, p: int, count: int | None = None, sep: str = r"[\s,]+", start: int = 0):
+    """Residues in [0, p) of token[start:]: a compact digit string when p <= 7
+    or when it has exactly `count` digits, as a memoryview of one byte a
+    digit, otherwise a list of the integers separated by `sep`. A given
+    `count` is enforced. Handed the only reference to its token, it reads a
+    compact one in two copies: the token's bytes, then their values."""
+    digits = len(token) - start
+    if _DIGITS.fullmatch(token, start) and (p <= 7 or digits == count):
+        raw = token.encode()
+        del token  # freed here if the caller kept no reference
+        vals = memoryview(raw.translate(_DIGIT_VALUES))[-digits:]  # b"0" .. b"9" to 0 .. 9
     else:
-        vals = [integer(tok, "residue") for tok in re.split(sep, token) if tok]
+        vals = [integer(tok, "residue") for tok in re.split(sep, token[start:]) if tok]
     if count is not None and len(vals) != count:
         raise InputError(f"expected {count} residues, got {len(vals)}")
     if vals and (min(vals) < 0 or max(vals) >= p):
@@ -133,9 +139,11 @@ def read_function_file(text: str) -> tuple:
     N = table_size(p, n)
     if body[0].startswith("anf:"):
         return p, n, None, anf_terms(body[0][4:].strip(), p, n)
-    if body[0].startswith("tt:"):
-        return p, n, residues(body[0][3:].strip(), p, N), None
-    raise InputError("body line must start with 'anf:' or 'tt:'")
+    if not body[0].startswith("tt:"):
+        raise InputError("body line must start with 'anf:' or 'tt:'")
+    start = _TT_PREFIX.match(body[0]).end()
+    # the line itself, not a slice, and its one reference: a compact table costs two copies
+    return p, n, residues(body.pop(), p, N, start=start), None
 
 
 def anf_terms(text: str, p: int, n: int) -> list:

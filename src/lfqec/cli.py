@@ -12,7 +12,9 @@ Each subcommand reads its input files with `_textfile`, which knows every
 input syntax, and only then imports the modules it runs, so malformed
 input is refused before numpy loads, and no subcommand loads the modules
 of another. A subcommand returns (payload, text lines, exit code), which
-`main` alone writes.
+`main` alone writes. One table in `_build_parser` names each subcommand's
+handler, help and arguments; a run builds the parser of its own subcommand
+only, and `--help`, no command or an unknown one build all of them.
 """
 from __future__ import annotations
 
@@ -23,7 +25,6 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from ._textfile import read_classes_file, read_code_file, read_function_file, read_graph_file
@@ -166,7 +167,7 @@ def cmd_matrix_check(args) -> tuple:
 
     rank_res = matrix_code_check(A, args.k, args.d)
     kernel_res = matrix_kernel_check(A, args.k, args.d)
-    payload = {"rank_route": asdict(rank_res), "kernel_route": asdict(kernel_res)}
+    payload = {"rank_route": rank_res._asdict(), "kernel_route": kernel_res._asdict()}
     lines = [
         _matrix_result_line("rank route", rank_res),
         _matrix_result_line("kernel route", kernel_res),
@@ -248,79 +249,70 @@ def cmd_verify(args) -> tuple:
 # parser
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
-
+def _build_parser(argv: list) -> argparse.ArgumentParser:
+    """The top parser with the one subparser that argv[0] names, or with all
+    of them when it names none (--help, no command, an unknown command). The
+    top usage lists every name either way, so each usage, help and error
+    text reads as it does with all of them."""
+    flag = {"action": "store_true"}
+    # name -> (handler, help, arguments after --format: name -> add_argument
+    # options); built per call, so the handlers are read as the module holds them
+    commands = {
+        "apc": (cmd_apc, "nonvanishing character-sum distance", {
+            "function": {"help": "function file"},
+            "--verify": {**flag, "help": "cross-check with the state oracle"}}),
+        "zset": (cmd_zset, "zero-product shift set", {"function": {}}),
+        "bent": (cmd_bent, "flat-spectrum test", {"function": {}}),
+        "graph-code": (cmd_graph_code, "code from a weighted graph", {
+            "graph": {"help": "graph file"},
+            "--classes": {"required": True, "help": "classes file"},
+            "--d": {"type": int, "required": True, "help": "claimed distance"},
+            "--verify": flag}),
+        "matrix-check": (cmd_matrix_check, "rank and kernel conditions for a matrix", {
+            "matrix": {"help": "matrix file"},
+            "--k": {"type": int, "required": True, "help": "number of class columns"},
+            "--d": {"type": int, "required": True, "help": "target distance"},
+            "--build": {**flag, "help": "emit the code when accepted"},
+            "--verify": flag}),
+        "coset-code": (cmd_coset_code, "code from shift vectors", {
+            "function": {},
+            "--betas": {"required": True, "help": "comma-separated shift vectors"},
+            "--verify": flag}),
+        "projector": (cmd_projector, "projector from (function, matrix)", {
+            "function": {},
+            "matrix": {},
+            "--extract-basis": {**flag, "help": "recover basis functions"}}),
+        "mds": (cmd_mds, "product family on 2m variables", {
+            "--m": {"type": int, "required": True},
+            "--verify": flag}),
+        "solve-basis": (cmd_solve_basis, "solve a difference system", {
+            "system": {"help": "system file"}}),
+        "verify": (cmd_verify, "check a stored code claim", {
+            "codespec": {"help": "code description JSON"},
+            "--max-weight": {"type": int, "default": None}}),
+    }
+    names = [argv[0]] if argv and argv[0] in commands else list(commands)
     top = argparse.ArgumentParser(
         prog="lfqec",
         description="Quantum codes from logic functions, with exact verification.",
     )
-    sub = top.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("apc", parents=[common], help="nonvanishing character-sum distance")
-    sp.add_argument("function", help="function file")
-    sp.add_argument("--verify", action="store_true", help="cross-check with the state oracle")
-    sp.set_defaults(fn=cmd_apc)
-
-    sp = sub.add_parser("zset", parents=[common], help="zero-product shift set")
-    sp.add_argument("function")
-    sp.set_defaults(fn=cmd_zset)
-
-    sp = sub.add_parser("bent", parents=[common], help="flat-spectrum test")
-    sp.add_argument("function")
-    sp.set_defaults(fn=cmd_bent)
-
-    sp = sub.add_parser("graph-code", parents=[common], help="code from a weighted graph")
-    sp.add_argument("graph", help="graph file")
-    sp.add_argument("--classes", required=True, help="classes file")
-    sp.add_argument("--d", type=int, required=True, help="claimed distance")
-    sp.add_argument("--verify", action="store_true")
-    sp.set_defaults(fn=cmd_graph_code)
-
-    sp = sub.add_parser(
-        "matrix-check", parents=[common], help="rank and kernel conditions for a matrix"
-    )
-    sp.add_argument("matrix", help="matrix file")
-    sp.add_argument("--k", type=int, required=True, help="number of class columns")
-    sp.add_argument("--d", type=int, required=True, help="target distance")
-    sp.add_argument("--build", action="store_true", help="emit the code when accepted")
-    sp.add_argument("--verify", action="store_true")
-    sp.set_defaults(fn=cmd_matrix_check)
-
-    sp = sub.add_parser("coset-code", parents=[common], help="code from shift vectors")
-    sp.add_argument("function")
-    sp.add_argument("--betas", required=True, help="comma-separated shift vectors")
-    sp.add_argument("--verify", action="store_true")
-    sp.set_defaults(fn=cmd_coset_code)
-
-    sp = sub.add_parser("projector", parents=[common], help="projector from (function, matrix)")
-    sp.add_argument("function")
-    sp.add_argument("matrix")
-    sp.add_argument("--extract-basis", action="store_true", help="recover basis functions")
-    sp.set_defaults(fn=cmd_projector)
-
-    sp = sub.add_parser("mds", parents=[common], help="product family on 2m variables")
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--verify", action="store_true")
-    sp.set_defaults(fn=cmd_mds)
-
-    sp = sub.add_parser("solve-basis", parents=[common], help="solve a difference system")
-    sp.add_argument("system", help="system file")
-    sp.set_defaults(fn=cmd_solve_basis)
-
-    sp = sub.add_parser("verify", parents=[common], help="check a stored code claim")
-    sp.add_argument("codespec", help="code description JSON")
-    sp.add_argument("--max-weight", type=int, default=None)
-    sp.set_defaults(fn=cmd_verify)
-
+    # argparse spells the default metavar from the names added, and names the
+    # action 'command' in its errors only when no metavar is given
+    every = "{" + ",".join(commands) + "}" if len(names) == 1 else None
+    sub = top.add_subparsers(dest="command", required=True, metavar=every)
+    for name in names:
+        fn, help_text, arguments = commands[name]
+        sp = sub.add_parser(name, help=help_text)
+        sp.add_argument("--format", choices=("text", "json"), default="text", help="output format")
+        for argument, options in arguments.items():
+            sp.add_argument(argument, **options)
+        sp.set_defaults(fn=fn)
     return top
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
     try:
         payload, lines, code = args.fn(args)
     except InputError as exc:

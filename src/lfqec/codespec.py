@@ -8,26 +8,20 @@ surface the report instead of silently trusting their own bookkeeping.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InputError
+from .fp_algebra import _Slotted
 from .logic_fn import LogicFunction, anf_text
 
 
-@dataclass(frozen=True)
-class CodeSpec:
-    p: int
-    n: int
-    basis: tuple  # LogicFunction, pairwise distinct
-    claimed_d: int
-    provenance: str
+class CodeSpec(_Slotted):
+    __slots__ = ("p", "n", "basis", "claimed_d", "provenance")  # basis: distinct LogicFunctions
 
-    def __post_init__(self):
-        basis = tuple(self.basis)
+    def __init__(self, p: int, n: int, basis, claimed_d: int, provenance: str):
+        basis = tuple(basis)
         if not basis:
             raise InputError("a code needs at least one basis function")
         for f in basis:
-            if not isinstance(f, LogicFunction) or (f.p, f.n) != (self.p, self.n):
+            if not isinstance(f, LogicFunction) or (f.p, f.n) != (p, n):
                 raise InputError("basis functions must share the code's (p, n)")
         # reduced ANFs are unique; tables go by a hash of their bytes, compared on a tie
         anfs = all(f.anf is not None for f in basis)
@@ -36,9 +30,10 @@ class CodeSpec:
                 basis[i].table.tobytes() == basis[j].table.tobytes()
                 for i in range(len(basis)) for j in range(i) if keys[i] == keys[j])):
             raise InputError("basis functions must have pairwise distinct tables")
-        if self.claimed_d < 1:
+        if claimed_d < 1:
             raise InputError("claimed distance must be >= 1")
-        object.__setattr__(self, "basis", basis)
+        self.p, self.n, self.basis, self.claimed_d, self.provenance = (
+            p, n, basis, claimed_d, provenance)
 
     @property
     def claimed_K(self) -> int:

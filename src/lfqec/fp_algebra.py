@@ -20,7 +20,7 @@ entries (vectors x length, basis pairs, or basis functions x ANF terms).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CapacityError, InputError
 
@@ -60,23 +60,42 @@ def check_listing(entries: int, what: str) -> None:
         raise CapacityError(f"{what} exceed the listing budget {MAX_LISTING}")
 
 
+class _Slotted:
+    """Base of the validated value types. A subclass names its fields in
+    __slots__ and its __init__ validates, normalizes, then sets each field
+    once. Equality and hashing go by the fields, within one class."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._key()))
+        return f"{type(self).__name__}({fields})"
+
+
 # ---------------------------------------------------------------------------
 # cyclotomic integers
 
 
-@dataclass(frozen=True)
-class CycloInt:
+class CycloInt(_Slotted):
     """Element of Z[zeta_p], canonicalized so min(coeffs) == 0."""
 
-    p: int
-    coeffs: tuple
+    __slots__ = ("p", "coeffs")
 
-    def __post_init__(self):
-        validate_prime(self.p)
-        if len(self.coeffs) != self.p:
-            raise InputError(f"need {self.p} coefficients, got {len(self.coeffs)}")
-        m = min(self.coeffs)
-        object.__setattr__(self, "coeffs", tuple(int(c) - m for c in self.coeffs))
+    def __init__(self, p: int, coeffs: tuple):
+        validate_prime(p)
+        if len(coeffs) != p:
+            raise InputError(f"need {p} coefficients, got {len(coeffs)}")
+        m = min(coeffs)
+        self.p, self.coeffs = p, tuple(int(c) - m for c in coeffs)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -94,20 +113,16 @@ class CycloInt:
 # error labels
 
 
-@dataclass(frozen=True)
-class PauliLabel:
+class PauliLabel(_Slotted):
     """(a|b) naming X_a Z_b; a and b are residue tuples of equal length."""
 
-    p: int
-    a: tuple
-    b: tuple
+    __slots__ = ("p", "a", "b")
 
-    def __post_init__(self):
-        validate_prime(self.p)
-        if len(self.a) == 0 or len(self.a) != len(self.b):
+    def __init__(self, p: int, a: tuple, b: tuple):
+        validate_prime(p)
+        if len(a) == 0 or len(a) != len(b):
             raise InputError("a and b must be nonempty tuples of equal length")
-        object.__setattr__(self, "a", tuple(int(v) % self.p for v in self.a))
-        object.__setattr__(self, "b", tuple(int(v) % self.p for v in self.b))
+        self.p, self.a, self.b = p, tuple(int(v) % p for v in a), tuple(int(v) % p for v in b)
 
     @property
     def n(self) -> int:
@@ -156,17 +171,15 @@ def label_blocks(p: int, n: int, w: int):
 # F_p matrices and linear algebra
 
 
-@dataclass(frozen=True)
-class FpMatrix:
-    p: int
-    entries: tuple  # tuple of row tuples, residues mod p
+class FpMatrix(_Slotted):
+    __slots__ = ("p", "entries")  # entries: tuple of row tuples, residues mod p
 
-    def __post_init__(self):
-        validate_prime(self.p)
-        rows = tuple(tuple(int(v) % self.p for v in row) for row in self.entries)
+    def __init__(self, p: int, entries: tuple):
+        validate_prime(p)
+        rows = tuple(tuple(int(v) % p for v in row) for row in entries)
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise InputError("ragged matrix")
-        object.__setattr__(self, "entries", rows)
+        self.p, self.entries = p, rows
 
     @classmethod
     def from_rows(cls, p: int, rows) -> "FpMatrix":
@@ -236,8 +249,7 @@ def rank(M: FpMatrix) -> int:
     return len(_eliminate([list(r) for r in M.entries], M.p))
 
 
-@dataclass(frozen=True)
-class LinearSolution:
+class LinearSolution(NamedTuple):
     particular: tuple
     nullspace: tuple  # tuple of basis vectors
 

@@ -19,11 +19,11 @@ Vertices are 1-based in every public signature; bitmasks stay internal.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._textfile import read_graph_file
 from .errors import CapacityError, InputError
-from .fp_algebra import FpMatrix, PauliLabel, _eliminate, check_listing, solve_linear
+from .fp_algebra import FpMatrix, PauliLabel, _Slotted, _eliminate, check_listing, solve_linear
 
 # The matrix checks run on Python ints; numpy loads only when coverage runs
 # or a function-valued construction imports logic_fn and codespec.
@@ -31,19 +31,17 @@ from .fp_algebra import FpMatrix, PauliLabel, _eliminate, check_listing, solve_l
 MAX_COVERAGE_VERTICES = 20
 
 
-@dataclass(frozen=True)
-class WeightedGraph:
-    p: int
-    n: int
-    adj: FpMatrix
+class WeightedGraph(_Slotted):
+    __slots__ = ("p", "n", "adj")
 
-    def __post_init__(self):
-        if self.adj.p != self.p or self.adj.rows != self.n or self.adj.cols != self.n:
+    def __init__(self, p: int, n: int, adj: FpMatrix):
+        if adj.p != p or adj.rows != n or adj.cols != n:
             raise InputError("adjacency matrix shape/field mismatch")
-        if not self.adj.is_symmetric():
+        if not adj.is_symmetric():
             raise InputError("adjacency matrix must be symmetric")
-        if not self.adj.has_zero_diagonal():
+        if not adj.has_zero_diagonal():
             raise InputError("self-loops are not allowed")
+        self.p, self.n, self.adj = p, n, adj
 
     def function(self) -> LogicFunction:
         from .logic_fn import quadratic_form
@@ -163,8 +161,7 @@ def graph_to_stabilizer_rows(G: WeightedGraph) -> list:
 # matrix-shaped distance conditions (rank route and kernel route)
 
 
-@dataclass(frozen=True)
-class MatrixCheckResult:
+class MatrixCheckResult(NamedTuple):
     accepted: bool
     condition: str | None = None  # which test failed
     erased: tuple | None = None  # the qudit index set E (0-based into A)

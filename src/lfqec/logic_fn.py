@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .fp_algebra import (
     FpMatrix,
     MAX_TABLE,
     PauliLabel,
+    _Slotted,
     check_listing,
     label_blocks,
     rank,
@@ -41,33 +42,30 @@ from .fp_algebra import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class LogicFunction:
+class LogicFunction(_Slotted):
     """Held as its truth table (a `tt:` input) or as its ANF (every builder),
     never both. The ANF is an iterable of (coeff, monomial) terms whose
     exponents are already below p; here its coefficients are reduced mod p,
     zero terms dropped and the rest put in canonical order, unless it is a
-    `_Canonical` for this (p, n), which has had all that done."""
+    `_Canonical` for this (p, n), which has had all that done. `values` is
+    the table when the function is held as one, `anf` ((coeff, monomial), ...)."""
 
-    p: int
-    n: int
-    values: np.ndarray | None = None  # the table, when the function is held as one
-    anf: tuple | None = None  # ((coeff, monomial), ...)
+    __slots__ = ("p", "n", "values", "anf")
 
-    def __post_init__(self):
-        N = table_size(self.p, self.n)
-        if (self.values is None) == (self.anf is None):
+    def __init__(self, p: int, n: int, values=None, anf=None):
+        N = table_size(p, n)
+        if (values is None) == (anf is None):
             raise InputError("a logic function holds either its table or its ANF")
-        if self.anf is not None:
-            if not (isinstance(self.anf, _Canonical) and self.anf.field == (self.p, self.n)):
-                object.__setattr__(self, "anf", _canonical_terms(self.p, self.n, self.anf))
-            return
-        t = np.array(self.values, dtype=np.int64)  # the one copy, reduced in place
-        t %= self.p
-        if t.shape != (N,):
-            raise InputError(f"table must have {N} entries, got shape {t.shape}")
-        t.setflags(write=False)
-        object.__setattr__(self, "values", t)
+        if anf is not None:
+            if not (isinstance(anf, _Canonical) and anf.field == (p, n)):
+                anf = _canonical_terms(p, n, anf)
+        else:
+            values = np.array(values, dtype=np.int64)  # the one copy, reduced in place
+            values %= p
+            if values.shape != (N,):
+                raise InputError(f"table must have {N} entries, got shape {values.shape}")
+            values.setflags(write=False)
+        self.p, self.n, self.values, self.anf = p, n, values, anf
 
     @property
     def table(self) -> np.ndarray:
@@ -314,8 +312,7 @@ def _first_nonvanishing(f: LogicFunction, betas) -> tuple:
     raise RuntimeError("unreachable: weight-n labels always include a nonvanishing sum")
 
 
-@dataclass(frozen=True)
-class ApcResult:
+class ApcResult(NamedTuple):
     distance: int
     witness: PauliLabel
 

@@ -12,7 +12,7 @@ product, equality across scales, the trace and the idempotency test.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .fp_algebra import (
     CycloInt,
     FpMatrix,
     PauliLabel,
+    _Slotted,
     _eliminate,
     check_listing,
     rank as fp_rank,
@@ -44,22 +45,18 @@ def _operator_dim(p: int, n: int) -> int:
     return N
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
-    p: int
-    n: int
-    entries: np.ndarray  # (N, N, p) int64, per-cell min = 0
-    scale_log2: int = 0
+class OperatorMatrix(_Slotted):
+    __slots__ = ("p", "n", "entries", "scale_log2")  # entries: (N, N, p) int64, per-cell min = 0
 
-    def __post_init__(self):
-        validate_prime(self.p)
-        N = _operator_dim(self.p, self.n)
-        e = np.asarray(self.entries, dtype=np.int64)
-        if e.shape != (N, N, self.p):
-            raise InputError(f"entries must be {(N, N, self.p)}, got {e.shape}")
+    def __init__(self, p: int, n: int, entries, scale_log2: int = 0):
+        validate_prime(p)
+        N = _operator_dim(p, n)
+        e = np.asarray(entries, dtype=np.int64)
+        if e.shape != (N, N, p):
+            raise InputError(f"entries must be {(N, N, p)}, got {e.shape}")
         e = e - e.min(axis=2, keepdims=True)
         e.setflags(write=False)
-        object.__setattr__(self, "entries", e)
+        self.p, self.n, self.entries, self.scale_log2 = p, n, e, scale_log2
 
     def _aligned(self, other: "OperatorMatrix"):
         s = min(self.scale_log2, other.scale_log2)
@@ -132,8 +129,7 @@ class OperatorMatrix:
 # four-premise test for A = (L|B) against a function's shift set
 
 
-@dataclass(frozen=True)
-class PremiseReport:
+class PremiseReport(NamedTuple):
     n: int
     M: int
     weight_ok: bool  # 0 < M <= 2^(n-1)

@@ -28,14 +28,14 @@ also refuses, before it builds a state, K p^(n+1) entries over the table cap.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from ._tables import linear_values, shifted_indices
 from .errors import CapacityError, InputError
 from .fp_algebra import MAX_STATE, MAX_TABLE, CycloInt, PauliLabel, check_listing, label_blocks
-from .fp_algebra import table_size
+from .fp_algebra import _Slotted, table_size
 from .logic_fn import LogicFunction, _anf_terms
 
 # Integers up to 2^53 in size are exact in float64, and so is every sum of
@@ -43,19 +43,16 @@ from .logic_fn import LogicFunction, _anf_terms
 _EXACT = 2**53
 
 
-@dataclass(frozen=True)
-class StateVector:
-    p: int
-    n: int
-    amps: np.ndarray  # (p^n, p) int64; row x = exponent histogram at |x>
+class StateVector(_Slotted):
+    __slots__ = ("p", "n", "amps")  # amps: (p^n, p) int64; row x = exponent histogram at |x>
 
-    def __post_init__(self):
-        N = table_size(self.p, self.n, cap=MAX_STATE)
-        a = np.array(self.amps, dtype=np.int64)  # one copy, whatever the input's dtype
-        if a.shape != (N, self.p):
-            raise InputError(f"amplitude array must be {(N, self.p)}, got {a.shape}")
+    def __init__(self, p: int, n: int, amps):
+        N = table_size(p, n, cap=MAX_STATE)
+        a = np.array(amps, dtype=np.int64)  # one copy, whatever the input's dtype
+        if a.shape != (N, p):
+            raise InputError(f"amplitude array must be {(N, p)}, got {a.shape}")
         a.setflags(write=False)
-        object.__setattr__(self, "amps", a)
+        self.p, self.n, self.amps = p, n, a
 
     def __eq__(self, other) -> bool:
         """Exact equality in Z[zeta_p]: the difference row at each basis
@@ -138,8 +135,7 @@ def inner_product(u: StateVector, v: StateVector) -> CycloInt:
     return CycloInt(u.p, tuple(int(c) for c in _gram(X[:1], X[1:], u.p)[:, 0, 0]))
 
 
-@dataclass(frozen=True)
-class KLFailure:
+class KLFailure(NamedTuple):
     a: tuple
     b: tuple
     kind: str  # "offdiag_nonzero" | "diag_unequal"
@@ -150,14 +146,13 @@ class KLFailure:
         return {"a": list(self.a), "b": list(self.b), "kind": self.kind, "i": self.i, "j": self.j}
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     p: int
     n: int
     K: int
     max_weight: int
     verdict: str  # "pass" | "fail"
-    failures: tuple = field(default_factory=tuple)
+    failures: tuple = ()
 
     @property
     def passed(self) -> bool:

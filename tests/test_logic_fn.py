@@ -928,6 +928,25 @@ def test_compact_table_is_read_as_one_byte_a_digit():
         "11 2\ntt: " + " ".join(map(str, small))))
 
 
+@pytest.mark.parametrize("pad", ["", "\t "], ids=["none", "spaces"])
+def test_compact_table_is_read_in_two_copies(pad):
+    # the body line's bytes and their digit values, never a slice or a strip of
+    # the line beside them: at most twice the text (its own copy not counted),
+    # plus small objects
+    digits = np.random.default_rng(5).integers(0, 2, 2**20)
+    text = f"# c\n2 20\ntt:{pad}" + (digits.astype(np.uint8) + ord("0")).tobytes().decode() + " \n"
+    tracemalloc.start()
+    try:
+        parsed = read_function_file(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * len(text) + 1024
+    assert bytes(parsed[2]) == digits.astype(np.uint8).tobytes()
+    # a space of more than one byte before the digits: the view starts at the first digit
+    assert bytes(read_function_file("2 2\ntt:\u3000 0110\n")[2]) == bytes([0, 1, 1, 0])
+
+
 @pytest.mark.parametrize("text", ["3 1\ntt: 013\n", "3 1\ntt: 0, 1, 3\n", "3 1\ntt: 0 -1 2\n"])
 def test_parse_function_file_residue_out_of_range(text):
     # a compact digit string and separated values, above p - 1 and below 0

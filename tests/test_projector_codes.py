@@ -2,7 +2,6 @@
 four-premise projector construction, syndrome-term extraction against the
 dense operator reference and the syndrome-by-syndrome solve, and the
 bent-function exclusion."""
-import dataclasses
 import re
 
 import numpy as np
@@ -226,7 +225,7 @@ def test_premises_repaired_matrix_pass():
 def test_premise_failures_each_alone(anf, rows, fields, summary):
     report = check_projector_premises(parse_anf(anf, 2, 4), FpMatrix.from_rows(2, rows))
     holding = projector_codes.PremiseReport(4, report.M, True, (), (), (), True)
-    assert report == dataclasses.replace(holding, **fields)
+    assert report == holding._replace(**fields)
     assert not report.all_ok and report.summary() == summary
 
 

@@ -4,8 +4,13 @@ file, code descriptions and their stated K included, are reported before
 numpy loads, so is a code over the oracle's pair budget (exit 3), and a
 subcommand loads only the modules it runs (`matrix-check` without --build
 runs on Python integers alone, and a code built without --verify loads no
-oracle). A finished command freezes the collector, so the interpreter's
-exit skips its full collections, with output and exit code unchanged."""
+oracle). Neither those refusals nor `matrix-check` without --build load
+`dataclasses` or `inspect`: no module of the package imports `dataclasses`.
+A run builds the parser of its own subcommand only, while `--help`, no
+command and an unknown command print every subcommand as before. A
+finished command freezes the collector, so the interpreter's exit skips its
+full collections, with output and exit code unchanged."""
+import ast
 import json
 import os
 import pathlib
@@ -83,7 +88,7 @@ def test_input_errors_exit_2_before_numpy_loads(tmp_path, case):
     files, argv = MALFORMED[case]
     out = run_cli(tmp_path, files, *argv)
     assert out["rc"] == 2
-    assert "numpy" not in out["loaded"]
+    assert {"numpy", "dataclasses", "inspect"}.isdisjoint(out["loaded"])
 
 
 def test_code_over_the_pair_budget_exits_3_before_numpy_loads(tmp_path):
@@ -114,7 +119,12 @@ def test_code_over_the_pair_budget_exits_3_before_numpy_loads(tmp_path):
             0,
             ["state_oracle", "code_builder"],
         ),
-        (["matrix-check", "m", "--k", "1", "--d", "2"], {"m": RANK_MAT}, 0, ["logic_fn", "numpy"]),
+        (
+            ["matrix-check", "m", "--k", "1", "--d", "2"],
+            {"m": RANK_MAT},
+            0,
+            ["logic_fn", "numpy", "dataclasses", "inspect"],
+        ),
         (
             ["coset-code", "f.fn", "--betas", "00,11"],
             {"f.fn": FUNCTION},
@@ -136,6 +146,77 @@ def test_subcommand_loads_only_its_modules(tmp_path, argv, files, rc, unloaded):
     assert out["rc"] == rc
     loaded = [m for m in unloaded if m in out["loaded"] or f"lfqec.{m}" in out["loaded"]]
     assert loaded == []
+
+
+def test_no_module_imports_dataclasses():
+    # a frozen dataclass compiles its generated methods when its module loads
+    paths = sorted((SRC / "lfqec").glob("*.py"))
+    imported = [
+        (path.name, alias.name if isinstance(node, ast.Import) else node.module or "")
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert len(paths) == 12 and ("cli.py", "argparse") in imported
+    assert [hit for hit in imported if hit[1].partition(".")[0] == "dataclasses"] == []
+
+
+COMMANDS = ["apc", "zset", "bent", "graph-code", "matrix-check", "coset-code", "projector",
+            "mds", "solve-basis", "verify"]
+TOP_USAGE = f"usage: lfqec [-h]\n             {{{','.join(COMMANDS)}}}\n             ...\n"
+
+
+def run_lfqec(tmp_path, *argv):
+    return subprocess.run(
+        [sys.executable, "-m", "lfqec.cli", *argv],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(SRC), "COLUMNS": "80"},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_help_lists_every_subcommand(tmp_path):
+    proc = run_lfqec(tmp_path, "--help")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith(TOP_USAGE)
+    listed = [line.split()[0] for line in proc.stdout.splitlines()
+              if line.startswith("    ") and not line.startswith("     ")]
+    assert listed == COMMANDS
+
+
+@pytest.mark.parametrize(
+    "argv, stderr",
+    [
+        (["nosuch"], TOP_USAGE + "lfqec: error: argument command: invalid choice: 'nosuch' "
+         f"(choose from {', '.join(map(repr, COMMANDS))})\n"),
+        (["apc"], "usage: lfqec apc [-h] [--format {text,json}] [--verify] function\n"
+         "lfqec apc: error: the following arguments are required: function\n"),
+        (["zset", "f.fn", "extra"], TOP_USAGE + "lfqec: error: unrecognized arguments: extra\n"),
+    ],
+    ids=["unknown", "missing-file", "extra"],
+)
+def test_usage_errors_exit_2_with_argparse_text(tmp_path, argv, stderr):
+    proc = run_lfqec(tmp_path, *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", stderr)
+
+
+def test_a_run_builds_the_parser_of_its_subcommand_only(tmp_path, monkeypatch, capsys):
+    import argparse
+
+    from lfqec.cli import main
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: built.append(k.get("prog")) or init(self, *a, **k))
+    (tmp_path / "s").write_text("2 2\n10 01 1\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve-basis", "s"]) == 0
+    assert built == ["lfqec", "lfqec solve-basis"]
+    assert capsys.readouterr().out == "solution: x1 + x1*x2\n"
 
 
 # registered before lfqec's own handler, so it runs after it (last in, first out)
