@@ -188,19 +188,26 @@ def test_help_lists_every_subcommand(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv, stderr",
+    "argv, error",
     [
-        (["nosuch"], TOP_USAGE + "lfqec: error: argument command: invalid choice: 'nosuch' "
-         f"(choose from {', '.join(map(repr, COMMANDS))})\n"),
-        (["apc"], "usage: lfqec apc [-h] [--format {text,json}] [--verify] function\n"
-         "lfqec apc: error: the following arguments are required: function\n"),
-        (["zset", "f.fn", "extra"], TOP_USAGE + "lfqec: error: unrecognized arguments: extra\n"),
+        (["nosuch"], "lfqec: error: argument command: invalid choice: 'nosuch'"),
+        (["apc"], "lfqec apc: error: the following arguments are required: function"),
+        (["zset", "f.fn", "extra"], "lfqec: error: unrecognized arguments: extra"),
     ],
     ids=["unknown", "missing-file", "extra"],
 )
-def test_usage_errors_exit_2_with_argparse_text(tmp_path, argv, stderr):
+def test_usage_errors_exit_2_with_argparse_text(tmp_path, monkeypatch, capsys, argv, error):
+    # the text of the parser with every subcommand, which a known command does not build
+    from lfqec.cli import _build_parser
+
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        _build_parser([]).parse_args(argv)
+    full = capsys.readouterr().err
     proc = run_lfqec(tmp_path, *argv)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", stderr)
+    assert (exc.value.code, proc.returncode, proc.stdout, proc.stderr) == (2, 2, "", full)
+    usage = "usage: lfqec apc [-h] [--format {text,json}] [--verify] function\n"
+    assert full.startswith(usage if argv == ["apc"] else TOP_USAGE) and error in full
 
 
 def test_a_run_builds_the_parser_of_its_subcommand_only(tmp_path, monkeypatch, capsys):
