@@ -9,7 +9,8 @@ Three pillars used everywhere else:
   coefficient is 0. A value is zero exactly when its coefficients are all
   equal, which makes character-sum zero tests pure integer comparisons.
 - PauliLabel: (a|b) in F_p^n x F_p^n naming the phase-free error X_a Z_b,
-  with the symplectic product. `label_blocks` walks them as rows grouped by a.
+  with the symplectic product. `label_blocks` walks them as rows grouped by a,
+  and `support_rows` lists the X-parts a by their number of nonzero digits.
 - F_p linear algebra: rank, solve with nullspace basis, over small matrices.
 
 Capacities keep everything desk-scale: p <= 13, truth tables to 2^24
@@ -167,6 +168,24 @@ def label_blocks(p: int, n: int, w: int):
             yield supp, *full, starts
 
 
+def support_rows(p: int, n: int, k: int, rows: int):
+    """Every a in F_p^n with exactly k nonzero digits: supports in the walk's
+    order, then the digits on a support lexicographic, as int8 rows (r, n)
+    in chunks of at most max(rows, 1) rows. k = 0 gives the zero row."""
+    import numpy as np
+
+    per, rows = (p - 1) ** k, max(rows, 1)  # digit rows of one support
+    place = (p - 1) ** np.arange(k - 1, -1, -1)
+    supports = itertools.combinations(range(n), k)
+    while batch := list(itertools.islice(supports, max(rows // per, 1))):
+        cols = np.array(batch, dtype=np.intp).reshape(len(batch), 1, k)
+        for lo in range(0, per, rows):
+            digits = 1 + np.arange(lo, min(lo + rows, per))[:, None] // place % (p - 1)
+            out = np.zeros((len(batch), len(digits), n), dtype=np.int8)
+            out[np.arange(len(batch))[:, None, None], np.arange(len(digits))[:, None], cols] = digits
+            yield out.reshape(-1, n)
+
+
 # ---------------------------------------------------------------------------
 # F_p matrices and linear algebra
 
@@ -223,7 +242,9 @@ class FpMatrix(_Slotted):
 
 
 def _eliminate(rows: list, p: int):
-    """In-place reduced row echelon form; returns pivot column list."""
+    """In-place reduced row echelon form of rows of residues mod p; returns
+    pivot column list. Rows r.. are zero left of column c when c is reached,
+    so the pivot row and every update are formed from column c on."""
     pivots = []
     r = 0
     ncols = len(rows[0]) if rows else 0
@@ -233,11 +254,12 @@ def _eliminate(rows: list, p: int):
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [(v * inv) % p for v in rows[r]]
+        tail = [(v * inv) % p for v in rows[r][c:]]
+        rows[r] = rows[r][:c] + tail
         for i in range(len(rows)):
             if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+                f, row = rows[i][c], rows[i]
+                rows[i] = row[:c] + [(x - f * y) % p for x, y in zip(row[c:], tail)]
         pivots.append(c)
         r += 1
         if r == len(rows):

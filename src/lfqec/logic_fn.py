@@ -3,10 +3,12 @@ character autocorrelation, APC distance, the zero-product shift set, bent
 detection, and the coboundary solver that recovers quadratic functions from
 difference constraints.
 
-One label search gives `apc_distance` (one zero shift) and coset distances.
-One in-place Walsh route gives the p = 2 quantities: the zero-product shift
-set is the zero set of the support indicator's autocorrelation, and bent
-detection reads the spectrum of the signs (-1)^f.
+One label search gives `apc_distance` (one zero shift) and coset distances:
+f of degree <= 2 has its first nonvanishing sum read off (a, delta), any
+other f walks the labels on its table. One in-place Walsh route gives the
+p = 2 quantities: the zero-product shift set is the zero set of the support
+indicator's autocorrelation, and bent detection reads the spectrum of the
+signs (-1)^f.
 
 Truth tables are int64 arrays of length p^n in the layout of `_tables`:
 index(x) = sum_i x_i p^(n-i), x_1 most significant, which is the C-order
@@ -38,6 +40,7 @@ from .fp_algebra import (
     label_blocks,
     rank,
     solve_linear,
+    support_rows,
     table_size,
 )
 
@@ -166,6 +169,8 @@ def _anf_terms(f: LogicFunction, max_deg: int | None = None) -> tuple | None:
     p, n = f.p, f.n
     W = [[1] + [0] * (p - 1)] + [[-pow(x, p - 1 - m, p) % p for x in range(p)] for m in range(1, p)]
     grid = _per_axis(f.table.astype(np.uint8).reshape((p,) * n), W, p)
+    if max_deg is not None and np.count_nonzero(grid) > math.comb(n + max_deg, max_deg):
+        return None  # more terms than monomials of degree <= max_deg: list none of them
     exps = np.argwhere(grid)  # the exponent vectors of the nonzero coefficients
     deg = exps.sum(axis=1)
     if max_deg is not None and (deg > max_deg).any():
@@ -176,8 +181,9 @@ def _anf_terms(f: LogicFunction, max_deg: int | None = None) -> tuple | None:
     exps, deg = exps[order], deg[order]
     coeffs = grid[tuple(exps.T)].tolist()
     terms = []
-    for d in np.unique(deg).tolist():
-        lo, hi = np.searchsorted(deg, [d, d + 1]).tolist()
+    cuts = np.flatnonzero(np.diff(deg, prepend=-1)).tolist() + [len(deg)]  # runs of one degree
+    for lo, hi in zip(cuts, cuts[1:]):
+        d = int(deg[lo])
         monos = np.repeat(np.tile(np.arange(n), hi - lo), exps[lo:hi].ravel())
         terms += zip(coeffs[lo:hi], map(tuple, monos.reshape(hi - lo, d).tolist()))
     return tuple(terms)
@@ -262,6 +268,65 @@ def _first_nonvanishing(f: LogicFunction, betas) -> tuple:
     order, at which some shift pair (beta_i, beta_j), i = j included, makes
     the sum at (a, b + beta_i - beta_j) nonzero; i = j is the sum
     sum_x zeta^(f(x) - f(x-a) + b.x), and a full-support row never vanishes.
+    The route goes by degree alone: f of degree <= 2 has the label read off
+    (a, delta) without a table, any other f walks the labels on its table."""
+    terms = _anf_terms(f, max_deg=2)
+    if terms is None:
+        return _walked_first(f, betas)
+    return _quadratic_first(f.p, f.n, terms, betas)
+
+
+_PAIR_ROWS = 2**10  # (a, delta) rows a chunk of _quadratic_first holds, each n entries wide
+
+
+def _quadratic_first(p: int, n: int, terms, betas) -> tuple:
+    """_first_nonvanishing for the reduced ANF terms Q + L.x + c of degree
+    <= 2. With S = U + U^T the symmetric form of Q (a square c x_i^2 adds 2c
+    to S_ii), f(x) - f(x-a) = (S a).x + const, so the sum at (a, b + delta)
+    is nonzero exactly when b = -(S a + delta) mod p. The first label is the
+    least (w, support, a, b) over every a and every delta in D u {0}, D the
+    differences beta_i - beta_j, with (a, b) != 0. An a with k nonzero
+    digits gives labels of weight >= k, so a is enumerated by k until k
+    exceeds the least weight found. One weight's supports come in the
+    order of their masks, x_1 the top bit, descending; so a label's order
+    keys are w 2^n + (2^n - 1 - mask), then index(a) p^n + index(b).
+    Memory: D's K^2 keys, then a chunk of a-rows, whose rows times
+    |D u {0}| stay within _PAIR_ROWS unless one row exceeds it."""
+    S = np.zeros((n, n), dtype=np.int64)
+    for c, m in terms:
+        if len(m) == 2:
+            np.add.at(S, (m, m[::-1]), c)  # S_ij and S_ji, or 2c at S_ii
+    S %= p
+    K = len(betas)
+    keys = np.zeros((K, K), dtype=np.int64)  # index(beta_i - beta_j), a coordinate at a time
+    for col in np.array(betas, dtype=np.int64).reshape(K, n).T:
+        keys *= p
+        keys += np.subtract.outer(col, col) % p
+    keys = np.sort(keys, axis=None)
+    deltas = np.stack(np.unravel_index(keys[np.diff(keys, prepend=-1) != 0], (p,) * n), axis=1)
+    place, bits = p ** np.arange(n - 1, -1, -1), 1 << np.arange(n - 1, -1, -1)
+    N, never = p**n, (n + 1) << n  # never: the order key of the label (0, 0), which is no label
+    best = (never, 0)
+    for k in range(n + 1):
+        if k > best[0] >> n:
+            break
+        for A in support_rows(p, n, k, _PAIR_ROWS // len(deltas)):
+            A = A.astype(np.int64)
+            B = -(A @ S)[:, None, :] - deltas  # (rows, |D u {0}|, n)
+            B %= p
+            held = (B != 0) | (A != 0)[:, None, :]
+            w = held.sum(axis=2)
+            first = np.where(w > 0, (w << n) + ((1 << n) - 1 - held @ bits), never)
+            lo = int(first.min())
+            if lo <= best[0]:
+                second = np.where(first == lo, (A @ place)[:, None] * N + B @ place, N * N)
+                best = min(best, (lo, int(second.min())))
+    a, b = index_vectors(p, n, divmod(best[1], N))
+    return best[0] >> n, a, b
+
+
+def _walked_first(f: LogicFunction, betas) -> tuple:
+    """_first_nonvanishing by walking the labels on f's table.
 
     The labels of an a-group share their support S and shift a, and b is 0
     off S. With y = x_S, delta = beta_i - beta_j and d(x) = f(x) - f(x-a),

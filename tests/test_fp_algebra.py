@@ -13,6 +13,7 @@ from conftest import (
     label_weight,
     random_cyclo,
     reference_labels,
+    reference_rank,
     rng,
     walk_blocks,
 )
@@ -28,7 +29,7 @@ from lfqec import (
     symplectic_product,
 )
 from lfqec import fp_algebra
-from lfqec.fp_algebra import table_size, validate_prime
+from lfqec.fp_algebra import support_rows, table_size, validate_prime
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +200,29 @@ def test_label_walk_hands_full_rows_and_a_group_starts(p, rows, monkeypatch):
                 assert starts == [0, *runs, len(a)]
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 13])
+@pytest.mark.parametrize("rows", [1, 7, 40, 2**16])
+def test_support_rows_list_each_shift_once_in_the_walk_order(p, rows):
+    # every a with k nonzero digits: supports in combinations order, then the
+    # digits on the support lexicographic, in int8 chunks of at most rows rows
+    for n in range(1, 5 if p < 13 else 4):
+        for k in range(n + 1):
+            chunks = list(support_rows(p, n, k, rows))
+            assert all(A.dtype == np.int8 and 0 < len(A) <= rows and A.shape[1] == n
+                       for A in chunks)
+            got = [tuple(a) for A in chunks for a in A.tolist()]
+            want = [a for a in itertools.product(range(p), repeat=n)
+                    if sum(map(bool, a)) == k]
+            want.sort(key=lambda a: ([i for i in range(n) if a[i]], a))
+            assert got == want
+            assert len(got) == math.comb(n, k) * (p - 1) ** k
+
+
+def test_support_rows_take_at_least_one_row_a_chunk():
+    chunks = list(support_rows(3, 3, 2, 0))
+    assert [len(A) for A in chunks] == [1] * 12
+
+
 # ---------------------------------------------------------------------------
 # matrices
 
@@ -296,3 +320,47 @@ def test_table_size_caps():
         table_size(2, 10**18)  # refused before p^n is formed
     with pytest.raises(InputError):
         table_size(2, -1)
+
+
+def full_row_eliminate(rows: list, p: int) -> list:
+    """Gauss-Jordan reduction that updates every entry of every row it
+    touches; the pivot columns, with the rows reduced in place."""
+    pivots, r = [], 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        rows[r] = [v * inv % p for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r:
+                rows[i] = [(x - rows[i][c] * y) % p for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13])
+def test_eliminate_from_the_pivot_column_matches_full_rows(p):
+    # the rows reduced from each pivot column on are the full-row reduction's,
+    # their count of pivots is the reference rank, and solve_linear agrees
+    # with the ranks of the matrix and of its augmented form
+    gen = rng(60 + p)
+    for _ in range(150):
+        r, c = int(gen.integers(1, 8)), int(gen.integers(1, 8))
+        inner = int(gen.integers(1, max(r, c) + 1))  # products of low rank too
+        M = gen.integers(0, p, (r, inner)) @ gen.integers(0, p, (inner, c)) % p
+        rows, want = M.tolist(), M.tolist()
+        pivots = fp_algebra._eliminate(rows, p)
+        assert pivots == full_row_eliminate(want, p) and rows == want
+        assert len(pivots) == reference_rank(M.tolist(), p)
+        rhs = gen.integers(0, p, r).tolist() if gen.integers(0, 2) else (
+            M @ gen.integers(0, p, c) % p).tolist()
+        sol = solve_linear(FpMatrix.from_rows(p, M.tolist()), rhs)
+        augmented = [row + [v] for row, v in zip(M.tolist(), rhs)]
+        assert (sol is None) == (reference_rank(augmented, p) > len(pivots))
+        if sol is not None:
+            assert (M @ np.array(sol.particular) % p).tolist() == rhs
+            assert len(sol.nullspace) == c - len(pivots)
+            assert not (M @ np.array(sol.nullspace, dtype=np.int64).reshape(-1, c).T % p).any()

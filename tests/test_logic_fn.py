@@ -605,17 +605,36 @@ def test_apc_distance_matches_per_label_reference(gen, p, max_n):
     assert max(distances) >= 2
 
 
+def random_cubic(gen, p, n) -> LogicFunction:
+    """random_quadratic plus one cubic term with a nonzero coefficient, so
+    the search walks the labels; a square in it needs p > 2 when n = 2."""
+    mono = tuple(sorted(gen.choice(n, 3, replace=False).tolist())) if n >= 3 else (0, 0, 1)
+    return LogicFunction(p, n, anf=[*random_quadratic(gen, p, n).anf,
+                                    (int(gen.integers(1, p)), mono)])
+
+
+def count_walks(monkeypatch) -> list:
+    """Patch the label walk the search imports to record each call."""
+    walks, walk = [], lfqec.logic_fn.label_blocks
+    monkeypatch.setattr(lfqec.logic_fn, "label_blocks",
+                        lambda *args: walks.append(args) or walk(*args))
+    return walks
+
+
 def test_search_reads_every_gather_chunk(gen, monkeypatch):
     # one label per gather chunk, so a first failing label that is not the
     # first of its block lies past the block's first chunk
     monkeypatch.setattr(lfqec.fp_algebra, "_CHUNK_ROWS", 1)
+    walks = count_walks(monkeypatch)
     later = 0
     for p, n in [(2, 4), (3, 3), (5, 2)]:
         for _ in range(10):
-            f = random_quadratic(gen, p, n)
+            f = random_cubic(gen, p, n)
             betas = sorted({tuple(int(v) for v in gen.integers(0, p, n)) for _ in range(3)})
             w, (a, b) = reference_coset_distance(f, betas)
+            walks.clear()
             assert lfqec.logic_fn._first_nonvanishing(f, betas) == (w, a, b)
+            assert walks
             bs = next(bs for a2, bs in walk_blocks(p, n, w) if a2 == a and b in bs)
             later += bs.index(b) > 0
     assert later
@@ -625,13 +644,114 @@ def test_search_reads_every_gather_chunk(gen, monkeypatch):
 def test_search_across_chunk_boundaries(gen, monkeypatch, p, n):
     # 7 numbers per walk chunk: supports span chunks, and chunks split a-groups
     monkeypatch.setattr(lfqec.fp_algebra, "_CHUNK_ROWS", 7)
+    walks = count_walks(monkeypatch)
     for _ in range(10):
-        f = random_quadratic(gen, p, n)
+        f = random_cubic(gen, p, n)
         betas = sorted({tuple(int(v) for v in gen.integers(0, p, n)) for _ in range(3)})
         w, (a, b) = reference_coset_distance(f, betas)
+        walks.clear()
         assert lfqec.logic_fn._first_nonvanishing(f, betas) == (w, a, b)
         res = apc_distance(f)
         assert (res.distance, (res.witness.a, res.witness.b)) == reference_apc_distance(f)
+        assert len(walks) >= 2
+
+
+def random_shifts(gen, p, n) -> list:
+    """1 to 4 distinct shifts; half the time an arithmetic progression,
+    whose differences repeat."""
+    K = int(gen.integers(1, 5))
+    if gen.integers(0, 2):
+        base, step = gen.integers(0, p, n), gen.integers(0, p, n)
+        return sorted({tuple(int(v) for v in (base + i * step) % p) for i in range(K)})
+    return sorted({tuple(int(v) for v in gen.integers(0, p, n)) for _ in range(K)})
+
+
+@pytest.mark.parametrize("p, max_n, rows", [(2, 4, None), (3, 3, None), (3, 3, 1),
+                                            (5, 2, 2), (13, 2, None)])
+def test_quadratic_search_matches_the_per_label_references(gen, monkeypatch, p, max_n, rows):
+    # f of degree <= 2, squares included at p > 2, held as its ANF or its
+    # table, is read off (a, delta) without a walk, also when a chunk of
+    # a-rows is shorter than one support's
+    if rows is not None:
+        monkeypatch.setattr(lfqec.logic_fn, "_PAIR_ROWS", rows)
+    walks = count_walks(monkeypatch)
+    held, distances = set(), []
+    for _ in range(14):
+        n = int(gen.integers(1, max_n + 1))
+        f = random_quadratic(gen, p, n)
+        if gen.integers(0, 2):
+            f = LogicFunction(p, n, f.table)
+        betas = random_shifts(gen, p, n)
+        assert lfqec.logic_fn._first_nonvanishing(f, betas) == (
+            w := (ref := reference_coset_distance(f, betas))[0], *ref[1])
+        res = apc_distance(f)
+        assert (res.distance, (res.witness.a, res.witness.b)) == reference_apc_distance(f)
+        held.add(f.anf is None)
+        distances.append(w)
+    assert walks == [] and held == {True, False} and max(distances) >= 2
+
+
+@pytest.mark.parametrize("p, anf, want", [
+    (3, "x1^2", (1, (1,), (1,))),  # S = 2: b = -2 a, where S = 1 would give b = 2
+    (3, "x1^2 + x2^2", (1, (1, 0), (1, 0))),
+    (5, "x1^2 + x2^2", (1, (1, 0), (3, 0))),  # S = 2 I: b = -2 a
+    (5, "2*x1^2 + x1*x2", (2, (0, 1), (4, 0))),  # S a has weight 2 for every a != 0
+    (13, "x1^2 + 7*x1*x2 + 12*x2^2", None),
+])
+def test_square_terms_add_twice_to_the_diagonal(p, anf, want):
+    f = parse_anf(anf, p, 2 if "x2" in anf else 1)
+    res = apc_distance(f)
+    got = (res.distance, (res.witness.a, res.witness.b))
+    assert got == reference_apc_distance(f)
+    if want is not None:
+        assert got == (want[0], (want[1], want[2]))
+
+
+def test_a_held_quadratic_is_never_expanded(monkeypatch):
+    # n = 20: the ANF is read off, and no table of 2^20 entries is built
+    terms = [(1, (i, (i + 1) % 20)) for i in range(20)] + [(1, (3,)), (1, ())]
+    f = LogicFunction(2, 20, anf=terms)
+    expanded = count_expansions(monkeypatch)
+    assert apc_distance(f).distance == 3  # the cycle C20's graph state
+    betas = [(0,) * 20, (1,) * 20]
+    assert claimed_coset_distance(f, betas) <= 3
+    assert expanded == []
+
+
+def test_a_table_over_the_degree_bound_lists_no_coefficient(gen, monkeypatch):
+    # more nonzero coefficients than monomials of degree <= 2: refused before
+    # np.argwhere lists them; a quadratic table comes back as its ANF
+    def no_listing(*args):
+        raise AssertionError("np.argwhere ran")
+
+    f = random_function(gen, 2, 10)
+    monkeypatch.setattr(np, "argwhere", no_listing)
+    assert lfqec.logic_fn._anf_terms(f, max_deg=2) is None
+    monkeypatch.undo()
+    q = random_quadratic(gen, 3, 4)
+    assert lfqec.logic_fn._anf_terms(LogicFunction(3, 4, q.table), max_deg=2) == q.anf
+
+
+# a p = 2, n = 16 graph state of distance 5: the label walk took 24-33 s on it
+APC16 = ("x1*x7 + x1*x8 + x1*x9 + x1*x12 + x1*x14 + x2*x3 + x2*x5 + x2*x11 + x2*x12 + "
+         "x2*x13 + x2*x14 + x2*x15 + x3*x4 + x3*x5 + x3*x8 + x3*x9 + x3*x10 + x3*x11 + "
+         "x3*x12 + x3*x14 + x3*x15 + x3*x16 + x4*x7 + x4*x13 + x4*x14 + x4*x15 + x4*x16 + "
+         "x5*x6 + x5*x7 + x5*x8 + x5*x13 + x5*x15 + x5*x16 + x6*x7 + x6*x9 + x6*x10 + "
+         "x6*x12 + x6*x13 + x6*x14 + x7*x9 + x7*x10 + x7*x11 + x8*x10 + x8*x15 + x8*x16 + "
+         "x9*x11 + x9*x12 + x9*x13 + x9*x14 + x9*x16 + x10*x11 + x10*x16 + x11*x12 + "
+         "x11*x13 + x12*x13 + x12*x14 + x13*x15 + x14*x15 + x15*x16")
+
+
+def test_apc_reads_a_distance_5_quadratic_at_n16_within_3_s(tmp_path, capsys):
+    from lfqec.cli import main
+
+    (tmp_path / "f.fn").write_text(f"2 16\nanf: {APC16}\n")
+    start = time.perf_counter()
+    assert main(["apc", str(tmp_path / "f.fn")]) == 0
+    elapsed = time.perf_counter() - start
+    assert capsys.readouterr().out == (
+        "distance: 5\nwitness: a=0000000100000001 b=1001000110000001\n")
+    assert elapsed <= 3.0, f"apc took {elapsed:.2f} s"
 
 
 def test_search_builds_one_shift_table_per_shift(gen, monkeypatch):

@@ -148,6 +148,21 @@ def test_subcommand_loads_only_its_modules(tmp_path, argv, files, rc, unloaded):
     assert loaded == []
 
 
+# x1*x2 + x3*x4 + x1 + 1 over F_2 as a table: interpolated to its ANF,
+# whose degree takes the search and the oracle to their quadratic routes
+TT_QUADRATIC = "2 4\ntt: " + "".join(
+    str((x >> 3 & x >> 2 & 1) ^ (x >> 1 & x & 1) ^ (x >> 3 & 1) ^ 1) for x in range(16)) + "\n"
+
+
+@pytest.mark.parametrize("argv", [["apc", "f.fn", "--verify"],
+                                  ["coset-code", "f.fn", "--betas", "0000,1100", "--verify"]],
+                         ids=["apc", "coset-code"])
+def test_a_table_quadratic_loads_no_numpy_ma(tmp_path, argv):
+    # `numpy.ma` costs about 9 ms cold; plain np.unique is what loads it
+    out = run_cli(tmp_path, {"f.fn": TT_QUADRATIC}, *argv)
+    assert out["rc"] in (0, 1) and out["stdout"], out["stderr"]
+    assert "numpy" in out["loaded"] and "numpy.ma" not in out["loaded"]
+
 def test_no_module_imports_dataclasses():
     # a frozen dataclass compiles its generated methods when its module loads
     paths = sorted((SRC / "lfqec").glob("*.py"))
