@@ -682,8 +682,8 @@ def test_quadratic_search_matches_the_per_label_references(gen, monkeypatch, p, 
         if gen.integers(0, 2):
             f = LogicFunction(p, n, f.table)
         betas = random_shifts(gen, p, n)
-        assert lfqec.logic_fn._first_nonvanishing(f, betas) == (
-            w := (ref := reference_coset_distance(f, betas))[0], *ref[1])
+        w, (a, b) = reference_coset_distance(f, betas)
+        assert lfqec.logic_fn._first_nonvanishing(f, betas) == (w, a, b)
         res = apc_distance(f)
         assert (res.distance, (res.witness.a, res.witness.b)) == reference_apc_distance(f)
         held.add(f.anf is None)
@@ -733,6 +733,7 @@ def test_a_table_over_the_degree_bound_lists_no_coefficient(gen, monkeypatch):
 
 
 # a p = 2, n = 16 graph state of distance 5: the label walk took 24-33 s on it
+# on a 2-core host
 APC16 = ("x1*x7 + x1*x8 + x1*x9 + x1*x12 + x1*x14 + x2*x3 + x2*x5 + x2*x11 + x2*x12 + "
          "x2*x13 + x2*x14 + x2*x15 + x3*x4 + x3*x5 + x3*x8 + x3*x9 + x3*x10 + x3*x11 + "
          "x3*x12 + x3*x14 + x3*x15 + x3*x16 + x4*x7 + x4*x13 + x4*x14 + x4*x15 + x4*x16 + "
