@@ -14,19 +14,22 @@ import itertools
 import numpy as np
 
 from .codespec import CodeSpec
-from .errors import CapacityError, InputError, PremiseError
-from .fp_algebra import MAX_TABLE, FpMatrix, check_listing, table_size
+from .errors import InputError, PremiseError
+from .fp_algebra import FpMatrix, table_size
 from .logic_fn import LogicFunction, _first_nonvanishing, affine_family, parse_anf, quadratic_form
 
 
 def claimed_coset_distance(f: LogicFunction, betas) -> int:
     """Smallest weight of a label (a, b) for which some ordered shift pair
     (beta_i, beta_j), including i = j, makes the character sum at
-    (a, b + beta_i - beta_j) nonzero; i = j is the test of apc_distance."""
+    (a, b + beta_i - beta_j) nonzero; i = j is the test of apc_distance.
+    The search refuses shift counts over its caps (see _first_nonvanishing)."""
     return _first_nonvanishing(f, _check_betas(f, betas))[0]
 
 
 def _check_betas(f: LogicFunction, betas) -> list:
+    """The shifts as tuples: at least one, pairwise distinct, each of length
+    n with entries in 0..p-1. Capacity is the search's to check."""
     out = []
     for beta in betas:
         beta = tuple(int(v) for v in beta)
@@ -39,10 +42,6 @@ def _check_betas(f: LogicFunction, betas) -> list:
         raise InputError("at least one shift vector is required")
     if len(set(out)) != len(out):
         raise InputError("shift vectors must be pairwise distinct")
-    # the search holds K tables of p^n entries and reads K^2 ordered shift pairs
-    check_listing(len(out) ** 2, f"K^2 = {len(out) ** 2} shift pairs")
-    if (entries := len(out) * f.p**f.n) > MAX_TABLE:
-        raise CapacityError(f"K p^n = {entries} shift table entries exceed the cap {MAX_TABLE}")
     return out
 
 

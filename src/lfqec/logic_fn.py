@@ -29,7 +29,7 @@ import numpy as np
 
 from ._tables import digit_axis, index_vectors, linear_values, shifted
 from ._textfile import anf_terms
-from .errors import InputError
+from .errors import CapacityError, InputError
 from .fp_algebra import (
     CycloInt,
     FpMatrix,
@@ -268,42 +268,46 @@ def _first_nonvanishing(f: LogicFunction, betas) -> tuple:
     order, at which some shift pair (beta_i, beta_j), i = j included, makes
     the sum at (a, b + beta_i - beta_j) nonzero; i = j is the sum
     sum_x zeta^(f(x) - f(x-a) + b.x), and a full-support row never vanishes.
-    The route goes by degree alone: f of degree <= 2 has the label read off
-    (a, delta) without a table, any other f walks the labels on its table."""
+    D u {0} is formed once, as the ascending indices of the K^2 beta_i - beta_j
+    with each one's first (i, j). The route goes by degree alone: f of degree
+    <= 2 has the label read off (a, delta), any other f walks its table.
+    Refused before the keys: K^2 over the listing budget, and K p^n over the
+    table cap where K tables are built (the walk's, or a table-held f's basis)."""
+    p, n, K = f.p, f.n, len(betas)
+    check_listing(K * K, f"K^2 = {K * K} shift pairs")
     terms = _anf_terms(f, max_deg=2)
-    if terms is None:
-        return _walked_first(f, betas)
-    return _quadratic_first(f.p, f.n, terms, betas)
+    if (terms is None or f.anf is None) and (entries := K * p**n) > MAX_TABLE:
+        raise CapacityError(f"K p^n = {entries} shift table entries exceed the cap {MAX_TABLE}")
+    keys = np.zeros((K, K), dtype=np.int64)  # index(beta_i - beta_j), a coordinate at a time
+    for col in np.array(betas, dtype=np.int64).reshape(K, n).T:
+        keys *= p
+        keys += np.subtract.outer(col, col) % p
+    keys, first = np.unique(keys, return_index=True)  # keys[0] = 0, first from i = j = 0
+    if terms is not None:
+        return _quadratic_first(p, n, terms, np.stack(np.unravel_index(keys, (p,) * n), axis=1))
+    return _walked_first(f, betas, [divmod(k, K) for k in first[1:].tolist()])
 
 
 _PAIR_ROWS = 2**10  # (a, delta) rows a chunk of _quadratic_first holds, each n entries wide
 
 
-def _quadratic_first(p: int, n: int, terms, betas) -> tuple:
+def _quadratic_first(p: int, n: int, terms, deltas) -> tuple:
     """_first_nonvanishing for the reduced ANF terms Q + L.x + c of degree
     <= 2. With S = U + U^T the symmetric form of Q (a square c x_i^2 adds 2c
     to S_ii), f(x) - f(x-a) = (S a).x + const, so the sum at (a, b + delta)
     is nonzero exactly when b = -(S a + delta) mod p. The first label is the
-    least (w, support, a, b) over every a and every delta in D u {0}, D the
-    differences beta_i - beta_j, with (a, b) != 0. An a with k nonzero
+    least (w, support, a, b) over every a and every row delta of deltas,
+    D u {0} in ascending index order, with (a, b) != 0. An a with k nonzero
     digits gives labels of weight >= k, so a is enumerated by k until k
     exceeds the least weight found. One weight's supports come in the
     order of their masks, x_1 the top bit, descending; so a label's order
     keys are w 2^n + (2^n - 1 - mask), then index(a) p^n + index(b).
-    Memory: D's K^2 keys, then a chunk of a-rows, whose rows times
-    |D u {0}| stay within _PAIR_ROWS unless one row exceeds it."""
+    Memory: a chunk of a-rows, rows x |D u {0}| <= _PAIR_ROWS unless one row exceeds it."""
     S = np.zeros((n, n), dtype=np.int64)
     for c, m in terms:
         if len(m) == 2:
             np.add.at(S, (m, m[::-1]), c)  # S_ij and S_ji, or 2c at S_ii
     S %= p
-    K = len(betas)
-    keys = np.zeros((K, K), dtype=np.int64)  # index(beta_i - beta_j), a coordinate at a time
-    for col in np.array(betas, dtype=np.int64).reshape(K, n).T:
-        keys *= p
-        keys += np.subtract.outer(col, col) % p
-    keys = np.sort(keys, axis=None)
-    deltas = np.stack(np.unravel_index(keys[np.diff(keys, prepend=-1) != 0], (p,) * n), axis=1)
     place, bits = p ** np.arange(n - 1, -1, -1), 1 << np.arange(n - 1, -1, -1)
     N, never = p**n, (n + 1) << n  # never: the order key of the label (0, 0), which is no label
     best = (never, 0)
@@ -325,8 +329,8 @@ def _quadratic_first(p: int, n: int, terms, betas) -> tuple:
     return best[0] >> n, a, b
 
 
-def _walked_first(f: LogicFunction, betas) -> tuple:
-    """_first_nonvanishing by walking the labels on f's table.
+def _walked_first(f: LogicFunction, betas, pairs) -> tuple:
+    """_first_nonvanishing by walking the labels on f's table, given one (i, j) per delta != 0.
 
     The labels of an a-group share their support S and shift a, and b is 0
     off S. With y = x_S, delta = beta_i - beta_j and d(x) = f(x) - f(x-a),
@@ -339,10 +343,6 @@ def _walked_first(f: LogicFunction, betas) -> tuple:
     iff hist is not flat. Memory is O(K N): the a-group's keys, gathers of at
     most one table's entries and, when some delta != 0, the K tables beta_i.x and a buffer."""
     p, n, table = f.p, f.n, f.table
-    pairs = {}
-    for (i, bi), (j, bj) in itertools.product(enumerate(betas), repeat=2):
-        pairs.setdefault(tuple((x - y) % p for x, y in zip(bi, bj)), (i, j))
-    del pairs[(0,) * n]  # delta = 0 reads the a-group's own keys
     lin = [linear_values(p, n, beta) for beta in betas] if pairs else []
     buf = np.empty(p**n, dtype=np.int64) if pairs else None
     # a key is stride * index(y) + d(x) + 2p + beta_i.x - beta_j.x, whose last
@@ -363,7 +363,7 @@ def _walked_first(f: LogicFunction, betas) -> tuple:
                     by = (B[c : min(c + rows, hi), supp] @ ys)[:, :, None]
                     idx = y_rows + (np.arange(p) - by) % p  # (b, y, e) -> H[y][e - b_S.y]
                     hit = np.zeros(len(idx), dtype=bool)
-                    for i, j in ((0, 0), *pairs.values()):  # the a-group's own keys first
+                    for i, j in ((0, 0), *pairs):  # the a-group's own keys first
                         exps = keys if i == j else np.subtract(
                             np.add(keys, lin[i], out=buf), lin[j], out=buf)
                         counts = np.bincount(exps, minlength=stride * p**w)

@@ -630,13 +630,15 @@ def test_search_reads_every_gather_chunk(gen, monkeypatch):
     for p, n in [(2, 4), (3, 3), (5, 2)]:
         for _ in range(10):
             f = random_cubic(gen, p, n)
-            betas = sorted({tuple(int(v) for v in gen.integers(0, p, n)) for _ in range(3)})
-            w, (a, b) = reference_coset_distance(f, betas)
-            walks.clear()
-            assert lfqec.logic_fn._first_nonvanishing(f, betas) == (w, a, b)
-            assert walks
-            bs = next(bs for a2, bs in walk_blocks(p, n, w) if a2 == a and b in bs)
-            later += bs.index(b) > 0
+            # three random shifts, then 1 to 4: repeated differences, K = 1
+            for betas in (sorted({tuple(int(v) for v in gen.integers(0, p, n)) for _ in range(3)}),
+                          random_shifts(gen, p, n)):
+                w, (a, b) = reference_coset_distance(f, betas)
+                walks.clear()
+                assert lfqec.logic_fn._first_nonvanishing(f, betas) == (w, a, b)
+                assert walks
+                bs = next(bs for a2, bs in walk_blocks(p, n, w) if a2 == a and b in bs)
+                later += bs.index(b) > 0
     assert later
 
 
@@ -647,10 +649,12 @@ def test_search_across_chunk_boundaries(gen, monkeypatch, p, n):
     walks = count_walks(monkeypatch)
     for _ in range(10):
         f = random_cubic(gen, p, n)
-        betas = sorted({tuple(int(v) for v in gen.integers(0, p, n)) for _ in range(3)})
-        w, (a, b) = reference_coset_distance(f, betas)
-        walks.clear()
-        assert lfqec.logic_fn._first_nonvanishing(f, betas) == (w, a, b)
+        # three random shifts, then 1 to 4: repeated differences, K = 1
+        for betas in (sorted({tuple(int(v) for v in gen.integers(0, p, n)) for _ in range(3)}),
+                      random_shifts(gen, p, n)):
+            w, (a, b) = reference_coset_distance(f, betas)
+            walks.clear()
+            assert lfqec.logic_fn._first_nonvanishing(f, betas) == (w, a, b)
         res = apc_distance(f)
         assert (res.distance, (res.witness.a, res.witness.b)) == reference_apc_distance(f)
         assert len(walks) >= 2
@@ -753,6 +757,20 @@ def test_apc_reads_a_distance_5_quadratic_at_n16_within_3_s(tmp_path, capsys):
     assert capsys.readouterr().out == (
         "distance: 5\nwitness: a=0000000100000001 b=1001000110000001\n")
     assert elapsed <= 3.0, f"apc took {elapsed:.2f} s"
+
+
+def test_coset_code_forms_2048_squared_shift_differences_within_3_s(tmp_path, capsys):
+    # a cubic walks its table; its 2048^2 ordered shift pairs took about 6 s
+    # as a dict of difference tuples on a 2-core host
+    from lfqec.cli import main
+
+    (tmp_path / "f.fn").write_text("2 11\nanf: x1*x2*x3 + x4*x5 + x6\n")
+    betas = ",".join(format(j, "011b") for j in range(2048))
+    start = time.perf_counter()
+    assert main(["coset-code", str(tmp_path / "f.fn"), "--betas", betas]) == 0
+    elapsed = time.perf_counter() - start
+    assert capsys.readouterr().out.startswith("code: ((11, 2048, 1))_p=2\n")
+    assert elapsed <= 3.0, f"coset-code took {elapsed:.2f} s"
 
 
 def test_search_builds_one_shift_table_per_shift(gen, monkeypatch):

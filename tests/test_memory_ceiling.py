@@ -22,8 +22,11 @@ A coverage budget above n stops at n, so C5 with d = 20 gets its witness
 within a second, and 3^14 role tuples on one support are refused with
 exit 3 within a second, before any support is walked. So are 4096 classes
 on C12, whose 4096^2 pairs exceed the listing budget (2048 classes are
-checked), and 2000 shifts of length 18 under 256 MiB, whose 2000 tables
-of 2^18 entries exceed the table cap. Under 256 MiB, `lfqec bent` on a
+checked), and 2000 shifts of length 18 under 256 MiB for a cubic or a
+table-held quadratic, whose 2000 tables of 2^18 entries exceed the table
+cap; an ANF-held quadratic builds no such table and gets its code under
+256 MiB, as does the cycle C22 with 8 shifts under 384 MiB, whose C10 twin
+matches the per-label reference. Under 256 MiB, `lfqec bent` on a
 p = 3, n = 15 ANF, and `lfqec projector` on it with a 15 x 30 matrix, must
 be refused with exit 2 within 5 s, before the ANF is expanded. Under
 384 MiB, `lfqec apc`, `lfqec bent` and `lfqec zset` on a random p = 2,
@@ -214,19 +217,74 @@ def test_coset_search_fits_256_mib(tmp_path):
     assert proc.stdout.startswith(f"code: (({n}, 32, 1))_p=2\n")
 
 
+SHIFTS_2000 = ",".join(format(j, "018b") for j in range(2000))
+
+
 def test_coset_shift_tables_over_the_cap_are_refused(tmp_path):
-    # K tables beta.x of 2^18 int64 entries would take about 4.2 GB
+    # 2000 tables of 2^18 int64 entries would take about 4.2 GB: the walk's
+    # tables beta.x for a cubic, the coset basis for a table-held x1*x2
+    fn = tmp_path / "f.fn"
+    for body in ["anf: x1*x2*x3", "tt: " + "0" * (3 << 16) + "1" * (1 << 16)]:
+        fn.write_text(f"2 18\n{body}\n")
+        t0 = time.perf_counter()
+        proc = run_child(cli_code("coset-code", str(fn), "--betas", SHIFTS_2000), ceiling=256 << 20)
+        assert time.perf_counter() - t0 < 1, body[:3]
+        assert proc.returncode == 3, proc.stderr[-2000:]
+        assert proc.stderr == (
+            "capacity: K p^n = 524288000 shift table entries exceed the cap 16777216\n"
+        )
+        assert proc.stdout == ""
+
+
+def test_coset_quadratic_with_2000_shifts_fits_256_mib(tmp_path):
+    # an ANF-held quadratic builds no table of 2^18 entries, so the table cap
+    # does not apply; the 2000^2 difference keys fit
     fn = tmp_path / "x1x2.fn"
     fn.write_text("2 18\nanf: x1*x2\n")
-    arg = ",".join(format(j, "018b") for j in range(2000))
-    t0 = time.perf_counter()
-    proc = run_child(cli_code("coset-code", str(fn), "--betas", arg), ceiling=256 << 20)
-    assert time.perf_counter() - t0 < 1
-    assert proc.returncode == 3, proc.stderr[-2000:]
-    assert proc.stderr == (
-        "capacity: K p^n = 524288000 shift table entries exceed the cap 16777216\n"
-    )
-    assert proc.stdout == ""
+    proc = run_child(cli_code("coset-code", str(fn), "--betas", SHIFTS_2000), ceiling=256 << 20)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.startswith("code: ((18, 2000, 1))_p=2\n")
+
+
+def cycle_coset(tmp_path, n: int, seed: int) -> tuple:
+    """The ANF of the cycle C_n over F_2, 8 distinct random shifts, and the
+    coset-code command on the two."""
+    anf = " + ".join(f"x{i + 1}*x{(i + 1) % n + 1}" for i in range(n))
+    fn = tmp_path / f"cycle{n}.fn"
+    fn.write_text(f"2 {n}\nanf: {anf}\n")
+    gen = np.random.default_rng(seed)
+    betas = set()
+    while len(betas) < 8:
+        betas.add(tuple(int(v) for v in gen.integers(0, 2, n)))
+    betas = sorted(betas)
+    arg = ",".join("".join(map(str, b)) for b in betas)
+    return anf, betas, cli_code("coset-code", str(fn), "--betas", arg)
+
+
+def test_coset_code_on_c22_with_8_shifts_fits_384_mib(tmp_path):
+    # 8 p^n = 2^25 entries: over the table cap, but an ANF-held quadratic
+    # builds no table, so the code gets its distance
+    _, _, code = cycle_coset(tmp_path, 22, 22)
+    proc = run_child(code, ceiling=384 << 20)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.startswith("code: ((22, 8, 3))_p=2\n")
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_coset_code_on_c10_with_8_shifts_matches_the_reference(tmp_path, seed):
+    # the C22 construction at n = 10; these seeds put the first failing label
+    # at weight 1 and 2, early enough for the reference's sum per shift pair
+    from conftest import reference_coset_distance
+    from lfqec import parse_anf
+    from lfqec.logic_fn import _first_nonvanishing
+
+    anf, betas, code = cycle_coset(tmp_path, 10, seed)
+    f = parse_anf(anf, 2, 10)
+    w, (a, b) = reference_coset_distance(f, betas)
+    assert (w, _first_nonvanishing(f, betas)) == (seed - 3, (w, a, b))
+    proc = run_child(code, ceiling=384 << 20)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.startswith(f"code: ((10, 8, {w}))_p=2\n")
 
 
 def code_file(K: int, n: int) -> str:

@@ -154,12 +154,15 @@ TT_QUADRATIC = "2 4\ntt: " + "".join(
     str((x >> 3 & x >> 2 & 1) ^ (x >> 1 & x & 1) ^ (x >> 3 & 1) ^ 1) for x in range(16)) + "\n"
 
 
-@pytest.mark.parametrize("argv", [["apc", "f.fn", "--verify"],
-                                  ["coset-code", "f.fn", "--betas", "0000,1100", "--verify"]],
-                         ids=["apc", "coset-code"])
-def test_a_table_quadratic_loads_no_numpy_ma(tmp_path, argv):
-    # `numpy.ma` costs about 9 ms cold; plain np.unique is what loads it
-    out = run_cli(tmp_path, {"f.fn": TT_QUADRATIC}, *argv)
+@pytest.mark.parametrize("text, argv", [
+    (TT_QUADRATIC, ["apc", "f.fn", "--verify"]),
+    (TT_QUADRATIC, ["coset-code", "f.fn", "--betas", "0000,1100", "--verify"]),
+    ("2 4\nanf: x1*x2*x3 + x4\n", ["coset-code", "f.fn", "--betas", "0000,1100,1010", "--verify"]),
+], ids=["apc", "coset-code", "cubic-coset-code"])
+def test_a_table_quadratic_loads_no_numpy_ma(tmp_path, text, argv):
+    # `numpy.ma` costs about 9 ms cold; plain np.unique is what loads it, and
+    # both search routes read the shift differences from np.unique
+    out = run_cli(tmp_path, {"f.fn": text}, *argv)
     assert out["rc"] in (0, 1) and out["stdout"], out["stderr"]
     assert "numpy" in out["loaded"] and "numpy.ma" not in out["loaded"]
 
