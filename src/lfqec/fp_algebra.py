@@ -11,6 +11,7 @@ Three pillars used everywhere else:
 - PauliLabel: (a|b) in F_p^n x F_p^n naming the phase-free error X_a Z_b,
   with the symplectic product. `label_blocks` walks them as rows grouped by a,
   and `support_rows` lists the X-parts a by their number of nonzero digits.
+- Difference sets: `differences` of a row family, in bounded memory.
 - F_p linear algebra: rank, solve with nullspace basis, over small matrices.
 
 Capacities keep everything desk-scale: p <= 13, truth tables to 2^24
@@ -33,6 +34,7 @@ MAX_STATE = 2**20
 MAX_LISTING = 2**22
 MAX_OPERATOR_DIM = 1024
 _CHUNK_ROWS = 2**16  # numbers the label walk decodes at once, so rows in one of its chunks
+_DIFF_PAIRS = 2**18  # pairs (i, j) one row chunk of `differences` keys at once
 
 
 def validate_prime(p) -> int:
@@ -184,6 +186,34 @@ def support_rows(p: int, n: int, k: int, rows: int):
             out = np.zeros((len(batch), len(digits), n), dtype=np.int8)
             out[np.arange(len(batch))[:, None, None], np.arange(len(digits))[:, None], cols] = digits
             yield out.reshape(-1, n)
+
+
+def differences(rows, p: int):
+    """(keys, first) for the (K, n) rows L of a family over F_p: the ascending
+    table indices of L_i - L_j over i != j, each with its first pair (i, j) in
+    row-major order as i K + j. Row chunks of about _DIFF_PAIRS pairs are keyed
+    key * size + place and sorted, and each chunk's new keys join the running
+    set: memory is |D| <= min(K^2, p^n) keys plus one chunk."""
+    import numpy as np
+
+    L = (np.array(rows, dtype=np.int64) % p).astype(np.int8)  # digit passes over int8
+    (K, n), keys, first = L.shape, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    assert p**n * max(K, _DIFF_PAIRS) < 2**63, "key * size + place fits int64"
+    for lo in range(0, K, step := max(1, _DIFF_PAIRS // K)):
+        i = np.arange(lo, min(lo + step, K))
+        key = np.zeros((len(i), K), dtype=np.int64)
+        for col in L.T:
+            key *= p
+            key += np.subtract.outer(col[i], col) % p
+        size = key.size  # key * size + place sorts the chunk by key, then by pair
+        key = key * size + np.arange(size).reshape(key.shape)
+        key = np.sort(key[i[:, None] != np.arange(K)])  # the pairs i != j
+        new, at = np.unique(key // size, return_index=True)
+        place = lo * K + key[at] % size
+        at = np.searchsorted(keys, new)
+        fresh = at == np.searchsorted(keys, new, side="right")  # not yet in keys
+        keys, first = (np.insert(v, at[fresh], w[fresh]) for v, w in ((keys, new), (first, place)))
+    return keys, first
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from .fp_algebra import (
     PauliLabel,
     _Slotted,
     check_listing,
+    differences,
     label_blocks,
     rank,
     solve_linear,
@@ -268,8 +269,8 @@ def _first_nonvanishing(f: LogicFunction, betas) -> tuple:
     order, at which some shift pair (beta_i, beta_j), i = j included, makes
     the sum at (a, b + beta_i - beta_j) nonzero; i = j is the sum
     sum_x zeta^(f(x) - f(x-a) + b.x), and a full-support row never vanishes.
-    D u {0} is formed once, as the ascending indices of the K^2 beta_i - beta_j
-    with each one's first (i, j). The route goes by degree alone: f of degree
+    D = fp_algebra.differences of the shifts, which are pairwise distinct, so
+    D u {0} is D after 0. The route goes by degree alone: f of degree
     <= 2 has the label read off (a, delta), any other f walks its table.
     Refused before the keys: K^2 over the listing budget, and K p^n over the
     table cap where K tables are built (the walk's, or a table-held f's basis)."""
@@ -278,14 +279,11 @@ def _first_nonvanishing(f: LogicFunction, betas) -> tuple:
     terms = _anf_terms(f, max_deg=2)
     if (terms is None or f.anf is None) and (entries := K * p**n) > MAX_TABLE:
         raise CapacityError(f"K p^n = {entries} shift table entries exceed the cap {MAX_TABLE}")
-    keys = np.zeros((K, K), dtype=np.int64)  # index(beta_i - beta_j), a coordinate at a time
-    for col in np.array(betas, dtype=np.int64).reshape(K, n).T:
-        keys *= p
-        keys += np.subtract.outer(col, col) % p
-    keys, first = np.unique(keys, return_index=True)  # keys[0] = 0, first from i = j = 0
+    keys, first = differences(betas, p)
     if terms is not None:
-        return _quadratic_first(p, n, terms, np.stack(np.unravel_index(keys, (p,) * n), axis=1))
-    return _walked_first(f, betas, [divmod(k, K) for k in first[1:].tolist()])
+        deltas = np.unravel_index(np.append(0, keys), (p,) * n)
+        return _quadratic_first(p, n, terms, np.stack(deltas, axis=1))
+    return _walked_first(f, betas, [divmod(k, K) for k in first.tolist()])
 
 
 _PAIR_ROWS = 2**10  # (a, delta) rows a chunk of _quadratic_first holds, each n entries wide
@@ -341,10 +339,10 @@ def _walked_first(f: LogicFunction, betas, pairs) -> tuple:
     bincount over N keys gives H for an a-group and delta, and a label sums
     p^(w+1) gathered entries, hist[e] = sum_y H[y][e - b_S.y]; it is nonzero
     iff hist is not flat. Memory is O(K N): the a-group's keys, gathers of at
-    most one table's entries and, when some delta != 0, the K tables beta_i.x and a buffer."""
+    most one table's entries and, when some delta != 0, K int8 tables beta_i.x and two buffers."""
     p, n, table = f.p, f.n, f.table
-    lin = [linear_values(p, n, beta) for beta in betas] if pairs else []
-    buf = np.empty(p**n, dtype=np.int64) if pairs else None
+    lin = [linear_values(p, n, beta).astype(np.int8) for beta in betas] if pairs else []
+    buf = [np.empty(p**n, dtype=t) for t in (np.int64, np.int8)] if pairs else None
     # a key is stride * index(y) + d(x) + 2p + beta_i.x - beta_j.x, whose last
     # four terms lie in [2, 4p - 2]: no reduction mod p on the N keys
     stride = 4 * p
@@ -364,8 +362,8 @@ def _walked_first(f: LogicFunction, betas, pairs) -> tuple:
                     idx = y_rows + (np.arange(p) - by) % p  # (b, y, e) -> H[y][e - b_S.y]
                     hit = np.zeros(len(idx), dtype=bool)
                     for i, j in ((0, 0), *pairs):  # the a-group's own keys first
-                        exps = keys if i == j else np.subtract(
-                            np.add(keys, lin[i], out=buf), lin[j], out=buf)
+                        exps = keys if i == j else np.add(
+                            keys, np.subtract(lin[i], lin[j], out=buf[1]), out=buf[0])
                         counts = np.bincount(exps, minlength=stride * p**w)
                         sums = counts.reshape(p**w, 4, p).sum(axis=1).reshape(-1)[idx].sum(axis=1)
                         hit |= (sums != sums[:, :1]).any(axis=1)

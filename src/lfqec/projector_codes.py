@@ -36,21 +36,14 @@ from .logic_fn import solve_coboundary, weight_support
 _FLOAT_EXACT_BOUND = 2**52
 
 
-def _operator_dim(p: int, n: int) -> int:
-    N = p**n
-    if N > MAX_OPERATOR_DIM:
-        raise CapacityError(
-            f"operator matrices are limited to dimension {MAX_OPERATOR_DIM}, need {N}"
-        )
-    return N
-
-
 class OperatorMatrix(_Slotted):
     __slots__ = ("p", "n", "entries", "scale_log2")  # entries: (N, N, p) int64, per-cell min = 0
 
     def __init__(self, p: int, n: int, entries, scale_log2: int = 0):
         validate_prime(p)
-        N = _operator_dim(p, n)
+        if (N := p**n) > MAX_OPERATOR_DIM:
+            raise CapacityError(
+                f"operator matrices are limited to dimension {MAX_OPERATOR_DIM}, need {N}")
         e = np.asarray(entries, dtype=np.int64)
         if e.shape != (N, N, p):
             raise InputError(f"entries must be {(N, N, p)}, got {e.shape}")
@@ -144,32 +137,21 @@ class PremiseReport(NamedTuple):
             self.missing_columns or self.missing_sums or self.nonorthogonal_pairs)
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "M": self.M,
-            "weight_ok": self.weight_ok,
-            "missing_columns": list(self.missing_columns),
-            "missing_sums": list(self.missing_sums),
-            "nonorthogonal_pairs": [list(pr) for pr in self.nonorthogonal_pairs],
-            "rows_independent": self.rows_independent,
-            "all_ok": self.all_ok,
-        }
+        return {**self._asdict(), "missing_columns": list(self.missing_columns),
+                "missing_sums": list(self.missing_sums),
+                "nonorthogonal_pairs": [list(pr) for pr in self.nonorthogonal_pairs],
+                "all_ok": self.all_ok}
 
     def summary(self) -> str:
-        if self.all_ok:
-            return "all premises hold"
-        bad = []
-        if not self.weight_ok:
-            bad.append(f"support size {self.M} outside (0, 2^(n-1)]")
-        if self.missing_columns:
-            bad.append(f"columns {list(self.missing_columns)} outside the shift set")
-        if self.missing_sums:
-            bad.append(f"column sums at {list(self.missing_sums)} outside the shift set")
-        if self.nonorthogonal_pairs:
-            bad.append(f"row pairs {list(self.nonorthogonal_pairs)} not orthogonal")
-        if not self.rows_independent:
-            bad.append("rows are linearly dependent")
-        return "; ".join(bad)
+        """The failed premises in field order, or that all of them hold."""
+        checks = [
+            (not self.weight_ok, f"support size {self.M} outside (0, 2^(n-1)]"),
+            (self.missing_columns, f"columns {list(self.missing_columns)} outside the shift set"),
+            (self.missing_sums, f"column sums at {list(self.missing_sums)} outside the shift set"),
+            (self.nonorthogonal_pairs,
+             f"row pairs {list(self.nonorthogonal_pairs)} not orthogonal"),
+            (not self.rows_independent, "rows are linearly dependent")]
+        return "; ".join(text for failed, text in checks if failed) or "all premises hold"
 
 
 def _binary_table(f: LogicFunction, A: FpMatrix) -> LogicFunction:

@@ -20,8 +20,9 @@ one-dimensional space the convention is stricter: G_e[0][0] must itself be 0.
 Logic-function bases whose reduced ANFs f_j = Q + L_j.x + c_j share one
 quadratic Q, of symmetric form S = U + U^T, need no states: G_e[i][j] =
 p^n zeta^(const) if u = b - S a equals L_i - L_j, else 0 (the codeword-
-stabilized criterion, arXiv:0708.1021; over F_p, quant-ph/0508070). Other
-function bases, and states, take the Gram sweep: the closed form's reference.
+stabilized criterion, arXiv:0708.1021; over F_p, quant-ph/0508070), so each
+label looks u up in the difference set of the rows L_j. Other function
+bases, and states, take the Gram sweep: the closed form's reference.
 kl_verify and min_distance take either kind of basis, and refuse on both
 routes a basis whose K^2 pairs exceed the listing budget; the Gram route
 also refuses, before it builds a state, K p^(n+1) entries over the table cap.
@@ -35,7 +36,7 @@ import numpy as np
 from ._tables import linear_values, shifted_indices
 from .errors import CapacityError, InputError
 from .fp_algebra import MAX_STATE, MAX_TABLE, CycloInt, PauliLabel, check_listing, label_blocks
-from .fp_algebra import _Slotted, table_size
+from .fp_algebra import _Slotted, differences, table_size
 from .logic_fn import LogicFunction, _anf_terms
 
 # Integers up to 2^53 in size are exact in float64, and so is every sum of
@@ -159,14 +160,7 @@ class VerifyReport(NamedTuple):
         return self.verdict == "pass"
 
     def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "n": self.n,
-            "K": self.K,
-            "max_weight": self.max_weight,
-            "verdict": self.verdict,
-            "failures": [f.to_dict() for f in self.failures],
-        }
+        return {**self._asdict(), "failures": [f.to_dict() for f in self.failures]}
 
 
 def _violation(G: np.ndarray):
@@ -222,23 +216,19 @@ def _failures(basis, p: int, n: int, max_weight: int):
 
 def _closed_form_failures(S, L, p: int, n: int, max_weight: int):
     """_failures on the states of f_j = Q + L_j.x + c_j via u = b - S a, keyed
-    u . (1, p, p^2, ...): the first pair i != j with L_i - L_j = u, else, if
-    u = 0, the first j with L_j.a != L_0.a, as G_jj ~ zeta^(-L_j.a); K = 1 fails iff u = 0.
-    The key table D holds K^2 entries, built one coordinate at a time, under
-    the pair budget that _check_basis applies to every basis (`lfqec verify`
-    applies it before any ANF is parsed or table built)."""
-    K, key = len(L), p ** np.arange(n)
-    D = np.zeros((K, K), dtype=np.int64)
-    for col, k in zip(L.T, key.tolist()):
-        D += np.subtract.outer(col, col) % p * k
-    D.flat[:: K + 1] = p**n  # i = j is the diagonal test, not a pair: no key is p^n
-    codes, first = np.unique(D, return_index=True)
+    by table index: the first pair i != j with L_i - L_j = u in differences(L),
+    else, if u = 0, the first j with L_j.a != L_0.a, as G_jj ~ zeta^(-L_j.a); K = 1
+    has no pair and fails iff u = 0. _check_basis holds every basis to the pair
+    budget (`lfqec verify` applies it before any ANF is parsed or table built)."""
+    K, key = len(L), p ** np.arange(n - 1, -1, -1)
+    codes, first = differences(L, p)
     for w in range(1, max_weight + 1):
         for supp, A, B, _ in label_blocks(p, n, w):
             u = (B - A[:, supp] @ S[supp]) % p @ key  # S a = a_S S[supp], as S is symmetric
             at = np.searchsorted(codes, u)
-            for r in np.flatnonzero((codes[at] == u) | (u == 0)).tolist():
-                if codes[at[r]] == u[r]:
+            hit = np.searchsorted(codes, u, side="right") > at  # u is a key; at may be len(codes)
+            for r in np.flatnonzero(hit | (u == 0)).tolist():
+                if hit[r]:
                     bad = ("offdiag_nonzero", *divmod(int(first[at[r]]), K))
                 elif (j := int(np.argmax((L - L[0]) @ A[r] % p != 0))) or K == 1:
                     bad = ("diag_unequal", 0, j)
@@ -264,8 +254,8 @@ def _function_failures(basis, p: int, n: int, max_weight: int):
 
 def _check_basis(basis):
     """(p, n, sweep) for a basis of StateVectors or of LogicFunctions, whose
-    K^2 pairs every route reads: the closed form as a key table, the Gram
-    sweep as (Kp)^2 products per label."""
+    K^2 pairs every route reads: the closed form as its difference set, the
+    Gram sweep as (Kp)^2 products per label."""
     if not basis:
         raise InputError("basis must be nonempty")
     if all(isinstance(s, LogicFunction) for s in basis):

@@ -166,27 +166,20 @@ def rotate(coeffs: tuple, e: int) -> tuple:
 
 
 def reference_labels(p: int, n: int, w: int) -> list:
-    """Every label (a, b) of symplectic weight w, picked from all of
-    F_p^n x F_p^n and sorted by support, then a on the support, then b on
-    the support: the fixed order every label search must follow."""
-    return _labels_by_weight(p, n)[w]
-
-
-@functools.lru_cache(maxsize=4)
-def _labels_by_weight(p: int, n: int) -> dict:
-    def key(label):
-        # supports of one weight have one length, so one flat list sorts
-        # by support, then a, then b
-        a, b = label
-        supp = [i for i in range(n) if a[i] or b[i]]
-        return supp + [a[i] for i in supp] + [b[i] for i in supp]
-
-    vectors = list(itertools.product(range(p), repeat=n))
-    by_weight = {w: [] for w in range(n + 1)}
-    for a in vectors:
-        for b in vectors:
-            by_weight[sum(1 for x, y in zip(a, b) if x or y)].append((a, b))
-    return {w: sorted(labels, key=key) for w, labels in by_weight.items()}
+    """Every label (a, b) of symplectic weight w, listed in the fixed order
+    every label search must follow: supports of size w in lexicographic
+    order, then a on the support, then b on the support, each lexicographic.
+    Only b_k != 0 is allowed where a_k = 0, so each label's support is
+    exactly its set, and no label of another weight is formed."""
+    labels = []
+    for supp in itertools.combinations(range(n), w):
+        for a_s in itertools.product(range(p), repeat=w):
+            for b_s in itertools.product(*(range(0 if x else 1, p) for x in a_s)):
+                a, b = [0] * n, [0] * n
+                for i, x, y in zip(supp, a_s, b_s):
+                    a[i], b[i] = x, y
+                labels.append((tuple(a), tuple(b)))
+    return labels
 
 
 def verify_stabilizer(G) -> bool:

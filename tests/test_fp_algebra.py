@@ -9,6 +9,7 @@ import pytest
 from conftest import (
     as_complex,
     close,
+    digit_index,
     label_sum,
     label_weight,
     random_cyclo,
@@ -129,6 +130,34 @@ def test_label_enumeration_counts_and_order():
     ]
 
 
+def sorted_labels_by_weight(p: int, n: int) -> dict:
+    """Every label of F_p^n x F_p^n, bucketed by weight and each bucket
+    sorted by support, then a, then b on the support: the listing that
+    reference_labels replaced, kept as its reference."""
+    def key(label):
+        # supports of one weight have one length, so one flat list sorts
+        # by support, then a, then b
+        a, b = label
+        supp = [i for i in range(n) if a[i] or b[i]]
+        return supp + [a[i] for i in supp] + [b[i] for i in supp]
+
+    vectors = list(itertools.product(range(p), repeat=n))
+    by_weight = {w: [] for w in range(n + 1)}
+    for a in vectors:
+        for b in vectors:
+            by_weight[sum(1 for x, y in zip(a, b) if x or y)].append((a, b))
+    return {w: sorted(labels, key=key) for w, labels in by_weight.items()}
+
+
+# every n at which the sorted listing took under a second on a 2-core host
+# (p = 2, n = 9: 0.85 s; p = 3, n = 6 and p = 5, n = 5 take longer)
+@pytest.mark.parametrize("p, max_n", [(2, 9), (3, 5), (5, 4)])
+def test_reference_labels_match_the_sorted_listing(p, max_n):
+    for n in range(1, max_n + 1):
+        for w, labels in sorted_labels_by_weight(p, n).items():
+            assert reference_labels(p, n, w) == labels, (n, w)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_label_blocks_follow_the_reference_order(p):
     for n in range(1, 5):
@@ -221,6 +250,55 @@ def test_support_rows_list_each_shift_once_in_the_walk_order(p, rows):
 def test_support_rows_take_at_least_one_row_a_chunk():
     chunks = list(support_rows(3, 3, 2, 0))
     assert [len(A) for A in chunks] == [1] * 12
+
+
+# ---------------------------------------------------------------------------
+# difference sets of row families
+
+
+def listed_differences(rows, p: int) -> tuple:
+    """(keys, first) of fp_algebra.differences from every ordered pair i != j
+    in row-major order, each difference keyed by its table index."""
+    first = {}
+    for i, j in itertools.product(range(len(rows)), repeat=2):
+        if i != j:
+            delta = [(x - y) % p for x, y in zip(rows[i], rows[j])]
+            first.setdefault(digit_index(p, delta), i * len(rows) + j)
+    keys = sorted(first)
+    return keys, [first[k] for k in keys]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13])
+@pytest.mark.parametrize("chunk", [None, 1, 7])
+def test_differences_match_a_listing_of_every_pair(p, chunk, monkeypatch):
+    # K from 1 (no pair) past sqrt(p^n), random rows and the same rows with
+    # the first repeated (key 0 from i != j); chunks of 1 or 7 pairs split the rows
+    if chunk is not None:
+        monkeypatch.setattr(fp_algebra, "_DIFF_PAIRS", chunk)
+    gen, sides = rng(p), set()
+    for n in (1, 2, 3):
+        for K in range(1, min(p**n, 14) + 1):
+            rows = gen.integers(0, p, (K, n)).tolist()
+            for family in (rows, rows + rows[:1]):
+                keys, first = fp_algebra.differences(family, p)
+                want = listed_differences(family, p)
+                assert (keys.tolist(), first.tolist()) == want, (n, family)
+                sides.add((len(family) ** 2 > p**n) - (len(family) ** 2 < p**n))
+            assert fp_algebra.differences(rows + rows[:1], p)[0][0] == 0
+            if K == 1:
+                assert fp_algebra.differences(rows, p)[0].size == 0
+    assert sides == {-1, 0, 1}
+
+
+def test_differences_across_the_chunk_size():
+    # 600^2 pairs fill two chunks of the real size; most keys of n = 16 are
+    # new in the second, and a key both hold keeps the first chunk's pair
+    rows = rng(16).integers(0, 2, (600, 16)).tolist()
+    assert 600**2 > fp_algebra._DIFF_PAIRS > 600
+    keys, first = fp_algebra.differences(rows, 2)
+    assert (keys.tolist(), first.tolist()) == listed_differences(rows, 2)
+    step = fp_algebra._DIFF_PAIRS // 600 * 600
+    assert (first >= step).any() and (first < step).any()
 
 
 # ---------------------------------------------------------------------------

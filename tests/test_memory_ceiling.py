@@ -25,8 +25,10 @@ on C12, whose 4096^2 pairs exceed the listing budget (2048 classes are
 checked), and 2000 shifts of length 18 under 256 MiB for a cubic or a
 table-held quadratic, whose 2000 tables of 2^18 entries exceed the table
 cap; an ANF-held quadratic builds no such table and gets its code under
-256 MiB, as does the cycle C22 with 8 shifts under 384 MiB, whose C10 twin
-matches the per-label reference. Under 256 MiB, `lfqec bent` on a
+256 MiB and 192 MiB, as does the cycle C22 with 8 shifts under 384 MiB, whose
+C10 twin matches the per-label reference. In this process, the shift search
+on 2048 cubic shifts and the closed form on 2048 shared-quadratic functions
+each trace under 32 MiB: neither holds a K x K key table. Under 256 MiB, `lfqec bent` on a
 p = 3, n = 15 ANF, and `lfqec projector` on it with a 15 x 30 matrix, must
 be refused with exit 2 within 5 s, before the ANF is expanded. Under
 384 MiB, `lfqec apc`, `lfqec bent` and `lfqec zset` on a random p = 2,
@@ -42,6 +44,7 @@ import pathlib
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -236,14 +239,46 @@ def test_coset_shift_tables_over_the_cap_are_refused(tmp_path):
         assert proc.stdout == ""
 
 
-def test_coset_quadratic_with_2000_shifts_fits_256_mib(tmp_path):
+def coset_quadratic_with_2000_shifts(tmp_path, ceiling_mib: int) -> None:
     # an ANF-held quadratic builds no table of 2^18 entries, so the table cap
-    # does not apply; the 2000^2 difference keys fit
+    # does not apply; the difference set is formed a row chunk at a time
     fn = tmp_path / "x1x2.fn"
     fn.write_text("2 18\nanf: x1*x2\n")
-    proc = run_child(cli_code("coset-code", str(fn), "--betas", SHIFTS_2000), ceiling=256 << 20)
+    proc = run_child(cli_code("coset-code", str(fn), "--betas", SHIFTS_2000),
+                     ceiling=ceiling_mib << 20)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.startswith("code: ((18, 2000, 1))_p=2\n")
+
+
+def test_coset_quadratic_with_2000_shifts_fits_256_mib(tmp_path):
+    coset_quadratic_with_2000_shifts(tmp_path, 256)
+
+
+def test_coset_quadratic_with_2000_shifts_fits_192_mib(tmp_path):
+    # the 2000^2 int64 difference keys held at once ran out of memory here
+    coset_quadratic_with_2000_shifts(tmp_path, 192)
+
+
+def traced_peak(fn) -> int:
+    """The tracemalloc peak, in bytes, of one call of fn in this process."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_shift_search_on_2048_cubic_shifts_traces_under_32_mib():
+    # the 2048^2 difference keys alone took 32 MiB, and np.unique four times
+    # that; the chunked set and the 2048 int8 tables beta.x of 2^11 entries fit
+    from lfqec import parse_anf
+    from lfqec.logic_fn import _first_nonvanishing
+
+    f = parse_anf("x1*x2*x3 + x4*x5 + x6", 2, 11)
+    betas = [tuple(int(c) for c in format(j, "011b")) for j in range(2048)]
+    assert _first_nonvanishing(f, betas)[0] == 1
+    assert traced_peak(lambda: _first_nonvanishing(f, betas)) < 32 << 20
 
 
 def cycle_coset(tmp_path, n: int, seed: int) -> tuple:
@@ -296,7 +331,7 @@ def code_file(K: int, n: int) -> str:
 
 
 def test_closed_form_pair_table_fits_the_ceiling(tmp_path):
-    # one (K, K) key table; the (K, K, n) difference tensor needed 384 MiB here
+    # the difference set a row chunk at a time; the (K, K, n) difference tensor needed 384 MiB
     path = tmp_path / "k2048.json"
     path.write_text(code_file(2048, 12))
     proc = run_child(cli_code("verify", str(path)))
@@ -309,6 +344,17 @@ def test_closed_form_pair_table_fits_the_ceiling(tmp_path):
     ]
     # of the 36 weight-1 labels, only the three on x12, which no linear part uses, pass
     assert len(lines) == 1 + 33
+
+
+def test_closed_form_on_2048_functions_traces_under_32_mib():
+    # the (K, K) key table of the closed form took 32 MiB, and np.unique four times that
+    from lfqec import LogicFunction, kl_verify
+    from lfqec._textfile import read_code_file
+
+    p, n, _, _, terms = read_code_file(code_file(2048, 12))
+    basis = [LogicFunction(p, n, anf=t) for t in terms]
+    assert kl_verify(basis, 1).verdict == "fail"
+    assert traced_peak(lambda: kl_verify(basis, 1)) < 32 << 20
 
 
 @pytest.mark.parametrize("K, n, ceiling_mib", [(512, 20, 256), (2048, 16, 384)])

@@ -509,6 +509,33 @@ def test_closed_form_refuses_a_pair_table_over_the_listing_budget(monkeypatch):
         kl_verify(basis, 1)
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_closed_form_looks_up_keys_past_the_largest_difference(p):
+    # L = (0, 0, 0) and e_3 give D = {index(e_3), index(-e_3)} = {1, p - 1}, so
+    # every label with b_1 != 0 has u = b - S a of index at least p^2, past
+    # the last key; the verdicts are the reference's, entry by entry
+    f = parse_anf("x1*x2", p, 3)
+    basis = [f, add_affine(f, (0, 0, 1))]
+    keys, _ = fp_algebra.differences([(0, 0, 0), (0, 0, 1)], p)
+    assert keys.tolist() == sorted({1, p - 1})
+    states = [state_from_function(g) for g in basis]
+    for w in range(4):
+        assert kl_verify(basis, w).to_dict() == reference_kl_report(states, w)
+
+
+def test_verify_of_a_one_function_code_has_no_pair_to_look_up(tmp_path, capsys):
+    # K = 1: no difference at all, so only u = 0 fails, as the reference has it
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"p": 3, "n": 2, "claimed_d": 3, "basis": ["x1*x2 + x2"]}))
+    assert main(["verify", str(path)]) == 1
+    states = [state_from_function(parse_anf("x1*x2 + x2", 3, 2))]
+    failures = reference_kl_report(states, 2)["failures"]
+    assert capsys.readouterr().out.splitlines() == ["verdict: fail (max weight 2)"] + [
+        f"failure: a={''.join(map(str, e['a']))} b={''.join(map(str, e['b']))} "
+        f"diag_unequal at (0, 0)" for e in failures]
+    assert failures and {e["kind"] for e in failures} == {"diag_unequal"}
+
+
 def test_state_basis_over_the_pair_budget_is_refused_before_stacking(monkeypatch):
     # the Gram route reads (K p)^2 products per label; 8 states make 64 pairs
     f = parse_anf("x1*x2*x3", 2, 3)
