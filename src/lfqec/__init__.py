@@ -10,11 +10,11 @@ _EXPORTS = {
     "CapacityError": "errors",
     "InputError": "errors",
     "PremiseError": "errors",
+    "label_blocks": "_tables",
     "CycloInt": "fp_algebra",
     "FpMatrix": "fp_algebra",
     "LinearSolution": "fp_algebra",
     "PauliLabel": "fp_algebra",
-    "label_blocks": "fp_algebra",
     "rank": "fp_algebra",
     "solve_linear": "fp_algebra",
     "symplectic_product": "fp_algebra",

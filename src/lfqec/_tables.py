@@ -1,4 +1,5 @@
-"""The index layout shared by every table over F_p^n.
+"""The index layout shared by every table over F_p^n, and the index
+algebra on it: the label walk and the difference set of a row family.
 
 A table is a flat array of length p^n whose entry for x = (x_1, ..., x_n)
 sits at index sum_i x_i * p^(n-i), so x_1 is the most significant digit.
@@ -7,8 +8,19 @@ carries the digit x_(i+1). Every helper here works on that grid: a digit is
 one broadcast axis, a linear form is a sum of them and a shift is a roll, so
 no helper forms a table of all p^n * n digits. This module is the only one
 that converts between indices and vectors, and `shifted` is the one roll.
+
+Labels (a|b) and row families are int8 rows of digits. `label_blocks` walks
+the labels of one weight as rows grouped by a, `support_rows` lists the
+X-parts a by their number of nonzero digits, and `differences` forms
+{L_i - L_j} of a family as table indices, in bounded memory. The
+character-sum search and the oracle share them; their predicates stay apart.
 """
+import itertools
+
 import numpy as np
+
+_CHUNK_ROWS = 2**16  # numbers the label walk decodes at once, so rows in one of its chunks
+_DIFF_PAIRS = 2**18  # pairs (i, j) one row chunk of `differences` keys at once
 
 
 def digit_axis(p: int, n: int, i: int) -> np.ndarray:
@@ -49,3 +61,73 @@ def shifted(values: np.ndarray, p: int, n: int, a) -> np.ndarray:
 def shifted_indices(p: int, n: int, a) -> np.ndarray:
     """Index of x + a for every x, as an array over table indices."""
     return shifted(np.arange(p**n), p, n, [-int(v) for v in a])
+
+
+def label_blocks(p: int, n: int, w: int):
+    """All labels of symplectic weight w in the fixed order: support, then a,
+    then b, each lexicographic, as (supp, A, B, starts) per chunk. A and B are
+    int8 rows (rows, n) holding a and b, 0 off supp, decoded from the 2w
+    base-p digits of up to _CHUNK_ROWS numbers less those with a_k = b_k = 0;
+    rows starts[i]:starts[i + 1] share their a, and starts runs 0 .. rows. A
+    weight whose (p^2 - 1)^w kept rows fit one chunk is decoded and grouped once."""
+    digits = np.indices((p,) * w, dtype=np.int8).reshape(w, p**w).T  # row i: i in base p
+
+    def chunk(lo):
+        a, b = np.divmod(np.arange(lo, min(lo + _CHUNK_ROWS, p ** (2 * w))), p**w)
+        keep = (digits[a] | digits[b]).all(axis=1)
+        return digits[np.stack((a[keep], b[keep]))]  # (2, rows, w): the a_S and b_S rows
+
+    def grouped(AB):
+        cut = (AB[0, 1:] != AB[0, :-1]).any(axis=1).nonzero()[0] + 1
+        return AB, [0, *cut.tolist(), AB.shape[1]]
+
+    numbers = range(0, p ** (2 * w), _CHUNK_ROWS)
+    fits = (p * p - 1) ** w <= _CHUNK_ROWS  # then decoded chunk by chunk and grouped once
+    whole = [grouped(np.concatenate(list(map(chunk, numbers)), axis=1))] if fits else None
+    for supp in map(list, itertools.combinations(range(n), w)):
+        for AB, starts in whole or (grouped(AB) for AB in map(chunk, numbers) if AB.shape[1]):
+            full = np.zeros((2, AB.shape[1], n), dtype=np.int8)
+            full[..., supp] = AB
+            yield supp, *full, starts
+
+
+def support_rows(p: int, n: int, k: int, rows: int):
+    """Every a in F_p^n with exactly k nonzero digits: supports in the walk's
+    order, then the digits on a support lexicographic, as int8 rows (r, n)
+    in chunks of at most max(rows, 1) rows. k = 0 gives the zero row."""
+    per, rows = (p - 1) ** k, max(rows, 1)  # digit rows of one support
+    place = (p - 1) ** np.arange(k - 1, -1, -1)
+    supports = itertools.combinations(range(n), k)
+    while batch := list(itertools.islice(supports, max(rows // per, 1))):
+        cols = np.array(batch, dtype=np.intp).reshape(len(batch), 1, k)
+        for lo in range(0, per, rows):
+            digits = 1 + np.arange(lo, min(lo + rows, per))[:, None] // place % (p - 1)
+            out = np.zeros((len(batch), len(digits), n), dtype=np.int8)
+            out[np.arange(len(batch))[:, None, None], np.arange(len(digits))[:, None], cols] = digits
+            yield out.reshape(-1, n)
+
+
+def differences(rows, p: int):
+    """(keys, first) for the (K, n) rows L of a family over F_p: the ascending
+    table indices of L_i - L_j over i != j, each with its first pair (i, j) in
+    row-major order as i K + j. Row chunks of about _DIFF_PAIRS pairs are keyed
+    key * size + place and sorted, and each chunk's new keys join the running
+    set: memory is |D| <= min(K^2, p^n) keys plus one chunk."""
+    L = (np.array(rows, dtype=np.int64) % p).astype(np.int8)  # digit passes over int8
+    (K, n), keys, first = L.shape, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    assert p**n * max(K, _DIFF_PAIRS) < 2**63, "key * size + place fits int64"
+    for lo in range(0, K, step := max(1, _DIFF_PAIRS // K)):
+        i = np.arange(lo, min(lo + step, K))
+        key = np.zeros((len(i), K), dtype=np.int64)
+        for col in L.T:
+            key *= p
+            key += np.subtract.outer(col[i], col) % p
+        size = key.size  # key * size + place sorts the chunk by key, then by pair
+        key = key * size + np.arange(size).reshape(key.shape)
+        key = np.sort(key[i[:, None] != np.arange(K)])  # the pairs i != j
+        new, at = np.unique(key // size, return_index=True)
+        place = lo * K + key[at] % size
+        at = np.searchsorted(keys, new)
+        fresh = at == np.searchsorted(keys, new, side="right")  # not yet in keys
+        keys, first = (np.insert(v, at[fresh], w[fresh]) for v, w in ((keys, new), (first, place)))
+    return keys, first

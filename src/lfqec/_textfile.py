@@ -67,10 +67,10 @@ def residues(token: str, p: int, count: int | None = None, sep: str = r"[\s,]+",
     return vals
 
 
-def read_vectors(text: str, p: int, n: int, sep: str = ",") -> list:
-    """Vectors of n residues, one per nonempty `sep`-separated token: a
+def read_vectors(text: str, p: int, n: int) -> list:
+    """Vectors of n residues, one per nonempty ','-separated token: a
     compact digit string or residues separated by '.', ',' or ':'."""
-    return [tuple(residues(tok, p, n, sep=r"[.,:]")) for tok in text.split(sep) if tok]
+    return [tuple(residues(tok, p, n, sep=r"[.,:]")) for tok in text.split(",") if tok]
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +112,7 @@ def read_system_file(text: str) -> tuple:
         parts = ln.split()
         if len(parts) != 3:
             raise InputError(f"system row must be 'alpha beta t', got {ln!r}")
-        # split on the space between the columns: a ',' inside one separates residues
-        alpha, beta = read_vectors(" ".join(parts[:2]), p, n, sep=" ")
+        alpha, beta = (tuple(residues(tok, p, n, sep=r"[.,:]")) for tok in parts[:2])
         t = integer(parts[2], "t")
         if not 0 <= t < p:
             raise InputError(f"t must lie in [0, p), got {t}")
@@ -292,6 +291,10 @@ def read_code_file(text: str) -> tuple:
     terms = [anf_terms(s, p, n) for s in basis]
     if data.get("K", len(terms)) != len(terms):
         raise InputError(f"stated K = {data['K']} but {len(terms)} basis functions were given")
+    if not terms:  # CodeSpec's own checks, made here before numpy loads
+        raise InputError("a code needs at least one basis function")
+    if claimed_d < 1:
+        raise InputError("claimed distance must be >= 1")
     return p, n, claimed_d, provenance, terms
 
 

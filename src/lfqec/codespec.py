@@ -20,6 +20,8 @@ class CodeSpec(_Slotted):
         basis = tuple(basis)
         if not basis:
             raise InputError("a code needs at least one basis function")
+        if claimed_d < 1:
+            raise InputError("claimed distance must be >= 1")
         for f in basis:
             if not isinstance(f, LogicFunction) or (f.p, f.n) != (p, n):
                 raise InputError("basis functions must share the code's (p, n)")
@@ -30,8 +32,6 @@ class CodeSpec(_Slotted):
                 basis[i].table.tobytes() == basis[j].table.tobytes()
                 for i in range(len(basis)) for j in range(i) if keys[i] == keys[j])):
             raise InputError("basis functions must have pairwise distinct tables")
-        if claimed_d < 1:
-            raise InputError("claimed distance must be >= 1")
         self.p, self.n, self.basis, self.claimed_d, self.provenance = (
             p, n, basis, claimed_d, provenance)
 

@@ -27,23 +27,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._tables import digit_axis, index_vectors, linear_values, shifted
+from ._tables import differences, digit_axis, index_vectors, label_blocks, linear_values
+from ._tables import shifted, support_rows
 from ._textfile import anf_terms
 from .errors import CapacityError, InputError
-from .fp_algebra import (
-    CycloInt,
-    FpMatrix,
-    MAX_TABLE,
-    PauliLabel,
-    _Slotted,
-    check_listing,
-    differences,
-    label_blocks,
-    rank,
-    solve_linear,
-    support_rows,
-    table_size,
-)
+from .fp_algebra import CycloInt, FpMatrix, MAX_TABLE, PauliLabel, _Slotted, check_listing, rank
+from .fp_algebra import solve_linear, table_size
 
 
 class LogicFunction(_Slotted):
@@ -269,7 +258,7 @@ def _first_nonvanishing(f: LogicFunction, betas) -> tuple:
     order, at which some shift pair (beta_i, beta_j), i = j included, makes
     the sum at (a, b + beta_i - beta_j) nonzero; i = j is the sum
     sum_x zeta^(f(x) - f(x-a) + b.x), and a full-support row never vanishes.
-    D = fp_algebra.differences of the shifts, which are pairwise distinct, so
+    D = _tables.differences of the shifts, which are pairwise distinct, so
     D u {0} is D after 0. The route goes by degree alone: f of degree
     <= 2 has the label read off (a, delta), any other f walks its table.
     Refused before the keys: K^2 over the listing budget, and K p^n over the

@@ -19,7 +19,6 @@ import numpy as np
 from ._tables import linear_values, shifted_indices, vector_index
 from .errors import CapacityError, InputError, PremiseError
 from .fp_algebra import (
-    MAX_OPERATOR_DIM,
     CycloInt,
     FpMatrix,
     PauliLabel,
@@ -34,6 +33,7 @@ from .logic_fn import LogicFunction, _autocorrelate, _bent_domain, affine_family
 from .logic_fn import solve_coboundary, weight_support
 
 _FLOAT_EXACT_BOUND = 2**52
+MAX_OPERATOR_DIM = 1024  # dimension p^n of an OperatorMatrix
 
 
 class OperatorMatrix(_Slotted):
@@ -66,9 +66,6 @@ class OperatorMatrix(_Slotted):
         a = a - a.min(axis=2, keepdims=True)
         b = b - b.min(axis=2, keepdims=True)
         return bool(np.array_equal(a, b))
-
-    def __hash__(self):
-        raise TypeError("OperatorMatrix is not hashable")
 
     def mul(self, other: "OperatorMatrix") -> "OperatorMatrix":
         """Exact product: p^2 float64 matrix products folded by exponent,

@@ -33,10 +33,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._tables import linear_values, shifted_indices
+from ._tables import differences, label_blocks, linear_values, shifted_indices
 from .errors import CapacityError, InputError
-from .fp_algebra import MAX_STATE, MAX_TABLE, CycloInt, PauliLabel, check_listing, label_blocks
-from .fp_algebra import _Slotted, differences, table_size
+from .fp_algebra import MAX_STATE, MAX_TABLE, CycloInt, PauliLabel, _Slotted, check_listing
+from .fp_algebra import table_size
 from .logic_fn import LogicFunction, _anf_terms
 
 # Integers up to 2^53 in size are exact in float64, and so is every sum of
@@ -63,9 +63,6 @@ class StateVector(_Slotted):
             return NotImplemented
         d = self.amps - other.amps
         return bool(np.all(d == d[:, :1]))
-
-    def __hash__(self):
-        raise TypeError("StateVector is not hashable")
 
 
 def state_from_function(f) -> StateVector:

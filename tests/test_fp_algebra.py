@@ -29,8 +29,9 @@ from lfqec import (
     solve_linear,
     symplectic_product,
 )
-from lfqec import fp_algebra
-from lfqec.fp_algebra import support_rows, table_size, validate_prime
+from lfqec import _tables, fp_algebra
+from lfqec._tables import support_rows
+from lfqec.fp_algebra import table_size, validate_prime
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +180,7 @@ def test_label_blocks_follow_the_reference_order(p):
 def test_label_walk_in_small_chunks_keeps_the_reference_order(p, rows, monkeypatch):
     # with a small row budget a support spans several chunks, and chunks
     # split a-groups; the walk, flattened, keeps the reference order
-    monkeypatch.setattr(fp_algebra, "_CHUNK_ROWS", rows)
+    monkeypatch.setattr(_tables, "_CHUNK_ROWS", rows)
     for n in range(1, 4):
         for w in range(n + 1):
             chunks = list(label_blocks(p, n, w))
@@ -195,7 +196,7 @@ def test_a_weight_whose_kept_rows_fit_a_chunk_is_decoded_once(p, w, rows, monkey
     # the p^2w numbers take several decode chunks, but the (p^2 - 1)^w rows
     # kept fit one, which every support shares: one grouping, and the one
     # decode placed on each support
-    monkeypatch.setattr(fp_algebra, "_CHUNK_ROWS", rows)
+    monkeypatch.setattr(_tables, "_CHUNK_ROWS", rows)
     assert (p * p - 1) ** w <= rows < p ** (2 * w)
     n = w + 2
     chunks = list(label_blocks(p, n, w))
@@ -216,7 +217,7 @@ def test_a_weight_whose_kept_rows_fit_a_chunk_is_decoded_once(p, w, rows, monkey
 def test_label_walk_hands_full_rows_and_a_group_starts(p, rows, monkeypatch):
     # A and B are int8 (rows, n), 0 off the support, and starts cuts each
     # chunk at exactly the maximal runs of equal a
-    monkeypatch.setattr(fp_algebra, "_CHUNK_ROWS", rows)
+    monkeypatch.setattr(_tables, "_CHUNK_ROWS", rows)
     for n in range(1, 4):
         for w in range(n + 1):
             for supp, A, B, starts in label_blocks(p, n, w):
@@ -257,7 +258,7 @@ def test_support_rows_take_at_least_one_row_a_chunk():
 
 
 def listed_differences(rows, p: int) -> tuple:
-    """(keys, first) of fp_algebra.differences from every ordered pair i != j
+    """(keys, first) of _tables.differences from every ordered pair i != j
     in row-major order, each difference keyed by its table index."""
     first = {}
     for i, j in itertools.product(range(len(rows)), repeat=2):
@@ -274,19 +275,19 @@ def test_differences_match_a_listing_of_every_pair(p, chunk, monkeypatch):
     # K from 1 (no pair) past sqrt(p^n), random rows and the same rows with
     # the first repeated (key 0 from i != j); chunks of 1 or 7 pairs split the rows
     if chunk is not None:
-        monkeypatch.setattr(fp_algebra, "_DIFF_PAIRS", chunk)
+        monkeypatch.setattr(_tables, "_DIFF_PAIRS", chunk)
     gen, sides = rng(p), set()
     for n in (1, 2, 3):
         for K in range(1, min(p**n, 14) + 1):
             rows = gen.integers(0, p, (K, n)).tolist()
             for family in (rows, rows + rows[:1]):
-                keys, first = fp_algebra.differences(family, p)
+                keys, first = _tables.differences(family, p)
                 want = listed_differences(family, p)
                 assert (keys.tolist(), first.tolist()) == want, (n, family)
                 sides.add((len(family) ** 2 > p**n) - (len(family) ** 2 < p**n))
-            assert fp_algebra.differences(rows + rows[:1], p)[0][0] == 0
+            assert _tables.differences(rows + rows[:1], p)[0][0] == 0
             if K == 1:
-                assert fp_algebra.differences(rows, p)[0].size == 0
+                assert _tables.differences(rows, p)[0].size == 0
     assert sides == {-1, 0, 1}
 
 
@@ -294,10 +295,10 @@ def test_differences_across_the_chunk_size():
     # 600^2 pairs fill two chunks of the real size; most keys of n = 16 are
     # new in the second, and a key both hold keeps the first chunk's pair
     rows = rng(16).integers(0, 2, (600, 16)).tolist()
-    assert 600**2 > fp_algebra._DIFF_PAIRS > 600
-    keys, first = fp_algebra.differences(rows, 2)
+    assert 600**2 > _tables._DIFF_PAIRS > 600
+    keys, first = _tables.differences(rows, 2)
     assert (keys.tolist(), first.tolist()) == listed_differences(rows, 2)
-    step = fp_algebra._DIFF_PAIRS // 600 * 600
+    step = _tables._DIFF_PAIRS // 600 * 600
     assert (first >= step).any() and (first < step).any()
 
 

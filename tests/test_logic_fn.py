@@ -29,6 +29,7 @@ from conftest import (
     walk_blocks,
 )
 import lfqec
+import lfqec._tables
 import lfqec.fp_algebra
 import lfqec.logic_fn
 from lfqec._tables import linear_values
@@ -624,7 +625,7 @@ def count_walks(monkeypatch) -> list:
 def test_search_reads_every_gather_chunk(gen, monkeypatch):
     # one label per gather chunk, so a first failing label that is not the
     # first of its block lies past the block's first chunk
-    monkeypatch.setattr(lfqec.fp_algebra, "_CHUNK_ROWS", 1)
+    monkeypatch.setattr(lfqec._tables, "_CHUNK_ROWS", 1)
     walks = count_walks(monkeypatch)
     later = 0
     for p, n in [(2, 4), (3, 3), (5, 2)]:
@@ -645,7 +646,7 @@ def test_search_reads_every_gather_chunk(gen, monkeypatch):
 @pytest.mark.parametrize("p, n", [(2, 4), (3, 3), (5, 2)])
 def test_search_across_chunk_boundaries(gen, monkeypatch, p, n):
     # 7 numbers per walk chunk: supports span chunks, and chunks split a-groups
-    monkeypatch.setattr(lfqec.fp_algebra, "_CHUNK_ROWS", 7)
+    monkeypatch.setattr(lfqec._tables, "_CHUNK_ROWS", 7)
     walks = count_walks(monkeypatch)
     for _ in range(10):
         f = random_cubic(gen, p, n)

@@ -74,6 +74,9 @@ MALFORMED = {
     "code field": ({"c.json": CODE.replace('"claimed_d": 1', '"claimed_d": "x"')}, ["verify", "c.json"]),
     "code anf": ({"c.json": CODE.replace("x1*x2", "x1 @ x2")}, ["verify", "c.json"]),
     "code K": ({"c.json": CODE.replace('"claimed_d"', '"K": 3, "claimed_d"')}, ["verify", "c.json"]),
+    "code distance": ({"c.json": CODE.replace('"claimed_d": 1', '"claimed_d": 0')},
+                      ["verify", "c.json"]),
+    "code basis": ({"c.json": CODE.replace('["x1*x2"]', "[]")}, ["verify", "c.json"]),
 }
 
 
@@ -178,6 +181,17 @@ def test_no_module_imports_dataclasses():
     ]
     assert len(paths) == 12 and ("cli.py", "argparse") in imported
     assert [hit for hit in imported if hit[1].partition(".")[0] == "dataclasses"] == []
+
+
+def test_fp_algebra_imports_no_numpy():
+    # `_textfile` reads every input with fp_algebra's types and caps before numpy loads;
+    # numpy work on indices lives in `_tables`, so no import of it here, at any depth
+    tree = ast.parse((SRC / "lfqec" / "fp_algebra.py").read_text())
+    imported = [alias.name if isinstance(node, ast.Import) else node.module or ""
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names]
+    assert "typing" in imported
+    assert [name for name in imported if name.partition(".")[0] == "numpy"] == []
 
 
 COMMANDS = ["apc", "zset", "bent", "graph-code", "matrix-check", "coset-code", "projector",

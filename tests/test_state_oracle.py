@@ -25,7 +25,7 @@ from conftest import (
     state_complex,
     walk_blocks,
 )
-from lfqec import fp_algebra, state_oracle
+from lfqec import _tables, fp_algebra, state_oracle
 from lfqec.cli import main
 from lfqec import (
     CapacityError,
@@ -492,7 +492,7 @@ def test_both_routes_keep_their_verdicts_across_chunk_boundaries(gen, monkeypatc
         basis = random_quadratic_basis(gen, p, n, min(int(gen.integers(1, 4)), p**n))
         states = [state_from_function(f) for f in basis]
         cases.append((basis, states, kl_verify(states, n).to_dict()))
-    monkeypatch.setattr(fp_algebra, "_CHUNK_ROWS", 5)
+    monkeypatch.setattr(_tables, "_CHUNK_ROWS", 5)
     for basis, states, want in cases:
         n = want["n"]
         assert kl_verify(basis, n).to_dict() == want
@@ -516,7 +516,7 @@ def test_closed_form_looks_up_keys_past_the_largest_difference(p):
     # the last key; the verdicts are the reference's, entry by entry
     f = parse_anf("x1*x2", p, 3)
     basis = [f, add_affine(f, (0, 0, 1))]
-    keys, _ = fp_algebra.differences([(0, 0, 0), (0, 0, 1)], p)
+    keys, _ = _tables.differences([(0, 0, 0), (0, 0, 1)], p)
     assert keys.tolist() == sorted({1, p - 1})
     states = [state_from_function(g) for g in basis]
     for w in range(4):
