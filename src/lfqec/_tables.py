@@ -6,8 +6,9 @@ sits at index sum_i x_i * p^(n-i), so x_1 is the most significant digit.
 That is the C-order ravel of an array on the grid (p,)*n whose axis i
 carries the digit x_(i+1). Every helper here works on that grid: a digit is
 one broadcast axis, a linear form is a sum of them and a shift is a roll, so
-no helper forms a table of all p^n * n digits. This module is the only one
-that converts between indices and vectors, and `shifted` is the one roll.
+no helper forms a table of all p^n * n digits. `shifted` is the one roll.
+Three callers index vectors in this layout themselves: the closed form and
+`_quadratic_first` dot rows with place values, `_first_nonvanishing` unravels.
 
 Labels (a|b) and row families are int8 rows of digits. `label_blocks` walks
 the labels of one weight as rows grouped by a, `support_rows` lists the

@@ -81,6 +81,8 @@ def read_matrix_file(text: str) -> FpMatrix:
     """'p r' then r rows of residues (compact digits for p <= 7 or
     separated values); column count is set by the first row."""
     p, r, body = read_header(text, "p r")
+    if r < 1:
+        raise InputError(f"a matrix needs at least one row, got r = {r}")
     if len(body) != r:
         raise InputError(f"expected {r} matrix rows, got {len(body)}")
     rows = [residues(ln, p) for ln in body]

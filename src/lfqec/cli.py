@@ -233,15 +233,14 @@ def cmd_solve_basis(args) -> tuple:
 
 def cmd_verify(args) -> tuple:
     p, n, claimed_d, provenance, terms = read_code_file(_read(args.codespec))
-    from .codespec import CodeSpec
+    from .codespec import CodeSpec, check_claim
     from .logic_fn import LogicFunction
     from .state_oracle import kl_verify
 
     basis = tuple(LogicFunction(p, n, anf=t) for t in terms)
     spec = CodeSpec(p, n, basis, claimed_d, provenance)
-    max_weight = args.max_weight if args.max_weight is not None else spec.claimed_d - 1
-    report = kl_verify(spec.basis, max_weight)
-    lines = [f"verdict: {report.verdict} (max weight {max_weight})"] + _failure_lines(report)
+    report = check_claim(spec) if args.max_weight is None else kl_verify(basis, args.max_weight)
+    lines = [f"verdict: {report.verdict} (max weight {report.max_weight})"] + _failure_lines(report)
     return report.to_dict(), lines, 0 if report.passed else 1
 
 

@@ -16,7 +16,8 @@ import numpy as np
 from .codespec import CodeSpec
 from .errors import InputError, PremiseError
 from .fp_algebra import FpMatrix, table_size
-from .logic_fn import LogicFunction, _first_nonvanishing, affine_family, parse_anf, quadratic_form
+from .logic_fn import LogicFunction, _first_nonvanishing, _symmetric_form, affine_family, parse_anf
+from .logic_fn import quadratic_form
 
 
 def claimed_coset_distance(f: LogicFunction, betas) -> int:
@@ -105,12 +106,8 @@ def mds_matrix(m: int) -> FpMatrix:
 
 
 def _identity_gamma(f: LogicFunction) -> FpMatrix:
-    gamma = [[0] * f.n for _ in range(f.n)]
-    for coeff, mono in f.anf:  # canonical terms: every coefficient is nonzero
-        if len(mono) == 2:
-            i, j = mono
-            gamma[i][j] = gamma[j][i] = coeff
-    return FpMatrix.identity(2, f.n).hstack(FpMatrix.from_rows(2, gamma))
+    gamma = _symmetric_form(2, f.n, f.anf)  # Gamma = S: zero diagonal, as p = 2 has no squares
+    return FpMatrix.identity(2, f.n).hstack(FpMatrix.from_rows(2, gamma.tolist()))
 
 
 def build_mds_family(m: int) -> CodeSpec:

@@ -57,7 +57,9 @@ class CodeSpec(_Slotted):
 
 def check_claim(spec: CodeSpec):
     """The oracle's VerifyReport on the distance claim: every error of
-    weight below claimed_d must leave the scalar-Gram condition intact."""
+    weight below claimed_d, so of weight 1..min(claimed_d - 1, n), must leave
+    the scalar-Gram condition intact; every code fails by weight n. The caps
+    are those of the oracle route the basis takes (see state_oracle)."""
     from .state_oracle import kl_verify
 
-    return kl_verify(spec.basis, spec.claimed_d - 1)
+    return kl_verify(spec.basis, min(spec.claimed_d - 1, spec.n))

@@ -275,26 +275,32 @@ def _first_nonvanishing(f: LogicFunction, betas) -> tuple:
     return _walked_first(f, betas, [divmod(k, K) for k in first.tolist()])
 
 
+def _symmetric_form(p: int, n: int, terms) -> np.ndarray:
+    """The symmetric form S = U + U^T mod p, (n, n) int64, of the degree-2
+    ANF terms: f(x) - f(x-a) = (S a).x + const when the rest of f is affine."""
+    S = np.zeros((n, n), dtype=np.int64)
+    for c, m in terms:
+        if len(m) == 2:
+            np.add.at(S, (m, m[::-1]), c)  # S_ij and S_ji, or 2c at S_ii for a square
+    return S % p
+
+
 _PAIR_ROWS = 2**10  # (a, delta) rows a chunk of _quadratic_first holds, each n entries wide
 
 
 def _quadratic_first(p: int, n: int, terms, deltas) -> tuple:
     """_first_nonvanishing for the reduced ANF terms Q + L.x + c of degree
-    <= 2. With S = U + U^T the symmetric form of Q (a square c x_i^2 adds 2c
-    to S_ii), f(x) - f(x-a) = (S a).x + const, so the sum at (a, b + delta)
-    is nonzero exactly when b = -(S a + delta) mod p. The first label is the
-    least (w, support, a, b) over every a and every row delta of deltas,
-    D u {0} in ascending index order, with (a, b) != 0. An a with k nonzero
-    digits gives labels of weight >= k, so a is enumerated by k until k
-    exceeds the least weight found. One weight's supports come in the
-    order of their masks, x_1 the top bit, descending; so a label's order
-    keys are w 2^n + (2^n - 1 - mask), then index(a) p^n + index(b).
+    <= 2. With S = _symmetric_form(Q), f(x) - f(x-a) = (S a).x + const, so
+    the sum at (a, b + delta) is nonzero exactly when b = -(S a + delta) mod
+    p. The first label is the least (w, support, a, b) over every a and
+    every row delta of deltas, D u {0} in ascending index order, with
+    (a, b) != 0. An a with k nonzero digits gives labels of weight >= k, so
+    a is enumerated by k until k exceeds the least weight found. One
+    weight's supports come in the order of their masks, x_1 the top bit,
+    descending; so a label's order keys are w 2^n + (2^n - 1 - mask), then
+    index(a) p^n + index(b).
     Memory: a chunk of a-rows, rows x |D u {0}| <= _PAIR_ROWS unless one row exceeds it."""
-    S = np.zeros((n, n), dtype=np.int64)
-    for c, m in terms:
-        if len(m) == 2:
-            np.add.at(S, (m, m[::-1]), c)  # S_ij and S_ji, or 2c at S_ii
-    S %= p
+    S = _symmetric_form(p, n, terms)
     place, bits = p ** np.arange(n - 1, -1, -1), 1 << np.arange(n - 1, -1, -1)
     N, never = p**n, (n + 1) << n  # never: the order key of the label (0, 0), which is no label
     best = (never, 0)

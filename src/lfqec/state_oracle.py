@@ -23,9 +23,10 @@ p^n zeta^(const) if u = b - S a equals L_i - L_j, else 0 (the codeword-
 stabilized criterion, arXiv:0708.1021; over F_p, quant-ph/0508070), so each
 label looks u up in the difference set of the rows L_j. Other function
 bases, and states, take the Gram sweep: the closed form's reference.
-kl_verify and min_distance take either kind of basis, and refuse on both
-routes a basis whose K^2 pairs exceed the listing budget; the Gram route
-also refuses, before it builds a state, K p^(n+1) entries over the table cap.
+kl_verify and min_distance take either kind of basis, choose the route in
+`_route` and refuse on both routes K^2 basis pairs over the listing budget.
+Only the Gram route, before it builds a state, also refuses p^n over the
+state cap, then K p^(n+1) entries over the table cap.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ from ._tables import differences, label_blocks, linear_values, shifted_indices
 from .errors import CapacityError, InputError
 from .fp_algebra import MAX_STATE, MAX_TABLE, CycloInt, PauliLabel, _Slotted, check_listing
 from .fp_algebra import table_size
-from .logic_fn import LogicFunction, _anf_terms
+from .logic_fn import LogicFunction, _anf_terms, _symmetric_form
 
 # Integers up to 2^53 in size are exact in float64, and so is every sum of
 # them that stays in that range, in any order.
@@ -182,19 +183,11 @@ def _violation(G: np.ndarray):
     return None
 
 
-def _check_sweep(K: int, p: int, n: int) -> None:
-    """Refuse, before one state is built, a Gram sweep whose K states, float
-    stack and ket buffer, each of K p^(n+1) entries, exceed the table cap."""
-    if (entries := K * p ** (n + 1)) > MAX_TABLE:
-        raise CapacityError(f"K p^(n+1) = {entries} Gram sweep entries exceed the cap {MAX_TABLE}")
-
-
-def _failures(basis, p: int, n: int, max_weight: int):
+def _failures(states, p: int, n: int, max_weight: int):
     """Yield (weight, KLFailure) for every failing label of weight
     1..max_weight, in increasing weight and the fixed order within each.
     The labels of one a-group share their a, and so the shift x - a."""
-    _check_sweep(len(basis), p, n)
-    X = _stack(basis)
+    X = _stack(states)
     # One ket buffer per sweep, so labels allocate no fresh p*N arrays (the
     # OS would fault their pages in anew each time). take() buffers `out`
     # under its default mode="raise"; the index is in range by construction.
@@ -234,58 +227,58 @@ def _closed_form_failures(S, L, p: int, n: int, max_weight: int):
                 yield w, KLFailure(tuple(A[r].tolist()), tuple(B[r].tolist()), *bad)
 
 
-def _function_failures(basis, p: int, n: int, max_weight: int):
-    """The one route choice for a basis of logic functions; see the module docstring."""
-    anfs = [_anf_terms(f, max_deg=2) for f in basis]
-    quads = {tuple(t for t in terms if len(t[1]) == 2) for terms in anfs if terms is not None}
-    if None in anfs or len(quads) > 1:
-        _check_sweep(len(basis), p, n)
-        return _failures([state_from_function(f) for f in basis], p, n, max_weight)
-    S = np.zeros((n, n), dtype=np.int64)
-    for c, m in quads.pop():
-        np.add.at(S, (m, m[::-1]), c)  # S_ij and S_ji; a square x_i^2 adds twice to S_ii
-    lins = [{m: c for c, m in terms if len(m) == 1} for terms in anfs]
-    L = np.array([[lin.get((v,), 0) for v in range(n)] for lin in lins])
-    return _closed_form_failures(S % p, L, p, n, max_weight)
+def _route(basis, p: int, n: int, max_weight: int):
+    """The one route choice. Functions whose reduced ANFs share one quadratic
+    part take the closed form, which builds no state. Any other basis takes
+    the Gram sweep, which refuses first p^n over the state cap, then K states,
+    float stack and ket buffer of K p^(n+1) entries each over the table cap."""
+    functions = isinstance(basis[0], LogicFunction)
+    if functions:
+        anfs = [_anf_terms(f, max_deg=2) for f in basis]
+        quads = {tuple(t for t in terms if len(t[1]) == 2) for terms in anfs if terms is not None}
+        if None not in anfs and len(quads) == 1:
+            lins = [{m: c for c, m in terms if len(m) == 1} for terms in anfs]
+            L = np.array([[lin.get((v,), 0) for v in range(n)] for lin in lins])
+            return _closed_form_failures(_symmetric_form(p, n, anfs[0]), L, p, n, max_weight)
+    table_size(p, n, cap=MAX_STATE)
+    if (entries := len(basis) * p ** (n + 1)) > MAX_TABLE:
+        raise CapacityError(f"K p^(n+1) = {entries} Gram sweep entries exceed the cap {MAX_TABLE}")
+    states = [state_from_function(f) for f in basis] if functions else basis
+    return _failures(states, p, n, max_weight)
 
 
 def _check_basis(basis):
-    """(p, n, sweep) for a basis of StateVectors or of LogicFunctions, whose
-    K^2 pairs every route reads: the closed form as its difference set, the
-    Gram sweep as (Kp)^2 products per label."""
+    """(p, n) of a nonempty basis of StateVectors or of LogicFunctions on one
+    space, whose K^2 pairs every route reads: the closed form as its
+    difference set, the Gram sweep as (Kp)^2 products per label. It applies
+    no other cap: each route caps what it builds (see _route)."""
     if not basis:
         raise InputError("basis must be nonempty")
-    if all(isinstance(s, LogicFunction) for s in basis):
-        sweep = _function_failures
-    elif all(isinstance(s, StateVector) for s in basis):
-        sweep = _failures
-    else:
+    if not any(all(isinstance(s, kind) for s in basis) for kind in (LogicFunction, StateVector)):
         raise InputError("a basis must hold only StateVectors or only LogicFunctions")
     p, n = basis[0].p, basis[0].n
-    for s in basis:
-        if (s.p, s.n) != (p, n):
-            raise InputError("basis states live on different spaces")
-    table_size(p, n, cap=MAX_STATE)  # the state capacity, for function bases too
+    if any((s.p, s.n) != (p, n) for s in basis):
+        raise InputError("basis states live on different spaces")
     check_listing(len(basis) ** 2, f"K^2 = {len(basis) ** 2} basis pairs")
-    return p, n, sweep
+    return p, n
 
 
 def kl_verify(basis, max_weight: int) -> VerifyReport:
     """Check every error label of weight 1..max_weight, in increasing weight
     and a fixed deterministic order within each weight. Records one failure
     entry per failing label; verdict is "pass" iff there are none."""
-    p, n, sweep = _check_basis(basis)
+    p, n = _check_basis(basis)
     if not 0 <= max_weight <= n:
         raise InputError(f"max_weight must lie in [0, {n}]")
-    failures = tuple(bad for _, bad in sweep(basis, p, n, max_weight))
+    failures = tuple(bad for _, bad in _route(basis, p, n, max_weight))
     return VerifyReport(p, n, len(basis), max_weight, "fail" if failures else "pass", failures)
 
 
 def min_distance(basis, cap: int | None = None):
     """Smallest weight at which some label breaks the scalar-Gram condition,
     or the string "> cap" when every weight up to the cap is clean."""
-    p, n, sweep = _check_basis(basis)
+    p, n = _check_basis(basis)
     cap = n if cap is None else cap
     if not 1 <= cap <= n:
         raise InputError(f"cap must lie in [1, {n}]")
-    return next((w for w, _ in sweep(basis, p, n, cap)), f"> {cap}")
+    return next((w for w, _ in _route(basis, p, n, cap)), f"> {cap}")

@@ -343,6 +343,37 @@ def test_exit_1_mds_verify(files, capsys):
     assert data["verification"]["failures"][0]["a"] == [1, 0, 0, 0]
 
 
+PATH3_GRAPH = "2 3\n1 2\n2 3\n"
+
+
+def test_exit_1_distance_claim_past_n(files, capsys):
+    # errors weigh at most n, and every code fails by weight n: a claim of
+    # d = 9 on 3 qubits is checked at weights 1..3 and refuted, not refused
+    argv = ["graph-code", files("p3.g", PATH3_GRAPH), "--classes", files("p3.cl", "000\n"),
+            "--d", "9"]
+    assert run(capsys, *argv)[0] == 0  # a claim alone is not checked
+    code, out = run(capsys, *argv, "--verify")
+    assert code == 1
+    assert "verification: fail (max weight 3)\n  failure: " in out
+    code, data = run_json(capsys, *argv, "--verify")
+    assert code == 1
+    assert data["verification"]["max_weight"] == 3 and data["verification"]["failures"]
+
+
+def test_verify_claim_past_n_is_checked_up_to_n(files, capsys):
+    text = json.dumps({"p": 2, "n": 3, "claimed_d": 6, "basis": ["x1*x2", "x1*x2 + x3"]})
+    path = files("d6.json", text)
+    code, data = run_json(capsys, "verify", path)
+    assert code == 1
+    assert data["max_weight"] == 3 and data["verdict"] == "fail" and data["failures"]
+    code, out = run(capsys, "verify", path)
+    assert code == 1 and out.startswith("verdict: fail (max weight 3)\n")
+    # an explicit weight past n is still malformed input
+    code = main(["verify", path, "--max-weight", "4"])
+    assert code == 2
+    assert capsys.readouterr() == ("", "error: max_weight must lie in [0, 3]\n")
+
+
 def test_exit_1_solve_basis_inconsistent(files, capsys):
     code, out = run(capsys, "solve-basis", files("bad.fn", SYSTEM_BAD))
     assert code == 1 and "inconsistent" in out
@@ -376,6 +407,9 @@ def test_exit_2_input_errors(files, capsys):
     code = main(["matrix-check", files("r.mat", "2 3\n10\n1\n0\n"), "--k", "0", "--d", "1"])
     assert code == 2
     assert capsys.readouterr() == ("", "error: matrix rows have inconsistent lengths\n")
+    code = main(["matrix-check", files("e.mat", "2 0\n"), "--k", "0", "--d", "1"])
+    assert code == 2
+    assert capsys.readouterr() == ("", "error: a matrix needs at least one row, got r = 0\n")
     code = main(["solve-basis", files("s.sys", "2 2\n\n# nothing\n")])
     assert code == 2
     want = "error: system file needs at least one 'alpha beta t' row\n"
@@ -478,11 +512,25 @@ def test_bent_expands_a_product_of_16_factors(files, capsys):
 
 
 def test_exit_3_state_capacity_for_a_quadratic_code(files, capsys):
-    # the closed form needs no states, but the state cap still bounds the oracle
-    text = json.dumps({"p": 2, "n": 21, "claimed_d": 2, "basis": ["x1*x2", "x1*x2 + x3"]})
+    # the state cap bounds the Gram route alone: a cubic code over it exits 3,
+    # and the quadratic code takes the closed form, which needs no states
+    text = json.dumps({"p": 2, "n": 21, "claimed_d": 2, "basis": ["x1*x2*x3", "x1*x2*x3 + x4"]})
     code = main(["verify", files("big.json", text)])
     assert code == 3
-    assert capsys.readouterr().err == "capacity: p^n with n = 21 exceeds cap 1048576\n"
+    assert capsys.readouterr() == ("", "capacity: p^n with n = 21 exceeds cap 1048576\n")
+    text = json.dumps({"p": 2, "n": 21, "claimed_d": 2, "basis": ["x1*x2", "x1*x2 + x3"]})
+    code = main(["verify", files("big.json", text)])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    # Z3 and Y3 link the two states, and X3 fixes one and flips the other's sign
+    e3, zero = "001" + "0" * 18, "0" * 21
+    assert out.splitlines() == [
+        "verdict: fail (max weight 1)",
+        f"failure: a={zero} b={e3} offdiag_nonzero at (0, 1)",
+        f"failure: a={e3} b={zero} diag_unequal at (0, 1)",
+        f"failure: a={e3} b={e3} offdiag_nonzero at (0, 1)",
+    ]
 
 
 def test_quadratic_inputs_are_verified_without_states(files, capsys, monkeypatch, tmp_path):

@@ -712,6 +712,24 @@ def test_square_terms_add_twice_to_the_diagonal(p, anf, want):
         assert got == (want[0], (want[1], want[2]))
 
 
+@pytest.mark.parametrize("p, n", [(2, 5), (3, 4), (5, 3), (13, 2)])
+def test_symmetric_form_meets_the_difference_identity(gen, p, n):
+    # f(x) - f(x - a) = (S a).x + c(a) for every a, checked by brute force
+    # over every x on f's terms alone; S is the only matrix for which the
+    # left side less (S a).x is constant in x for each a
+    points = list(itertools.product(range(p), repeat=n))
+    for _ in range(3):
+        f = random_quadratic(gen, p, n)
+        values = {x: sum(c * math.prod(x[v] for v in m) for c, m in f.anf) % p for x in points}
+        S = lfqec.logic_fn._symmetric_form(p, n, f.anf)
+        assert S.shape == (n, n) and (S == S.T).all() and ((0 <= S) & (S < p)).all()
+        for a in points:
+            Sa = [sum(int(S[i, j]) * a[j] for j in range(n)) for i in range(n)]
+            rest = {(values[x] - values[tuple((u - v) % p for u, v in zip(x, a))]
+                     - sum(s * u for s, u in zip(Sa, x))) % p for x in points}
+            assert len(rest) == 1, (f.anf, a)
+
+
 def test_a_held_quadratic_is_never_expanded(monkeypatch):
     # n = 20: the ANF is read off, and no table of 2^20 entries is built
     terms = [(1, (i, (i + 1) % 20)) for i in range(20)] + [(1, (3,)), (1, ())]

@@ -37,7 +37,10 @@ n = 22 truth table must exit 0 and print what they print uncapped; under
 n = 24 cap, each holding one int64 table, the same three must exit 0 with
 their pinned answers under 512 MiB, and under 384 MiB `bent` and `zset`
 must run out of memory and exit 3 with a one-line capacity message:
-running out of memory is never a refutation."""
+running out of memory is never a refutation. At p = 2, n = 24, over the
+state cap, every builder's shared-quadratic output checked with --verify
+(`apc`, `coset-code`, `graph-code`, `matrix-check --build`, and `verify` of
+a K = 2 code) must get its verdict, exit 0 or 1, within 5 s under 512 MiB."""
 import json
 import os
 import pathlib
@@ -412,6 +415,44 @@ def test_closed_form_pair_table_over_budget_is_refused(tmp_path):
     assert proc.returncode == 3, proc.stderr[-2000:]
     assert proc.stderr == "capacity: K^2 = 16777216 basis pairs exceed the listing budget 4194304\n"
     assert proc.stdout == ""
+
+
+def builder_inputs(tmp_path) -> dict:
+    """One command per builder at p = 2, n = 24, the top of its own caps: an
+    ANF quadratic, the cycle C24 with one class, a 25 x 25 matrix whose class
+    column meets every qudit of C24, and a K = 2 shared-quadratic code."""
+    n, zero = 24, "0" * 24
+    quad = pairs_anf(n)
+    (tmp_path / "q.fn").write_text(f"2 {n}\nanf: {quad}\n")
+    (tmp_path / "c.g").write_text(f"2 {n}\n" + "".join(f"{i} {i % n + 1}\n" for i in range(1, n + 1)))
+    (tmp_path / "c.cl").write_text(zero + "\n")
+    # index 0 is the class column; qudit i (1..n) meets it and its two neighbours on C24
+    rows = [[0] + [1] * n] + [[1] + [int(abs(i - j) in (1, n - 1)) for j in range(1, n + 1)]
+                              for i in range(1, n + 1)]
+    (tmp_path / "m").write_text(f"2 {n + 1}\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows))
+    code = {"p": 2, "n": n, "claimed_d": 2, "basis": [quad, quad + " + x1"]}
+    (tmp_path / "k2.json").write_text(json.dumps(code))
+    files = {name: str(tmp_path / name) for name in ("q.fn", "c.g", "c.cl", "m", "k2.json")}
+    return {
+        "apc": ["apc", files["q.fn"], "--verify"],
+        "coset-code": ["coset-code", files["q.fn"], "--betas", f"{zero},{'1' * n}", "--verify"],
+        "graph-code": ["graph-code", files["c.g"], "--classes", files["c.cl"], "--d", "3", "--verify"],
+        "matrix-check": ["matrix-check", files["m"], "--k", "1", "--d", "2", "--build", "--verify"],
+        "verify": ["verify", files["k2.json"]],
+    }
+
+
+@pytest.mark.parametrize("command", ["apc", "coset-code", "graph-code", "matrix-check", "verify"])
+def test_builder_output_at_the_table_cap_gets_a_verdict(tmp_path, command):
+    # a shared-quadratic basis takes the closed form, which builds no state,
+    # so the state cap 2^20 does not stand between a claim and its check
+    t0 = time.perf_counter()
+    proc = run_child(cli_code(*builder_inputs(tmp_path)[command]), ceiling=512 << 20)
+    assert time.perf_counter() - t0 < 5
+    assert proc.returncode in (0, 1), proc.stderr[-2000:]
+    assert proc.stderr == ""
+    verdicts = ("verification: ", "verdict: ", "oracle distance: ")
+    assert any(line.startswith(verdicts) for line in proc.stdout.splitlines()), proc.stdout[-2000:]
 
 
 def test_mds_extraction_fits_the_ceiling_up_to_the_listing_budget():

@@ -65,6 +65,7 @@ MALFORMED = {
     "graph": ({"g": "2 3\n1 4\n", "c": CLASSES}, ["graph-code", "g", "--classes", "c", "--d", "2"]),
     "classes": ({"g": GRAPH, "c": "012\n"}, ["graph-code", "g", "--classes", "c", "--d", "2"]),
     "matrix": ({"m": "2 2\n1 0\n0\n"}, ["matrix-check", "m", "--k", "0", "--d", "1"]),
+    "matrix no rows": ({"m": "2 0\n"}, ["matrix-check", "m", "--k", "0", "--d", "1"]),
     "matrix verify": ({"m": RANK_MAT}, ["matrix-check", "m", "--k", "1", "--d", "2", "--verify"]),
     "projector matrix": ({"f.fn": FUNCTION, "m": "2 1\n0 1 q\n"}, ["projector", "f.fn", "m"]),
     "betas": ({"f.fn": FUNCTION}, ["coset-code", "f.fn", "--betas", "00,012"]),
@@ -192,6 +193,56 @@ def test_fp_algebra_imports_no_numpy():
                 for alias in node.names]
     assert "typing" in imported
     assert [name for name in imported if name.partition(".")[0] == "numpy"] == []
+
+
+def owners(hit) -> list:
+    """(module, function) of each node of src/lfqec that hit() accepts, in
+    file order: methods read Class.method, and module level reads ''."""
+    found = []
+
+    def visit(node, module, scope, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = scope + child.name
+                visit(child, module, name + ".", func if isinstance(child, ast.ClassDef) else name)
+                continue
+            if hit(child):
+                found.append((module, func))
+            visit(child, module, scope, func)
+
+    for path in sorted((SRC / "lfqec").glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, "", "")
+    return found
+
+
+def test_the_state_cap_is_read_where_states_are_built():
+    # the closed form builds no state, so only the state constructors and the
+    # Gram branch of the oracle's one route choice may read MAX_STATE
+    def reads(node):
+        return (isinstance(node, ast.Name) and node.id == "MAX_STATE" and isinstance(node.ctx, ast.Load)
+                or isinstance(node, ast.Attribute) and node.attr == "MAX_STATE")
+
+    assert owners(reads) == [("state_oracle", "StateVector.__init__"),
+                             ("state_oracle", "state_from_function"), ("state_oracle", "_route")]
+    tree = ast.parse((SRC / "lfqec" / "state_oracle.py").read_text())
+    route = next(node for node in tree.body if getattr(node, "name", "") == "_route")
+    closed = [node.lineno for node in ast.walk(route) if isinstance(node, ast.Return)
+              and "_closed_form_failures" in ast.unparse(node)]
+    cap = [node.lineno for node in ast.walk(route) if reads(node)]
+    assert len(closed) == 1 and cap[0] > closed[0]  # after the closed form has returned
+
+
+def test_one_function_builds_the_symmetric_form():
+    # S = U + U^T, which the coset search, the closed form and Gamma share:
+    # built by a scatter-add, or by a mirrored write S_ij = S_ji, in one place
+    def builds(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "at" and getattr(node.func.value, "attr", "") == "add"
+                or isinstance(node, ast.Assign)
+                and sum(isinstance(t, ast.Subscript) for t in node.targets) >= 2)
+
+    # the graph reader mirrors each edge weight into an adjacency matrix, no ANF's form
+    assert owners(builds) == [("_textfile", "read_graph_file"), ("logic_fn", "_symmetric_form")]
 
 
 COMMANDS = ["apc", "zset", "bent", "graph-code", "matrix-check", "coset-code", "projector",

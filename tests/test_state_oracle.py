@@ -598,6 +598,12 @@ def test_function_entries_keep_the_input_errors():
         kl_verify([f], 3)
     with pytest.raises(InputError, match=r"cap must lie in \[1, 2\]"):
         min_distance([f], cap=0)
+    # the state cap is the Gram route's: a cubic basis over it is refused, a
+    # shared-quadratic one takes the closed form and gets its verdict
     with pytest.raises(CapacityError, match="p\\^n with n = 21 exceeds cap 1048576"):
-        kl_verify([parse_anf("x1*x2", 2, 21)], 1)
+        kl_verify([parse_anf("x1*x2*x3", 2, 21)], 1)
+    report = kl_verify([parse_anf("x1*x2", 2, 21)], 1)
+    # X on each of x3 .. x21, which the function does not read, fixes the state
+    assert [(e.a.index(1), e.b, e.kind) for e in report.failures] == [
+        (v, (0,) * 21, "diag_unequal") for v in range(2, 21)]
     assert kl_verify([f], 0).passed
