@@ -7,14 +7,14 @@ That is the C-order ravel of an array on the grid (p,)*n whose axis i
 carries the digit x_(i+1). Every helper here works on that grid: a digit is
 one broadcast axis, a linear form is a sum of them and a shift is a roll, so
 no helper forms a table of all p^n * n digits. `shifted` is the one roll.
-Three callers index vectors in this layout themselves: the closed form and
-`_quadratic_first` dot rows with place values, `_first_nonvanishing` unravels.
+Digit rows and indices convert here alone: `table_index` maps rows to
+indices, `index_rows` maps indices back to rows (`index_vectors` as tuples).
 
 Labels (a|b) and row families are int8 rows of digits. `label_blocks` walks
-the labels of one weight as rows grouped by a, `support_rows` lists the
-X-parts a by their number of nonzero digits, and `differences` forms
-{L_i - L_j} of a family as table indices, in bounded memory. The
-character-sum search and the oracle share them; their predicates stay apart.
+the labels of one weight as rows grouped by a, in `label_order`; `support_rows`
+lists the X-parts a by their number of nonzero digits, and `differences` forms
+{L_i - L_j} of a family as table indices, in bounded memory. The character-sum
+search and the oracle share them; their predicates stay apart.
 """
 import itertools
 
@@ -42,15 +42,19 @@ def linear_values(p: int, n: int, b) -> np.ndarray:
     return out.reshape(-1)
 
 
+def table_index(p: int, rows) -> np.ndarray:
+    """The int64 table indices of digit rows (..., n) of any integer or bool dtype."""
+    return np.matmul(rows, p ** np.arange(np.shape(rows)[-1] - 1, -1, -1), dtype=np.int64)
+
+
+def index_rows(p: int, n: int, idx) -> np.ndarray:
+    """The int64 digit rows (..., n) at the given table indices."""
+    return np.asarray(idx, dtype=np.int64)[..., None] // p ** np.arange(n - 1, -1, -1) % p
+
+
 def index_vectors(p: int, n: int, idx) -> list:
     """The vectors at the given table indices, as tuples of Python ints."""
-    digits = np.unravel_index(np.asarray(idx, dtype=np.int64), (p,) * n)
-    return list(zip(*(d.tolist() for d in digits)))
-
-
-def vector_index(p: int, n: int, x) -> int:
-    """The table index of the vector x, whose entries must lie in 0..p-1."""
-    return int(np.ravel_multi_index(tuple(int(v) for v in x), (p,) * n))
+    return list(map(tuple, index_rows(p, n, idx).tolist()))
 
 
 def shifted(values: np.ndarray, p: int, n: int, a) -> np.ndarray:
@@ -65,13 +69,13 @@ def shifted_indices(p: int, n: int, a) -> np.ndarray:
 
 
 def label_blocks(p: int, n: int, w: int):
-    """All labels of symplectic weight w in the fixed order: support, then a,
-    then b, each lexicographic, as (supp, A, B, starts) per chunk. A and B are
-    int8 rows (rows, n) holding a and b, 0 off supp, decoded from the 2w
-    base-p digits of up to _CHUNK_ROWS numbers less those with a_k = b_k = 0;
-    rows starts[i]:starts[i + 1] share their a, and starts runs 0 .. rows. A
-    weight whose (p^2 - 1)^w kept rows fit one chunk is decoded and grouped once."""
-    digits = np.indices((p,) * w, dtype=np.int8).reshape(w, p**w).T  # row i: i in base p
+    """All labels of symplectic weight w in the fixed order, along which
+    label_order increases: support, then a, then b, each lexicographic, as
+    (supp, A, B, starts) per chunk. A and B are int8 rows (rows, n) holding a
+    and b, 0 off supp, decoded from the 2w base-p digits of up to _CHUNK_ROWS
+    numbers less those with a_k = b_k = 0; rows starts[i]:starts[i + 1] share
+    their a, and starts runs 0 .. rows. Weights whose rows fit one chunk decode once."""
+    digits = index_rows(p, w, np.arange(p**w)).astype(np.int8)  # row i: i in base p
 
     def chunk(lo):
         a, b = np.divmod(np.arange(lo, min(lo + _CHUNK_ROWS, p ** (2 * w))), p**w)
@@ -92,17 +96,27 @@ def label_blocks(p: int, n: int, w: int):
             yield supp, *full, starts
 
 
+def label_order(p: int, A, B) -> tuple:
+    """The key (major, minor) of the labels in the broadcasting rows A and B,
+    compared as pairs, that increases along label_blocks over weights 1..n:
+    supports come as their masks (x_1 the top bit) descend, so major = w 2^n
+    + 2^n - 1 - mask, and minor = index(a) p^n + index(b). (0, 0) has major < 2^n."""
+    held = (A != 0) | (B != 0)
+    n = held.shape[-1]
+    major = (held.sum(axis=-1) << n) + ((1 << n) - 1 - table_index(2, held))
+    return major, table_index(p, A) * p**n + table_index(p, B)
+
+
 def support_rows(p: int, n: int, k: int, rows: int):
     """Every a in F_p^n with exactly k nonzero digits: supports in the walk's
     order, then the digits on a support lexicographic, as int8 rows (r, n)
     in chunks of at most max(rows, 1) rows. k = 0 gives the zero row."""
     per, rows = (p - 1) ** k, max(rows, 1)  # digit rows of one support
-    place = (p - 1) ** np.arange(k - 1, -1, -1)
     supports = itertools.combinations(range(n), k)
     while batch := list(itertools.islice(supports, max(rows // per, 1))):
-        cols = np.array(batch, dtype=np.intp).reshape(len(batch), 1, k)
+        cols = np.fromiter(itertools.chain(*batch), np.intp).reshape(len(batch), 1, k)
         for lo in range(0, per, rows):
-            digits = 1 + np.arange(lo, min(lo + rows, per))[:, None] // place % (p - 1)
+            digits = 1 + index_rows(p - 1, k, np.arange(lo, min(lo + rows, per)))
             out = np.zeros((len(batch), len(digits), n), dtype=np.int8)
             out[np.arange(len(batch))[:, None, None], np.arange(len(digits))[:, None], cols] = digits
             yield out.reshape(-1, n)

@@ -15,8 +15,9 @@ Three pillars used everywhere else:
 - F_p linear algebra: rank, solve with nullspace basis, over small matrices.
 
 Capacities keep everything desk-scale: p <= 13, truth tables to 2^24
-entries, state vectors to 2^20, and listings to 2^22 entries (vectors x
-length, basis pairs, or basis functions x ANF terms).
+entries, state vectors to 2^20, listings to 2^22 entries (vectors x
+length, basis pairs, or basis functions x ANF terms), and an oracle sweep
+to 2^26 labels.
 """
 from __future__ import annotations
 
@@ -30,6 +31,8 @@ MAX_TABLE = 2**24
 MAX_STATE = 2**20
 # Most entries in one listing, such as zset's vectors x length; fits 768 MiB
 MAX_LISTING = 2**22
+# Most labels one full oracle sweep walks: every label of C13 at p = 2, 4^13 - 1
+MAX_LABELS = 2**26
 
 
 def validate_prime(p) -> int:
@@ -167,9 +170,6 @@ class FpMatrix(_Slotted):
 
     def row(self, i: int) -> tuple:
         return self.entries[i]
-
-    def col(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.entries)
 
     def submatrix(self, row_idx, col_idx) -> "FpMatrix":
         return FpMatrix(self.p, tuple(tuple(self.entries[i][j] for j in col_idx) for i in row_idx))

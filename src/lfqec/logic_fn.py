@@ -10,14 +10,13 @@ p = 2 quantities: the zero-product shift set is the zero set of the support
 indicator's autocorrelation, and bent detection reads the spectrum of the
 signs (-1)^f.
 
-Truth tables are int64 arrays of length p^n in the layout of `_tables`:
-index(x) = sum_i x_i p^(n-i), x_1 most significant, which is the C-order
-ravel of the grid (p,)*n with one axis per variable. Monomials, linear forms
-and shifts are evaluated on that grid by broadcasting. ANF monomials are
-sorted tuples of 0-based variable indices with repetition as exponent; () is
-the constant monomial. A canonical ANF has nonzero reduced coefficients,
-exponents below p and its terms in (degree, monomial) order. A `_Canonical`
-asserts it, made only by `_canonical_terms` and `affine_family` (see there).
+Truth tables are int64 arrays of length p^n in the layout of `_tables`, the
+grid (p,)*n with one axis per variable, on which monomials, linear forms and
+shifts are evaluated by broadcasting. ANF monomials are sorted tuples of
+0-based variable indices with repetition as exponent; () is the constant
+monomial. A canonical ANF has nonzero reduced coefficients, exponents below
+p and its terms in (degree, monomial) order. A `_Canonical` asserts it, made
+only by `_canonical_terms` and `affine_family` (see there).
 """
 from __future__ import annotations
 
@@ -27,8 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._tables import differences, digit_axis, index_vectors, label_blocks, linear_values
-from ._tables import shifted, support_rows
+from ._tables import differences, index_rows, index_vectors, label_blocks, label_order
+from ._tables import linear_values, shifted, support_rows
 from ._textfile import anf_terms
 from .errors import CapacityError, InputError
 from .fp_algebra import CycloInt, FpMatrix, MAX_TABLE, PauliLabel, _Slotted, check_listing, rank
@@ -270,8 +269,7 @@ def _first_nonvanishing(f: LogicFunction, betas) -> tuple:
         raise CapacityError(f"K p^n = {entries} shift table entries exceed the cap {MAX_TABLE}")
     keys, first = differences(betas, p)
     if terms is not None:
-        deltas = np.unravel_index(np.append(0, keys), (p,) * n)
-        return _quadratic_first(p, n, terms, np.stack(deltas, axis=1))
+        return _quadratic_first(p, n, terms, index_rows(p, n, np.append(0, keys)))
     return _walked_first(f, betas, [divmod(k, K) for k in first.tolist()])
 
 
@@ -292,33 +290,26 @@ def _quadratic_first(p: int, n: int, terms, deltas) -> tuple:
     """_first_nonvanishing for the reduced ANF terms Q + L.x + c of degree
     <= 2. With S = _symmetric_form(Q), f(x) - f(x-a) = (S a).x + const, so
     the sum at (a, b + delta) is nonzero exactly when b = -(S a + delta) mod
-    p. The first label is the least (w, support, a, b) over every a and
+    p. The first label is the least _tables.label_order key over every a and
     every row delta of deltas, D u {0} in ascending index order, with
     (a, b) != 0. An a with k nonzero digits gives labels of weight >= k, so
-    a is enumerated by k until k exceeds the least weight found. One
-    weight's supports come in the order of their masks, x_1 the top bit,
-    descending; so a label's order keys are w 2^n + (2^n - 1 - mask), then
-    index(a) p^n + index(b).
+    a is enumerated by k until k exceeds the least weight found, major >> n.
     Memory: a chunk of a-rows, rows x |D u {0}| <= _PAIR_ROWS unless one row exceeds it."""
-    S = _symmetric_form(p, n, terms)
-    place, bits = p ** np.arange(n - 1, -1, -1), 1 << np.arange(n - 1, -1, -1)
-    N, never = p**n, (n + 1) << n  # never: the order key of the label (0, 0), which is no label
+    S, never = _symmetric_form(p, n, terms), (n + 1) << n  # never: past every label's major
     best = (never, 0)
     for k in range(n + 1):
         if k > best[0] >> n:
             break
         for A in support_rows(p, n, k, _PAIR_ROWS // len(deltas)):
-            A = A.astype(np.int64)
-            B = -(A @ S)[:, None, :] - deltas  # (rows, |D u {0}|, n)
+            A = A.astype(np.int64)[:, None, :]
+            B = -(A @ S) - deltas  # (rows, |D u {0}|, n)
             B %= p
-            held = (B != 0) | (A != 0)[:, None, :]
-            w = held.sum(axis=2)
-            first = np.where(w > 0, (w << n) + ((1 << n) - 1 - held @ bits), never)
-            lo = int(first.min())
+            major, minor = label_order(p, A, B)
+            major[major < 1 << n] = never  # (0, 0), which is no label
+            lo = int(major.min())
             if lo <= best[0]:
-                second = np.where(first == lo, (A @ place)[:, None] * N + B @ place, N * N)
-                best = min(best, (lo, int(second.min())))
-    a, b = index_vectors(p, n, divmod(best[1], N))
+                best = min(best, (lo, int(minor[major == lo].min())))
+    a, b = index_vectors(p, n, divmod(best[1], p**n))
     return best[0] >> n, a, b
 
 
@@ -342,11 +333,11 @@ def _walked_first(f: LogicFunction, betas, pairs) -> tuple:
     # four terms lie in [2, 4p - 2]: no reduction mod p on the N keys
     stride = 4 * p
     for w in range(1, n + 1):
-        ys = np.indices((p,) * w).reshape(w, -1)  # y in index order, x_S[0] most significant
+        ys = index_rows(p, w, np.arange(p**w)).T  # y in index order, x_S[0] most significant
         y_rows = p * np.arange(p**w)[:, None]  # H[y] starts at p y in the flat H
         rows = p ** max(0, n - w - 1)  # labels per gather: rows p^(w+1) <= N entries
         for supp, A, B, starts in label_blocks(p, n, w):
-            y_key = sum(digit_axis(p, n, s) * p ** (w - 1 - k) for k, s in enumerate(supp))
+            y_key = np.arange(p**w).reshape([p if i in supp else 1 for i in range(n)])  # index(y)
             offset = stride * y_key + 2 * p  # p^w entries, broadcast over the grid
             for lo, hi in zip(starts, starts[1:]):  # the a-groups of the chunk
                 keys = shifted(table, p, n, a := A[lo].tolist())  # a new array: writable

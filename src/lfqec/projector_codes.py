@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._tables import linear_values, shifted_indices, vector_index
+from ._tables import linear_values, shifted_indices, table_index
 from .errors import CapacityError, InputError, PremiseError
 from .fp_algebra import (
     CycloInt,
@@ -176,11 +176,10 @@ def check_projector_premises(f: LogicFunction, A: FpMatrix) -> PremiseReport:
     n, t = f.n, _binary_table(f, A).table
     M = int(np.count_nonzero(t))
     zero = _autocorrelate(np.array(t)) == 0  # zset(f) by shift index, probed and never listed
-    idx = [vector_index(2, n, A.col(j)) for j in range(2 * n)]
+    cols = np.array(A.entries).T  # (2n, n): column j of A as a vector
     weight_ok = 0 < M <= 2 ** (n - 1)
-    missing_cols = tuple(j for j in range(2 * n) if not zero[idx[j]])
-    # binary vectors add mod 2 as their indices XOR
-    missing_sums = tuple(i for i in range(n) if not zero[idx[i] ^ idx[n + i]])
+    missing_cols = tuple(np.flatnonzero(~zero[table_index(2, cols)]).tolist())
+    missing_sums = tuple(np.flatnonzero(~zero[table_index(2, (cols[:n] + cols[n:]) % 2)]).tolist())
     rows = [PauliLabel(2, r[:n], r[n:]) for r in A.entries]
     nonorth = tuple((i, j) for i in range(n) for j in range(i + 1, n)
                     if symplectic_product(rows[i], rows[j]) != 0)

@@ -26,18 +26,21 @@ bases, and states, take the Gram sweep: the closed form's reference.
 kl_verify and min_distance take either kind of basis, choose the route in
 `_route` and refuse on both routes K^2 basis pairs over the listing budget.
 Only the Gram route, before it builds a state, also refuses p^n over the
-state cap, then K p^(n+1) entries over the table cap.
+state cap, then K p^(n+1) entries over the table cap. kl_verify, which walks
+every label up to its weight on either route, first refuses a count over
+the label budget; min_distance stops at its first failing weight.
 """
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
-from ._tables import differences, label_blocks, linear_values, shifted_indices
+from ._tables import differences, label_blocks, linear_values, shifted_indices, table_index
 from .errors import CapacityError, InputError
-from .fp_algebra import MAX_STATE, MAX_TABLE, CycloInt, PauliLabel, _Slotted, check_listing
-from .fp_algebra import table_size
+from .fp_algebra import MAX_LABELS, MAX_STATE, MAX_TABLE, CycloInt, PauliLabel, _Slotted
+from .fp_algebra import check_listing, table_size
 from .logic_fn import LogicFunction, _anf_terms, _symmetric_form
 
 # Integers up to 2^53 in size are exact in float64, and so is every sum of
@@ -210,11 +213,10 @@ def _closed_form_failures(S, L, p: int, n: int, max_weight: int):
     else, if u = 0, the first j with L_j.a != L_0.a, as G_jj ~ zeta^(-L_j.a); K = 1
     has no pair and fails iff u = 0. _check_basis holds every basis to the pair
     budget (`lfqec verify` applies it before any ANF is parsed or table built)."""
-    K, key = len(L), p ** np.arange(n - 1, -1, -1)
-    codes, first = differences(L, p)
+    (codes, first), K = differences(L, p), len(L)
     for w in range(1, max_weight + 1):
         for supp, A, B, _ in label_blocks(p, n, w):
-            u = (B - A[:, supp] @ S[supp]) % p @ key  # S a = a_S S[supp], as S is symmetric
+            u = table_index(p, (B - A[:, supp] @ S[supp]) % p)  # S a = a_S S[supp], S symmetric
             at = np.searchsorted(codes, u)
             hit = np.searchsorted(codes, u, side="right") > at  # u is a key; at may be len(codes)
             for r in np.flatnonzero(hit | (u == 0)).tolist():
@@ -266,10 +268,15 @@ def _check_basis(basis):
 def kl_verify(basis, max_weight: int) -> VerifyReport:
     """Check every error label of weight 1..max_weight, in increasing weight
     and a fixed deterministic order within each weight. Records one failure
-    entry per failing label; verdict is "pass" iff there are none."""
+    entry per failing label; verdict is "pass" iff there are none. Both
+    routes walk every label, so more than MAX_LABELS of them are refused first."""
     p, n = _check_basis(basis)
     if not 0 <= max_weight <= n:
         raise InputError(f"max_weight must lie in [0, {n}]")
+    labels = sum(math.comb(n, w) * (p * p - 1) ** w for w in range(1, max_weight + 1))
+    if labels > MAX_LABELS:
+        raise CapacityError(
+            f"{labels} labels of weight 1..{max_weight} exceed the label budget {MAX_LABELS}")
     failures = tuple(bad for _, bad in _route(basis, p, n, max_weight))
     return VerifyReport(p, n, len(basis), max_weight, "fail" if failures else "pass", failures)
 

@@ -1,11 +1,13 @@
 """Command-line interface: every subcommand in both output formats, the
 documented exit codes, and one installed-script smoke test."""
 import collections
+import hashlib
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -358,6 +360,28 @@ def test_exit_1_distance_claim_past_n(files, capsys):
     code, data = run_json(capsys, *argv, "--verify")
     assert code == 1
     assert data["verification"]["max_weight"] == 3 and data["verification"]["failures"]
+
+
+def cycle_graph(n: int) -> str:
+    return f"2 {n}\n" + "".join(f"{i} {i % n + 1}\n" for i in range(1, n + 1))
+
+
+def test_exit_3_full_sweep_over_the_label_budget(files, capsys):
+    # a claim past n walks every label: C16 would walk 4^16 - 1 of them, and
+    # is refused up front, while C10's 4^10 - 1 keep their verdict and bytes
+    def argv(n):
+        return ["graph-code", files(f"c{n}.g", cycle_graph(n)),
+                "--classes", files(f"c{n}.cl", "0" * n + "\n"), "--d", str(n + 2), "--verify"]
+
+    start = time.perf_counter()
+    assert main(argv(16)) == 3
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == (
+        "", "capacity: 4294967295 labels of weight 1..16 exceed the label budget 67108864\n")
+    code, out = run(capsys, *argv(10))
+    assert code == 1 and len(out.splitlines()) == 1027
+    digest = "d4b8fa19bf9b00d4495e3b9d3a3f2a979b8eec57d475e772b3a0a1d0c1a8290f"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_claim_past_n_is_checked_up_to_n(files, capsys):

@@ -245,6 +245,39 @@ def test_one_function_builds_the_symmetric_form():
     assert owners(builds) == [("_textfile", "read_graph_file"), ("logic_fn", "_symmetric_form")]
 
 
+def spells_the_index_map(node) -> bool:
+    """A call of numpy's unravel_index or ravel_multi_index, or a place-value
+    vector base ** np.arange(...): the table index map, spelled by hand."""
+    if isinstance(node, ast.Call):
+        name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", "")
+        return name in ("unravel_index", "ravel_multi_index")
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+            and isinstance(node.right, ast.Call) and getattr(node.right.func, "attr", "") == "arange")
+
+
+def test_only_tables_spells_the_index_map():
+    # vectors and table indices convert in `_tables` alone, so the search, the
+    # oracle and the projector premises read one layout; graph_codes' vertex
+    # masks 1 << np.arange(n) put vertex 1 in the low bit, a layout of their own
+    spelled = owners(spells_the_index_map)
+    assert [hit for hit in spelled if hit[0] != "_tables"] == []
+    assert {("_tables", "table_index"), ("_tables", "index_rows")} <= set(spelled)
+
+
+@pytest.mark.parametrize("source, found", [
+    ("np.unravel_index(keys, (p,) * n)", True),
+    ("numpy.ravel_multi_index(x, (p,) * n)", True),
+    ("unravel_index(keys, shape)", True),
+    ("key = p ** np.arange(n - 1, -1, -1)", True),
+    ("place = (p - 1) ** np.arange(k)", True),
+    ("bits = 1 << np.arange(n)", False),
+    ("squares = np.arange(n) ** 2", False),
+    ("idx = table_index(p, rows)", False),
+])
+def test_index_map_spellings_are_found(source, found):
+    assert any(map(spells_the_index_map, ast.walk(ast.parse(source)))) == found
+
+
 COMMANDS = ["apc", "zset", "bent", "graph-code", "matrix-check", "coset-code", "projector",
             "mds", "solve-basis", "verify"]
 TOP_USAGE = f"usage: lfqec [-h]\n             {{{','.join(COMMANDS)}}}\n             ...\n"

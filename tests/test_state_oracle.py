@@ -536,6 +536,22 @@ def test_verify_of_a_one_function_code_has_no_pair_to_look_up(tmp_path, capsys):
     assert failures and {e["kind"] for e in failures} == {"diag_unequal"}
 
 
+def test_a_sweep_over_the_label_budget_is_refused_before_the_walk(monkeypatch):
+    # weights 1..2 at p = 2, n = 3 are 3 * 3 + 3 * 9 = 36 labels, on either route
+    f = parse_anf("x1*x2", 2, 3)
+    closed_form = [f, add_affine(f, (0, 0, 1))]
+    gram = [parse_anf("x1*x2*x3", 2, 3), parse_anf("x1*x2*x3 + x1", 2, 3)]
+    monkeypatch.setattr(state_oracle, "MAX_LABELS", 36)
+    for basis in (closed_form, gram):
+        assert kl_verify(basis, 2).verdict == "fail"
+    monkeypatch.setattr(state_oracle, "MAX_LABELS", 35)
+    monkeypatch.setattr(state_oracle, "label_blocks", refuse)
+    for basis in (closed_form, gram):
+        with pytest.raises(CapacityError, match="^36 labels of weight 1..2 exceed the label budget 35$"):
+            kl_verify(basis, 2)
+        assert kl_verify(basis, 0).verdict == "pass"  # no label to walk
+
+
 def test_state_basis_over_the_pair_budget_is_refused_before_stacking(monkeypatch):
     # the Gram route reads (K p)^2 products per label; 8 states make 64 pairs
     f = parse_anf("x1*x2*x3", 2, 3)
