@@ -8,13 +8,16 @@ carries the digit x_(i+1). Every helper here works on that grid: a digit is
 one broadcast axis, a linear form is a sum of them and a shift is a roll, so
 no helper forms a table of all p^n * n digits. `shifted` is the one roll.
 Digit rows and indices convert here alone: `table_index` maps rows to
-indices, `index_rows` maps indices back to rows (`index_vectors` as tuples).
+indices, `index_rows` maps indices back to rows (`index_vectors` as tuples),
+and `support_index` gives index(x_S) on the axes of a support S.
 
 Labels (a|b) and row families are int8 rows of digits. `label_blocks` walks
-the labels of one weight as rows grouped by a, in `label_order`; `support_rows`
-lists the X-parts a by their number of nonzero digits, and `differences` forms
-{L_i - L_j} of a family as table indices, in bounded memory. The character-sum
-search and the oracle share them; their predicates stay apart.
+the labels of one weight as rows grouped by a, in `label_order`, the one
+order key, whose least `least_label` keeps and `label_at` decodes;
+`support_rows` lists the X-parts a by their number of nonzero digits, and
+`differences` forms {L_i - L_j} of a family as table indices, in bounded
+memory. The character-sum search and the oracle share them; their
+predicates stay apart.
 """
 import itertools
 
@@ -22,6 +25,10 @@ import numpy as np
 
 _CHUNK_ROWS = 2**16  # numbers the label walk decodes at once, so rows in one of its chunks
 _DIFF_PAIRS = 2**18  # pairs (i, j) one row chunk of `differences` keys at once
+# b^62, ..., b, 1 for every base b a digit row is read in, a prime p or p - 1;
+# exact where b^e < 2^63, as is every place value of a table under the cap
+_POWERS = np.arange(14)[:, None] ** np.arange(62, -1, -1)
+_POWERS.setflags(write=False)
 
 
 def digit_axis(p: int, n: int, i: int) -> np.ndarray:
@@ -42,14 +49,24 @@ def linear_values(p: int, n: int, b) -> np.ndarray:
     return out.reshape(-1)
 
 
+def _places(p: int, n: int) -> np.ndarray:
+    """The place values p^(n-1), ..., p, 1 of n base-p digits, a read-only view."""
+    return _POWERS[p, _POWERS.shape[1] - n :]
+
+
 def table_index(p: int, rows) -> np.ndarray:
-    """The int64 table indices of digit rows (..., n) of any integer or bool dtype."""
-    return np.matmul(rows, p ** np.arange(np.shape(rows)[-1] - 1, -1, -1), dtype=np.int64)
+    """The int64 table indices of an integer or bool array of digit rows (..., n)."""
+    return np.matmul(rows, _places(p, rows.shape[-1]), dtype=np.int64)
 
 
 def index_rows(p: int, n: int, idx) -> np.ndarray:
     """The int64 digit rows (..., n) at the given table indices."""
-    return np.asarray(idx, dtype=np.int64)[..., None] // p ** np.arange(n - 1, -1, -1) % p
+    return np.asarray(idx, dtype=np.int64)[..., None] // _places(p, n) % p
+
+
+def support_index(p: int, n: int, supp) -> np.ndarray:
+    """index(x_S) for every x, S ascending: S's axes in C order, broadcast over the grid."""
+    return np.arange(p ** len(supp)).reshape([p if i in supp else 1 for i in range(n)])
 
 
 def index_vectors(p: int, n: int, idx) -> list:
@@ -97,14 +114,40 @@ def label_blocks(p: int, n: int, w: int):
 
 
 def label_order(p: int, A, B) -> tuple:
-    """The key (major, minor) of the labels in the broadcasting rows A and B,
-    compared as pairs, that increases along label_blocks over weights 1..n:
-    supports come as their masks (x_1 the top bit) descend, so major = w 2^n
-    + 2^n - 1 - mask, and minor = index(a) p^n + index(b). (0, 0) has major < 2^n."""
+    """The key (major, minor) of the labels (a|b) in the broadcasting rows A
+    and B, compared as pairs, that increases along label_blocks over weights
+    1..n. Supports come as their masks (x_1 the top bit) descend, so major =
+    w 2^n + 2^n - 1 - mask, and minor = index(a) p^n + index(b). (0, 0),
+    which is no label, has major (n + 1) 2^n, past every label's."""
+    return _major(A, B), _minor(p, A, B)
+
+
+def _major(A, B) -> np.ndarray:
     held = (A != 0) | (B != 0)
-    n = held.shape[-1]
-    major = (held.sum(axis=-1) << n) + ((1 << n) - 1 - table_index(2, held))
-    return major, table_index(p, A) * p**n + table_index(p, B)
+    n, w = held.shape[-1], held.sum(axis=-1)
+    return np.where(w > 0, (w << n) + ((1 << n) - 1 - table_index(2, held)), (n + 1) << n)
+
+
+def _minor(p: int, A, B) -> np.ndarray:
+    return table_index(p, A) * p ** A.shape[-1] + table_index(p, B)
+
+
+def least_label(p: int, A, B, best=None):
+    """min(best, the least label_order key of a label in the broadcasting rows
+    A and B) as a pair of ints, or None if neither has one. Minors are formed
+    only on the rows of the least major, and only if it is at most best's."""
+    A, B = np.broadcast_arrays(A, B)
+    major, n = _major(A, B), A.shape[-1]
+    lo = int(major.min())
+    if lo >> n > n or best and lo > best[0]:  # (0, 0) alone, or no major below best's
+        return best
+    key = (lo, int(_minor(p, A[major == lo], B[major == lo]).min()))
+    return min(best or key, key)
+
+
+def label_at(p: int, n: int, key) -> tuple:
+    """(w, a, b) of the label whose label_order key is key, a and b as tuples."""
+    return (key[0] >> n, *index_vectors(p, n, divmod(key[1], p**n)))
 
 
 def support_rows(p: int, n: int, k: int, rows: int):

@@ -171,6 +171,9 @@ class FpMatrix(_Slotted):
     def row(self, i: int) -> tuple:
         return self.entries[i]
 
+    def col(self, j: int) -> tuple:
+        return tuple(r[j] for r in self.entries)
+
     def submatrix(self, row_idx, col_idx) -> "FpMatrix":
         return FpMatrix(self.p, tuple(tuple(self.entries[i][j] for j in col_idx) for i in row_idx))
 

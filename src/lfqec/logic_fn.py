@@ -26,8 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._tables import differences, index_rows, index_vectors, label_blocks, label_order
-from ._tables import linear_values, shifted, support_rows
+from ._tables import differences, index_rows, index_vectors, label_at, label_blocks
+from ._tables import least_label, linear_values, shifted, support_index, support_rows
 from ._textfile import anf_terms
 from .errors import CapacityError, InputError
 from .fp_algebra import CycloInt, FpMatrix, MAX_TABLE, PauliLabel, _Slotted, check_listing, rank
@@ -290,27 +290,21 @@ def _quadratic_first(p: int, n: int, terms, deltas) -> tuple:
     """_first_nonvanishing for the reduced ANF terms Q + L.x + c of degree
     <= 2. With S = _symmetric_form(Q), f(x) - f(x-a) = (S a).x + const, so
     the sum at (a, b + delta) is nonzero exactly when b = -(S a + delta) mod
-    p. The first label is the least _tables.label_order key over every a and
-    every row delta of deltas, D u {0} in ascending index order, with
-    (a, b) != 0. An a with k nonzero digits gives labels of weight >= k, so
-    a is enumerated by k until k exceeds the least weight found, major >> n.
+    p. The first label is the _tables.least_label over every a and every row
+    delta of deltas, D u {0} in ascending index order. An a with k nonzero
+    digits gives labels of weight >= k, so a is enumerated by k until k
+    exceeds the least weight found.
     Memory: a chunk of a-rows, rows x |D u {0}| <= _PAIR_ROWS unless one row exceeds it."""
-    S, never = _symmetric_form(p, n, terms), (n + 1) << n  # never: past every label's major
-    best = (never, 0)
+    S, best = _symmetric_form(p, n, terms), None  # best: the least order key found
     for k in range(n + 1):
-        if k > best[0] >> n:
+        if best and k > label_at(p, n, best)[0]:
             break
         for A in support_rows(p, n, k, _PAIR_ROWS // len(deltas)):
             A = A.astype(np.int64)[:, None, :]
             B = -(A @ S) - deltas  # (rows, |D u {0}|, n)
             B %= p
-            major, minor = label_order(p, A, B)
-            major[major < 1 << n] = never  # (0, 0), which is no label
-            lo = int(major.min())
-            if lo <= best[0]:
-                best = min(best, (lo, int(minor[major == lo].min())))
-    a, b = index_vectors(p, n, divmod(best[1], p**n))
-    return best[0] >> n, a, b
+            best = least_label(p, A, B, best)
+    return label_at(p, n, best)
 
 
 def _walked_first(f: LogicFunction, betas, pairs) -> tuple:
@@ -337,7 +331,7 @@ def _walked_first(f: LogicFunction, betas, pairs) -> tuple:
         y_rows = p * np.arange(p**w)[:, None]  # H[y] starts at p y in the flat H
         rows = p ** max(0, n - w - 1)  # labels per gather: rows p^(w+1) <= N entries
         for supp, A, B, starts in label_blocks(p, n, w):
-            y_key = np.arange(p**w).reshape([p if i in supp else 1 for i in range(n)])  # index(y)
+            y_key = support_index(p, n, supp)  # index(y)
             offset = stride * y_key + 2 * p  # p^w entries, broadcast over the grid
             for lo, hi in zip(starts, starts[1:]):  # the a-groups of the chunk
                 keys = shifted(table, p, n, a := A[lo].tolist())  # a new array: writable

@@ -557,6 +557,15 @@ def test_exit_3_state_capacity_for_a_quadratic_code(files, capsys):
     ]
 
 
+def test_exit_3_label_budget_is_read_before_the_state_cap(files, capsys):
+    # a cubic code over both caps: kl_verify counts its labels before the
+    # route is chosen, so the label budget, not the state cap, refuses it
+    text = json.dumps({"p": 2, "n": 21, "claimed_d": 8, "basis": ["x1*x2*x3", "x1*x2*x3 + x4"]})
+    assert main(["verify", files("big.json", text)]) == 3
+    assert capsys.readouterr() == (
+        "", "capacity: 299330271 labels of weight 1..7 exceed the label budget 67108864\n")
+
+
 def test_quadratic_inputs_are_verified_without_states(files, capsys, monkeypatch, tmp_path):
     import lfqec.state_oracle
 

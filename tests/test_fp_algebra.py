@@ -366,6 +366,7 @@ def test_matrix_helpers():
     M = FpMatrix.from_rows(3, [[1, 2, 0], [2, 0, 1]])
     assert M.rows == 2 and M.cols == 3
     assert M.row(1) == (2, 0, 1)
+    assert M.col(1) == (2, 0)
     assert M.submatrix([1], [0, 2]).entries == ((2, 1),)
     st = M.hstack(M)
     assert st.cols == 6 and st.row(0) == (1, 2, 0, 1, 2, 0)

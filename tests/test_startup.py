@@ -246,10 +246,15 @@ def test_one_function_builds_the_symmetric_form():
 
 
 def spells_the_index_map(node) -> bool:
-    """A call of numpy's unravel_index or ravel_multi_index, or a place-value
-    vector base ** np.arange(...): the table index map, spelled by hand."""
+    """A call of numpy's unravel_index or ravel_multi_index, a place-value
+    vector base ** np.arange(...), or np.arange(...).reshape(...), which lays
+    a C-order ravel onto grid axes: the table index map, spelled by hand."""
     if isinstance(node, ast.Call):
-        name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", "")
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr == "reshape":
+            inner = func.value.func if isinstance(func.value, ast.Call) else None
+            return getattr(inner, "attr", getattr(inner, "id", "")) == "arange"
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
         return name in ("unravel_index", "ravel_multi_index")
     return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
             and isinstance(node.right, ast.Call) and getattr(node.right.func, "attr", "") == "arange")
@@ -261,7 +266,7 @@ def test_only_tables_spells_the_index_map():
     # masks 1 << np.arange(n) put vertex 1 in the low bit, a layout of their own
     spelled = owners(spells_the_index_map)
     assert [hit for hit in spelled if hit[0] != "_tables"] == []
-    assert {("_tables", "table_index"), ("_tables", "index_rows")} <= set(spelled)
+    assert {("_tables", ""), ("_tables", "support_index")} <= set(spelled)
 
 
 @pytest.mark.parametrize("source, found", [
@@ -270,8 +275,12 @@ def test_only_tables_spells_the_index_map():
     ("unravel_index(keys, shape)", True),
     ("key = p ** np.arange(n - 1, -1, -1)", True),
     ("place = (p - 1) ** np.arange(k)", True),
+    ("y_key = np.arange(p**w).reshape([p if i in supp else 1 for i in range(n)])", True),
+    ("y_key = arange(p**w).reshape(shape)", True),
     ("bits = 1 << np.arange(n)", False),
     ("squares = np.arange(n) ** 2", False),
+    ("grid = np.zeros(p**n).reshape((p,) * n)", False),
+    ("grid = table.reshape((p,) * n)", False),
     ("idx = table_index(p, rows)", False),
 ])
 def test_index_map_spellings_are_found(source, found):

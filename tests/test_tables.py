@@ -16,11 +16,14 @@ from lfqec._tables import (
     digit_axis,
     index_rows,
     index_vectors,
+    label_at,
     label_blocks,
     label_order,
+    least_label,
     linear_values,
     shifted,
     shifted_indices,
+    support_index,
     table_index,
 )
 
@@ -88,6 +91,16 @@ def test_the_two_maps_follow_horners_rule(gen, p, n):
     assert index_rows(p, n, []).shape == (0, n)
 
 
+@pytest.mark.parametrize("p, n", CASES)
+def test_support_index_reads_the_digits_on_the_support(p, n):
+    xs = list(itertools.product(range(p), repeat=n))
+    grid = np.zeros((p,) * n, dtype=np.int64)
+    for w in range(n + 1):
+        for supp in itertools.combinations(range(n), w):
+            got = (grid + support_index(p, n, list(supp))).reshape(-1).tolist()
+            assert got == [digit_index(p, [x[s] for s in supp]) for x in xs]
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 13])
 def test_difference_keys_are_the_forward_map_of_their_first_pair(gen, p):
     n = 4 if p < 13 else 3
@@ -105,11 +118,15 @@ def test_difference_keys_are_the_forward_map_of_their_first_pair(gen, p):
 
 
 def walked_keys(p: int, n: int) -> list:
-    """label_order's (major, minor) of every label, in label_blocks' order."""
+    """label_order's (major, minor) of every label, in label_blocks' order;
+    label_at decodes each key back to its (w, a, b)."""
     keys = []
     for w in range(1, n + 1):
         for _, A, B, _ in label_blocks(p, n, w):
-            keys += zip(*(key.tolist() for key in label_order(p, A, B)))
+            block = list(zip(*(key.tolist() for key in label_order(p, A, B))))
+            assert [label_at(p, n, key) for key in block] == [
+                (w, tuple(a), tuple(b)) for a, b in zip(A.tolist(), B.tolist())]
+            keys += block
     return keys
 
 
@@ -121,9 +138,8 @@ def test_the_order_key_increases_along_the_walk(p, n):
     keys = walked_keys(p, n)
     assert len(keys) == p ** (2 * n) - 1
     assert all(k < k_next for k, k_next in zip(keys, keys[1:]))
-    assert min(keys)[0] >= 1 << n
     zero = np.zeros(n, dtype=np.int8)
-    assert label_order(p, zero, zero)[0] < 1 << n  # (0, 0) is no label
+    assert tuple(map(int, label_order(p, zero, zero))) > keys[-1]  # (0, 0) is no label
 
 
 @pytest.mark.parametrize("p, n", ORDER_CASES)
@@ -132,3 +148,22 @@ def test_the_order_key_increases_across_small_chunks(monkeypatch, p, n):
     keys = walked_keys(p, n)
     assert len(keys) == p ** (2 * n) - 1
     assert all(k < k_next for k, k_next in zip(keys, keys[1:]))
+
+
+@pytest.mark.parametrize("p, n", [(2, 5), (3, 4), (13, 3)])
+def test_least_label_is_the_least_key_of_a_label(gen, p, n):
+    # rows A (r, 1, n) against B (r, m, n), as the character-sum search holds
+    # them, with (0, 0) among them; a best key below every row's is kept
+    for _ in range(20):
+        A = gen.integers(0, p, size=(4, 1, n)) * (gen.random((4, 1, 1)) < 0.7)
+        B = gen.integers(0, p, size=(4, 3, n)) * (gen.random((4, 3, 1)) < 0.5)
+        A[0], B[0, 0] = 0, 0
+        major, minor = label_order(p, *np.broadcast_arrays(A, B))
+        real = (A != 0).any(axis=-1) | (B != 0).any(axis=-1)  # (4, 3): not (0, 0)
+        keys = sorted(zip(major[real].tolist(), minor[real].tolist()))
+        assert least_label(p, A, B) == keys[0]
+        assert least_label(p, A, B, keys[-1]) == keys[0]
+        assert least_label(p, A, B, (1, 0)) == (1, 0)
+    zero = np.zeros((2, 1, n), dtype=np.int64)
+    assert least_label(p, zero, zero) is None
+    assert least_label(p, zero, zero, (1, 0)) == (1, 0)
