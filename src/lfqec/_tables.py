@@ -15,9 +15,9 @@ Labels (a|b) and row families are int8 rows of digits. `label_blocks` walks
 the labels of one weight as rows grouped by a, in `label_order`, the one
 order key, whose least `least_label` keeps and `label_at` decodes;
 `support_rows` lists the X-parts a by their number of nonzero digits, and
-`differences` forms {L_i - L_j} of a family as table indices, in bounded
-memory. The character-sum search and the oracle share them; their
-predicates stay apart.
+`differences` forms {L_i - L_j} of a family as table indices with the
+first pair (i, j) of each, (keys, i, j), in bounded memory. The
+character-sum search and the oracle share them; their predicates stay apart.
 """
 import itertools
 
@@ -78,11 +78,6 @@ def shifted(values: np.ndarray, p: int, n: int, a) -> np.ndarray:
     """values[x - a] for every x: the one grid roll, by a_i along each axis i."""
     axes = tuple(i for i, v in enumerate(a) if v % p)
     return np.roll(values.reshape((p,) * n), tuple(int(a[i]) for i in axes), axis=axes).reshape(-1)
-
-
-def shifted_indices(p: int, n: int, a) -> np.ndarray:
-    """Index of x + a for every x, as an array over table indices."""
-    return shifted(np.arange(p**n), p, n, [-int(v) for v in a])
 
 
 def label_blocks(p: int, n: int, w: int):
@@ -166,9 +161,9 @@ def support_rows(p: int, n: int, k: int, rows: int):
 
 
 def differences(rows, p: int):
-    """(keys, first) for the (K, n) rows L of a family over F_p: the ascending
+    """(keys, i, j) for the (K, n) rows L of a family over F_p: the ascending
     table indices of L_i - L_j over i != j, each with its first pair (i, j) in
-    row-major order as i K + j. Row chunks of about _DIFF_PAIRS pairs are keyed
+    row-major order. Row chunks of about _DIFF_PAIRS pairs are keyed
     key * size + place and sorted, and each chunk's new keys join the running
     set: memory is |D| <= min(K^2, p^n) keys plus one chunk."""
     L = (np.array(rows, dtype=np.int64) % p).astype(np.int8)  # digit passes over int8
@@ -188,4 +183,4 @@ def differences(rows, p: int):
         at = np.searchsorted(keys, new)
         fresh = at == np.searchsorted(keys, new, side="right")  # not yet in keys
         keys, first = (np.insert(v, at[fresh], w[fresh]) for v, w in ((keys, new), (first, place)))
-    return keys, first
+    return keys, *np.divmod(first, K)

@@ -9,10 +9,9 @@ from character sums rather than taken on faith.
 """
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
+from ._tables import index_rows
 from .codespec import CodeSpec
 from .errors import InputError, PremiseError
 from .fp_algebra import FpMatrix, table_size
@@ -77,8 +76,8 @@ def _matrix_code(A: FpMatrix, k: int, d: int) -> CodeSpec:
     qudits = range(k, A.rows)
     quad = quadratic_form(A.submatrix(qudits, qudits))  # enforces symmetric, zero diagonal
     # row c: the class columns of the qudit rows applied to the class vector c
-    classes = np.array(list(itertools.product(range(A.p), repeat=k)), dtype=np.int64)
-    lins = classes.reshape(A.p**k, k) @ np.array(A.entries, dtype=np.int64)[k:, :k].T % A.p
+    classes = index_rows(A.p, k, np.arange(A.p**k))
+    lins = classes @ np.array(A.entries, dtype=np.int64)[k:, :k].T % A.p
     basis = tuple(affine_family(quad, lins.tolist()))
     return CodeSpec(A.p, len(qudits), basis, claimed_d=d, provenance="matrix-code")
 

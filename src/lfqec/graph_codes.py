@@ -84,14 +84,16 @@ def _coverage_map(G: WeightedGraph, budget: int) -> np.ndarray:
     check_listing(3**top, f"3^{top} = {3**top} coverage role tuples")
     import numpy as np
 
+    from ._tables import index_rows, table_index
+
     bits, adj = 1 << np.arange(G.n), np.array(G.adj.entries, dtype=np.int64)
     cov = np.full((2, 1 << G.n), -1)
     for s in range(top + 1):
-        # role tuples in product order, 1 = omega only, 2 = delta only, 3 = both;
+        # role tuples in index order, 1 = omega only, 2 = delta only, 3 = both;
         # each picks its omega and its delta by subset index into the support
-        roles = np.indices((3,) * s).reshape(s, 3**s).T + 1
-        picks = np.stack([roles & 1, roles >> 1]) @ bits[:s]
-        subsets = np.arange(1 << s)[:, None] >> np.arange(s) & 1
+        roles = index_rows(3, s, np.arange(3**s)) + 1
+        picks = table_index(2, np.stack([roles & 1, roles >> 1]))
+        subsets = index_rows(2, s, np.arange(1 << s))
         for supp in map(list, itertools.combinations(range(G.n), s)):
             masks = subsets @ bits[supp]
             nbrs = (subsets @ adj[supp] % G.p != 0) @ bits  # N(omega) per subset

@@ -160,15 +160,16 @@ def _anf_terms(f: LogicFunction, max_deg: int | None = None) -> tuple | None:
     grid = _per_axis(f.table.astype(np.uint8).reshape((p,) * n), W, p)
     if max_deg is not None and np.count_nonzero(grid) > math.comb(n + max_deg, max_deg):
         return None  # more terms than monomials of degree <= max_deg: list none of them
-    exps = np.argwhere(grid)  # the exponent vectors of the nonzero coefficients
+    idx = np.flatnonzero(grid)  # the table indices of the nonzero coefficients
+    exps = index_rows(p, n, idx)  # their exponent vectors
     deg = exps.sum(axis=1)
     if max_deg is not None and (deg > max_deg).any():
         return None  # before one tuple per term is built
     # canonical order: by degree, then by monomial tuple; within one degree
     # the tuples ascend as the exponent vectors, and so their indices, descend
-    order = np.lexsort((-np.arange(len(deg)), deg))
+    order = np.lexsort((-idx, deg))
     exps, deg = exps[order], deg[order]
-    coeffs = grid[tuple(exps.T)].tolist()
+    coeffs = grid.ravel()[idx[order]].tolist()
     terms = []
     cuts = np.flatnonzero(np.diff(deg, prepend=-1)).tolist() + [len(deg)]  # runs of one degree
     for lo, hi in zip(cuts, cuts[1:]):
@@ -267,10 +268,10 @@ def _first_nonvanishing(f: LogicFunction, betas) -> tuple:
     terms = _anf_terms(f, max_deg=2)
     if (terms is None or f.anf is None) and (entries := K * p**n) > MAX_TABLE:
         raise CapacityError(f"K p^n = {entries} shift table entries exceed the cap {MAX_TABLE}")
-    keys, first = differences(betas, p)
+    keys, i, j = differences(betas, p)
     if terms is not None:
         return _quadratic_first(p, n, terms, index_rows(p, n, np.append(0, keys)))
-    return _walked_first(f, betas, [divmod(k, K) for k in first.tolist()])
+    return _walked_first(f, betas, list(zip(i.tolist(), j.tolist())))
 
 
 def _symmetric_form(p: int, n: int, terms) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._tables import linear_values, shifted_indices, table_index
+from ._tables import index_rows, linear_values, shifted, table_index
 from .errors import CapacityError, InputError, PremiseError
 from .fp_algebra import (
     CycloInt,
@@ -30,7 +30,7 @@ from .fp_algebra import (
     validate_prime,
 )
 from .logic_fn import LogicFunction, _autocorrelate, _bent_domain, affine_family, is_bent
-from .logic_fn import solve_coboundary, weight_support
+from .logic_fn import solve_coboundary
 
 _FLOAT_EXACT_BOUND = 2**52
 MAX_OPERATOR_DIM = 1024  # dimension p^n of an OperatorMatrix
@@ -252,11 +252,11 @@ def extract_boolean_basis(f: LogicFunction, A: FpMatrix) -> list:
     if g0 is None:
         raise PremiseError("no quadratic function satisfies the syndrome difference system")
     # lambda_t = L^(-1) t for every t at once: the rows of signs times L^(-1) transposed
-    signs = np.array(weight_support(f)[1], dtype=np.uint8)
+    signs = index_rows(2, n, np.flatnonzero(f.table))
     lams = signs @ np.array(inv)[:, n:].T % 2
     g = g0.table  # one expansion: each row gathers d_i once, for every syndrome
     for i, (a, b) in enumerate(ab):
-        d = g[shifted_indices(2, n, a)] ^ g ^ linear_values(2, n, b)
+        d = shifted(g, 2, n, a) ^ g ^ linear_values(2, n, b)  # g(x + a) = g(x - a) over F_2
         c = signs[:, i] ^ lams @ a % 2
         bad = np.flatnonzero((c != d[0]) | (d != d[0]).any())
         if bad.size:

@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._tables import differences, label_blocks, linear_values, shifted_indices, table_index
+from ._tables import differences, label_blocks, linear_values, shifted, table_index
 from .errors import CapacityError, InputError
 from .fp_algebra import MAX_LABELS, MAX_STATE, MAX_TABLE, CycloInt, PauliLabel, _Slotted
 from .fp_algebra import check_listing, table_size
@@ -80,7 +80,7 @@ def state_from_function(f) -> StateVector:
 def _error_index(shift: np.ndarray, a, b, p: int, n: int) -> np.ndarray:
     """Gather index g with E'_(a,b) psi = psi[g], both spelled exponent-major
     (entry t*N + y is coefficient t at |y>): |y> reads x = y - a, at index
-    shift[y] of shift = shifted_indices(p, n, -a), with its exponents moved
+    shift[y] of shift = shifted(np.arange(p**n), p, n, a), with its exponents moved
     up by b.x = b.y - a.b."""
     rot = linear_values(p, n, b) - sum(x * y for x, y in zip(a, b))
     g = np.subtract.outer(np.arange(p), rot)  # built in place: one p*N array
@@ -94,7 +94,7 @@ def apply_error(e: PauliLabel, state: StateVector) -> StateVector:
     """E'_e acts by new[x + a] = zeta^(b.x) * old[x]."""
     if (e.p, e.n) != (state.p, state.n):
         raise InputError("label does not match the state")
-    shift = shifted_indices(state.p, state.n, [-v for v in e.a])
+    shift = shifted(np.arange(state.p**state.n), state.p, state.n, e.a)
     g = _error_index(shift, e.a, e.b, state.p, state.n)
     return StateVector(state.p, state.n, state.amps.T.ravel()[g].reshape(state.p, -1).T)
 
@@ -199,7 +199,7 @@ def _failures(states, p: int, n: int, max_weight: int):
         for _, A, B, starts in label_blocks(p, n, w):
             for lo, hi in zip(starts, starts[1:]):
                 a = A[lo].tolist()  # Python ints: _error_index sums over them
-                shift = shifted_indices(p, n, [-v for v in a])
+                shift = shifted(np.arange(p**n), p, n, a)
                 for b in B[lo:hi].tolist():
                     np.take(X, _error_index(shift, a, b, p, n), axis=1, out=kets, mode="clip")
                     bad = _violation(_gram(X, kets, p))
@@ -213,7 +213,7 @@ def _closed_form_failures(S, L, p: int, n: int, max_weight: int):
     else, if u = 0, the first j with L_j.a != L_0.a, as G_jj ~ zeta^(-L_j.a); K = 1
     has no pair and fails iff u = 0. _check_basis holds every basis to the pair
     budget (`lfqec verify` applies it before any ANF is parsed or table built)."""
-    (codes, first), K = differences(L, p), len(L)
+    (codes, fi, fj), K = differences(L, p), len(L)
     for w in range(1, max_weight + 1):
         for supp, A, B, _ in label_blocks(p, n, w):
             u = table_index(p, (B - A[:, supp] @ S[supp]) % p)  # S a = a_S S[supp], S symmetric
@@ -221,7 +221,7 @@ def _closed_form_failures(S, L, p: int, n: int, max_weight: int):
             hit = np.searchsorted(codes, u, side="right") > at  # u is a key; at may be len(codes)
             for r in np.flatnonzero(hit | (u == 0)).tolist():
                 if hit[r]:
-                    bad = ("offdiag_nonzero", *divmod(int(first[at[r]]), K))
+                    bad = ("offdiag_nonzero", int(fi[at[r]]), int(fj[at[r]]))
                 elif (j := int(np.argmax((L - L[0]) @ A[r] % p != 0))) or K == 1:
                     bad = ("diag_unequal", 0, j)
                 else:
@@ -269,7 +269,8 @@ def kl_verify(basis, max_weight: int) -> VerifyReport:
     """Check every error label of weight 1..max_weight, in increasing weight
     and a fixed deterministic order within each weight. Records one failure
     entry per failing label; verdict is "pass" iff there are none. Both
-    routes walk every label, so more than MAX_LABELS of them are refused first."""
+    routes walk every label, so more than MAX_LABELS of them are refused first.
+    max_weight 0 has no label: it passes before a route, and so meets no route's cap."""
     p, n = _check_basis(basis)
     if not 0 <= max_weight <= n:
         raise InputError(f"max_weight must lie in [0, {n}]")
@@ -277,7 +278,7 @@ def kl_verify(basis, max_weight: int) -> VerifyReport:
     if labels > MAX_LABELS:
         raise CapacityError(
             f"{labels} labels of weight 1..{max_weight} exceed the label budget {MAX_LABELS}")
-    failures = tuple(bad for _, bad in _route(basis, p, n, max_weight))
+    failures = tuple(bad for _, bad in _route(basis, p, n, max_weight)) if max_weight else ()
     return VerifyReport(p, n, len(basis), max_weight, "fail" if failures else "pass", failures)
 
 

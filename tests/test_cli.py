@@ -13,7 +13,7 @@ import pytest
 
 from conftest import count_expansions
 import lfqec
-from lfqec import build_coset_code, parse_anf
+from lfqec import build_coset_code, kl_verify, parse_anf
 from lfqec.cli import main
 
 K4_FN = "2 4\nanf: x1*x2 + x1*x3 + x1*x4 + x2*x3 + x2*x4 + x3*x4\n"
@@ -564,6 +564,17 @@ def test_exit_3_label_budget_is_read_before_the_state_cap(files, capsys):
     assert main(["verify", files("big.json", text)]) == 3
     assert capsys.readouterr() == (
         "", "capacity: 299330271 labels of weight 1..7 exceed the label budget 67108864\n")
+
+
+def test_a_claim_that_needs_no_label_meets_no_cap(files, capsys):
+    # claimed_d = 1 checks weights 1..0: no label, so no route sizes the
+    # states of this cubic basis over the state cap; d = 2 still meets it
+    basis = [f"x1*x2*x3 + x4*x5{c}" for c in ("", " + x1", " + x2")]
+    for d, want in [(1, (0, "verdict: pass (max weight 0)\n", "")),
+                    (2, (3, "", "capacity: p^n with n = 21 exceeds cap 1048576\n"))]:
+        text = json.dumps({"p": 2, "n": 21, "claimed_d": d, "basis": basis})
+        assert (main(["verify", files("big.json", text)]), *capsys.readouterr()) == want
+    assert kl_verify([parse_anf(f, 2, 21) for f in basis], 0).passed
 
 
 def test_quadratic_inputs_are_verified_without_states(files, capsys, monkeypatch, tmp_path):

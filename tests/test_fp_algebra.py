@@ -258,15 +258,15 @@ def test_support_rows_take_at_least_one_row_a_chunk():
 
 
 def listed_differences(rows, p: int) -> tuple:
-    """(keys, first) of _tables.differences from every ordered pair i != j
+    """(keys, i, j) of _tables.differences from every ordered pair i != j
     in row-major order, each difference keyed by its table index."""
     first = {}
     for i, j in itertools.product(range(len(rows)), repeat=2):
         if i != j:
             delta = [(x - y) % p for x, y in zip(rows[i], rows[j])]
-            first.setdefault(digit_index(p, delta), i * len(rows) + j)
+            first.setdefault(digit_index(p, delta), (i, j))
     keys = sorted(first)
-    return keys, [first[k] for k in keys]
+    return keys, [first[k][0] for k in keys], [first[k][1] for k in keys]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 13])
@@ -281,9 +281,8 @@ def test_differences_match_a_listing_of_every_pair(p, chunk, monkeypatch):
         for K in range(1, min(p**n, 14) + 1):
             rows = gen.integers(0, p, (K, n)).tolist()
             for family in (rows, rows + rows[:1]):
-                keys, first = _tables.differences(family, p)
-                want = listed_differences(family, p)
-                assert (keys.tolist(), first.tolist()) == want, (n, family)
+                got = [v.tolist() for v in _tables.differences(family, p)]
+                assert got == list(listed_differences(family, p)), (n, family)
                 sides.add((len(family) ** 2 > p**n) - (len(family) ** 2 < p**n))
             assert _tables.differences(rows + rows[:1], p)[0][0] == 0
             if K == 1:
@@ -296,10 +295,10 @@ def test_differences_across_the_chunk_size():
     # new in the second, and a key both hold keeps the first chunk's pair
     rows = rng(16).integers(0, 2, (600, 16)).tolist()
     assert 600**2 > _tables._DIFF_PAIRS > 600
-    keys, first = _tables.differences(rows, 2)
-    assert (keys.tolist(), first.tolist()) == listed_differences(rows, 2)
-    step = _tables._DIFF_PAIRS // 600 * 600
-    assert (first >= step).any() and (first < step).any()
+    keys, i, j = _tables.differences(rows, 2)
+    assert [keys.tolist(), i.tolist(), j.tolist()] == list(listed_differences(rows, 2))
+    step = _tables._DIFF_PAIRS // 600  # rows in one chunk
+    assert (i >= step).any() and (i < step).any()
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +365,6 @@ def test_matrix_helpers():
     M = FpMatrix.from_rows(3, [[1, 2, 0], [2, 0, 1]])
     assert M.rows == 2 and M.cols == 3
     assert M.row(1) == (2, 0, 1)
-    assert M.col(1) == (2, 0)
     assert M.submatrix([1], [0, 2]).entries == ((2, 1),)
     st = M.hstack(M)
     assert st.cols == 6 and st.row(0) == (1, 2, 0, 1, 2, 0)

@@ -269,7 +269,7 @@ def test_projector_rank_capacity_after_premises(monkeypatch):
     # terms: over the budget it is refused before a support point is listed
     # or the difference system is solved
     monkeypatch.setattr(fp_algebra, "MAX_LISTING", 66)
-    monkeypatch.setattr(projector_codes, "weight_support", lambda *args: pytest.fail("listed"))
+    monkeypatch.setattr(projector_codes, "index_rows", lambda *args: pytest.fail("listed"))
     monkeypatch.setattr(projector_codes, "solve_coboundary", lambda *args: pytest.fail("solved"))
     with pytest.raises(CapacityError, match="1 x 67 basis ANF terms exceed the listing budget 66"):
         extract_boolean_basis(f, A)
@@ -387,9 +387,9 @@ def test_extraction_forms_each_row_shift_once(monkeypatch):
     # one shift per row of A serves all K = 256 recovered states
     A = mds_matrix(5)
     calls = []
-    shift = projector_codes.shifted_indices
-    monkeypatch.setattr(projector_codes, "shifted_indices",
-                        lambda p, n, a: calls.append(tuple(a)) or shift(p, n, a))
+    shift = projector_codes.shifted
+    monkeypatch.setattr(projector_codes, "shifted",
+                        lambda values, p, n, a: calls.append(tuple(a)) or shift(values, p, n, a))
     assert len(extract_boolean_basis(mds_function(5), A)) == 256
     assert calls == [tuple(A.row(i)[:10]) for i in range(10)]
 

@@ -246,23 +246,29 @@ def test_one_function_builds_the_symmetric_form():
 
 
 def spells_the_index_map(node) -> bool:
-    """A call of numpy's unravel_index or ravel_multi_index, a place-value
-    vector base ** np.arange(...), or np.arange(...).reshape(...), which lays
-    a C-order ravel onto grid axes: the table index map, spelled by hand."""
+    """A call of numpy's unravel_index, ravel_multi_index or indices, a
+    place-value vector base ** np.arange(...), bit rows m >> np.arange(...),
+    np.arange(...).reshape(...), which lays a C-order ravel onto grid axes,
+    or a listing product(..., repeat=...) of F_p^k: the table index map, or
+    its rows, spelled by hand."""
     if isinstance(node, ast.Call):
         func = node.func
         if isinstance(func, ast.Attribute) and func.attr == "reshape":
             inner = func.value.func if isinstance(func.value, ast.Call) else None
             return getattr(inner, "attr", getattr(inner, "id", "")) == "arange"
         name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        if name == "product":
+            return any(kw.arg == "repeat" for kw in node.keywords)
+        if name == "indices":  # numpy's grid of indices, not slice.indices
+            return getattr(getattr(func, "value", None), "id", "np") in ("np", "numpy")
         return name in ("unravel_index", "ravel_multi_index")
-    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Pow, ast.RShift))
             and isinstance(node.right, ast.Call) and getattr(node.right.func, "attr", "") == "arange")
 
 
 def test_only_tables_spells_the_index_map():
     # vectors and table indices convert in `_tables` alone, so the search, the
-    # oracle and the projector premises read one layout; graph_codes' vertex
+    # oracle, the builders and the projector read one layout; graph_codes' vertex
     # masks 1 << np.arange(n) put vertex 1 in the low bit, a layout of their own
     spelled = owners(spells_the_index_map)
     assert [hit for hit in spelled if hit[0] != "_tables"] == []
@@ -277,6 +283,12 @@ def test_only_tables_spells_the_index_map():
     ("place = (p - 1) ** np.arange(k)", True),
     ("y_key = np.arange(p**w).reshape([p if i in supp else 1 for i in range(n)])", True),
     ("y_key = arange(p**w).reshape(shape)", True),
+    ("classes = itertools.product(range(p), repeat=k)", True),
+    ("roles = np.indices((3,) * s).reshape(s, 3**s).T + 1", True),
+    ("subsets = np.arange(1 << s)[:, None] >> np.arange(s) & 1", True),
+    ("pairs = itertools.product(range(K), range(K))", False),
+    ("i, j = np.argwhere(nonzero)[0]", False),
+    ("start, stop, step = window.indices(n)", False),
     ("bits = 1 << np.arange(n)", False),
     ("squares = np.arange(n) ** 2", False),
     ("grid = np.zeros(p**n).reshape((p,) * n)", False),

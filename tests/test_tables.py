@@ -22,7 +22,6 @@ from lfqec._tables import (
     least_label,
     linear_values,
     shifted,
-    shifted_indices,
     support_index,
     table_index,
 )
@@ -50,7 +49,7 @@ def test_layout_matches_digit_arithmetic(gen, p, n):
         want = [sum(vi * xi for vi, xi in zip(v, x)) % p for x in xs]
         assert linear_values(p, n, v).tolist() == want
         moved = [digit_index(p, [(xi + vi) % p for xi, vi in zip(x, v)]) for x in xs]
-        assert shifted_indices(p, n, v).tolist() == moved
+        assert shifted(np.arange(N), p, n, [-vi for vi in v]).tolist() == moved
         values = gen.permutation(N)
         rolled = [values[digit_index(p, [(xi - vi) % p for xi, vi in zip(x, v)])] for x in xs]
         assert shifted(values, p, n, v).tolist() == rolled
@@ -106,13 +105,12 @@ def test_difference_keys_are_the_forward_map_of_their_first_pair(gen, p):
     n = 4 if p < 13 else 3
     rows = gen.integers(0, p, size=(9, n))
     rows[5] = rows[2]  # a repeated row: L_2 - L_5 = 0 is a key
-    keys, first = differences(rows, p)
+    keys, first_i, first_j = differences(rows, p)
     K = len(rows)
     pairs = [(i, j) for i in range(K) for j in range(K) if i != j]
     deltas = table_index(p, np.array([(rows[i] - rows[j]) % p for i, j in pairs]))
     assert keys.tolist() == sorted(set(deltas.tolist()))
-    for key, at in zip(keys.tolist(), first.tolist()):
-        i, j = divmod(at, K)
+    for key, i, j in zip(keys.tolist(), first_i.tolist(), first_j.tolist()):
         assert (i, j) == pairs[deltas.tolist().index(key)]  # the first pair in row-major order
         assert table_index(p, (rows[i] - rows[j]) % p) == key
 
