@@ -1,9 +1,9 @@
 """Why acceptance criteria 02 and 03 stay red, pinned. The product family
 g = (s + y_(2m-1)) (s + y_(2m)), s = y_1 + ... + y_(2m-2), is built as
-g + L_j.x over L = supp g, and a label fails off the diagonal exactly when
-u = b - S a is a difference of two rows of L. At weight one that happens for
-the Y errors on the 2m - 2 shared variables alone, whose u maps supp g onto
-itself. The linear shift set {x : x_(2m-1) = 0, x_(2m) = s(x)} on the same g
+g + L_j.x over L = supp g, up to one shared linear term, and a label fails
+off the diagonal exactly when u = b - S a is a difference of two rows of L.
+At weight one that happens for the Y errors on the 2m - 2 shared variables
+alone, whose u maps supp g onto itself. The linear shift set {x : x_(2m-1) = 0, x_(2m) = s(x)} on the same g
 meets d = 2 instead, and the paper's matrix (I | Gamma(g)) misses the column
 sums 0 and 1, which is why the premises fail."""
 import itertools
@@ -55,10 +55,11 @@ def test_each_failing_u_maps_the_support_onto_itself(m):
     n, g = 2 * m, mds_function(m)
     L = np.array(weight_support(g)[1])
     support = set(map(tuple, L.tolist()))
-    # basis member j is g + L_j.x up to one term that all members share
-    shared = {tuple((h.table - k.table) % 2) for h, k in
-              zip(build_mds_family(m).basis, affine_family(g, L.tolist()), strict=True)}
-    assert len(shared) == 1
+    # basis member j is g + (L_j + c).x with c.x = s(x): the rows are supp g
+    # up to one shared translate, which leaves each difference L_i - L_j as it is
+    want = affine_family(g, (L ^ unit(n, *range(n - 2))).tolist())
+    assert all((h.table == k.table).all()
+               for h, k in zip(build_mds_family(m).basis, want, strict=True))
 
     def onto_itself(u) -> bool:
         return set(map(tuple, (L ^ u).tolist())) == support
