@@ -33,7 +33,6 @@ _EXPORTS = {
     "KLFailure": "state_oracle",
     "StateVector": "state_oracle",
     "VerifyReport": "state_oracle",
-    "apply_error": "state_oracle",
     "inner_product": "state_oracle",
     "kl_verify": "state_oracle",
     "min_distance": "state_oracle",

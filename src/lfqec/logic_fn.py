@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._tables import differences, index_rows, index_vectors, label_at, label_blocks
-from ._tables import least_label, linear_values, shifted, support_index, support_rows
+from ._tables import least_label, linear_values, shifted, support_index, support_rows, table_index
 from ._textfile import anf_terms
 from .errors import CapacityError, InputError
 from .fp_algebra import CycloInt, FpMatrix, MAX_TABLE, PauliLabel, _Slotted, check_listing, rank
@@ -271,7 +271,7 @@ def _first_nonvanishing(f: LogicFunction, betas) -> tuple:
     keys, i, j = differences(betas, p)
     if terms is not None:
         return _quadratic_first(p, n, terms, index_rows(p, n, np.append(0, keys)))
-    return _walked_first(f, betas, list(zip(i.tolist(), j.tolist())))
+    return _walked_first(f, betas, keys, list(zip(i.tolist(), j.tolist())))
 
 
 def _symmetric_form(p: int, n: int, terms) -> np.ndarray:
@@ -308,8 +308,9 @@ def _quadratic_first(p: int, n: int, terms, deltas) -> tuple:
     return label_at(p, n, best)
 
 
-def _walked_first(f: LogicFunction, betas, pairs) -> tuple:
-    """_first_nonvanishing by walking the labels on f's table, given one (i, j) per delta != 0.
+def _walked_first(f: LogicFunction, betas, deltas, pairs) -> tuple:
+    """_first_nonvanishing by walking the labels on f's table, given the
+    sorted keys of D and one (i, j) per delta in D.
 
     The labels of an a-group share their support S and shift a, and b is 0
     off S. With y = x_S, delta = beta_i - beta_j and d(x) = f(x) - f(x-a),
@@ -319,8 +320,10 @@ def _walked_first(f: LogicFunction, betas, pairs) -> tuple:
     where H[y][e] counts the x over y with d(x) + delta.x = e mod p. One
     bincount over N keys gives H for an a-group and delta, and a label sums
     p^(w+1) gathered entries, hist[e] = sum_y H[y][e - b_S.y]; it is nonzero
-    iff hist is not flat. Memory is O(K N): the a-group's keys, gathers of at
-    most one table's entries and, when some delta != 0, K int8 tables beta_i.x and two buffers."""
+    iff hist is not flat. At a = 0, d(x) = 0, so the sum at (0, b + delta)
+    is nonzero iff delta = -b: one lookup in D answers the group. Memory is
+    O(K N): the a-group's keys, gathers of at most one table's entries and,
+    when some delta != 0, K int8 tables beta_i.x and two buffers."""
     p, n, table = f.p, f.n, f.table
     lin = [linear_values(p, n, beta).astype(np.int8) for beta in betas] if pairs else []
     buf = [np.empty(p**n, dtype=t) for t in (np.int64, np.int8)] if pairs else None
@@ -335,6 +338,12 @@ def _walked_first(f: LogicFunction, betas, pairs) -> tuple:
             y_key = support_index(p, n, supp)  # index(y)
             offset = stride * y_key + 2 * p  # p^w entries, broadcast over the grid
             for lo, hi in zip(starts, starts[1:]):  # the a-groups of the chunk
+                if not A[lo].any():  # b != 0 on S, so delta = 0 never hits
+                    u = table_index(p, -B[lo:hi] % p)
+                    hit = np.searchsorted(deltas, u, side="right") > np.searchsorted(deltas, u)
+                    if hit.any():
+                        return w, (0,) * n, tuple(B[lo + hit.argmax()].tolist())
+                    continue
                 keys = shifted(table, p, n, a := A[lo].tolist())  # a new array: writable
                 np.subtract(table, keys, out=keys)  # d(x), then its key, in place
                 np.add(keys.reshape((p,) * n), offset, out=keys.reshape((p,) * n))

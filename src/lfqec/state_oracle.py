@@ -39,7 +39,7 @@ import numpy as np
 
 from ._tables import differences, label_blocks, linear_values, shifted, table_index
 from .errors import CapacityError, InputError
-from .fp_algebra import MAX_LABELS, MAX_STATE, MAX_TABLE, CycloInt, PauliLabel, _Slotted
+from .fp_algebra import MAX_LABELS, MAX_STATE, MAX_TABLE, CycloInt, _Slotted
 from .fp_algebra import check_listing, table_size
 from .logic_fn import LogicFunction, _anf_terms, _symmetric_form
 
@@ -88,15 +88,6 @@ def _error_index(shift: np.ndarray, a, b, p: int, n: int) -> np.ndarray:
     g *= p**n
     g += shift
     return g.ravel()
-
-
-def apply_error(e: PauliLabel, state: StateVector) -> StateVector:
-    """E'_e acts by new[x + a] = zeta^(b.x) * old[x]."""
-    if (e.p, e.n) != (state.p, state.n):
-        raise InputError("label does not match the state")
-    shift = shifted(np.arange(state.p**state.n), state.p, state.n, e.a)
-    g = _error_index(shift, e.a, e.b, state.p, state.n)
-    return StateVector(state.p, state.n, state.amps.T.ravel()[g].reshape(state.p, -1).T)
 
 
 def _stack(states) -> np.ndarray:
@@ -282,11 +273,8 @@ def kl_verify(basis, max_weight: int) -> VerifyReport:
     return VerifyReport(p, n, len(basis), max_weight, "fail" if failures else "pass", failures)
 
 
-def min_distance(basis, cap: int | None = None):
+def min_distance(basis):
     """Smallest weight at which some label breaks the scalar-Gram condition,
-    or the string "> cap" when every weight up to the cap is clean."""
+    or the string "> n" when every weight up to n is clean."""
     p, n = _check_basis(basis)
-    cap = n if cap is None else cap
-    if not 1 <= cap <= n:
-        raise InputError(f"cap must lie in [1, {n}]")
-    return next((w for w, _ in _route(basis, p, n, cap)), f"> {cap}")
+    return next((w for w, _ in _route(basis, p, n, n)), f"> {n}")

@@ -22,7 +22,6 @@ from lfqec import (
     PauliLabel,
     PremiseError,
     StateVector,
-    apply_error,
     graph_to_stabilizer_rows,
     label_blocks,
     rank,
@@ -186,7 +185,7 @@ def verify_stabilizer(G) -> bool:
     """Exact check that every vertex operator of a weighted graph fixes the
     graph state."""
     psi = state_from_function(G.function())
-    return all(apply_error(row, psi) == psi for row in graph_to_stabilizer_rows(G))
+    return all(reference_apply_error(row, psi) == psi for row in graph_to_stabilizer_rows(G))
 
 
 def reference_apply_error(e: PauliLabel, state: StateVector) -> StateVector:
@@ -225,11 +224,12 @@ def reference_gram_matrix(basis, e: PauliLabel) -> list:
 
 def kernel_gram_matrix(basis, e: PauliLabel) -> list:
     """G_e[i][j] = <psi_i|E'_e|psi_j> from the oracle's own float64 kernel
-    (`_stack` and `_gram`, which the Gram sweep runs once per label)."""
+    (`_stack` and `_gram`, which the Gram sweep runs once per label), on
+    kets shifted by reference_apply_error."""
     from lfqec import state_oracle
 
     p, K = basis[0].p, len(basis)
-    kets = state_oracle._stack([apply_error(e, psi) for psi in basis])
+    kets = state_oracle._stack([reference_apply_error(e, psi) for psi in basis])
     G = state_oracle._gram(state_oracle._stack(basis), kets, p)
     return [[CycloInt(p, tuple(int(c) for c in G[:, i, j])) for j in range(K)] for i in range(K)]
 
@@ -272,14 +272,13 @@ def reference_kl_report(basis, max_weight: int) -> dict:
     }
 
 
-def reference_min_distance(basis, cap: int | None = None):
+def reference_min_distance(basis):
     p, n = basis[0].p, basis[0].n
-    cap = n if cap is None else cap
-    for w in range(1, cap + 1):
+    for w in range(1, n + 1):
         for a, b in reference_labels(p, n, w):
             if reference_label_failure(basis, PauliLabel(p, a, b)) is not None:
                 return w
-    return f"> {cap}"
+    return f"> {n}"
 
 
 def reference_coset_distance(f: LogicFunction, betas) -> tuple:

@@ -217,6 +217,33 @@ def test_exit_1_projector_premises_every_failure_on_one_line(files, capsys):
     )
 
 
+def test_exit_1_apc_oracle_disagrees(files, capsys, monkeypatch):
+    import lfqec.state_oracle
+
+    monkeypatch.setattr(lfqec.state_oracle, "min_distance", lambda basis: 3)
+    fn = files("k4.fn", K4_FN)
+    code, out = run(capsys, "apc", fn, "--verify")
+    assert code == 1
+    assert out == "distance: 2\nwitness: a=1100 b=1100\noracle distance: 3 (DISAGREES)\n"
+    code, data = run_json(capsys, "apc", fn, "--verify")
+    assert code == 1
+    assert (data["distance"], data["oracle_distance"], data["oracle_agrees"]) == (2, 3, False)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_exit_1_premise_error_reaches_main(files, capsys, monkeypatch, fmt):
+    # the premises hold, so only the patched solver stops the extraction
+    import lfqec.projector_codes
+
+    monkeypatch.setattr(lfqec.projector_codes, "solve_coboundary", lambda *args: None)
+    code = main(["projector", files("g2.fn", G2_FN), files("rep.mat", REPAIRED_MAT),
+                 "--extract-basis", "--format", fmt])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == ("premise failure: no quadratic function satisfies the syndrome "
+                   "difference system\n")
+
+
 @pytest.mark.parametrize("mat, want", [(REPAIRED_MAT, 0), (PRINTED_MAT, 1)], ids=["ok", "fail"])
 def test_projector_checks_premises_once(files, capsys, monkeypatch, mat, want):
     import lfqec.projector_codes

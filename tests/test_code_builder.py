@@ -242,7 +242,7 @@ def test_mds_family_m2_basis_and_true_distance():
 def test_mds_family_m3_true_distance():
     spec = build_mds_family(3)
     assert spec.claimed_K == 16 and spec.claimed_d == 2 and spec.n == 6
-    assert min_distance(spec.states(), cap=1) == 1
+    assert min_distance(spec.states()) == 1
 
 
 def test_mds_family_states_orthogonal():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import reference_coverage_map, reference_kernel_check, reference_rank_check
-from conftest import verify_stabilizer
+from conftest import reference_apply_error, verify_stabilizer
 from lfqec import graph_codes
 from lfqec import (
     CapacityError,
@@ -14,7 +14,6 @@ from lfqec import (
     InputError,
     WeightedGraph,
     add_affine,
-    apply_error,
     build_graph_code,
     graph_to_stabilizer_rows,
     matrix_code_check,
@@ -291,7 +290,7 @@ def test_stabilizer_row_fixes_state_directly():
     G = parse_graph_file(K4_TEXT)
     psi = state_from_function(G.function())
     for row in graph_to_stabilizer_rows(G):
-        assert apply_error(row, psi) == psi
+        assert reference_apply_error(row, psi) == psi
 
 
 # ---------------------------------------------------------------------------

@@ -647,7 +647,7 @@ def test_search_reads_every_gather_chunk(gen, monkeypatch):
 def test_search_across_chunk_boundaries(gen, monkeypatch, p, n):
     # 7 numbers per walk chunk: supports span chunks, and chunks split a-groups
     monkeypatch.setattr(lfqec._tables, "_CHUNK_ROWS", 7)
-    walks = count_walks(monkeypatch)
+    walks, zero_hits = count_walks(monkeypatch), 0
     for _ in range(10):
         f = random_cubic(gen, p, n)
         # three random shifts, then 1 to 4: repeated differences, K = 1
@@ -656,9 +656,22 @@ def test_search_across_chunk_boundaries(gen, monkeypatch, p, n):
             w, (a, b) = reference_coset_distance(f, betas)
             walks.clear()
             assert lfqec.logic_fn._first_nonvanishing(f, betas) == (w, a, b)
+            zero_hits += not any(a)  # an a = 0 group answers by one lookup in D
         res = apc_distance(f)
         assert (res.distance, (res.witness.a, res.witness.b)) == reference_apc_distance(f)
         assert len(walks) >= 2
+    assert zero_hits
+
+
+def test_walk_passes_an_a_zero_group_without_a_table_pass():
+    # e_1 is no difference of these 256 shifts, so the weight-1 group a = 0,
+    # b = e_1 fails and (e_1, 0) answers; one bincount per delta took about 5 s
+    f = parse_anf("x1*x2*x3 + x4*x5 + x6*x7*x8 + x2*x9", 2, 16)
+    betas = lfqec._tables.index_vectors(2, 16, np.random.default_rng(0).choice(2**16, 256, False))
+    e1 = (1,) + (0,) * 15
+    t0 = time.perf_counter()
+    assert lfqec.logic_fn._first_nonvanishing(f, betas) == (1, e1, (0,) * 16)
+    assert time.perf_counter() - t0 < 1
 
 
 def random_shifts(gen, p, n) -> list:

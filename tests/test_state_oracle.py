@@ -1,6 +1,6 @@
-"""State-vector oracle: exact cyclotomic amplitudes, Pauli action, Gram
-matrices, and the orthogonality-based verification of claimed distances.
-Float references use complex arithmetic independent of the integer paths."""
+"""State-vector oracle: exact cyclotomic amplitudes, Gram matrices, and
+the orthogonality-based verification of claimed distances. Float
+references use complex arithmetic independent of the integer paths."""
 import itertools
 import json
 import math
@@ -14,9 +14,7 @@ from conftest import (
     close,
     conj,
     kernel_gram_matrix,
-    label_sum,
     random_function,
-    reference_apply_error,
     reference_gram_matrix,
     reference_inner_product,
     reference_kl_report,
@@ -36,7 +34,6 @@ from lfqec import (
     StateVector,
     add_affine,
     apc_distance,
-    apply_error,
     build_coset_code,
     build_graph_code,
     build_matrix_code,
@@ -69,12 +66,6 @@ def sparse_state(gen, p, n):
     return StateVector(p, n, amps)
 
 
-def rotated(state, e):
-    """state multiplied by the global phase zeta^e."""
-    amps = np.roll(np.asarray(state.amps), e % state.p, axis=1)
-    return StateVector(state.p, state.n, amps)
-
-
 def random_label(gen, p, n, nonzero=False):
     while True:
         a = tuple(int(v) for v in gen.integers(0, p, n))
@@ -84,7 +75,7 @@ def random_label(gen, p, n, nonzero=False):
 
 
 # ---------------------------------------------------------------------------
-# states and error action
+# states
 
 
 def test_state_from_function_one_hot():
@@ -109,49 +100,6 @@ def test_state_equality_is_exact():
     assert psi == shifted
     with pytest.raises(TypeError):
         hash(psi)
-
-
-def test_apply_error_float_reference(gen):
-    for _ in range(60):
-        p = int(gen.choice([2, 3, 5]))
-        n = int(gen.integers(1, 3))
-        psi = random_state(gen, p, n)
-        e = random_label(gen, p, n)
-        got = state_complex(apply_error(e, psi))
-
-        zeta = np.exp(2j * np.pi / p)
-        ref = np.zeros(p**n, dtype=complex)
-        vec = state_complex(psi)
-        for idx, x in enumerate(itertools.product(range(p), repeat=n)):
-            shifted = tuple((xi + ai) % p for xi, ai in zip(x, e.a))
-            jdx = 0
-            for v in shifted:
-                jdx = jdx * p + v
-            phase = sum(bi * xi for bi, xi in zip(e.b, x)) % p
-            ref[jdx] += zeta**phase * vec[idx]
-        assert all(close(g, r) for g, r in zip(got, ref))
-        assert apply_error(e, psi) == reference_apply_error(e, psi)
-
-
-def test_error_composition_invariant(gen):
-    for _ in range(200):
-        p = int(gen.choice([2, 3, 5]))
-        n = int(gen.integers(1, 3))
-        psi = random_state(gen, p, n)
-        u = random_label(gen, p, n)
-        v = random_label(gen, p, n)
-        seq = apply_error(u, apply_error(v, psi))
-        combined = apply_error(label_sum(u, v), psi)
-        cross = sum(bu * av for bu, av in zip(u.b, v.a)) % p
-        assert seq == rotated(combined, cross)
-
-
-def test_apply_error_space_mismatch():
-    psi = state_from_function(parse_anf("x1", 2, 1))
-    with pytest.raises(InputError):
-        apply_error(PauliLabel(3, (1,), (0,)), psi)
-    with pytest.raises(InputError):
-        apply_error(PauliLabel(2, (1, 0), (0, 0)), psi)
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +220,10 @@ def test_kl_verify_generic_states_match_reference(gen):
         K = int(gen.integers(1, 5))
         make = sparse_state if trial % 3 else random_state
         basis = [make(gen, p, n) for _ in range(K)]
-        cap = min(n, 2)
-        w = int(gen.integers(0, cap + 1))
+        w = int(gen.integers(0, min(n, 2) + 1))
         got = kl_verify(basis, w).to_dict()
         assert got == reference_kl_report(basis, w)
-        assert min_distance(basis, cap) == reference_min_distance(basis, cap)
+        assert min_distance(basis) == reference_min_distance(basis)
         seen.update((f["kind"], f["i"], f["j"]) for f in got["failures"])
     assert any(kind == "offdiag_nonzero" and j > 1 for kind, _, j in seen)
     assert any(kind == "diag_unequal" and j > 1 for kind, _, j in seen)
@@ -327,14 +274,10 @@ def test_kl_random_single_states_match_shift_distance(gen):
         assert min_distance([state_from_function(f)]) == apc_distance(f).distance
 
 
-def test_min_distance_cap_literal():
-    psi = state_from_function(parse_anf(K4_ANF, 2, 4))
-    assert min_distance([psi], cap=1) == "> 1"
-    assert min_distance([psi], cap=2) == 2
-    with pytest.raises(InputError):
-        min_distance([psi], cap=0)
-    with pytest.raises(InputError):
-        min_distance([psi], cap=5)
+def test_min_distance_walks_to_weight_n():
+    # the zero vector passes every label: G_e[0][0] = 0 at each weight 1..n
+    zero = [StateVector(2, 3, np.zeros((8, 2), dtype=np.int64))]
+    assert min_distance(zero) == "> 3" == reference_min_distance(zero)
 
 
 def test_five_cycle_pair_distance_three():
@@ -560,9 +503,10 @@ def test_state_basis_over_the_pair_budget_is_refused_before_stacking(monkeypatch
     monkeypatch.setattr(fp_algebra, "MAX_LISTING", 63)
     monkeypatch.setattr(state_oracle, "_stack", refuse)
     refusal = "K\\^2 = 64 basis pairs exceed the listing budget 63"
-    for entry in (kl_verify, min_distance):
-        with pytest.raises(CapacityError, match=refusal):
-            entry(states, 1)
+    with pytest.raises(CapacityError, match=refusal):
+        kl_verify(states, 1)
+    with pytest.raises(CapacityError, match=refusal):
+        min_distance(states)
 
 
 def test_shared_quadratic_verdicts_read_no_table(monkeypatch, tmp_path, capsys):
@@ -612,8 +556,6 @@ def test_function_entries_keep_the_input_errors():
         min_distance([state_from_function(f), f])
     with pytest.raises(InputError, match=r"max_weight must lie in \[0, 2\]"):
         kl_verify([f], 3)
-    with pytest.raises(InputError, match=r"cap must lie in \[1, 2\]"):
-        min_distance([f], cap=0)
     # the state cap is the Gram route's: a cubic basis over it is refused, a
     # shared-quadratic one takes the closed form and gets its verdict
     with pytest.raises(CapacityError, match="p\\^n with n = 21 exceeds cap 1048576"):
